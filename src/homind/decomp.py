@@ -21,13 +21,16 @@ are classical constructive arguments:
 
 ``exact_treewidth_tiny`` / ``exact_pathwidth_tiny`` are exhaustive
 elimination-ordering / vertex-separation dynamic programs over vertex
-subsets, exact for the tiny graphs used in enumeration oracles.
+subsets, exact for the tiny graphs used in enumeration oracles; both are
+memoized per graph, since the class oracles ask about the same enumerated
+graphs again and again.
 
 The decomposition text format: ``bag <t> : <v1> <v2> ...`` lines, ``tedge
 <s> <t>`` lines, and an optional ``root <t>`` line; '#' comments allowed.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .graphs import Graph, adjacency_sets, connected_components
 
@@ -381,6 +384,7 @@ def depth_of(dec):
 # === Exact width oracles for tiny graphs ===
 
 
+@cache
 def exact_treewidth_tiny(F, cap=8):
     """Exact treewidth by dynamic programming over elimination orderings.
 
@@ -432,6 +436,7 @@ def exact_treewidth_tiny(F, cap=8):
     return best[full]
 
 
+@cache
 def exact_pathwidth_tiny(F, cap=8):
     """Exact pathwidth via the vertex-separation-number dynamic program.
 

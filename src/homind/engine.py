@@ -31,15 +31,19 @@ counts are never rejected), and a deterministic mode (pathwidth flavour)
 runs every prime in a set whose product exceeds the largest possible
 count, which by the Chinese remainder theorem detects any disagreement.
 
-Vectors use numpy (uint64, safe for moduli below 2^32) and fall back to
-Python big integers for larger primes.
+Tensors and basis rows are numpy arrays whose dtype follows from the
+modulus alone (``_residue_dtype``): uint64 when p < 2^32, so the product
+of two residues stays exact, and object (Python integers) otherwise.
+Primality is checked once, where a caller supplies the modulus
+(``modhomind``, ``modhomind_pw``); the randomized and CRT wrappers run
+the closure directly on primes their samplers have already proved.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, adjacency_sets, hom_count
+from .graphs import Graph, hom_count
 from .labelled import TApplyA, TApplyJ, TGlue, TOne
 from .modular import (
     BoundOverflow,
@@ -54,7 +58,16 @@ from .modular import (
 from .oracle import enumerate_graphs_up_to
 from .recognizer import Automaton
 
-_NUMPY_MODULUS_LIMIT = 1 << 32  # uint64 products of residues stay exact below this
+
+def _residue_dtype(p):
+    """Array dtype for residues mod p: uint64 while the product of two
+    residues fits (p < 2^32), Python integers (object) above."""
+    return np.uint64 if p < 1 << 32 else object
+
+
+def _require_prime(p):
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
 
 
 @dataclass
@@ -83,55 +96,32 @@ class BlockOps:
         self.k = k
         self.p = p
         self.length = g.n**k
-        self.use_numpy = p < _NUMPY_MODULUS_LIMIT
-        if self.use_numpy:
-            self._adj = np.zeros((g.n, g.n), dtype=np.uint64)
-            for u, v in g.edges:
-                self._adj[u, v] = 1
-                self._adj[v, u] = 1
-            self._masks = {}
-        else:
-            adj = adjacency_sets(g)
-            self._adj_sets = adj
-            self._masks = {}
+        self.dtype = _residue_dtype(p)
+        self._adj = np.zeros((g.n, g.n), dtype=self.dtype)
+        for u, v in g.edges:
+            self._adj[u, v] = 1
+            self._adj[v, u] = 1
+        self._masks = {}
 
     # -- vector constructors ------------------------------------------------
 
     def ones(self):
-        if self.use_numpy:
-            return np.ones(self.length, dtype=np.uint64)
-        return [1] * self.length
+        return np.ones(self.length, dtype=self.dtype)
 
     def from_ints(self, values):
-        vals = [v % self.p for v in values]
-        if self.use_numpy:
-            return np.array(vals, dtype=np.uint64)
-        return vals
+        return np.array([v % self.p for v in values], dtype=self.dtype)
 
     # -- index helpers ------------------------------------------------------
 
     def _coordinate(self, i):
-        """x_i of every flat index, as an array (numpy path)."""
+        """x_i of every flat index, as an array."""
         idx = np.arange(self.length)
         return (idx // self.n ** (self.k - i)) % self.n
 
     def _a_mask(self, i, j):
         key = (i, j)
         if key not in self._masks:
-            if self.use_numpy:
-                xi = self._coordinate(i)
-                xj = self._coordinate(j)
-                self._masks[key] = self._adj[xi, xj]
-            else:
-                stride_i = self.n ** (self.k - i)
-                stride_j = self.n ** (self.k - j)
-                mask = [0] * self.length
-                for x in range(self.length):
-                    xi = (x // stride_i) % self.n
-                    xj = (x // stride_j) % self.n
-                    if xj in self._adj_sets[xi]:
-                        mask[x] = 1
-                self._masks[key] = mask
+            self._masks[key] = self._adj[self._coordinate(i), self._coordinate(j)]
         return self._masks[key]
 
     # -- operator kernels ---------------------------------------------------
@@ -140,41 +130,23 @@ class BlockOps:
         """Entrywise product with the adjacency indicator of positions i, j."""
         if not (1 <= i < j <= self.k):
             raise ValueError(f"A labels must satisfy 1 <= i < j <= {self.k}")
-        mask = self._a_mask(i, j)
-        if self.use_numpy:
-            return block * mask  # 0/1 mask: no overflow, stays reduced
-        return [b if m else 0 for b, m in zip(block, mask)]
+        return block * self._a_mask(i, j)  # 0/1 mask: stays reduced
 
     def apply_j(self, block, i):
         """Marginalize axis i and broadcast the sum back along it."""
         if not (1 <= i <= self.k):
             raise ValueError(f"J label must satisfy 1 <= i <= {self.k}")
-        if self.use_numpy:
-            shape = (self.n,) * self.k
-            sums = block.reshape(shape).sum(axis=i - 1, dtype=np.uint64) % self.p
-            out = np.broadcast_to(np.expand_dims(sums, i - 1), shape)
-            return np.ascontiguousarray(out).reshape(self.length)
-        stride = self.n ** (self.k - i)
-        acc = {}
-        for x, v in enumerate(block):
-            base = x - ((x // stride) % self.n) * stride
-            acc[base] = acc.get(base, 0) + v
-        out = [0] * self.length
-        for x in range(self.length):
-            base = x - ((x // stride) % self.n) * stride
-            out[x] = acc[base] % self.p
-        return out
+        shape = (self.n,) * self.k
+        sums = block.reshape(shape).sum(axis=i - 1, keepdims=True) % self.p
+        out = np.broadcast_to(sums, shape)
+        return np.ascontiguousarray(out).reshape(self.length)
 
     def schur(self, b1, b2):
-        if self.use_numpy:
-            return (b1 * b2) % self.p
-        return [(a * b) % self.p for a, b in zip(b1, b2)]
+        return (b1 * b2) % self.p
 
     def total(self, block):
         """Sum of entries mod p (the label-dropping readout)."""
-        if self.use_numpy:
-            return int(block.sum(dtype=np.uint64) % self.p)
-        return sum(block) % self.p
+        return int(block.sum() % self.p)
 
 
 @dataclass
@@ -256,16 +228,26 @@ def term_block(ops: BlockOps, term):
 
 # === Echelon bases over F_p ===
 
+_S16, _M16 = np.uint64(16), np.uint64(0xFFFF)
+_U64_TERMS = 1 << 16  # summed products per exact uint64 accumulation
 
-def _mod_matvec_u64(c, mat, p):
-    """(c @ mat) mod p for uint64 data with c, mat entries < p < 2^32.
 
-    Splitting c into 16-bit halves keeps every intermediate product below
-    2^48, so sums over up to 2^15 rows stay exact in uint64.
+def _mod_matmul(a, b, p):
+    """(a @ b) mod p for residue arrays (a 1-D or 2-D, b 2-D).
+
+    object arrays multiply exactly.  For uint64 (p < 2^32) a is split
+    into 16-bit halves, so each product is below 2^48 and a sum of up to
+    2^16 of them stays below 2^64; longer contractions are summed in
+    chunks of 2^16 terms, reducing mod p in between.
     """
-    hi = (c >> np.uint64(16)) @ mat
-    lo = (c & np.uint64(0xFFFF)) @ mat
-    return (((hi % p) << np.uint64(16)) + lo % p) % p
+    if a.dtype == object:
+        return (a @ b) % p
+    if a.shape[-1] > _U64_TERMS:
+        head = _mod_matmul(a[..., :_U64_TERMS], b[:_U64_TERMS], p)
+        return (head + _mod_matmul(a[..., _U64_TERMS:], b[_U64_TERMS:], p)) % p
+    hi = ((a >> _S16) @ b) % p
+    lo = ((a & _M16) @ b) % p
+    return ((hi << _S16) + lo) % p
 
 
 class _Basis:
@@ -275,92 +257,105 @@ class _Basis:
     span membership is a single coefficient gather plus one matrix-vector
     elimination."""
 
-    def __init__(self, p, use_numpy):
+    def __init__(self, p):
         self.p = p
-        self.use_numpy = use_numpy
         self.pivots = []
-        self._mat = None  # numpy path: 2-D array, one basis row per row
-        self._rows = []  # python path: list of int lists
+        self._pivot_idx = None
+        self._mat = None  # 2-D array, one basis row per row
 
     def __len__(self):
         return len(self.pivots)
 
     @property
     def rows(self):
-        if self.use_numpy:
-            return [] if self._mat is None else list(self._mat)
-        return self._rows
+        return [] if self._mat is None else list(self._mat)
 
     def reduce(self, v):
-        p = self.p
-        if self.use_numpy:
-            if not self.pivots:
-                return v
-            c = v[np.array(self.pivots)]
-            if not c.any():
-                return v
-            return (v + (p - _mod_matvec_u64(c, self._mat, p))) % p
-        for row, piv in zip(self._rows, self.pivots):
-            c = v[piv]
-            if c:
-                v = [(a + p - (c * b) % p) % p for a, b in zip(v, row)]
-        return v
+        if self._mat is None:
+            return v
+        c = v[self._pivot_idx]
+        if not c.any():
+            return v
+        return (v + (self.p - _mod_matmul(c, self._mat, self.p))) % self.p
 
     def try_insert(self, v):
         """Reduce v against the basis; insert and return the reduced row
         if independent, else return None."""
         p = self.p
         v = self.reduce(v)
-        if self.use_numpy:
-            nz = np.nonzero(v)[0]
-            if not len(nz):
-                return None
-            piv = int(nz[0])
-            v = (v * pow(int(v[piv]), -1, p)) % p
-            if self._mat is None:
-                self._mat = v.reshape(1, -1).copy()
-            else:
-                col = self._mat[:, piv]
-                if col.any():
-                    # outer-product elimination: single products stay < p^2
-                    self._mat = (
-                        self._mat + (p - (col[:, None] * v[None, :]) % p)
-                    ) % p
-                self._mat = np.vstack([self._mat, v])
-            self.pivots.append(piv)
-            return self._mat[-1]
-        piv = next((i for i, a in enumerate(v) if a), None)
-        if piv is None:
+        nz = np.nonzero(v)[0]
+        if not len(nz):
             return None
-        inv = pow(v[piv], -1, p)
-        v = [(a * inv) % p for a in v]
-        for idx, row in enumerate(self._rows):
-            c = row[piv]
-            if c:
-                self._rows[idx] = [
-                    (a + p - (c * b) % p) % p for a, b in zip(row, v)
-                ]
-        self._rows.append(v)
+        piv = int(nz[0])
+        v = (v * pow(int(v[piv]), -1, p)) % p
+        if self._mat is None:
+            self._mat = v.reshape(1, -1).copy()
+        else:
+            col = self._mat[:, piv]
+            if col.any():
+                # outer-product elimination: single products stay < p^2
+                self._mat = (self._mat + (p - (col[:, None] * v[None, :]) % p)) % p
+            self._mat = np.vstack([self._mat, v])
         self.pivots.append(piv)
-        return v
+        self._pivot_idx = np.array(self.pivots)
+        return self._mat[-1]
 
 
-def _concat(pair: HomTensorPair):
-    if pair.ops_g.use_numpy:
-        return np.concatenate([pair.block_g, pair.block_h])
-    return list(pair.block_g) + list(pair.block_h)
+def _concat(block_g, block_h):
+    """The stacked vector F_G (+) F_H."""
+    return np.concatenate((block_g, block_h))
 
 
-def _split(vec, pair_template: HomTensorPair):
-    lg = pair_template.ops_g.length
-    return HomTensorPair(
-        pair_template.k,
-        vec[:lg],
-        vec[lg:],
-        pair_template.p,
-        pair_template.ops_g,
-        pair_template.ops_h,
-    )
+def _split(vec, length_g):
+    """The G and H blocks of a stacked vector (views, not copies)."""
+    return vec[:length_g], vec[length_g:]
+
+
+def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
+             stats=None):
+    """Worklist closure shared by the tw, pw and Lasserre deciders.
+
+    ``bases`` holds one echelon basis per recogniser state (a single one
+    for Lasserre), ``seeds`` the (state, stacked vector) pairs to start
+    from, and ``expand(state, row)`` yields the (target state, candidate)
+    pairs a popped basis row generates.  Every candidate that leaves its
+    bucket's span is inserted and queued; ``order_rng`` randomizes the pop
+    order.  Returns True iff every row of every accepting bucket has equal
+    G and H block sums.
+    """
+    worklist = []  # (state, reduced row vector)
+    inserts = 0
+
+    def insert(q, vec):
+        nonlocal inserts
+        row = bases[q].try_insert(vec)
+        if row is not None:
+            inserts += 1
+            worklist.append((q, row))
+
+    for q, vec in seeds:
+        insert(q, vec)
+    head = 0
+    while head < len(worklist):
+        if order_rng is not None:
+            pick = head + order_rng.randbelow(len(worklist) - head)
+            worklist[head], worklist[pick] = worklist[pick], worklist[head]
+        q, row = worklist[head]
+        head += 1
+        for target, vec in expand(q, row):
+            insert(target, vec)
+
+    if stats is not None:
+        stats["dim_total"] = sum(len(b) for b in bases)
+        stats["inserts"] = inserts
+        stats["per_state"] = {q: len(b) for q, b in enumerate(bases)}
+
+    for q in sorted(accepting):
+        for row in bases[q].rows:
+            g, h = _split(row, ops_g.length)
+            if ops_g.total(g) != ops_h.total(h):
+                return False
+    return True
 
 
 # === Algorithm: modular indistinguishability over a recognisable class ===
@@ -387,8 +382,7 @@ def _small_stage(G, H, aut, p, budget):
 
 def _closure_verdict(G, H, aut, p, include_schur, order_rng=None, stats=None,
                      budget=10**8):
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
+    """modhomind / modhomind_pw for a modulus already known to be prime."""
     witness, note = _small_stage(G, H, aut, p, budget)
     if witness is not None:
         return Verdict(
@@ -399,53 +393,30 @@ def _closure_verdict(G, H, aut, p, include_schur, order_rng=None, stats=None,
             small_stage_witness=witness,
         )
 
-    template = ones_pair(G, H, aut.k, p)
-    use_numpy = template.ops_g.use_numpy
-    bases = {q: _Basis(p, use_numpy) for q in range(aut.states)}
+    og, oh = BlockOps(G, aut.k, p), BlockOps(H, aut.k, p)
+    lg = og.length
+    bases = [_Basis(p) for _ in range(aut.states)]
     label_js = list(range(1, aut.k + 1))
     label_as = [(i, j) for i in label_js for j in label_js if i < j]
 
-    worklist = []  # (state, reduced row vector)
-    inserts = 0
-
-    def insert(q, vec):
-        nonlocal inserts
-        row = bases[q].try_insert(vec)
-        if row is not None:
-            inserts += 1
-            worklist.append((q, row))
-
-    insert(aut.start, _concat(template))
-
-    head = 0
-    while head < len(worklist):
-        if order_rng is not None:
-            pick = head + order_rng.randbelow(len(worklist) - head)
-            worklist[head], worklist[pick] = worklist[pick], worklist[head]
-        q, row = worklist[head]
-        head += 1
-        pair = _split(row, template)
+    def expand(q, row):
+        g, h = _split(row, lg)
         for i in label_js:
-            insert(aut.j_state(i, q), _concat(apply_J(i, pair)))
+            yield aut.j_state(i, q), _concat(og.apply_j(g, i), oh.apply_j(h, i))
         for i, j in label_as:
-            insert(aut.a_state(i, j, q), _concat(apply_A(i, j, pair)))
+            yield aut.a_state(i, j, q), _concat(
+                og.apply_a(g, i, j), oh.apply_a(h, i, j))
         if include_schur:
             for r in range(aut.states):
                 target = aut.glue_state(q, r)
-                for other in list(bases[r].rows):
-                    insert(target, _concat(schur(pair, _split(other, template))))
+                for other in bases[r].rows:
+                    xg, xh = _split(other, lg)
+                    yield target, _concat(og.schur(g, xg), oh.schur(h, xh))
 
-    if stats is not None:
-        stats["dim_total"] = sum(len(b) for b in bases.values())
-        stats["inserts"] = inserts
-        stats["per_state"] = {q: len(b) for q, b in bases.items()}
-
-    for q in sorted(aut.accepting):
-        for row in bases[q].rows:
-            pair = _split(row, template)
-            if template.ops_g.total(pair.block_g) != template.ops_h.total(pair.block_h):
-                return Verdict(False, "single-prime", [p], rejecting_prime=p)
-    return Verdict(True, "single-prime", [p], notes=note)
+    seeds = [(aut.start, _concat(og.ones(), oh.ones()))]
+    if _closure(bases, seeds, expand, aut.accepting, og, oh, order_rng, stats):
+        return Verdict(True, "single-prime", [p], notes=note)
+    return Verdict(False, "single-prime", [p], rejecting_prime=p)
 
 
 def modhomind(G: Graph, H: Graph, aut: Automaton, p: int, *, order_rng=None,
@@ -453,6 +424,7 @@ def modhomind(G: Graph, H: Graph, aut: Automaton, p: int, *, order_rng=None,
     """Decide whether G and H admit equal homomorphism counts mod p from
     every member of the class recognised by ``aut`` (treewidth flavour:
     closure includes pairwise Schur products)."""
+    _require_prime(p)
     return _closure_verdict(
         G, H, aut, p, include_schur=True, order_rng=order_rng, stats=stats,
         budget=budget,
@@ -464,6 +436,7 @@ def modhomind_pw(G: Graph, H: Graph, aut: Automaton, p: int, *, order_rng=None,
     """Pathwidth flavour of modhomind: the gluing operation is dropped
     from the closure (series-only generation), which is exactly the
     difference between path and tree decompositions."""
+    _require_prime(p)
     return _closure_verdict(
         G, H, aut, p, include_schur=False, order_rng=order_rng, stats=stats,
         budget=budget,
@@ -484,6 +457,28 @@ def _draw_prime_with_bits(rng, bits):
 
 
 _PRIME_BITS_NOTE = "heuristic: prime-bits mode, error bound not certified"
+
+
+def _prime_trials(prime_bits, bit_cap, bound_fn, *bound_args):
+    """Prime sampler and trial count of a randomized decision.
+
+    With prime_bits: random primes of that many bits, and the trial-count
+    formula applied to L = 2^(bits-1).  Otherwise: draws from (L, L^2]
+    for the class bound ``bound_fn(*bound_args)``, with its trial count.
+    """
+    if prime_bits is not None:
+        if prime_bits < 5:
+            raise ValueError("prime_bits must be at least 5")
+        trials = ((1 << (prime_bits - 1)) ** 4 - 1).bit_length()
+        return (lambda rng: _draw_prime_with_bits(rng, prime_bits)), trials
+    kwargs = {} if bit_cap is None else {"bit_cap": bit_cap}
+    try:
+        bounds = bound_fn(*bound_args, **kwargs)
+    except BoundOverflow as exc:
+        raise BoundOverflow(
+            f"{exc}; rerun with prime_bits for a heuristic decision"
+        ) from exc
+    return (lambda rng: sample_prime_in_range(bounds.L, rng)), bounds.trials
 
 
 def _randomized_verdict(draw, decide, trials: int, seed: int,
@@ -550,41 +545,15 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
     bits, same trial-count formula applied to L = 2^(bits-1).  Cheap, but
     the certified error bound no longer applies — the verdict is flagged.
     """
-    if variant == "tw":
-        decide = modhomind
-        bound_fn = bound_tw
-    elif variant == "pw":
-        decide = modhomind_pw
-        bound_fn = bound_pw
-    else:
+    if variant not in ("tw", "pw"):
         raise ValueError(f"unknown variant {variant!r}")
-
-    heuristic = prime_bits is not None
-    if heuristic:
-        if prime_bits < 5:
-            raise ValueError("prime_bits must be at least 5")
-        trials = ((1 << (prime_bits - 1)) ** 4 - 1).bit_length()
-
-        def draw(rng):
-            return _draw_prime_with_bits(rng, prime_bits)
-
-    else:
-        n = max(G.n, H.n, 1)
-        kwargs = {} if bit_cap is None else {"bit_cap": bit_cap}
-        try:
-            bounds = bound_fn(n, aut.k, aut.states, **kwargs)
-        except BoundOverflow as exc:
-            raise BoundOverflow(
-                f"{exc}; rerun with prime_bits for a heuristic decision"
-            ) from exc
-        trials = bounds.trials
-
-        def draw(rng):
-            return sample_prime_in_range(bounds.L, rng)
-
+    bound_fn = bound_tw if variant == "tw" else bound_pw
+    draw, trials = _prime_trials(prime_bits, bit_cap, bound_fn,
+                                 max(G.n, H.n, 1), aut.k, aut.states)
     return _randomized_verdict(
-        draw, lambda p: decide(G, H, aut, p, budget=budget),
-        trials, seed, heuristic, parallel,
+        draw,
+        lambda p: _closure_verdict(G, H, aut, p, variant == "tw", budget=budget),
+        trials, seed, prime_bits is not None, parallel,
     )
 
 
@@ -611,7 +580,7 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
     notes = ""
     for p in primes:
         primes_used.append(p)
-        sub = modhomind_pw(G, H, aut, p, budget=budget)
+        sub = _closure_verdict(G, H, aut, p, False, budget=budget)
         notes = notes or sub.notes
         if not sub.accept:
             return Verdict(

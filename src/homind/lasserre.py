@@ -21,9 +21,12 @@ the graphs agree on homomorphism counts mod p from every class member
 iff every basis element has equal block entry sums (the all-ones
 bilinear form 1^T M 1 erases the labels).
 
-A randomized wrapper lifts the modular verdicts to exact counts exactly
-as the treewidth engine does, with the level-t bound driving the prime
-range.
+The closure is the treewidth engine's worklist loop with a single state,
+on the same arrays: uint64 when p < 2^32, object (Python integers)
+otherwise.  ``lasserre_mod`` checks that a caller-supplied modulus is
+prime; the randomized wrapper, which lifts the modular verdicts to exact
+counts as the treewidth engine does with the level-t bound driving the
+prime range, runs the closure directly on primes its sampler has proved.
 """
 
 import numpy as np
@@ -31,11 +34,16 @@ import numpy as np
 from .engine import (
     Verdict,
     _Basis,
-    _draw_prime_with_bits,
+    _closure,
+    _concat,
+    _mod_matmul,
+    _prime_trials,
     _randomized_verdict,
-    _PRIME_BITS_NOTE,
+    _require_prime,
+    _residue_dtype,
+    _split,
 )
-from .graphs import Graph, adjacency_sets
+from .graphs import Graph
 from .labelled import (
     LAtomic,
     LGlueAtomic,
@@ -43,14 +51,7 @@ from .labelled import (
     LSeries,
     enumerate_atomic,
 )
-from .modular import (
-    BoundOverflow,
-    bound_lasserre,
-    is_prime,
-    sample_prime_in_range,
-)
-
-_NUMPY_MODULUS_LIMIT = 1 << 32
+from .modular import bound_lasserre
 
 
 class MatrixOps:
@@ -65,14 +66,11 @@ class MatrixOps:
         self.p = p
         self.side = g.n**t
         self.length = g.n ** (2 * t)
-        self.use_numpy = p < _NUMPY_MODULUS_LIMIT
-        if self.use_numpy:
-            self._adj = np.zeros((g.n, g.n), dtype=np.uint64)
-            for u, v in (tuple(e) for e in g.edges):
-                self._adj[u, v] = 1
-                self._adj[v, u] = 1
-        else:
-            self._adj_sets = adjacency_sets(g)
+        self.dtype = _residue_dtype(p)
+        self._adj = np.zeros((g.n, g.n), dtype=self.dtype)
+        for u, v in g.edges:
+            self._adj[u, v] = 1
+            self._adj[v, u] = 1
         self._shape = (g.n,) * (2 * t)
         self._masks = {}
 
@@ -86,23 +84,11 @@ class MatrixOps:
     def _slot_pair_mask(self, kind, a, b):
         key = (kind, a, b)
         if key not in self._masks:
-            if self.use_numpy:
-                xa, xb = self._coordinate(a), self._coordinate(b)
-                if kind == "eq":
-                    mask = (xa == xb).astype(np.uint64)
-                else:
-                    mask = self._adj[xa, xb]
+            xa, xb = self._coordinate(a), self._coordinate(b)
+            if kind == "eq":
+                mask = np.where(xa == xb, 1, 0).astype(self.dtype)
             else:
-                sa = self.n ** (2 * self.t - 1 - a)
-                sb = self.n ** (2 * self.t - 1 - b)
-                mask = []
-                for idx in range(self.length):
-                    xa = (idx // sa) % self.n
-                    xb = (idx // sb) % self.n
-                    if kind == "eq":
-                        mask.append(1 if xa == xb else 0)
-                    else:
-                        mask.append(1 if xb in self._adj_sets[xa] else 0)
+                mask = self._adj[xa, xb]
             self._masks[key] = mask
         return self._masks[key]
 
@@ -114,10 +100,7 @@ class MatrixOps:
         combined = atomic.in_labels + atomic.out_labels
         if len(combined) != 2 * self.t or atomic.graph.n != len(set(combined)):
             raise ValueError("not an atomic bilabelled graph for this level")
-        if self.use_numpy:
-            out = np.ones(self.length, dtype=np.uint64)
-        else:
-            out = [1] * self.length
+        out = np.ones(self.length, dtype=self.dtype)
         slot_of = {}
         for slot, v in enumerate(combined):
             if v in slot_of:
@@ -131,67 +114,28 @@ class MatrixOps:
     # -- kernels ---------------------------------------------------------------
 
     def schur(self, b1, b2):
-        if self.use_numpy:
-            return (b1 * b2) % self.p
-        return [(a * b) % self.p for a, b in zip(b1, b2)]
+        return (b1 * b2) % self.p
 
     def matmul(self, b1, b2):
         """Matrix product of the n^t-by-n^t views, entries mod p."""
-        p = self.p
-        if self.use_numpy:
-            m1 = b1.reshape(self.side, self.side)
-            m2 = b2.reshape(self.side, self.side)
-            hi = ((m1 >> np.uint64(16)) @ m2) % p
-            lo = ((m1 & np.uint64(0xFFFF)) @ m2) % p
-            return (((hi << np.uint64(16)) + lo) % p).reshape(self.length)
-        side = self.side
-        out = [0] * self.length
-        for i in range(side):
-            row = b1[i * side : (i + 1) * side]
-            for j in range(side):
-                acc = 0
-                for k in range(side):
-                    acc += row[k] * b2[k * side + j]
-                out[i * side + j] = acc % p
-        return out
+        m1 = b1.reshape(self.side, self.side)
+        m2 = b2.reshape(self.side, self.side)
+        return _mod_matmul(m1, m2, self.p).reshape(self.length)
 
     def transpose(self, block, a, b):
         """Swap tensor axes a and b (0-based among the 2t slots)."""
-        if self.use_numpy:
-            swapped = np.swapaxes(block.reshape(self._shape), a, b)
-            return np.ascontiguousarray(swapped).reshape(self.length)
-        sa = self.n ** (2 * self.t - 1 - a)
-        sb = self.n ** (2 * self.t - 1 - b)
-        out = [0] * self.length
-        for idx, val in enumerate(block):
-            xa = (idx // sa) % self.n
-            xb = (idx // sb) % self.n
-            target = idx + (xb - xa) * sa + (xa - xb) * sb
-            out[target] = val
-        return out
+        swapped = np.swapaxes(block.reshape(self._shape), a, b)
+        return np.ascontiguousarray(swapped).reshape(self.length)
 
     def permute_axes(self, block, sigma):
         """General pull-convention axis permutation: output slot i carries
         what the input held for slot sigma[i]."""
-        if self.use_numpy:
-            moved = np.transpose(block.reshape(self._shape), axes=sigma)
-            return np.ascontiguousarray(moved).reshape(self.length)
-        slots = 2 * self.t
-        strides = [self.n ** (slots - 1 - s) for s in range(slots)]
-        out = [0] * self.length
-        for idx in range(self.length):
-            src = 0
-            for i in range(slots):
-                ci = (idx // strides[i]) % self.n
-                src += ci * strides[sigma[i]]
-            out[idx] = block[src]
-        return out
+        moved = np.transpose(block.reshape(self._shape), axes=sigma)
+        return np.ascontiguousarray(moved).reshape(self.length)
 
     def total(self, block):
         """1^T M 1 mod p: the label-erasing readout."""
-        if self.use_numpy:
-            return int(block.sum(dtype=np.uint64) % self.p)
-        return sum(block) % self.p
+        return int(block.sum() % self.p)
 
 
 def lasserre_term_tensor(ops: MatrixOps, term):
@@ -212,74 +156,46 @@ def lasserre_term_tensor(ops: MatrixOps, term):
     raise TypeError(f"not a level-t term: {term!r}")
 
 
-def _concat(ops_g, ops_h, bg, bh):
-    if ops_g.use_numpy:
-        return np.concatenate([bg, bh])
-    return list(bg) + list(bh)
+def _check_level(t):
+    if t not in (1, 2):
+        raise ValueError(f"level must be 1 or 2, got {t}")
+
+
+def _lasserre_verdict(G, H, t, p, order_rng=None, stats=None):
+    """lasserre_mod for a level and modulus already validated."""
+    og, oh = MatrixOps(G, t, p), MatrixOps(H, t, p)
+    split = og.length
+    basis = _Basis(p)
+    atomics = [(og.atomic_tensor(a), oh.atomic_tensor(a))
+               for a in enumerate_atomic(t)]
+    transpositions = [
+        (a, b) for a in range(2 * t) for b in range(a + 1, 2 * t)
+    ]
+
+    def expand(_, row):
+        g, h = _split(row, split)
+        for ag, ah in atomics:
+            yield 0, _concat(og.schur(g, ag), oh.schur(h, ah))
+        for a, b in transpositions:
+            yield 0, _concat(og.transpose(g, a, b), oh.transpose(h, a, b))
+        for other in basis.rows:
+            xg, xh = _split(other, split)
+            yield 0, _concat(og.matmul(g, xg), oh.matmul(h, xh))
+            yield 0, _concat(og.matmul(xg, g), oh.matmul(xh, h))
+
+    seeds = [(0, _concat(ag, ah)) for ag, ah in atomics]
+    if _closure([basis], seeds, expand, [0], og, oh, order_rng, stats):
+        return Verdict(True, "single-prime", [p])
+    return Verdict(False, "single-prime", [p], rejecting_prime=p)
 
 
 def lasserre_mod(G: Graph, H: Graph, t: int, p: int, *, order_rng=None,
                  stats=None) -> Verdict:
     """Decide whether G and H admit equal homomorphism counts mod p from
     every member of the level-t class."""
-    if t not in (1, 2):
-        raise ValueError(f"level must be 1 or 2, got {t}")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-
-    ops_g = MatrixOps(G, t, p)
-    ops_h = MatrixOps(H, t, p)
-    split = ops_g.length
-
-    def both(fn, *blocks_pairs):
-        gs = fn(ops_g, *[b[:split] for b in blocks_pairs])
-        hs = fn(ops_h, *[b[split:] for b in blocks_pairs])
-        return _concat(ops_g, ops_h, gs, hs)
-
-    basis = _Basis(p, ops_g.use_numpy)
-    worklist = []
-    inserts = 0
-
-    def insert(vec):
-        nonlocal inserts
-        row = basis.try_insert(vec)
-        if row is not None:
-            inserts += 1
-            worklist.append(row)
-
-    atomics = [
-        _concat(ops_g, ops_h, ops_g.atomic_tensor(a), ops_h.atomic_tensor(a))
-        for a in enumerate_atomic(t)
-    ]
-    for vec in atomics:
-        insert(vec)
-
-    transpositions = [
-        (a, b) for a in range(2 * t) for b in range(a + 1, 2 * t)
-    ]
-    head = 0
-    while head < len(worklist):
-        if order_rng is not None:
-            pick = head + order_rng.randbelow(len(worklist) - head)
-            worklist[head], worklist[pick] = worklist[pick], worklist[head]
-        row = worklist[head]
-        head += 1
-        for atom in atomics:
-            insert(both(lambda o, x, y: o.schur(x, y), row, atom))
-        for a, b in transpositions:
-            insert(both(lambda o, x: o.transpose(x, a, b), row))
-        for other in list(basis.rows):
-            insert(both(lambda o, x, y: o.matmul(x, y), row, other))
-            insert(both(lambda o, x, y: o.matmul(y, x), row, other))
-
-    if stats is not None:
-        stats["dim_total"] = len(basis)
-        stats["inserts"] = inserts
-
-    for row in basis.rows:
-        if ops_g.total(row[:split]) != ops_h.total(row[split:]):
-            return Verdict(False, "single-prime", [p], rejecting_prime=p)
-    return Verdict(True, "single-prime", [p])
+    _check_level(t)
+    _require_prime(p)
+    return _lasserre_verdict(G, H, t, p, order_rng, stats)
 
 
 def lasserre_randomized(G: Graph, H: Graph, t: int, seed: int = 0,
@@ -288,30 +204,10 @@ def lasserre_randomized(G: Graph, H: Graph, t: int, seed: int = 0,
     """Randomized exact-count decision over the level-t class, sampling
     primes against the level-t count bound (one-sided error), or against
     random fixed-width primes in the flagged heuristic mode."""
-    heuristic = prime_bits is not None
-    if heuristic:
-        if prime_bits < 5:
-            raise ValueError("prime_bits must be at least 5")
-        trials = ((1 << (prime_bits - 1)) ** 4 - 1).bit_length()
-
-        def draw(rng):
-            return _draw_prime_with_bits(rng, prime_bits)
-
-    else:
-        n = max(G.n, H.n, 1)
-        kwargs = {} if bit_cap is None else {"bit_cap": bit_cap}
-        try:
-            bounds = bound_lasserre(n, t, **kwargs)
-        except BoundOverflow as exc:
-            raise BoundOverflow(
-                f"{exc}; rerun with prime_bits for a heuristic decision"
-            ) from exc
-        trials = bounds.trials
-
-        def draw(rng):
-            return sample_prime_in_range(bounds.L, rng)
-
+    _check_level(t)
+    draw, trials = _prime_trials(prime_bits, bit_cap, bound_lasserre,
+                                 max(G.n, H.n, 1), t)
     return _randomized_verdict(
-        draw, lambda p: lasserre_mod(G, H, t, p),
-        trials, seed, heuristic, parallel,
+        draw, lambda p: _lasserre_verdict(G, H, t, p),
+        trials, seed, prime_bits is not None, parallel,
     )

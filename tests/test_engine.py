@@ -76,14 +76,28 @@ def test_kernels_match_hom_tensors_small():
 
 
 def test_kernels_big_prime_python_path():
-    """Moduli at 128 bits leave numpy range and take the big-int path."""
+    """Moduli at 128 bits leave uint64 range and use Python-integer arrays."""
     g = cycle_graph(4)
     ops = BlockOps(g, 2, BIG_PRIME)
-    assert not ops.use_numpy
+    assert ops.dtype == object
     for rec in enumerate_tw(2, 4, 3):
         got = term_block(ops, rec.term)
         want = [int(x) % BIG_PRIME for x in hom_tensor(rec.value, g).ravel()]
         assert list(got) == want
+
+
+def test_mod_matmul_exact_past_uint64_accumulation_limit():
+    """65,538 products of (p-1)^2 overflow one uint64 accumulation of the
+    16-bit split; the chunked sum must match the Python-integer result."""
+    from homind.engine import _mod_matmul
+
+    p = 4294967291
+    rows = (1 << 16) + 2
+    c = np.full(rows, p - 1, dtype=np.uint64)
+    mat = np.full((rows, 1), p - 1, dtype=np.uint64)
+    want = _mod_matmul(c.astype(object), mat.astype(object), p)
+    assert [int(x) for x in want] == [rows % p]
+    assert [int(x) for x in _mod_matmul(c, mat, p)] == [rows % p]
 
 
 def test_apply_a_ones_is_adjacency_indicator():
@@ -266,6 +280,44 @@ def test_engine_matches_bruteforce_oracle_on_random_pairs():
         want = homind_bruteforce(g, h, "tw<=1", 7, modulus=p).indistinguishable
         got = modhomind(g, h, aut, p).accept
         assert got == want, (g, h, p)
+
+
+def _rewire_one_edge(g):
+    """Move one endpoint of g's first edge to a non-neighbour: same order
+    and size, different degree sequence."""
+    u, v = g.edges[0]
+    nbrs = {b for a, b in g.edges if a == u} | {a for a, b in g.edges if b == u}
+    w = next(x for x in range(g.n) if x != u and x not in nbrs)
+    return Graph.from_edges(g.n, [e for e in g.edges if e != (u, v)] + [(u, w)])
+
+
+def test_closure_agrees_across_array_backends():
+    """The same closures on uint64 arrays (p = 2^31-1) and on Python-integer
+    arrays (a 128-bit prime): verdicts follow (k-1)-WL or the known
+    Lasserre outcome, and the closure dimension is the same at both primes.
+    Every pair has equal order and size, so the closure decides."""
+    from homind.lasserre import lasserre_mod
+    from homind.wl import wl_refine
+
+    two_c4 = Graph.from_edges(
+        8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+    g = random_graph(random.Random(2), 7, 0.5)
+    tw_cases = [  # (G, H, k, expected dim_total)
+        (cycle_graph(8), two_c4, 2, 2),
+        (cycle_graph(8), two_c4, 3, 44),
+        (g, permuted_copy(random.Random(102), g), 2, 49),
+        (g, _rewire_one_edge(g), 2, 98),
+    ]
+    for p in ((1 << 31) - 1, BIG_PRIME):
+        for G, H, k, dim in tw_cases:
+            stats = {}
+            verdict = modhomind(G, H, builtin("tw-all", k), p, stats=stats)
+            assert verdict.small_stage_witness is None
+            assert verdict.accept == wl_refine(G, H, k - 1), (G, H, k, p)
+            assert stats["dim_total"] == dim, (G, H, k, p)
+        stats = {}
+        assert not lasserre_mod(cycle_graph(8), two_c4, 1, p, stats=stats).accept
+        assert stats["dim_total"] == 9
 
 
 # === modhomind_pw ===
