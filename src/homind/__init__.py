@@ -12,9 +12,9 @@ the integers, or deterministically by CRT over many small primes — for
 
 and ships the surrounding toolkit: exact brute-force oracles that audit
 every verdict at small scale (``homind.oracle``), Weisfeiler-Leman
-refinement and CFI constructions (``homind.wl``), decompositions
-(``homind.decomp``), the labelled-graph algebra itself (``homind.labelled``),
-and modular/number-theoretic utilities (``homind.modular``).
+refinement and CFI constructions (``homind.wl``), the labelled-graph
+algebra itself (``homind.labelled``), and modular/number-theoretic
+utilities (``homind.modular``).
 """
 
 from .graphs import (

@@ -38,14 +38,13 @@ import random
 import secrets
 import sys
 
-from .decomp import exact_pathwidth_tiny, exact_treewidth_tiny
 from .engine import (
     Verdict,
-    format_verdict,
     homind_deterministic_crt,
     homind_randomized,
     modhomind,
     modhomind_pw,
+    verdict_pairs,
 )
 from .graphs import (
     Graph,
@@ -56,7 +55,14 @@ from .graphs import (
 )
 from .lasserre import lasserre_mod, lasserre_randomized
 from .modular import BoundOverflow, bound_lasserre, bound_pw, bound_tw
-from .oracle import class_members, homind_bruteforce, is_path_graph, parse_class_spec
+from .oracle import (
+    class_members,
+    exact_pathwidth_tiny,
+    exact_treewidth_tiny,
+    homind_bruteforce,
+    is_path_graph,
+    parse_class_spec,
+)
 from .recognizer import builtin, parse_automaton, validate_automaton
 from .wl import cfi, gen_clique_reduction, gen_wl_hardness, wl_refine
 
@@ -84,23 +90,8 @@ class _Output:
             print(f"{key}={value}")
 
     def emit_verdict(self, verdict: Verdict):
-        """Mirror the engine's verdict rendering pair-for-pair."""
-        if not self.as_json:
-            sys.stdout.write(format_verdict(verdict))
-            # keep self.pairs unused in line mode; format_verdict is the contract
-            return
-        self.pairs.append(("verdict", "accept" if verdict.accept else "reject"))
-        self.pairs.append(("mode", verdict.mode))
-        for p in verdict.primes_used:
-            self.pairs.append(("prime", p))
-        if verdict.rejecting_prime is not None:
-            self.pairs.append(("rejecting_prime", verdict.rejecting_prime))
-        if verdict.small_stage_witness is not None:
-            self.pairs.append(("witness", _compact(verdict.small_stage_witness)))
-        else:
-            self.pairs.append(("witness", "none"))
-        if verdict.notes:
-            self.pairs.append(("note", verdict.notes))
+        for key, value in verdict_pairs(verdict):
+            self.emit(key, value)
 
     def finish(self):
         if not self.as_json:

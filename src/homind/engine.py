@@ -6,10 +6,11 @@ pinning the i-th labelled vertex to x_i.  The three constructors of the
 treewidth-bounded algebra act linearly (or bilinearly) on these tensors:
 
   * adding an edge between labels i and j multiplies entrywise by the
-    adjacency indicator [x_i x_j in E(G)]  (apply_A),
+    adjacency indicator [x_i x_j in E(G)]  (BlockOps.apply_a),
   * moving label i to a fresh vertex marginalizes axis i and broadcasts
-    the sum back  (apply_J),
-  * gluing two labelled graphs multiplies tensors entrywise  (schur).
+    the sum back  (BlockOps.apply_j),
+  * gluing two labelled graphs multiplies tensors entrywise
+    (BlockOps.schur).
 
 The decision procedure walks the span of stacked tensors F_G (+) F_H
 inside F_p^{V(G)^k} (+) F_p^{V(H)^k}, bucketed by the class-recogniser
@@ -40,10 +41,11 @@ the closure directly on primes their samplers have already proved.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .graphs import Graph, hom_count
+from .graphs import Graph, hom_count, serialize_graph
 from .labelled import TApplyA, TApplyJ, TGlue, TOne
 from .modular import (
     BoundOverflow,
@@ -147,67 +149,6 @@ class BlockOps:
     def total(self, block):
         """Sum of entries mod p (the label-dropping readout)."""
         return int(block.sum() % self.p)
-
-
-@dataclass
-class HomTensorPair:
-    """Stacked mod-p homomorphism tensors of one labelled graph against
-    two targets."""
-
-    k: int
-    block_g: object
-    block_h: object
-    p: int
-    ops_g: BlockOps
-    ops_h: BlockOps
-
-    def __post_init__(self):
-        if len(self.block_g) != self.ops_g.length:
-            raise ValueError("block_g has the wrong index space")
-        if len(self.block_h) != self.ops_h.length:
-            raise ValueError("block_h has the wrong index space")
-
-
-def ones_pair(G: Graph, H: Graph, k: int, p: int) -> HomTensorPair:
-    """The tensor pair of the all-ones labelled graph (k isolated
-    labelled vertices): every entry counts exactly one homomorphism."""
-    og, oh = BlockOps(G, k, p), BlockOps(H, k, p)
-    return HomTensorPair(k, og.ones(), oh.ones(), p, og, oh)
-
-
-def apply_A(i: int, j: int, v: HomTensorPair) -> HomTensorPair:
-    return HomTensorPair(
-        v.k,
-        v.ops_g.apply_a(v.block_g, i, j),
-        v.ops_h.apply_a(v.block_h, i, j),
-        v.p,
-        v.ops_g,
-        v.ops_h,
-    )
-
-
-def apply_J(i: int, v: HomTensorPair) -> HomTensorPair:
-    return HomTensorPair(
-        v.k,
-        v.ops_g.apply_j(v.block_g, i),
-        v.ops_h.apply_j(v.block_h, i),
-        v.p,
-        v.ops_g,
-        v.ops_h,
-    )
-
-
-def schur(v1: HomTensorPair, v2: HomTensorPair) -> HomTensorPair:
-    if v1.k != v2.k or v1.p != v2.p:
-        raise ValueError("schur requires matching arity and modulus")
-    return HomTensorPair(
-        v1.k,
-        v1.ops_g.schur(v1.block_g, v2.block_g),
-        v1.ops_h.schur(v1.block_h, v2.block_h),
-        v1.p,
-        v1.ops_g,
-        v1.ops_h,
-    )
 
 
 def term_block(ops: BlockOps, term):
@@ -361,9 +302,18 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
 # === Algorithm: modular indistinguishability over a recognisable class ===
 
 
-def _small_stage(G, H, aut, p, budget):
-    """Brute-force hom-count comparison for the class members on at most
-    k vertices; returns a witness graph or None."""
+def _small_counts(G, H, budget):
+    """hom(F, G) and hom(F, H) over the integers, counted the first time
+    a prime asks about F and then reused by every later prime of the
+    decision."""
+    return cache(lambda F: (hom_count(F, G, budget=budget),
+                            hom_count(F, H, budget=budget)))
+
+
+def _small_stage(aut, p, counts):
+    """Brute-force hom-count comparison mod p for the class members on at
+    most k vertices, from the decision's ``_small_counts``; returns a
+    witness graph or None, and a note."""
     if aut.small_members == "none":
         return None, "small stage skipped (policy none): verdict covers only class members on more than k vertices"
     if aut.small_members == "all":
@@ -375,15 +325,17 @@ def _small_stage(G, H, aut, p, budget):
     else:
         candidates = aut.small_members
     for F in candidates:
-        if hom_count(F, G, budget=budget) % p != hom_count(F, H, budget=budget) % p:
+        count_g, count_h = counts(F)
+        if count_g % p != count_h % p:
             return F, ""
     return None, ""
 
 
-def _closure_verdict(G, H, aut, p, include_schur, order_rng=None, stats=None,
-                     budget=10**8):
-    """modhomind / modhomind_pw for a modulus already known to be prime."""
-    witness, note = _small_stage(G, H, aut, p, budget)
+def _closure_verdict(G, H, aut, p, include_schur, counts, order_rng=None,
+                     stats=None):
+    """modhomind / modhomind_pw for a modulus already known to be prime;
+    ``counts`` is the decision's ``_small_counts``."""
+    witness, note = _small_stage(aut, p, counts)
     if witness is not None:
         return Verdict(
             False,
@@ -426,8 +378,8 @@ def modhomind(G: Graph, H: Graph, aut: Automaton, p: int, *, order_rng=None,
     closure includes pairwise Schur products)."""
     _require_prime(p)
     return _closure_verdict(
-        G, H, aut, p, include_schur=True, order_rng=order_rng, stats=stats,
-        budget=budget,
+        G, H, aut, p, True, _small_counts(G, H, budget),
+        order_rng=order_rng, stats=stats,
     )
 
 
@@ -438,8 +390,8 @@ def modhomind_pw(G: Graph, H: Graph, aut: Automaton, p: int, *, order_rng=None,
     difference between path and tree decompositions."""
     _require_prime(p)
     return _closure_verdict(
-        G, H, aut, p, include_schur=False, order_rng=order_rng, stats=stats,
-        budget=budget,
+        G, H, aut, p, False, _small_counts(G, H, budget),
+        order_rng=order_rng, stats=stats,
     )
 
 
@@ -550,9 +502,10 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
     bound_fn = bound_tw if variant == "tw" else bound_pw
     draw, trials = _prime_trials(prime_bits, bit_cap, bound_fn,
                                  max(G.n, H.n, 1), aut.k, aut.states)
+    counts = _small_counts(G, H, budget)
     return _randomized_verdict(
         draw,
-        lambda p: _closure_verdict(G, H, aut, p, variant == "tw", budget=budget),
+        lambda p: _closure_verdict(G, H, aut, p, variant == "tw", counts),
         trials, seed, prime_bits is not None, parallel,
     )
 
@@ -576,11 +529,12 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
         raise ValueError(
             f"deterministic mode needs {len(primes)} primes, budget is {prime_budget}"
         )
+    counts = _small_counts(G, H, budget)
     primes_used = []
     notes = ""
     for p in primes:
         primes_used.append(p)
-        sub = _closure_verdict(G, H, aut, p, False, budget=budget)
+        sub = _closure_verdict(G, H, aut, p, False, counts)
         notes = notes or sub.notes
         if not sub.accept:
             return Verdict(
@@ -594,21 +548,22 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
     return Verdict(True, "deterministic-crt", primes_used, notes=notes)
 
 
-def format_verdict(verdict: Verdict):
-    """Line-oriented rendering shared by the command-line tools."""
-    from .graphs import serialize_graph
-
-    lines = [f"verdict={'accept' if verdict.accept else 'reject'}"]
-    lines.append(f"mode={verdict.mode}")
-    for p in verdict.primes_used:
-        lines.append(f"prime={p}")
+def verdict_pairs(verdict: Verdict):
+    """The (key, value) pairs of a verdict in output order: the lines of
+    ``format_verdict`` and the command-line tools' JSON object."""
+    pairs = [("verdict", "accept" if verdict.accept else "reject"),
+             ("mode", verdict.mode)]
+    pairs += [("prime", p) for p in verdict.primes_used]
     if verdict.rejecting_prime is not None:
-        lines.append(f"rejecting_prime={verdict.rejecting_prime}")
-    if verdict.small_stage_witness is not None:
-        compact = " ".join(serialize_graph(verdict.small_stage_witness).split())
-        lines.append(f"witness={compact}")
-    else:
-        lines.append("witness=none")
+        pairs.append(("rejecting_prime", verdict.rejecting_prime))
+    witness = verdict.small_stage_witness
+    pairs.append(("witness", "none" if witness is None
+                  else " ".join(serialize_graph(witness).split())))
     if verdict.notes:
-        lines.append(f"note={verdict.notes}")
-    return "\n".join(lines) + "\n"
+        pairs.append(("note", verdict.notes))
+    return pairs
+
+
+def format_verdict(verdict: Verdict):
+    """The key=value lines the command-line tools print for a verdict."""
+    return "".join(f"{key}={value}\n" for key, value in verdict_pairs(verdict))

@@ -250,13 +250,6 @@ class TApplyJ:
     arg: object
 
 
-def term_arity(t):
-    while True:
-        if isinstance(t, TOne):
-            return t.k
-        t = t.left if isinstance(t, TGlue) else t.arg
-
-
 def val(t):
     """Evaluate a term to its distinctly k-labelled graph."""
     if isinstance(t, TOne):

@@ -1,4 +1,4 @@
-"""Prime fields, primality testing, prime sampling, and size bounds.
+"""Primality testing, prime sampling, seeded randomness, and size bounds.
 
 The randomized decision procedure works modulo primes drawn from a range
 ``(L, L**2]`` whose lower end ``L = N * ceil(log2 n)`` grows out of an
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "Xoshiro256StarStar",
-    "FieldElement",
     "Bounds",
     "BoundOverflow",
     "splitmix64",
@@ -142,52 +141,6 @@ class Xoshiro256StarStar:
         if not items:
             raise ValueError("empty sequence")
         return items[self.randbelow(len(items))]
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of the prime field F_p, always reduced to [0, p).
-
-    The closure engine works on raw residues in bulk arrays for speed; this
-    class is the reference arithmetic the bulk paths are tested against.
-    """
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("modulus must be at least 2")
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.p != other.p:
-            raise ValueError("mixed moduli: %d vs %d" % (self.p, other.p))
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value + other.value, self.p)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value - other.value, self.p)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value * other.value, self.p)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.p)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in F_%d" % self.p)
-        return FieldElement(pow(self.value, -1, self.p), self.p)
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return FieldElement(pow(self.value, exponent, self.p), self.p)
 
 
 _SMALL_PRIMES = (

@@ -17,14 +17,16 @@ order at most n and agree on the first 2n terms agree everywhere.
 
 Enumeration of non-isomorphic graphs is incremental edge addition with
 exhaustive isomorphism rejection — fine up to 7 vertices, no external
-graph catalogs involved.
+graph catalogs involved.  Membership in the bounded-width classes is
+decided by exact treewidth and pathwidth dynamic programs for graphs of
+at most 8 vertices.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .graphs import (
     path_graph,
     walk_counts,
 )
-from .decomp import exact_pathwidth_tiny, exact_treewidth_tiny
 from .labelled import LabelledGraph
 
 __all__ = [
@@ -52,6 +53,8 @@ __all__ = [
     "paths_oracle",
     "hom_tensor",
     "is_path_graph",
+    "exact_treewidth_tiny",
+    "exact_pathwidth_tiny",
 ]
 
 
@@ -118,6 +121,110 @@ def enumerate_graphs_up_to(max_size: int) -> list:
     for n in range(1, max_size + 1):
         graphs.extend(enumerate_graphs(n))
     return graphs
+
+
+# ------------------------------------------------------------ exact widths
+#
+# Exhaustive elimination-ordering / vertex-separation dynamic programs over
+# vertex subsets, exact for the tiny graphs of the enumeration oracles; both
+# are memoized per graph, since the class oracles ask about the same
+# enumerated graphs again and again.
+
+
+@cache
+def exact_treewidth_tiny(F, cap=8):
+    """Exact treewidth by dynamic programming over elimination orderings.
+
+    State: set S of already-eliminated vertices.  Eliminating v next costs
+    Q(S, v) = number of vertices outside S u {v} reachable from v through S;
+    treewidth is the min over orderings of the max cost.
+    """
+    n = F.n
+    if n > cap:
+        raise ValueError(f"exact_treewidth_tiny cap exceeded ({n} > {cap})")
+    if n == 0:
+        return -1
+    adj = [0] * n
+    for u, v in F.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    def q_cost(s_mask, v):
+        # vertices outside s_mask|{v} reachable from v via paths through s_mask
+        visited = 1 << v
+        frontier = [v]
+        outside = 0
+        while frontier:
+            x = frontier.pop()
+            nbrs = adj[x] & ~visited
+            visited |= nbrs
+            outside |= nbrs & ~s_mask
+            inner = nbrs & s_mask
+            while inner:
+                b = inner & -inner
+                inner ^= b
+                frontier.append(b.bit_length() - 1)
+        return bin(outside).count("1")
+
+    full = (1 << n) - 1
+    best = {0: -1}
+    for mask in range(1, full + 1):
+        val = None
+        m = mask
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            prev = mask ^ b
+            cand = max(best[prev], q_cost(prev, v))
+            if val is None or cand < val:
+                val = cand
+        best[mask] = val
+    return best[full]
+
+
+@cache
+def exact_pathwidth_tiny(F, cap=8):
+    """Exact pathwidth via the vertex-separation-number dynamic program.
+
+    pathwidth = min over vertex orderings of the max, over prefixes S, of
+    the number of vertices in S with a neighbor outside S.
+    """
+    n = F.n
+    if n > cap:
+        raise ValueError(f"exact_pathwidth_tiny cap exceeded ({n} > {cap})")
+    if n == 0:
+        return -1
+    adj = [0] * n
+    for u, v in F.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+
+    full = (1 << n) - 1
+
+    def boundary(mask):
+        c = 0
+        m = mask
+        while m:
+            b = m & -m
+            m ^= b
+            if adj[b.bit_length() - 1] & ~mask & full:
+                c += 1
+        return c
+
+    best = {0: 0}
+    for mask in range(1, full + 1):
+        cost = boundary(mask)
+        val = None
+        m = mask
+        while m:
+            b = m & -m
+            m ^= b
+            cand = max(best[mask ^ b], cost)
+            if val is None or cand < val:
+                val = cand
+        best[mask] = val
+    return best[full]
 
 
 # ------------------------------------------------------------ class specs

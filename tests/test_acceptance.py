@@ -14,7 +14,6 @@ reproducible run to run.
 import random
 import time
 
-from homind.decomp import exact_treewidth_tiny
 from homind.engine import (
     BlockOps,
     homind_deterministic_crt,

@@ -14,6 +14,7 @@ from homind.graphs import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     parse_graph,
     path_graph,
     serialize_graph,
@@ -39,6 +40,7 @@ def files(tmp_path):
         "p3": path_graph(3),
         "p4": path_graph(4),
         "k3": complete_graph(3),
+        "p2k1": disjoint_union(path_graph(2), empty_graph(1)),
     }
     for name, g in fixtures.items():
         p = tmp_path / f"{name}.graph"
@@ -187,6 +189,29 @@ def test_json_collects_repeated_primes_into_array(files, capsys):
     obj = json.loads(out)
     assert isinstance(obj["prime"], list)
     assert obj["prime"][:3] == [2, 3, 5]
+
+
+def test_json_verdict_mirrors_the_lines(files, capsys):
+    """P3 against P2 + K1: the small stage accepts at 2 and rejects at 3
+    on hom(K2, -) = 4 against 2; both renderings carry the same pairs."""
+    argv = ["pwhomind", "--builtin", "paths", "--mode", "deterministic",
+            files["p3"], files["p2k1"]]
+    rc, out, _ = run(argv, capsys)
+    rc_json, out_json, _ = run(argv + ["--json"], capsys)
+    assert rc == rc_json == 1
+    pairs = {}
+    for line in out.splitlines():
+        key, value = line.split("=", 1)
+        if key == "prime":
+            pairs.setdefault(key, []).append(value)
+        else:
+            pairs[key] = value
+    obj = json.loads(out_json)
+    assert pairs == {key: [str(x) for x in value] if isinstance(value, list)
+                     else str(value) for key, value in obj.items()}
+    assert obj == {"verdict": "reject", "mode": "deterministic-crt",
+                   "prime": [2, 3], "rejecting_prime": 3,
+                   "witness": "n 2 m 1 0 1"}
 
 
 # === analysis commands ===

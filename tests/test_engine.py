@@ -14,17 +14,12 @@ import pytest
 
 from homind.engine import (
     BlockOps,
-    HomTensorPair,
     Verdict,
-    apply_A,
-    apply_J,
     format_verdict,
     homind_deterministic_crt,
     homind_randomized,
     modhomind,
     modhomind_pw,
-    ones_pair,
-    schur,
     term_block,
 )
 from homind.graphs import (
@@ -156,23 +151,12 @@ def test_kernel_label_range_errors():
         term_block(ops, TOne(3))
 
 
-def test_pair_index_spaces_are_exact():
-    G, H = path_graph(3), cycle_graph(4)
-    pair = ones_pair(G, H, 2, 13)
-    assert len(pair.block_g) == 3**2
-    assert len(pair.block_h) == 4**2
-    with pytest.raises(ValueError):
-        HomTensorPair(2, pair.block_g[:5], pair.block_h, 13, pair.ops_g, pair.ops_h)
-
-
 def test_pair_ops_route_both_blocks():
-    G, H = path_graph(3), star_graph(3)
-    pair = apply_J(1, apply_A(1, 2, ones_pair(G, H, 2, 101)))
-    og, oh = pair.ops_g, pair.ops_h
-    assert og.total(pair.block_g) == (2 * G.m * G.n) % 101
-    assert oh.total(pair.block_h) == (2 * H.m * H.n) % 101
-    with pytest.raises(ValueError):
-        schur(pair, ones_pair(G, H, 2, 103))
+    """J_1 A_12 of the all-ones tensor sums to 2·m·n on either graph."""
+    for g in (path_graph(3), star_graph(3)):
+        ops = BlockOps(g, 2, 101)
+        block = ops.apply_j(ops.apply_a(ops.ones(), 1, 2), 1)
+        assert ops.total(block) == (2 * g.m * g.n) % 101
 
 
 # === modhomind: closure + small stage ===
@@ -443,6 +427,27 @@ def test_crt_accepts_isomorphic_paths():
     bounds = bound_pw(n, 2, 13)
     primes = smallest_primes_with_product_exceeding(n**bounds.N)
     assert verdict.primes_used == primes
+
+
+def test_crt_counts_small_members_once_per_decision(monkeypatch):
+    """The small stage counts hom(F, G) and hom(F, H) once per decision
+    and reduces them mod every prime: P4 against a relabelled P4 runs 112
+    primes over the two small members of ``paths`` with 4 counts."""
+    import homind.engine
+
+    calls = []
+
+    def counted(F, G, budget=10**8):
+        calls.append(F)
+        return hom_count(F, G, budget=budget)
+
+    monkeypatch.setattr(homind.engine, "hom_count", counted)
+    relabelled = Graph.from_edges(4, [(2, 0), (0, 3), (3, 1)])
+    verdict = homind_deterministic_crt(path_graph(4), relabelled,
+                                       builtin("paths", 2))
+    assert verdict.accept
+    assert len(verdict.primes_used) == 112
+    assert len(calls) == 4
 
 
 def test_crt_requires_pathwidth_variant():

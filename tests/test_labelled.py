@@ -2,12 +2,6 @@
 
 import pytest
 
-from homind.decomp import (
-    TreeDecomposition,
-    exact_pathwidth_tiny,
-    exact_treewidth_tiny,
-    validate,
-)
 from homind.graphs import (
     Graph,
     complete_graph,
@@ -52,6 +46,7 @@ from homind.labelled import (
     val_apply_j,
 )
 from homind.modular import Xoshiro256StarStar
+from homind.oracle import exact_pathwidth_tiny, exact_treewidth_tiny
 
 
 def random_labelled(rng, k, n, p=0.5, bilabelled=False):
@@ -251,8 +246,8 @@ def test_val_examples():
     assert labelled_isomorphic(edge, expected)
 
 
-# ------------------------------------------------------------ terms admit
-# width-(k-1) decompositions, built structurally from the term
+# ------------------------------------------------------------ terms have
+# width at most k-1, checked on the graph built structurally from the term
 
 
 class _UnionFind:
@@ -274,16 +269,13 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def decomposition_from_term(t):
-    """Evaluate a term over a global vertex universe, recording one bag per
-    term node; returns (graph, TreeDecomposition) with the root bag holding
-    the label vertices.  Structural mirror of how tree decompositions of
-    width k-1 arise from the term algebra."""
+def graph_from_term(t):
+    """Evaluate a term over a global vertex universe: every One and J
+    introduces fresh vertices, A records an edge, and Glue identifies the
+    label vertices of its two factors.  Independent of ``val``."""
     uf = _UnionFind()
     counter = [0]
     edges = []  # pairs of global ids, resolved at the end
-    bags = []  # lists of global ids
-    tree_edges = []
 
     def fresh():
         counter[0] += 1
@@ -291,42 +283,29 @@ def decomposition_from_term(t):
         return counter[0]
 
     def walk(node):
-        # returns (labels tuple of global ids, root bag index)
+        # returns the labels tuple of global ids
         if isinstance(node, TOne):
-            labels = tuple(fresh() for _ in range(node.k))
-            bags.append(list(labels))
-            return labels, len(bags) - 1
+            return tuple(fresh() for _ in range(node.k))
         if isinstance(node, TApplyA):
-            labels, root = walk(node.arg)
+            labels = walk(node.arg)
             edges.append((labels[node.i - 1], labels[node.j - 1]))
-            return labels, root
+            return labels
         if isinstance(node, TApplyJ):
-            labels, root = walk(node.arg)
-            new_labels = list(labels)
-            new_labels[node.i - 1] = fresh()
-            bags.append(list(new_labels))
-            tree_edges.append((len(bags) - 1, root))
-            return tuple(new_labels), len(bags) - 1
-        labels1, root1 = walk(node.left)
-        labels2, root2 = walk(node.right)
+            labels = list(walk(node.arg))
+            labels[node.i - 1] = fresh()
+            return tuple(labels)
+        labels1 = walk(node.left)
+        labels2 = walk(node.right)
         for a, b in zip(labels1, labels2):
             uf.union(a, b)
-        bags.append(list(labels1))
-        new_root = len(bags) - 1
-        tree_edges.append((new_root, root1))
-        tree_edges.append((new_root, root2))
-        return labels1, new_root
+        return labels1
 
-    labels, root = walk(t)
+    walk(t)
     roots = sorted({uf.find(x) for x in uf.parent})
     dense = {r: i for i, r in enumerate(roots)}
-    graph = Graph.from_edges(
+    return Graph.from_edges(
         len(roots), [(dense[uf.find(a)], dense[uf.find(b)]) for a, b in edges]
     )
-    bag_sets = [frozenset(dense[uf.find(x)] for x in bag) for bag in bags]
-    tree = Graph.from_edges(len(bags), tree_edges)
-    dec = TreeDecomposition.make(tree, bag_sets, root)
-    return graph, dec
 
 
 def test_terms_admit_width_k_minus_1_decompositions():
@@ -335,17 +314,16 @@ def test_terms_admit_width_k_minus_1_decompositions():
     while checked < 60:
         k = 1 + rng.randbelow(3)
         t = random_term(rng, k, 3)
-        graph, dec = decomposition_from_term(t)
+        graph = graph_from_term(t)
         if graph.n > 12:
             continue
         checked += 1
-        validate(dec, graph)  # raises on any defect
-        assert dec.width <= k - 1
+        assert exact_treewidth_tiny(graph, cap=12) <= k - 1
         assert is_isomorphic_small(graph, soe(val(t)), cap=12)
 
 
 def test_pw_terms_admit_path_decompositions():
-    # without Glue the recorded decomposition tree is a path
+    # without Glue a term builds a graph of pathwidth at most k-1
     rng = Xoshiro256StarStar(405)
     for _ in range(40):
         k = 1 + rng.randbelow(3)
@@ -357,9 +335,8 @@ def test_pw_terms_admit_path_decompositions():
                 t = TApplyA(i, j, t)
             else:
                 t = TApplyJ(1 + rng.randbelow(k), t)
-        graph, dec = decomposition_from_term(t)
-        validate(dec, graph, path=True)
-        assert dec.width <= k - 1
+        graph = graph_from_term(t)
+        assert exact_pathwidth_tiny(graph, cap=12) <= k - 1
 
 
 # ------------------------------------------------------------ enumerators

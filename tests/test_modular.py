@@ -1,4 +1,4 @@
-"""Tests for prime-field arithmetic, primality, sampling, and size bounds."""
+"""Tests for the seeded generator, primality, sampling, and size bounds."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from homind.modular import (
     Bounds,
     BoundOverflow,
-    FieldElement,
     Xoshiro256StarStar,
     bound_lasserre,
     bound_pw,
@@ -305,36 +304,3 @@ def test_smallest_primes_big_budget():
     assert product // primes[-1] <= B
     assert all(is_prime(p) for p in primes)
 
-
-# ---------------------------------------------------------------- field axioms
-
-
-@pytest.mark.parametrize(
-    "p", [2, 97, (1 << 31) - 1, (1 << 61) - 1, (1 << 128) - 159]
-)
-def test_field_axioms(p):
-    rng = Xoshiro256StarStar(p % 100003 + 7)
-    for _ in range(50):
-        a = FieldElement(rng.randbelow(p), p)
-        b = FieldElement(rng.randbelow(p), p)
-        c = FieldElement(rng.randbelow(p), p)
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert a * (b + c) == a * b + a * c
-        assert a - a == FieldElement(0, p)
-        assert a + (-a) == FieldElement(0, p)
-        assert a ** p == a  # Fermat
-        if a.value != 0:
-            assert a * a.inverse() == FieldElement(1, p)
-
-
-def test_field_element_reduction_and_errors():
-    x = FieldElement(103, 97)
-    assert x.value == 6
-    assert FieldElement(-1, 97).value == 96
-    with pytest.raises(ValueError):
-        FieldElement(1, 97) + FieldElement(1, 101)
-    with pytest.raises(ZeroDivisionError):
-        FieldElement(0, 97).inverse()
-    with pytest.raises(ValueError):
-        FieldElement(3, 1)

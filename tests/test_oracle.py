@@ -1,4 +1,5 @@
-"""Tests for the brute-force oracles and the reference hom tensor."""
+"""Tests for the brute-force oracles, the exact width oracles and the
+reference hom tensor."""
 
 import itertools
 
@@ -32,6 +33,8 @@ from homind.oracle import (
     class_members,
     enumerate_graphs,
     enumerate_graphs_up_to,
+    exact_pathwidth_tiny,
+    exact_treewidth_tiny,
     hom_tensor,
     homind_bruteforce,
     homind_size_bruteforce,
@@ -40,7 +43,7 @@ from homind.oracle import (
     paths_oracle,
 )
 
-from conftest import random_graph
+from conftest import random_graph, seeded
 
 
 # ------------------------------------------------------------ enumeration
@@ -77,6 +80,56 @@ def test_enumerate_graphs_order():
 
 def test_enumerate_up_to():
     assert len(enumerate_graphs_up_to(5)) == 1 + 2 + 4 + 11 + 34
+
+
+# ------------------------------------------------------------ exact widths
+
+
+def grid(r, c):
+    edges = []
+    for i in range(r):
+        for j in range(c):
+            if j + 1 < c:
+                edges.append((i * c + j, i * c + j + 1))
+            if i + 1 < r:
+                edges.append((i * c + j, (i + 1) * c + j))
+    return Graph.from_edges(r * c, edges)
+
+
+def test_treewidth_known_values():
+    assert exact_treewidth_tiny(complete_graph(4)) == 3
+    assert exact_treewidth_tiny(cycle_graph(6)) == 2
+    for n in (2, 4, 7):
+        assert exact_treewidth_tiny(path_graph(n)) == 1
+    assert exact_treewidth_tiny(star_graph(6), cap=8) == 1
+    assert exact_treewidth_tiny(grid(2, 2)) == 2
+    assert exact_treewidth_tiny(grid(2, 3)) == 2
+    assert exact_treewidth_tiny(grid(3, 3), cap=9) == 3
+    assert exact_treewidth_tiny(empty_graph(3)) == 0
+    assert exact_treewidth_tiny(empty_graph(0)) == -1
+
+
+def test_treewidth_cap():
+    with pytest.raises(ValueError, match="cap"):
+        exact_treewidth_tiny(empty_graph(9))
+
+
+def test_pathwidth_known_values():
+    assert exact_pathwidth_tiny(path_graph(5)) == 1
+    assert exact_pathwidth_tiny(cycle_graph(5)) == 2
+    assert exact_pathwidth_tiny(complete_graph(4)) == 3
+    assert exact_pathwidth_tiny(star_graph(5)) == 1
+    assert exact_pathwidth_tiny(empty_graph(4)) == 0
+    # caterpillar: spine with legs
+    cat = Graph.from_edges(6, [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5)])
+    assert exact_pathwidth_tiny(cat) == 1
+
+
+def test_pathwidth_at_least_treewidth():
+    rng = seeded(22)
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(1, 7))
+        assert exact_pathwidth_tiny(g) >= exact_treewidth_tiny(g)
 
 
 # ------------------------------------------------------------ class specs

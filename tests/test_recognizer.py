@@ -277,7 +277,7 @@ def test_accepted_value_graphs_paths():
 
 
 def test_accepted_value_graphs_tw_all_are_forests():
-    from homind.decomp import exact_treewidth_tiny
+    from homind.oracle import exact_treewidth_tiny
 
     got = accepted_value_graphs(builtin("tw-all", 2), 5)
     want = [g for g in enumerate_graphs_up_to(5) if exact_treewidth_tiny(g) <= 1]
