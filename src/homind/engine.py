@@ -25,6 +25,22 @@ accepting bucket has equal block sums.  Graphs on at most k vertices are
 checked by brute force first, following the recogniser's small-members
 policy.
 
+A one-state recogniser in the treewidth flavour (the builtin tw-all, or
+any one-state automaton file) needs no elimination.  Its span W contains
+1 and is closed under Schur products, and every x in W has x^p = x, so W
+is spanned by the block indicators of one partition of
+V(G)^k (+) V(H)^k: the coarsest on which every A-mask is constant and,
+for every block B and label i, J_i(e_B) mod p is constant.  ``_refine``
+finds it by refining tuple colours (start from the adjacency pattern of
+the tuple; add, per label i, the colour counts mod p along the axis-i
+line through the tuple), the oblivious k-WL refinement (Dvorak 2010;
+Dell, Grohe and Rattan, ICALP 2018).  The dimension is the number of
+colours, and the pair is accepted iff every colour holds as many
+G-tuples as H-tuples mod p.  Line counts never exceed max(n_G, n_H), so
+all primes above that share one partition, which a randomized decision
+computes once.  The pathwidth flavour, automata with several states and
+Lasserre run the linear closure (``_linear_closure``, ``_closure``).
+
 Counts over the integers are recovered from modular runs: a randomized
 wrapper samples primes from a range wide enough that disagreeing counts
 are caught with constant probability per trial (one-sided error: equal
@@ -42,6 +58,7 @@ the closure directly on primes their samplers have already proved.
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -331,20 +348,10 @@ def _small_stage(aut, p, counts):
     return None, ""
 
 
-def _closure_verdict(G, H, aut, p, include_schur, counts, order_rng=None,
-                     stats=None):
-    """modhomind / modhomind_pw for a modulus already known to be prime;
-    ``counts`` is the decision's ``_small_counts``."""
-    witness, note = _small_stage(aut, p, counts)
-    if witness is not None:
-        return Verdict(
-            False,
-            "single-prime",
-            [p],
-            rejecting_prime=p,
-            small_stage_witness=witness,
-        )
-
+def _linear_closure(G, H, aut, p, include_schur, order_rng=None, stats=None):
+    """The closure by Gaussian elimination: one echelon basis per
+    recogniser state, grown under the operator actions (and pairwise
+    Schur products when ``include_schur``); True iff it accepts."""
     og, oh = BlockOps(G, aut.k, p), BlockOps(H, aut.k, p)
     lg = og.length
     bases = [_Basis(p) for _ in range(aut.states)]
@@ -366,7 +373,129 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, order_rng=None,
                     yield target, _concat(og.schur(g, xg), oh.schur(h, xh))
 
     seeds = [(aut.start, _concat(og.ones(), oh.ones()))]
-    if _closure(bases, seeds, expand, aut.accepting, og, oh, order_rng, stats):
+    return _closure(bases, seeds, expand, aut.accepting, og, oh, order_rng, stats)
+
+
+# === Partition refinement: the one-state treewidth closure ===
+
+
+def _pair_ids(a, b):
+    """Dense ids, numbered in sorted order, of the pairs (a[t], b[t]) of
+    two non-negative int64 arrays."""
+    keys = a * (int(b.max(initial=-1)) + 1) + b
+    return np.unique(keys, return_inverse=True)[1].reshape(-1)
+
+
+def _line_signatures(line, colours, modulus):
+    """For every tuple, the id of the colour counts (mod ``modulus``, or
+    over the integers when None) along its line, where ``line`` holds the
+    line id of every tuple; lines with equal counts get equal ids."""
+    width = int(colours.max(initial=-1)) + 1
+    keys, mult = np.unique(line * width + colours, return_counts=True)
+    if modulus is not None:
+        mult %= modulus
+        keys, mult = keys[mult != 0], mult[mult != 0]
+    owner = keys // width  # ascending: entries are grouped by line
+    pos = np.arange(len(keys)) - np.searchsorted(owner, owner)
+    # one row per line: its (colour, count) entries, padded with -1
+    rows, cols = int(line.max(initial=-1)) + 1, 2 * (int(pos.max(initial=-1)) + 1)
+    table = np.full((rows, cols), -1, dtype=np.int64)
+    table[owner, 2 * pos] = keys % width
+    table[owner, 2 * pos + 1] = mult
+    return np.unique(table, axis=0, return_inverse=True)[1].reshape(-1)[line]
+
+
+def _refine(G, H, k, modulus):
+    """Colour-class sizes (on G, on H) of the coarsest partition of
+    V(G)^k ⊔ V(H)^k on which every A-mask is constant and, for every
+    class B and label i, J_i(e_B) counted mod ``modulus`` (over the
+    integers when None) is constant.  Its block indicators span the
+    one-state treewidth closure: the span contains 1 and is closed under
+    Schur products, and every x in it has x^p = x.
+
+    Colours, line ids and the keys built from them stay below the square
+    of the tuple count, so int64 is exact for any input that fits in
+    memory."""
+    grids = [np.indices((g.n,) * k, dtype=np.int64).reshape(k, -1) for g in (G, H)]
+    adjs = []
+    for g in (G, H):
+        adj = np.zeros((g.n, g.n), dtype=np.int64)
+        for u, v in g.edges:
+            adj[u, v] = adj[v, u] = 1
+        adjs.append(adj)
+    # A-mask pattern: the bits adj[x_i, x_j] for i < j
+    colours = np.zeros(sum(grid.shape[1] for grid in grids), dtype=np.int64)
+    for i, j in combinations(range(k), 2):
+        colours = _pair_ids(colours, np.concatenate(
+            [adj[grid[i], grid[j]] for adj, grid in zip(adjs, grids)]))
+    # axis-i lines: tuples equal off axis i, on one side
+    lines = []
+    for i in range(k):
+        per_side, offset = [], 0
+        for g, grid in zip((G, H), grids):
+            line = np.zeros(grid.shape[1], dtype=np.int64)
+            for axis in range(k):
+                if axis != i:
+                    line = line * g.n + grid[axis]
+            per_side.append(line + offset)
+            offset += g.n ** (k - 1)
+        lines.append(np.concatenate(per_side))
+    count = int(colours.max(initial=-1)) + 1
+    while True:
+        refined = colours
+        for line in lines:
+            refined = _pair_ids(refined, _line_signatures(line, colours, modulus))
+        refined_count = int(refined.max(initial=-1)) + 1
+        if refined_count == count:
+            break
+        colours, count = refined, refined_count
+    size_g = grids[0].shape[1]
+    return (np.bincount(colours[:size_g], minlength=count),
+            np.bincount(colours[size_g:], minlength=count))
+
+
+def _partitions(G, H, k):
+    """The ``_refine`` partition of a decision for any prime p, computed
+    once per modulus: line counts never exceed max(n_G, n_H), so every
+    prime above that shares the integer partition."""
+    n = max(G.n, H.n)
+    refine = cache(lambda modulus: _refine(G, H, k, modulus))
+    return lambda p: refine(p if p <= n else None)
+
+
+def _blocks_balanced(sizes_g, sizes_h, p):
+    """Every colour class holds as many G-tuples as H-tuples, mod p."""
+    diff = np.abs(sizes_g - sizes_h)
+    if p <= int(diff.max(initial=0)):
+        diff %= p
+    return not diff.any()
+
+
+def _closure_verdict(G, H, aut, p, include_schur, counts, order_rng=None,
+                     stats=None, partitions=None):
+    """modhomind / modhomind_pw for a modulus already known to be prime;
+    ``counts`` is the decision's ``_small_counts`` and ``partitions`` its
+    ``_partitions`` (made here when None).  A one-state treewidth closure
+    is read off the refined partition, every other closure is linear."""
+    witness, note = _small_stage(aut, p, counts)
+    if witness is not None:
+        return Verdict(
+            False,
+            "single-prime",
+            [p],
+            rejecting_prime=p,
+            small_stage_witness=witness,
+        )
+
+    if include_schur and aut.states == 1:
+        sizes_g, sizes_h = (partitions or _partitions(G, H, aut.k))(p)
+        if stats is not None:
+            stats["dim_total"] = stats["inserts"] = len(sizes_g)
+            stats["per_state"] = {0: len(sizes_g)}
+        accept = not aut.accepting or _blocks_balanced(sizes_g, sizes_h, p)
+    else:
+        accept = _linear_closure(G, H, aut, p, include_schur, order_rng, stats)
+    if accept:
         return Verdict(True, "single-prime", [p], notes=note)
     return Verdict(False, "single-prime", [p], rejecting_prime=p)
 
@@ -503,9 +632,11 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
     draw, trials = _prime_trials(prime_bits, bit_cap, bound_fn,
                                  max(G.n, H.n, 1), aut.k, aut.states)
     counts = _small_counts(G, H, budget)
+    partitions = _partitions(G, H, aut.k)
     return _randomized_verdict(
         draw,
-        lambda p: _closure_verdict(G, H, aut, p, variant == "tw", counts),
+        lambda p: _closure_verdict(G, H, aut, p, variant == "tw", counts,
+                                   partitions=partitions),
         trials, seed, prime_bits is not None, parallel,
     )
 

@@ -15,6 +15,7 @@ import pytest
 from homind.engine import (
     BlockOps,
     Verdict,
+    _linear_closure,
     format_verdict,
     homind_deterministic_crt,
     homind_randomized,
@@ -235,18 +236,23 @@ def test_closure_verdict_is_order_independent():
     """Randomizing the worklist pop order changes intermediate bases but
     never the verdict, and the closure span (hence dimension) is
     canonical."""
+    def linear_tw(G, H, aut, p, **kwargs):  # modhomind refines partitions
+        return _linear_closure(G, H, aut, p, True, **kwargs)
+
+    def pw(G, H, aut, p, **kwargs):
+        return modhomind_pw(G, H, aut, p, **kwargs).accept
+
     fixtures = [
-        (cycle_graph(6), TWO_TRIANGLES, builtin("tw-all", 2), 101, modhomind),
-        (path_graph(4), star_graph(3), builtin("paths", 2), 10007, modhomind_pw),
+        (cycle_graph(6), TWO_TRIANGLES, builtin("tw-all", 2), 101, linear_tw),
+        (path_graph(4), star_graph(3), builtin("paths", 2), 10007, pw),
     ]
     for G, H, aut, p, decide in fixtures:
         base_stats = {}
-        expected = decide(G, H, aut, p, stats=base_stats).accept
+        expected = decide(G, H, aut, p, stats=base_stats)
         for seed in range(10):
             stats = {}
             rng = Xoshiro256StarStar(seed)
-            verdict = decide(G, H, aut, p, order_rng=rng, stats=stats)
-            assert verdict.accept == expected
+            assert decide(G, H, aut, p, order_rng=rng, stats=stats) == expected
             assert stats["dim_total"] == base_stats["dim_total"]
 
 
@@ -385,6 +391,28 @@ def test_randomized_pw_variant_runs():
     verdict = homind_randomized(g, permuted_copy(random.Random(2), g),
                                 builtin("tw-all", 1), "pw", seed=3)
     assert verdict.accept
+
+
+def test_randomized_refines_once_per_decision(monkeypatch):
+    """tw-all in random mode refines the partition once per decision and
+    checks every prime against it: all the primes exceed the order, so
+    their partitions coincide with the integer one."""
+    import homind.engine
+
+    calls = []
+    refine = homind.engine._refine
+
+    def counted(G, H, k, modulus):
+        calls.append(modulus)
+        return refine(G, H, k, modulus)
+
+    monkeypatch.setattr(homind.engine, "_refine", counted)
+    g = random_graph(random.Random(4), 6, 0.5)
+    verdict = homind_randomized(g, permuted_copy(random.Random(5), g),
+                                builtin("tw-all", 2), "tw", seed=2, prime_bits=7)
+    assert verdict.accept
+    assert len(set(verdict.primes_used)) > 1
+    assert calls == [None]
 
 
 def test_randomized_unknown_variant():

@@ -1,0 +1,167 @@
+"""Gates for the partition-refinement path of the one-state treewidth
+closure.
+
+The equivalence gate runs the refinement and the linear-algebra closure
+side by side on a fixed seeded corpus, with a one-state automaton whose
+small stage is off, so every verdict comes from the closure.  The scaled
+gate checks ``modhomind`` over tw-all at arity k against (k-1)-WL on
+pairs of equal order and size that the small stage cannot split, at
+sizes far beyond the brute-force oracles.
+"""
+
+import random
+
+from homind.engine import _linear_closure, modhomind
+from homind.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+)
+from homind.recognizer import Automaton, builtin
+from homind.wl import cfi, wl_refine
+
+from conftest import permuted_copy, random_graph
+
+PRIMES = (2, 3, 7, (1 << 31) - 1, (1 << 128) - 159)
+
+
+def _closure_only(k):
+    """tw-all at arity k with the small stage off (policy none)."""
+    aut = builtin("tw-all", k)
+    return Automaton(k, 1, 0, aut.accepting, aut.glue_table, aut.j_table,
+                     aut.a_table, "none")
+
+
+def _move_one_edge(rng, g):
+    """g with one edge moved to a non-edge (same order and size), or g
+    itself when it is complete or edgeless."""
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                 if (u, v) not in g.edges]
+    if not g.edges or not non_edges:
+        return g
+    drop = rng.choice(g.edges)
+    return Graph.from_edges(g.n, [e for e in g.edges if e != drop]
+                            + [rng.choice(non_edges)])
+
+
+def _corpus():
+    """(k, G, H) triples: empty, edgeless and unequal-order pairs, then
+    random pairs that are permuted, rewired or drawn independently."""
+    rng = random.Random(5)
+    for k, n_max in ((1, 8), (2, 6), (3, 4)):
+        yield k, empty_graph(0), empty_graph(0)
+        yield k, empty_graph(0), random_graph(rng, 2, 0.5)
+        yield k, empty_graph(n_max), empty_graph(n_max - 1)
+        yield k, empty_graph(n_max - 1), random_graph(rng, n_max - 1, 0.3)
+        for _ in range(8):
+            g = random_graph(rng, rng.randrange(1, n_max + 1), rng.random())
+            pick = rng.randrange(3)
+            if pick == 0:
+                h = permuted_copy(rng, g)
+            elif pick == 1:
+                h = _move_one_edge(rng, g)
+            else:
+                h = random_graph(rng, rng.randrange(0, n_max + 1), rng.random())
+            yield k, g, h
+
+
+def test_refinement_matches_linear_closure_on_seeded_corpus():
+    """Same verdict and dimension from the refined partition and from the
+    Gaussian-elimination closure, at small and large primes."""
+    corpus = list(_corpus())
+    rejects = 0
+    for k, G, H in corpus:
+        aut = _closure_only(k)
+        for p in PRIMES:
+            refined, linear = {}, {}
+            verdict = modhomind(G, H, aut, p, stats=refined)
+            assert verdict.small_stage_witness is None
+            expected = _linear_closure(G, H, aut, p, True, stats=linear)
+            assert verdict.accept == expected, (k, G, H, p)
+            assert refined["dim_total"] == linear["dim_total"], (k, G, H, p)
+            assert refined["inserts"] == refined["dim_total"]
+            assert refined["per_state"] == {0: refined["dim_total"]}
+            rejects += not expected
+    assert rejects >= 50, rejects
+
+
+def test_refinement_without_accepting_state_accepts():
+    """A one-state automaton that accepts nothing constrains nothing."""
+    aut = _closure_only(2)
+    silent = Automaton(2, 1, 0, frozenset(), aut.glue_table, aut.j_table,
+                       aut.a_table, "none")
+    G, H = cycle_graph(5), empty_graph(3)
+    assert not modhomind(G, H, aut, 7).accept
+    stats = {}
+    assert modhomind(G, H, silent, 7, stats=stats).accept
+    assert stats["dim_total"] == 3  # edge, non-edge, and V(H)^2 on its own
+
+
+# === tw-all against (k-1)-WL beyond the brute-force sizes ===
+
+
+def _colour_classes(g):
+    """Number of colour-refinement classes of g alone."""
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    colours = [0] * g.n
+    while True:
+        sigs = [(colours[v], tuple(sorted(colours[w] for w in nbrs[v])))
+                for v in range(g.n)]
+        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        refined = [palette[s] for s in sigs]
+        if len(palette) == len(set(colours)):
+            return len(palette)
+        colours = refined
+
+
+def _rigid_rewired_pair(seed, n):
+    """A G(n, 1/2) graph whose colour refinement is discrete (so it has
+    no automorphisms) and a degree-preserving double-edge swap of it."""
+    rng = random.Random(seed)
+    while True:
+        g = random_graph(rng, n, 0.5)
+        if _colour_classes(g) == n:
+            break
+    while True:
+        (a, b), (c, d) = rng.sample(g.edges, 2)
+        swapped = {tuple(sorted(e)) for e in ((a, d), (c, b))}
+        if len({a, b, c, d}) == 4 and not swapped & set(g.edges):
+            kept = [e for e in g.edges if e not in ((a, b), (c, d))]
+            return g, Graph.from_edges(n, kept + sorted(swapped))
+
+
+def _scaled_cases():
+    even, odd = (cfi(complete_graph(4), parity).result for parity in (0, 1))
+    c12, two_c6 = cycle_graph(12), disjoint_union(cycle_graph(6), cycle_graph(6))
+    g, rewired = _rigid_rewired_pair(11, 20)
+    return [  # (G, H, k, accept at p = 2^31 - 1, dim_total there)
+        (even, odd, 2, True, 2),
+        (even, odd, 3, True, 15),
+        (c12, two_c6, 2, True, 2),
+        (c12, two_c6, 3, False, 106),
+        (g, rewired, 2, False, None),
+    ]
+
+
+def test_tw_all_matches_wl_past_the_small_stage():
+    """Equal order, size and degree sequence, so only the closure can
+    reject; at p = 2^31 - 1 the verdict is (k-1)-WL's, and at every prime
+    a rejection is one the exact oracle makes too."""
+    for G, H, k, accept, dim in _scaled_cases():
+        assert (G.n, len(G.edges)) == (H.n, len(H.edges))
+        separated = not wl_refine(G, H, k - 1)
+        assert separated != accept
+        for p in (2, 3, (1 << 31) - 1):
+            stats = {}
+            verdict = modhomind(G, H, builtin("tw-all", k), p, stats=stats)
+            assert verdict.small_stage_witness is None
+            if not verdict.accept:
+                assert separated, (G, H, k, p)
+        assert verdict.accept == accept, (G, H, k)
+        if dim is not None:
+            assert stats["dim_total"] == dim
