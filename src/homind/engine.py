@@ -17,7 +17,12 @@ inside F_p^{V(G)^k} (+) F_p^{V(H)^k}, bucketed by the class-recogniser
 state of F: starting from the all-ones pair at the recogniser's start
 state, it closes every bucket under the operator actions (routed through
 the recogniser's transition tables) and under pairwise Schur products,
-inserting a vector only when it leaves the current span.  Dimensions are
+inserting a vector only when it leaves the current span.  A popped
+vector's Schur products with a whole bucket come as one block, which
+``_closure`` reduces against the bucket's basis with one matrix product
+per chunk of rows before it inserts the survivors in order; full
+reduction is canonical, so the bases are those of the one-at-a-time
+loop.  Dimensions are
 bounded by |Q| * (|V(G)|^k + |V(H)|^k), so the closure terminates; the
 two graphs admit equal homomorphism counts mod p from every member of
 the class with more than k vertices iff every basis vector of every
@@ -51,6 +56,8 @@ count, which by the Chinese remainder theorem detects any disagreement.
 Tensors and basis rows are numpy arrays whose dtype follows from the
 modulus alone (``_residue_dtype``): uint64 when p < 2^32, so the product
 of two residues stays exact, and object (Python integers) otherwise.
+Matrix products mod p of a 2-D uint64 block run as float64 BLAS products,
+exact on 16-bit halves of the residues (``_mod_matmul``).
 Primality is checked once, where a caller supplies the modulus
 (``modhomind``, ``modhomind_pw``); the randomized and CRT wrappers run
 the closure directly on primes their samplers have already proved.
@@ -164,8 +171,10 @@ class BlockOps:
         return (b1 * b2) % self.p
 
     def total(self, block):
-        """Sum of entries mod p (the label-dropping readout)."""
-        return int(block.sum() % self.p)
+        """Sum of entries mod p (the label-dropping readout), one per row
+        of a 2-D block.  uint64 sums are exact: entries are below 2^32 and
+        a row that fits in memory has fewer than 2^32 of them."""
+        return block.sum(axis=-1) % self.p
 
 
 def term_block(ops: BlockOps, term):
@@ -187,25 +196,59 @@ def term_block(ops: BlockOps, term):
 # === Echelon bases over F_p ===
 
 _S16, _M16 = np.uint64(16), np.uint64(0xFFFF)
-_U64_TERMS = 1 << 16  # summed products per exact uint64 accumulation
+_U64_TERMS = 1 << 16  # summed products per exact accumulation
 
 
-def _mod_matmul(a, b, p):
+def _float_halves(m):
+    """The 16-bit halves of a uint64 array as float64, and their sum."""
+    hi, lo = (m >> _S16).astype(np.float64), (m & _M16).astype(np.float64)
+    return hi, lo, hi + lo
+
+
+def _mod_matmul(a, b, p, b_halves=None):
     """(a @ b) mod p for residue arrays (a 1-D or 2-D, b 2-D).
 
-    object arrays multiply exactly.  For uint64 (p < 2^32) a is split
-    into 16-bit halves, so each product is below 2^48 and a sum of up to
-    2^16 of them stays below 2^64; longer contractions are summed in
-    chunks of 2^16 terms, reducing mod p in between.
+    object arrays multiply exactly.  For uint64 residues (p < 2^32),
+    contractions longer than 2^16 terms are summed in chunks of 2^16,
+    reducing mod p in between, and each chunk is exact:
+
+      * a 1-D a (a matrix-vector product) stays in uint64: a's halves
+        times b give products below 2^48, and a sum of up to 2^16 of them
+        stays below 2^64;
+      * a 2-D a runs as three float64 BLAS products on the 16-bit halves
+        of both operands: hh = a_hi b_hi, ll = a_lo b_lo and
+        (a_hi + a_lo)(b_hi + b_lo) = hh + (hl + lh) + ll.  The halves
+        are below 2^16 and their sums below 2^17, so every product term
+        is below 2^34 and a sum of 2^16 terms below 2^50 < 2^53, which
+        float64 holds exactly.  The residue is then assembled as
+        r = ((hh mod p) * 2^16 + hl + lh) mod p and (r * 2^16 + ll) mod p,
+        with every intermediate below 2^50.
+
+    ``b_halves``, when given, is ``_float_halves(b)``, kept by a caller
+    that multiplies the same b many times.
     """
     if a.dtype == object:
         return (a @ b) % p
-    if a.shape[-1] > _U64_TERMS:
-        head = _mod_matmul(a[..., :_U64_TERMS], b[:_U64_TERMS], p)
-        return (head + _mod_matmul(a[..., _U64_TERMS:], b[_U64_TERMS:], p)) % p
-    hi = ((a >> _S16) @ b) % p
-    lo = ((a & _M16) @ b) % p
-    return ((hi << _S16) + lo) % p
+    n = _U64_TERMS
+    if a.shape[-1] > n:
+        head = tail = None
+        if b_halves is not None:
+            head, tail = [x[:n] for x in b_halves], [x[n:] for x in b_halves]
+        return (_mod_matmul(a[..., :n], b[:n], p, head)
+                + _mod_matmul(a[..., n:], b[n:], p, tail)) % p
+    if a.ndim == 1:
+        hi = ((a >> _S16) @ b) % p
+        lo = ((a & _M16) @ b) % p
+        return ((hi << _S16) + lo) % p
+    a_hi, a_lo, a_sum = _float_halves(a)
+    b_hi, b_lo, b_sum = _float_halves(b) if b_halves is None else b_halves
+    hh, ll = a_hi @ b_hi, a_lo @ b_lo
+    mid = a_sum @ b_sum - hh - ll
+    out = np.fmod(np.fmod(hh, p) * 65536 + mid, p)
+    return np.fmod(out * 65536 + ll, p).astype(np.uint64)
+
+
+_CHUNK_ROWS = 32  # candidate rows reduced against a basis per matrix product
 
 
 class _Basis:
@@ -215,30 +258,60 @@ class _Basis:
     span membership is a single coefficient gather plus one matrix-vector
     elimination."""
 
-    def __init__(self, p):
+    def __init__(self, p, length):
         self.p = p
         self.pivots = []
         self._pivot_idx = None
-        self._mat = None  # 2-D array, one basis row per row
+        self._mat = np.empty((0, length), dtype=_residue_dtype(p))
+        self._halves = None  # _float_halves(_mat), built on demand
 
     def __len__(self):
         return len(self.pivots)
 
     @property
-    def rows(self):
-        return [] if self._mat is None else list(self._mat)
+    def matrix(self):
+        """The basis rows as one 2-D array, (0, length) while empty."""
+        return self._mat
 
     def reduce(self, v):
-        if self._mat is None:
+        """v reduced against the basis: one vector, or every row of a 2-D
+        block with one matrix product over the rows that meet a pivot
+        column (the others are reduced already)."""
+        if not self.pivots:
             return v
-        c = v[self._pivot_idx]
-        if not c.any():
+        p = self.p
+        if v.ndim == 1:
+            c = v[self._pivot_idx]
+            if not c.any():
+                return v
+            return (v + (p - _mod_matmul(c, self._mat, p))) % p
+        c = v[:, self._pivot_idx]
+        live = (c != 0).any(axis=1)  # bool for object arrays too
+        if not live.any():
             return v
-        return (v + (self.p - _mod_matmul(c, self._mat, self.p))) % self.p
+        if self._halves is None and self._mat.dtype != object:
+            self._halves = _float_halves(self._mat)
+        out = v.copy()
+        prod = _mod_matmul(c[live], self._mat, p, self._halves)
+        out[live] = (v[live] + (p - prod)) % p
+        return out
+
+    def survivors(self, block):
+        """The rows of a 2-D candidate block left nonzero by reduction
+        against the basis, reduced ``_CHUNK_ROWS`` rows at a time, so rows
+        inserted from one chunk already reduce the next."""
+        for start in range(0, len(block), _CHUNK_ROWS):
+            chunk = block[start:start + _CHUNK_ROWS]
+            if len(chunk) > 1:
+                chunk = self.reduce(chunk)
+                chunk = chunk[(chunk != 0).any(axis=1)]
+            yield from chunk
 
     def try_insert(self, v):
         """Reduce v against the basis; insert and return the reduced row
-        if independent, else return None."""
+        if independent, else return None.  The row returned is its own
+        array: a view of the basis matrix would keep every superseded
+        matrix alive for as long as the row sits in a worklist."""
         p = self.p
         v = self.reduce(v)
         nz = np.nonzero(v)[0]
@@ -246,17 +319,15 @@ class _Basis:
             return None
         piv = int(nz[0])
         v = (v * pow(int(v[piv]), -1, p)) % p
-        if self._mat is None:
-            self._mat = v.reshape(1, -1).copy()
-        else:
-            col = self._mat[:, piv]
-            if col.any():
-                # outer-product elimination: single products stay < p^2
-                self._mat = (self._mat + (p - (col[:, None] * v[None, :]) % p)) % p
-            self._mat = np.vstack([self._mat, v])
+        col = self._mat[:, piv]
+        if col.any():
+            # outer-product elimination: single products stay < p^2
+            self._mat = (self._mat + (p - (col[:, None] * v[None, :]) % p)) % p
+        self._mat = np.vstack([self._mat, v])
+        self._halves = None
         self.pivots.append(piv)
         self._pivot_idx = np.array(self.pivots)
-        return self._mat[-1]
+        return v
 
 
 def _concat(block_g, block_h):
@@ -271,25 +342,39 @@ def _split(vec, length_g):
 
 def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
              stats=None):
-    """Worklist closure shared by the tw, pw and Lasserre deciders.
+    """Worklist closure shared by the pw, multi-state tw and Lasserre
+    deciders.
 
     ``bases`` holds one echelon basis per recogniser state (a single one
-    for Lasserre), ``seeds`` the (state, stacked vector) pairs to start
-    from, and ``expand(state, row)`` yields the (target state, candidate)
-    pairs a popped basis row generates.  Every candidate that leaves its
-    bucket's span is inserted and queued; ``order_rng`` randomizes the pop
-    order.  Returns True iff every row of every accepting bucket has equal
-    G and H block sums.
+    for Lasserre), ``seeds`` the (state, candidates) pairs to start from,
+    and ``expand(state, row)`` yields the (target state, candidates) pairs
+    a popped basis row generates, where candidates is one stacked vector
+    or a 2-D block of them, one per row.  A block is reduced
+    against its bucket's basis ``_CHUNK_ROWS`` rows at a time, with one
+    matrix product per chunk, and only the rows left nonzero go on to
+    ``try_insert``, in order.  Full reduction against a reduced echelon
+    basis is canonical, so the bases, and the rows inserted and queued,
+    are those of offering the rows one at a time.  ``order_rng``
+    randomizes the pop order.  Returns True iff every row of every
+    accepting bucket has equal G and H block sums.
     """
     worklist = []  # (state, reduced row vector)
-    inserts = 0
+    inserts = candidates = 0
 
-    def insert(q, vec):
-        nonlocal inserts
-        row = bases[q].try_insert(vec)
-        if row is not None:
-            inserts += 1
-            worklist.append((q, row))
+    def insert(q, block):
+        nonlocal inserts, candidates
+        basis = bases[q]
+        if block.ndim == 1:
+            candidates += 1
+            rows = (block,)
+        else:
+            candidates += len(block)
+            rows = basis.survivors(block)
+        for vec in rows:
+            row = basis.try_insert(vec)
+            if row is not None:
+                inserts += 1
+                worklist.append((q, row))
 
     for q, vec in seeds:
         insert(q, vec)
@@ -300,19 +385,20 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
             worklist[head], worklist[pick] = worklist[pick], worklist[head]
         q, row = worklist[head]
         head += 1
-        for target, vec in expand(q, row):
-            insert(target, vec)
+        for target, block in expand(q, row):
+            insert(target, block)
 
     if stats is not None:
         stats["dim_total"] = sum(len(b) for b in bases)
         stats["inserts"] = inserts
+        stats["candidates"] = candidates
         stats["per_state"] = {q: len(b) for q, b in enumerate(bases)}
 
+    lg = ops_g.length
     for q in sorted(accepting):
-        for row in bases[q].rows:
-            g, h = _split(row, ops_g.length)
-            if ops_g.total(g) != ops_h.total(h):
-                return False
+        mat = bases[q].matrix
+        if (ops_g.total(mat[:, :lg]) != ops_h.total(mat[:, lg:])).any():
+            return False
     return True
 
 
@@ -354,7 +440,7 @@ def _linear_closure(G, H, aut, p, include_schur, order_rng=None, stats=None):
     Schur products when ``include_schur``); True iff it accepts."""
     og, oh = BlockOps(G, aut.k, p), BlockOps(H, aut.k, p)
     lg = og.length
-    bases = [_Basis(p) for _ in range(aut.states)]
+    bases = [_Basis(p, lg + oh.length) for _ in range(aut.states)]
     label_js = list(range(1, aut.k + 1))
     label_as = [(i, j) for i in label_js for j in label_js if i < j]
 
@@ -367,10 +453,8 @@ def _linear_closure(G, H, aut, p, include_schur, order_rng=None, stats=None):
                 og.apply_a(g, i, j), oh.apply_a(h, i, j))
         if include_schur:
             for r in range(aut.states):
-                target = aut.glue_state(q, r)
-                for other in bases[r].rows:
-                    xg, xh = _split(other, lg)
-                    yield target, _concat(og.schur(g, xg), oh.schur(h, xh))
+                # Schur products with every row of bucket r
+                yield aut.glue_state(q, r), (row * bases[r].matrix) % p
 
     seeds = [(aut.start, _concat(og.ones(), oh.ones()))]
     return _closure(bases, seeds, expand, aut.accepting, og, oh, order_rng, stats)
@@ -479,6 +563,8 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, order_rng=None,
     is read off the refined partition, every other closure is linear."""
     witness, note = _small_stage(aut, p, counts)
     if witness is not None:
+        if stats is not None:
+            stats.update(dim_total=0, inserts=0, candidates=0, per_state={})
         return Verdict(
             False,
             "single-prime",
@@ -490,7 +576,7 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, order_rng=None,
     if include_schur and aut.states == 1:
         sizes_g, sizes_h = (partitions or _partitions(G, H, aut.k))(p)
         if stats is not None:
-            stats["dim_total"] = stats["inserts"] = len(sizes_g)
+            stats["dim_total"] = stats["inserts"] = stats["candidates"] = len(sizes_g)
             stats["per_state"] = {0: len(sizes_g)}
         accept = not aut.accepting or _blocks_balanced(sizes_g, sizes_h, p)
     else:

@@ -564,21 +564,22 @@ def enumerate_pw(k, d):
 
 
 def _set_partitions(n):
-    """All set partitions of range(n) as restricted growth strings."""
+    """All set partitions of range(n) as restricted growth strings, in
+    lexicographic order."""
     if n == 0:
         yield []
         return
     rgs = [0] * n
-
-    def rec(i, maxv):
-        if i == n:
-            yield list(rgs)
+    while True:
+        yield list(rgs)
+        # the last entry that can grow: at most the maximum before it
+        for i in range(n - 1, 0, -1):
+            if rgs[i] <= max(rgs[:i]):
+                break
+        else:
             return
-        for c in range(maxv + 2):
-            rgs[i] = c
-            yield from rec(i + 1, max(maxv, c))
-
-    yield from rec(1, 0)
+        rgs[i] += 1
+        rgs[i + 1:] = [0] * (n - 1 - i)
 
 
 def enumerate_atomic(t):

@@ -23,10 +23,19 @@ bilinear form 1^T M 1 erases the labels).
 
 The closure is the treewidth engine's worklist loop with a single state,
 on the same arrays: uint64 when p < 2^32, object (Python integers)
-otherwise.  ``lasserre_mod`` checks that a caller-supplied modulus is
-prime; the randomized wrapper, which lifts the modular verdicts to exact
-counts as the treewidth engine does with the level-t bound driving the
-prime range, runs the closure directly on primes its sampler has proved.
+otherwise.  A popped basis element M yields its candidates as three
+blocks: the Schur products with every atomic (one broadcast), the
+transpositions, and the products with every basis element X_b in both
+orders (``MatrixOps.products``: two matrix products, over the basis
+matrices side by side and stacked, interleaved back into the order
+M X_1, X_1 M, M X_2, X_2 M, ...; a large basis is cut into slices of at
+most ``_PRODUCT_ENTRIES`` entries, one block each, which bounds the
+temporaries).  The closure reduces each block against the basis with one
+matrix product per chunk of rows.  ``lasserre_mod``
+checks that a caller-supplied modulus is prime; the randomized wrapper,
+which lifts the modular verdicts to exact counts as the treewidth engine
+does with the level-t bound driving the prime range, runs the closure
+directly on primes its sampler has proved.
 """
 
 import numpy as np
@@ -122,6 +131,21 @@ class MatrixOps:
         m2 = b2.reshape(self.side, self.side)
         return _mod_matmul(m1, m2, self.p).reshape(self.length)
 
+    def products(self, block, others):
+        """The matrix products block @ X and X @ block for every row X of
+        ``others``, interleaved (row 2b is block @ X_b, row 2b+1 is
+        X_b @ block), as two matrix products over the side-by-side and the
+        stacked X."""
+        s, d = self.side, len(others)
+        m = block.reshape(s, s)
+        stack = others.reshape(d, s, s)
+        left = _mod_matmul(m, stack.transpose(1, 0, 2).reshape(s, d * s), self.p)
+        right = _mod_matmul(stack.reshape(d * s, s), m, self.p)
+        out = np.empty((2 * d, self.length), dtype=self.dtype)
+        out[0::2] = left.reshape(s, d, s).transpose(1, 0, 2).reshape(d, self.length)
+        out[1::2] = right.reshape(d, self.length)
+        return out
+
     def transpose(self, block, a, b):
         """Swap tensor axes a and b (0-based among the 2t slots)."""
         swapped = np.swapaxes(block.reshape(self._shape), a, b)
@@ -134,8 +158,9 @@ class MatrixOps:
         return np.ascontiguousarray(moved).reshape(self.length)
 
     def total(self, block):
-        """1^T M 1 mod p: the label-erasing readout."""
-        return int(block.sum() % self.p)
+        """1^T M 1 mod p (the label-erasing readout), one per row of a 2-D
+        block; uint64 sums are exact as in ``BlockOps.total``."""
+        return block.sum(axis=-1) % self.p
 
 
 def lasserre_term_tensor(ops: MatrixOps, term):
@@ -161,29 +186,39 @@ def _check_level(t):
         raise ValueError(f"level must be 1 or 2, got {t}")
 
 
+# Basis entries multiplied per product block: bounds the block and the
+# float64 temporaries of ``_mod_matmul`` whatever the basis size.
+_PRODUCT_ENTRIES = 1 << 16
+
+
 def _lasserre_verdict(G, H, t, p, order_rng=None, stats=None):
     """lasserre_mod for a level and modulus already validated."""
     og, oh = MatrixOps(G, t, p), MatrixOps(H, t, p)
     split = og.length
-    basis = _Basis(p)
-    atomics = [(og.atomic_tensor(a), oh.atomic_tensor(a))
-               for a in enumerate_atomic(t)]
+    basis = _Basis(p, og.length + oh.length)
+    atomic = enumerate_atomic(t)
+    atoms_g = np.array([og.atomic_tensor(a) for a in atomic])
+    atoms_h = np.array([oh.atomic_tensor(a) for a in atomic])
     transpositions = [
         (a, b) for a in range(2 * t) for b in range(a + 1, 2 * t)
     ]
 
     def expand(_, row):
         g, h = _split(row, split)
-        for ag, ah in atomics:
-            yield 0, _concat(og.schur(g, ag), oh.schur(h, ah))
-        for a, b in transpositions:
-            yield 0, _concat(og.transpose(g, a, b), oh.transpose(h, a, b))
-        for other in basis.rows:
-            xg, xh = _split(other, split)
-            yield 0, _concat(og.matmul(g, xg), oh.matmul(h, xh))
-            yield 0, _concat(og.matmul(xg, g), oh.matmul(xh, h))
+        yield 0, np.concatenate((og.schur(atoms_g, g), oh.schur(atoms_h, h)), axis=1)
+        yield 0, np.array([_concat(og.transpose(g, a, b), oh.transpose(h, a, b))
+                           for a, b in transpositions])
+        # products with every basis row in both orders, one block per
+        # slice of the basis as it stands now
+        mat = basis.matrix
+        step = max(1, _PRODUCT_ENTRIES // mat.shape[1])
+        for s in range(0, len(mat), step):
+            part = mat[s:s + step]
+            yield 0, np.concatenate(
+                (og.products(g, part[:, :split]), oh.products(h, part[:, split:])),
+                axis=1)
 
-    seeds = [(0, _concat(ag, ah)) for ag, ah in atomics]
+    seeds = [(0, np.concatenate((atoms_g, atoms_h), axis=1))]
     if _closure([basis], seeds, expand, [0], og, oh, order_rng, stats):
         return Verdict(True, "single-prime", [p])
     return Verdict(False, "single-prime", [p], rejecting_prime=p)

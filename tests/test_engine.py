@@ -96,6 +96,42 @@ def test_mod_matmul_exact_past_uint64_accumulation_limit():
     assert [int(x) for x in _mod_matmul(c, mat, p)] == [rows % p]
 
 
+@pytest.mark.parametrize("p", [2, 101, (1 << 31) - 1, 4294967291])
+@pytest.mark.parametrize("terms", [1, 1 << 16, (1 << 16) + 3])
+def test_mod_matmul_matches_python_integers(p, terms):
+    """Both uint64 paths (the 1-D matrix-vector product and a 2-D left
+    operand as float64 products on 16-bit halves, given b's halves or
+    not) against Python-integer products, with residues at p-1 and random
+    ones, on contractions up to and past one 2^16-term chunk."""
+    from homind.engine import _float_halves, _mod_matmul
+
+    rng = np.random.default_rng(terms + p)
+    a = rng.integers(0, p, size=(3, terms), dtype=np.uint64)
+    b = rng.integers(0, p, size=(terms, 4), dtype=np.uint64)
+    a[0] = p - 1
+    b[:, 0] = p - 1
+    want = (a.astype(object) @ b.astype(object)) % p
+    got = _mod_matmul(a, b, p)
+    assert got.dtype == np.uint64 and got.shape == (3, 4)
+    assert got.tolist() == want.tolist()
+    assert _mod_matmul(a, b, p, _float_halves(b)).tolist() == want.tolist()
+    for row in range(3):
+        assert _mod_matmul(a[row], b, p).tolist() == want[row].tolist()
+
+
+def test_inserted_rows_do_not_pin_the_basis_matrix():
+    """try_insert returns each new row as its own array: a view of the
+    basis matrix, held in a worklist, would keep every superseded matrix
+    alive."""
+    from homind.engine import _Basis
+
+    basis = _Basis(101, 4)
+    rows = [basis.try_insert(np.array(v, dtype=np.uint64))
+            for v in ([2, 4, 6, 8], [1, 3, 5, 7], [0, 0, 1, 9])]
+    assert all(row.base is None for row in rows)
+    assert rows[-1].tolist() == basis.matrix[-1].tolist()
+
+
 def test_apply_a_ones_is_adjacency_indicator():
     ops = BlockOps(complete_graph(2), 2, 97)
     masked = ops.apply_a(ops.ones(), 1, 2)
@@ -230,6 +266,30 @@ def test_closure_dimension_bounded_and_counted():
     modhomind(G, H, aut, 101, stats=stats)
     assert stats["dim_total"] == stats["inserts"]
     assert stats["dim_total"] <= aut.states * (G.n**2 + H.n**2)
+
+
+def test_stats_filled_when_small_stage_decides():
+    """P3 and K3 differ on K2 (4 against 6 homomorphisms), a member on
+    two vertices, so the closure never runs; stats still carry every key,
+    at zero."""
+    for decide in (modhomind, modhomind_pw):
+        stats = {}
+        verdict = decide(path_graph(3), complete_graph(3), builtin("tw-all", 2),
+                         101, stats=stats)
+        assert verdict.small_stage_witness is not None
+        assert stats == {"dim_total": 0, "inserts": 0, "candidates": 0,
+                         "per_state": {}}
+
+
+def test_closure_counts_candidates():
+    """Every candidate row offered to a basis is counted once, the ones
+    that leave the span among them."""
+    G, H = cycle_graph(6), TWO_TRIANGLES
+    aut = builtin("paths", 2)
+    for decide in (modhomind, modhomind_pw):
+        stats = {}
+        assert decide(G, H, aut, 101, stats=stats).small_stage_witness is None
+        assert stats["candidates"] > stats["inserts"] == stats["dim_total"] > 0
 
 
 def test_closure_verdict_is_order_independent():

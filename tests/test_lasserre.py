@@ -105,6 +105,24 @@ def test_matmul_python_and_numpy_paths_agree():
     assert got_np == got_py
 
 
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("p", [101, (1 << 31) - 1, BIG_PRIME])
+def test_products_are_matmuls_in_closure_order(t, p):
+    """Row 2b of ``products`` is M X_b and row 2b+1 is X_b M: the order
+    the closure offers them in, which fixes the order of its basis rows."""
+    rng = random.Random(31 + t)
+    ops = MatrixOps(random_graph(rng, 3, 0.5), t, p)
+    dtype = ops.dtype
+    m = np.array([rng.randrange(p) for _ in range(ops.length)], dtype=dtype)
+    others = np.array([[rng.randrange(p) for _ in range(ops.length)]
+                       for _ in range(5)], dtype=dtype)
+    got = ops.products(m, others)
+    assert got.shape == (10, ops.length) and got.dtype == dtype
+    for b, x in enumerate(others):
+        assert got[2 * b].tolist() == ops.matmul(m, x).tolist()
+        assert got[2 * b + 1].tolist() == ops.matmul(x, m).tolist()
+
+
 def test_permute_axes_paths_agree_on_all_level2_permutations():
     from itertools import permutations
 
