@@ -152,6 +152,11 @@ def _membership_for(spec_text: str):
         return lambda g: True
     if spec.kind == "paths":
         return is_path_graph
+    # width 0 means edgeless and treewidth 1 a forest: tests with no size cap
+    if spec.kind in ("tw", "pw") and spec.param == 0:
+        return lambda g: g.m == 0
+    if spec.kind == "tw" and spec.param == 1:
+        return lambda g: g.m == g.n - len(connected_components(g))
     if spec.kind == "tw":
         return lambda g: exact_treewidth_tiny(g) <= spec.param
     if spec.kind == "pw":
@@ -162,8 +167,10 @@ def _membership_for(spec_text: str):
 # === verdict-producing subcommands ===
 
 
-def _cmd_engine(args, variant: str) -> int:
-    aut = _resolve_automaton(args)
+def _decide(args, single, randomized, crt=None) -> int:
+    """Body of every deciding subcommand: load both graphs, check the mode
+    flags and print the verdict of ``single(G, H, p)``,
+    ``randomized(G, H, seed)`` or ``crt(G, H)``."""
     G = _load_graph(args.graph_g)
     H = _load_graph(args.graph_h)
     out = _Output(args.json)
@@ -174,25 +181,32 @@ def _cmd_engine(args, variant: str) -> int:
     if args.mode == "single-prime":
         if args.prime is None:
             raise ValueError("--mode single-prime needs --prime")
-        decide = modhomind if variant == "tw" else modhomind_pw
-        verdict = decide(G, H, aut, args.prime, budget=args.budget)
+        verdict = single(G, H, args.prime)
     elif args.mode == "random":
         seed = _seed_of(args)
         out.emit("seed", seed)
-        verdict = homind_randomized(
-            G, H, aut, variant, seed=seed, budget=args.budget,
-            prime_bits=args.prime_bits, parallel=args.parallel,
-            **({} if args.bit_cap is None else {"bit_cap": args.bit_cap}),
-        )
+        verdict = randomized(G, H, seed)
     else:  # deterministic
-        verdict = homind_deterministic_crt(
-            G, H, aut, variant, prime_budget=args.prime_budget,
-            budget=args.budget,
-            **({} if args.bit_cap is None else {"bit_cap": args.bit_cap}),
-        )
+        verdict = crt(G, H)
     out.emit_verdict(verdict)
     out.finish()
     return 0 if verdict.accept else 1
+
+
+def _cmd_engine(args, variant: str) -> int:
+    aut = _resolve_automaton(args)
+    modular = modhomind if variant == "tw" else modhomind_pw
+    return _decide(
+        args,
+        lambda G, H, p: modular(G, H, aut, p, budget=args.budget),
+        lambda G, H, seed: homind_randomized(
+            G, H, aut, variant, seed=seed, bit_cap=args.bit_cap,
+            budget=args.budget, prime_bits=args.prime_bits,
+            parallel=args.parallel),
+        lambda G, H: homind_deterministic_crt(
+            G, H, aut, variant, prime_budget=args.prime_budget,
+            bit_cap=args.bit_cap, budget=args.budget),
+    )
 
 
 def cmd_homind(args) -> int:
@@ -205,39 +219,18 @@ def cmd_pwhomind(args) -> int:
 
 def cmd_modhomind(args) -> int:
     aut = _resolve_automaton(args)
-    G = _load_graph(args.graph_g)
-    H = _load_graph(args.graph_h)
-    verdict = modhomind(G, H, aut, args.prime, budget=args.budget)
-    out = _Output(args.json)
-    out.emit_verdict(verdict)
-    out.finish()
-    return 0 if verdict.accept else 1
+    return _decide(
+        args, lambda G, H, p: modhomind(G, H, aut, p, budget=args.budget), None)
 
 
 def cmd_lasserre(args) -> int:
-    G = _load_graph(args.graph_g)
-    H = _load_graph(args.graph_h)
-    out = _Output(args.json)
-    if args.mode == "deterministic":
-        raise ValueError("the level-t decider has no deterministic CRT mode; "
-                         "use random or single-prime")
-    if args.prime is not None and args.mode != "single-prime":
-        raise ValueError("--prime requires --mode single-prime")
-    if args.mode == "single-prime":
-        if args.prime is None:
-            raise ValueError("--mode single-prime needs --prime")
-        verdict = lasserre_mod(G, H, args.t, args.prime)
-    else:
-        seed = _seed_of(args)
-        out.emit("seed", seed)
-        verdict = lasserre_randomized(
-            G, H, args.t, seed=seed, prime_bits=args.prime_bits,
-            parallel=args.parallel,
-            **({} if args.bit_cap is None else {"bit_cap": args.bit_cap}),
-        )
-    out.emit_verdict(verdict)
-    out.finish()
-    return 0 if verdict.accept else 1
+    return _decide(
+        args,
+        lambda G, H, p: lasserre_mod(G, H, args.t, p),
+        lambda G, H, seed: lasserre_randomized(
+            G, H, args.t, seed=seed, bit_cap=args.bit_cap,
+            prime_bits=args.prime_bits, parallel=args.parallel),
+    )
 
 
 # === analysis subcommands ===
@@ -503,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int,
                     default=_default_budget(DEFAULT_WORK_BUDGET))
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_modhomind)
+    # modhomind is _decide's single-prime mode, with --prime required
+    sp.set_defaults(func=cmd_modhomind, mode="single-prime", prime_bits=None)
 
     sp = sub.add_parser("pwhomind", help="decide over a bounded-pathwidth class")
     _add_automaton_flags(sp)

@@ -52,6 +52,8 @@ are caught with constant probability per trial (one-sided error: equal
 counts are never rejected), and a deterministic mode (pathwidth flavour)
 runs every prime in a set whose product exceeds the largest possible
 count, which by the Chinese remainder theorem detects any disagreement.
+Both wrappers hand their primes to one loop (``_first_reject``), which
+decides at each prime in order and stops at the first that rejects.
 
 Tensors and basis rows are numpy arrays whose dtype follows from the
 modulus alone (``_residue_dtype``): uint64 when p < 2^32, so the product
@@ -626,77 +628,70 @@ def _draw_prime_with_bits(rng, bits):
 _PRIME_BITS_NOTE = "heuristic: prime-bits mode, error bound not certified"
 
 
-def _prime_trials(prime_bits, bit_cap, bound_fn, *bound_args):
-    """Prime sampler and trial count of a randomized decision.
+def _first_reject(primes, decide, mode, notes):
+    """Run ``decide(p)`` at each prime in order and stop at the first
+    reject.  The verdict lists the primes decided, the rejecting prime and
+    its witness, then the notes of the single-prime verdict that settled
+    the outcome (the reject, or the last accept) followed by the mode's
+    own ``notes``."""
+    primes_used, sub = [], None
+    for p in primes:
+        primes_used.append(p)
+        sub = decide(p)
+        if not sub.accept:
+            break
+    notes = "; ".join(x for x in ("" if sub is None else sub.notes, *notes) if x)
+    if sub is None or sub.accept:
+        return Verdict(True, mode, primes_used, notes=notes)
+    return Verdict(False, mode, primes_used, rejecting_prime=primes_used[-1],
+                   small_stage_witness=sub.small_stage_witness, notes=notes)
+
+
+def _randomized_verdict(decide, seed, prime_bits, bit_cap, parallel,
+                        bound_fn, *bound_args) -> Verdict:
+    """Shared trial loop of the randomized wrappers.
 
     With prime_bits: random primes of that many bits, and the trial-count
-    formula applied to L = 2^(bits-1).  Otherwise: draws from (L, L^2]
-    for the class bound ``bound_fn(*bound_args)``, with its trial count.
+    formula applied to L = 2^(bits-1); the verdict is flagged heuristic.
+    Otherwise: draws from (L, L^2] for the class bound
+    ``bound_fn(*bound_args)``, with its trial count.  Primes are drawn up
+    front (one independent generator per trial, so the sequence is a pure
+    function of the seed), and each distinct prime is decided once: lazily
+    by ``_first_reject`` in trial order, or eagerly across a thread pool
+    when parallel > 1.  The verdict is identical either way, so fan-out
+    only trades wasted work for latency.
     """
     if prime_bits is not None:
         if prime_bits < 5:
             raise ValueError("prime_bits must be at least 5")
         trials = ((1 << (prime_bits - 1)) ** 4 - 1).bit_length()
-        return (lambda rng: _draw_prime_with_bits(rng, prime_bits)), trials
-    kwargs = {} if bit_cap is None else {"bit_cap": bit_cap}
-    try:
-        bounds = bound_fn(*bound_args, **kwargs)
-    except BoundOverflow as exc:
-        raise BoundOverflow(
-            f"{exc}; rerun with prime_bits for a heuristic decision"
-        ) from exc
-    return (lambda rng: sample_prime_in_range(bounds.L, rng)), bounds.trials
-
-
-def _randomized_verdict(draw, decide, trials: int, seed: int,
-                        heuristic: bool, parallel: int = 1) -> Verdict:
-    """Shared trial loop for the randomized wrappers.
-
-    Primes are drawn up front (one independent generator per trial, so
-    the sequence is a pure function of the seed), then the per-prime
-    decision runs lazily in trial order — or eagerly across a thread
-    pool when parallel > 1.  The verdict is identical either way: the
-    replay scans trials in order and stops at the first rejecting
-    prime, so fan-out only trades wasted work for latency.
-    """
+        draw = lambda rng: _draw_prime_with_bits(rng, prime_bits)
+    else:
+        kwargs = {} if bit_cap is None else {"bit_cap": bit_cap}
+        try:
+            bounds = bound_fn(*bound_args, **kwargs)
+        except BoundOverflow as exc:
+            raise BoundOverflow(
+                f"{exc}; rerun with prime_bits for a heuristic decision"
+            ) from exc
+        trials = bounds.trials
+        draw = lambda rng: sample_prime_in_range(bounds.L, rng)
     if parallel < 1:
         raise ValueError("parallel must be at least 1")
-    draws = []
-    for trial in range(trials):
-        rng = Xoshiro256StarStar(derive_seed(seed, trial))
-        draws.append(draw(rng))
-    verdicts = {}
-    distinct = [p for p in dict.fromkeys(draws) if p is not None]
+    draws = [draw(Xoshiro256StarStar(derive_seed(seed, trial)))
+             for trial in range(trials)]
+    primes = [p for p in draws if p is not None]
+    decide = cache(decide)
+    distinct = list(dict.fromkeys(primes))
     if parallel > 1 and len(distinct) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=parallel) as pool:
-            for p, sub in zip(distinct, pool.map(decide, distinct)):
-                verdicts[p] = sub
-    primes_used = []
-    for p in draws:
-        if p is None:
-            continue
-        primes_used.append(p)
-        sub = verdicts.get(p)
-        if sub is None:
-            sub = decide(p)
-            verdicts[p] = sub
-        if not sub.accept:
-            notes = "; ".join(x for x in (sub.notes, _PRIME_BITS_NOTE) if x) \
-                if heuristic else sub.notes
-            return Verdict(
-                False,
-                "randomized",
-                primes_used,
-                rejecting_prime=p,
-                small_stage_witness=sub.small_stage_witness,
-                notes=notes,
-            )
-    notes = [] if primes_used else [f"no prime drawn in {trials} trials"]
-    if heuristic:
+            list(pool.map(decide, distinct))
+    notes = [] if primes else [f"no prime drawn in {trials} trials"]
+    if prime_bits is not None:
         notes.append(_PRIME_BITS_NOTE)
-    return Verdict(True, "randomized", primes_used, notes="; ".join(notes))
+    return _first_reject(primes, decide, "randomized", notes)
 
 
 def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
@@ -714,16 +709,14 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
     """
     if variant not in ("tw", "pw"):
         raise ValueError(f"unknown variant {variant!r}")
-    bound_fn = bound_tw if variant == "tw" else bound_pw
-    draw, trials = _prime_trials(prime_bits, bit_cap, bound_fn,
-                                 max(G.n, H.n, 1), aut.k, aut.states)
     counts = _small_counts(G, H, budget)
     partitions = _partitions(G, H, aut.k)
     return _randomized_verdict(
-        draw,
         lambda p: _closure_verdict(G, H, aut, p, variant == "tw", counts,
                                    partitions=partitions),
-        trials, seed, prime_bits is not None, parallel,
+        seed, prime_bits, bit_cap, parallel,
+        bound_tw if variant == "tw" else bound_pw,
+        max(G.n, H.n, 1), aut.k, aut.states,
     )
 
 
@@ -747,22 +740,10 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
             f"deterministic mode needs {len(primes)} primes, budget is {prime_budget}"
         )
     counts = _small_counts(G, H, budget)
-    primes_used = []
-    notes = ""
-    for p in primes:
-        primes_used.append(p)
-        sub = _closure_verdict(G, H, aut, p, False, counts)
-        notes = notes or sub.notes
-        if not sub.accept:
-            return Verdict(
-                False,
-                "deterministic-crt",
-                primes_used,
-                rejecting_prime=p,
-                small_stage_witness=sub.small_stage_witness,
-                notes=notes,
-            )
-    return Verdict(True, "deterministic-crt", primes_used, notes=notes)
+    return _first_reject(
+        primes, lambda p: _closure_verdict(G, H, aut, p, False, counts),
+        "deterministic-crt", [],
+    )
 
 
 def verdict_pairs(verdict: Verdict):

@@ -332,21 +332,23 @@ def walk_counts(G, max_len):
 # === Small exhaustive isomorphism ===
 
 
-def is_isomorphic_small(G, H, cap=10):
+def is_isomorphic_small(G, H, cap=10, pairs=()):
     """Exhaustive isomorphism test for small graphs.
 
     Prunes by degree sequence up front, then backtracks over bijections with
     full forward checking (a candidate image must reproduce the adjacency
-    pattern to every already-placed vertex exactly).  ``cap`` guards against
-    accidental use on large inputs; raise it deliberately when needed.
+    pattern to every already-placed vertex exactly).  ``pairs`` forces
+    vertex images: (x, y) maps x in G to y in H; a conflicting or
+    non-injective forcing, a degree mismatch or a broken adjacency among
+    the forced vertices rejects before the search.  ``cap`` (None for
+    none) guards against accidental use on large inputs; raise it
+    deliberately when needed.
     """
-    if G.n > cap or H.n > cap:
+    if cap is not None and (G.n > cap or H.n > cap):
         raise ValueError(f"is_isomorphic_small cap exceeded ({max(G.n, H.n)} > {cap})")
     if G.n != H.n or G.m != H.m:
         return False
     n = G.n
-    if n == 0:
-        return True
     deg_g = G.degree_sequence()
     deg_h = H.degree_sequence()
     if sorted(deg_g) != sorted(deg_h):
@@ -359,6 +361,19 @@ def is_isomorphic_small(G, H, cap=10):
     image = [-1] * n
     used = 0  # bitmask over V(H)
     assigned_mask = 0  # bitmask over V(G)
+    for x, y in pairs:
+        if image[x] == y:
+            continue
+        if image[x] >= 0 or used >> y & 1 or deg_g[x] != deg_h[y]:
+            return False
+        image[x] = y
+        used |= 1 << y
+        assigned_mask |= 1 << x
+    forced = [x for x in range(n) if image[x] >= 0]
+    for a, x in enumerate(forced):
+        for z in forced[:a]:
+            if (adj_g[x] >> z & 1) != (adj_h[image[x]] >> image[z] & 1):
+                return False
 
     def pick_next():
         # most-constrained first: maximize already-placed neighbors, then degree

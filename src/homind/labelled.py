@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
-from .graphs import Graph, adjacency_sets, empty_graph
+from .graphs import Graph, empty_graph, is_isomorphic_small
 
 
 class LoopCreated(ValueError):
@@ -258,22 +258,14 @@ def val(t):
         return glue(val(t.left), val(t.right))
     if isinstance(t, TApplyA):
         f = val(t.arg)
-        k = f.k
-        if not 1 <= t.i < t.j <= k:
-            raise ValueError(f"A({t.i},{t.j}) invalid at arity {k}")
-        u, v = f.in_labels[t.i - 1], f.in_labels[t.j - 1]
-        edges = set(f.graph.edges)
-        edges.add((min(u, v), max(u, v)))
-        return LabelledGraph(Graph(f.graph.n, tuple(sorted(edges))), f.in_labels)
+        if not 1 <= t.i < t.j <= f.k:
+            raise ValueError(f"A({t.i},{t.j}) invalid at arity {f.k}")
+        return val_apply_a(f, t.i, t.j)
     if isinstance(t, TApplyJ):
         f = val(t.arg)
-        k = f.k
-        if not 1 <= t.i <= k:
-            raise ValueError(f"J({t.i}) invalid at arity {k}")
-        fresh = f.graph.n
-        g = Graph(fresh + 1, f.graph.edges)
-        ins = tuple(fresh if p == t.i - 1 else f.in_labels[p] for p in range(k))
-        return LabelledGraph(g, ins)
+        if not 1 <= t.i <= f.k:
+            raise ValueError(f"J({t.i}) invalid at arity {f.k}")
+        return val_apply_j(f, t.i)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -295,66 +287,11 @@ def format_term(t):
 
 def labelled_isomorphic(F1, F2):
     """Isomorphism respecting label positions (in->in, out->out, same index)."""
-    g, h = F1.graph, F2.graph
-    if g.n != h.n or g.m != h.m or F1.k != F2.k or F1.l != F2.l:
+    if F1.k != F2.k or F1.l != F2.l:
         return False
-    n = g.n
-    image = [-1] * n
-    used = [False] * n
-    # labels force a partial map; conflicting forcings reject immediately
-    for a, b in zip(F1.in_labels + F1.out_labels, F2.in_labels + F2.out_labels):
-        if image[a] == -1:
-            if used[b]:
-                return False
-            image[a] = b
-            used[b] = True
-        elif image[a] != b:
-            return False
-    deg_g = g.degree_sequence()
-    deg_h = h.degree_sequence()
-    if sorted(deg_g) != sorted(deg_h):
-        return False
-    if any(image[a] != -1 and deg_g[a] != deg_h[image[a]] for a in range(n)):
-        return False
-
-    adj_g = adjacency_sets(g)
-    adj_h = [0] * n
-    for u, v in h.edges:
-        adj_h[u] |= 1 << v
-        adj_h[v] |= 1 << u
-
-    free = [x for x in range(n) if image[x] == -1]
-
-    def extend(idx):
-        if idx == len(free):
-            # verify all adjacency (forced part included)
-            for u, v in g.edges:
-                if not (adj_h[image[u]] >> image[v]) & 1:
-                    return False
-            return True
-        x = free[idx]
-        need = 0
-        placed = 0
-        for y in range(n):
-            if image[y] >= 0:
-                placed |= 1 << image[y]
-                if y in adj_g[x]:
-                    need |= 1 << image[y]
-        forbid = placed & ~need
-        for h_v in range(n):
-            if used[h_v] or deg_h[h_v] != deg_g[x]:
-                continue
-            if (adj_h[h_v] & need) != need or (adj_h[h_v] & forbid):
-                continue
-            image[x] = h_v
-            used[h_v] = True
-            if extend(idx + 1):
-                return True
-            image[x] = -1
-            used[h_v] = False
-        return False
-
-    return extend(0)
+    return is_isomorphic_small(
+        F1.graph, F2.graph, cap=None,
+        pairs=zip(F1.in_labels + F1.out_labels, F2.in_labels + F2.out_labels))
 
 
 def _bucket_key(F):

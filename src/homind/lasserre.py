@@ -46,7 +46,6 @@ from .engine import (
     _closure,
     _concat,
     _mod_matmul,
-    _prime_trials,
     _randomized_verdict,
     _require_prime,
     _residue_dtype,
@@ -240,9 +239,8 @@ def lasserre_randomized(G: Graph, H: Graph, t: int, seed: int = 0,
     primes against the level-t count bound (one-sided error), or against
     random fixed-width primes in the flagged heuristic mode."""
     _check_level(t)
-    draw, trials = _prime_trials(prime_bits, bit_cap, bound_lasserre,
-                                 max(G.n, H.n, 1), t)
     return _randomized_verdict(
-        draw, lambda p: _lasserre_verdict(G, H, t, p),
-        trials, seed, prime_bits is not None, parallel,
+        lambda p: _lasserre_verdict(G, H, t, p),
+        seed, prime_bits, bit_cap, parallel,
+        bound_lasserre, max(G.n, H.n, 1), t,
     )

@@ -509,11 +509,10 @@ def validate_automaton(aut, membership, context_bound, term_depth=None):
     # Verdict vector of each term over all contexts; terms sharing a state
     # must share the vector (compare against the state's representative).
     reps = {}
+    contexts = [ctx.value for ctx in records]
     for rec in records:
         st = trace_term(aut, rec.term)
-        vec = tuple(
-            bool(membership(_glue_soe(ctx.value, rec.value))) for ctx in records
-        )
+        vec = _membership_vector(membership, rec.value, contexts)
         if st not in reps:
             reps[st] = (rec, vec)
             continue

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from homind.cli import main
+from homind.cli import _membership_for, main
 from homind.graphs import (
     complete_graph,
     cycle_graph,
@@ -18,6 +18,11 @@ from homind.graphs import (
     parse_graph,
     path_graph,
     serialize_graph,
+)
+from homind.oracle import (
+    enumerate_graphs_up_to,
+    exact_pathwidth_tiny,
+    exact_treewidth_tiny,
 )
 
 
@@ -281,6 +286,25 @@ def test_validate_automaton_ok_and_failing(files, capsys):
     lines = out2.splitlines()
     assert "ok=false" in lines
     assert "kind=acceptance" in lines
+
+
+def test_width_zero_and_forest_membership_match_the_exact_widths():
+    members = {spec: _membership_for(spec) for spec in ("tw:0", "pw:0", "tw:1")}
+    for g in enumerate_graphs_up_to(6):
+        assert members["tw:0"](g) == (exact_treewidth_tiny(g) <= 0)
+        assert members["pw:0"](g) == (exact_pathwidth_tiny(g) <= 0)
+        assert members["tw:1"](g) == (exact_treewidth_tiny(g) <= 1)
+    assert members["tw:1"](path_graph(20))
+    assert not members["tw:1"](cycle_graph(20))
+
+
+def test_validate_automaton_forest_class_past_eight_vertices(files, capsys):
+    # tw:1 is decided as a forest test, so contexts of 9 vertices pass
+    rc, out, err = run(["validate-automaton", "--builtin", "tw-all", "--k", "2",
+                        "--class", "tw:1", "--context-bound", "9",
+                        "--term-depth", "3"], capsys)
+    assert (rc, err) == (0, "")
+    assert "ok=true" in out.splitlines()
 
 
 # === construction commands ===

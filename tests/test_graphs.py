@@ -176,6 +176,28 @@ def test_iso_cap():
     with pytest.raises(ValueError, match="cap exceeded"):
         is_isomorphic_small(empty_graph(11), empty_graph(11))
     assert is_isomorphic_small(empty_graph(11), empty_graph(11), cap=11)
+    assert is_isomorphic_small(empty_graph(12), empty_graph(12), cap=None)
+
+
+def test_iso_forced_pairs():
+    p3 = path_graph(3)  # centre 1
+    assert is_isomorphic_small(p3, p3, pairs=[(1, 1)])
+    assert is_isomorphic_small(p3, p3, pairs=[(0, 2), (2, 0)])
+    # the centre cannot map to an end: degrees differ
+    assert not is_isomorphic_small(p3, p3, pairs=[(1, 0)])
+    # conflicting and non-injective forcings
+    assert not is_isomorphic_small(p3, p3, pairs=[(0, 0), (0, 2)])
+    assert not is_isomorphic_small(p3, p3, pairs=[(0, 0), (2, 0)])
+    assert is_isomorphic_small(path_graph(4), path_graph(4), pairs=[(0, 3), (1, 2)])
+    # every vertex forced, degrees kept, but the edge 0-1 goes to the
+    # non-edge 0-2: nothing is left to search, so only the check of the
+    # forced adjacency rejects
+    assert not is_isomorphic_small(path_graph(4), path_graph(4),
+                                   pairs=[(0, 0), (1, 2), (2, 1), (3, 3)])
+    # no forced pair is adjacent, but 0 and 2 are at distance 2 on the
+    # cycle and their images 0 and 3 at distance 3: the search must fail
+    assert is_isomorphic_small(C6, C6, pairs=[(0, 0), (3, 3)])
+    assert not is_isomorphic_small(C6, C6, pairs=[(0, 0), (2, 3)])
 
 
 def test_iso_random_pairs_agree_with_hom_profile():
