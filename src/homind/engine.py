@@ -50,10 +50,17 @@ Counts over the integers are recovered from modular runs: a randomized
 wrapper samples primes from a range wide enough that disagreeing counts
 are caught with constant probability per trial (one-sided error: equal
 counts are never rejected), and a deterministic mode (pathwidth flavour)
-runs every prime in a set whose product exceeds the largest possible
-count, which by the Chinese remainder theorem detects any disagreement.
-Both wrappers hand their primes to one loop (``_first_reject``), which
-decides at each prime in order and stops at the first that rejects.
+relies on the Chinese remainder theorem: any set of primes whose product
+exceeds the largest possible count detects any disagreement.  It first
+decides at the largest primes below 2^32 that make up such a set (76
+primes for the builtin paths at n = 6, where the smallest need 269).
+If all of them accept, the counts are equal, so every prime accepts,
+and the verdict lists the smallest-prime set 2, 3, 5, ... as the
+certificate.  If one rejects, the counts differ, and the smallest primes
+are decided in order up to the first that rejects, which names the
+rejecting prime and witness.  Both wrappers hand their primes to one
+loop (``_first_reject``), which decides at each prime in order and stops
+at the first that rejects.
 
 Tensors and basis rows are numpy arrays whose dtype follows from the
 modulus alone (``_residue_dtype``): uint64 when p < 2^32, so the product
@@ -82,6 +89,7 @@ from .modular import (
     is_prime,
     sample_prime_in_range,
     smallest_primes_with_product_exceeding,
+    word_primes_with_product_exceeding,
 )
 from .oracle import enumerate_graphs_up_to
 from .recognizer import Automaton
@@ -166,8 +174,9 @@ class BlockOps:
             raise ValueError(f"J label must satisfy 1 <= i <= {self.k}")
         shape = (self.n,) * self.k
         sums = block.reshape(shape).sum(axis=i - 1, keepdims=True) % self.p
-        out = np.broadcast_to(sums, shape)
-        return np.ascontiguousarray(out).reshape(self.length)
+        out = np.empty(shape, dtype=self.dtype)
+        out[...] = sums
+        return out.reshape(self.length)
 
     def schur(self, b1, b2):
         return (b1 * b2) % self.p
@@ -654,12 +663,14 @@ def _randomized_verdict(decide, seed, prime_bits, bit_cap, parallel,
     With prime_bits: random primes of that many bits, and the trial-count
     formula applied to L = 2^(bits-1); the verdict is flagged heuristic.
     Otherwise: draws from (L, L^2] for the class bound
-    ``bound_fn(*bound_args)``, with its trial count.  Primes are drawn up
-    front (one independent generator per trial, so the sequence is a pure
-    function of the seed), and each distinct prime is decided once: lazily
-    by ``_first_reject`` in trial order, or eagerly across a thread pool
-    when parallel > 1.  The verdict is identical either way, so fan-out
-    only trades wasted work for latency.
+    ``bound_fn(*bound_args)``, with its trial count.  Each trial draws
+    from its own generator, so the sequence is a pure function of the
+    seed.  With parallel == 1 a trial draws only when ``_first_reject``
+    reaches it, so a reject at the first prime skips the other draws;
+    with parallel > 1 every prime is drawn up front and each distinct one
+    decided across a thread pool.  Each distinct prime is decided once,
+    and the verdict is identical either way, so fan-out only trades
+    wasted work for latency.
     """
     if prime_bits is not None:
         if prime_bits < 5:
@@ -678,20 +689,24 @@ def _randomized_verdict(decide, seed, prime_bits, bit_cap, parallel,
         draw = lambda rng: sample_prime_in_range(bounds.L, rng)
     if parallel < 1:
         raise ValueError("parallel must be at least 1")
-    draws = [draw(Xoshiro256StarStar(derive_seed(seed, trial)))
-             for trial in range(trials)]
-    primes = [p for p in draws if p is not None]
+    draws = (draw(Xoshiro256StarStar(derive_seed(seed, trial)))
+             for trial in range(trials))
+    primes = (p for p in draws if p is not None)
     decide = cache(decide)
-    distinct = list(dict.fromkeys(primes))
-    if parallel > 1 and len(distinct) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    if parallel > 1:
+        primes = list(primes)
+        distinct = list(dict.fromkeys(primes))
+        if len(distinct) > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            list(pool.map(decide, distinct))
-    notes = [] if primes else [f"no prime drawn in {trials} trials"]
-    if prime_bits is not None:
-        notes.append(_PRIME_BITS_NOTE)
-    return _first_reject(primes, decide, "randomized", notes)
+            with ThreadPoolExecutor(max_workers=parallel) as pool:
+                list(pool.map(decide, distinct))
+    notes = [] if prime_bits is None else [_PRIME_BITS_NOTE]
+    verdict = _first_reject(primes, decide, "randomized", notes)
+    if not verdict.primes_used:  # every draw was taken, and none was prime
+        verdict.notes = "; ".join(
+            [f"no prime drawn in {trials} trials", *notes])
+    return verdict
 
 
 def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
@@ -723,10 +738,16 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
 def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
                              variant: str = "pw", prime_budget: int = 10000,
                              bit_cap=None, budget=10**8) -> Verdict:
-    """Deterministic decision for the pathwidth flavour: run the modular
-    engine for every prime in the smallest set whose product exceeds the
-    largest possible homomorphism count (n^N); two counts below that cap
-    can only agree modulo every such prime if they are equal."""
+    """Deterministic decision for the pathwidth flavour: two counts below
+    the largest possible homomorphism count (n^N) can only agree modulo
+    every prime of a set whose product exceeds n^N if they are equal.
+
+    An accept is decided at the largest primes below 2^32 that form such
+    a set, and reported with the smallest such set, 2, 3, 5, ..., every
+    one of which accepts equal counts.  When a word prime rejects, the
+    smallest primes are decided in order up to the first that rejects,
+    which must exist, so a reject reports the same primes, rejecting prime
+    and witness as deciding the smallest primes alone."""
     if variant != "pw":
         raise ValueError(
             "deterministic CRT mode is defined for the pathwidth variant"
@@ -734,16 +755,19 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
     n = max(G.n, H.n, 1)
     kwargs = {} if bit_cap is None else {"bit_cap": bit_cap}
     bounds = bound_pw(n, aut.k, aut.states, **kwargs)
-    primes = smallest_primes_with_product_exceeding(max(n, 2) ** bounds.N)
+    bound = max(n, 2) ** bounds.N
+    primes = smallest_primes_with_product_exceeding(bound)
     if len(primes) > prime_budget:
         raise ValueError(
             f"deterministic mode needs {len(primes)} primes, budget is {prime_budget}"
         )
     counts = _small_counts(G, H, budget)
-    return _first_reject(
-        primes, lambda p: _closure_verdict(G, H, aut, p, False, counts),
-        "deterministic-crt", [],
-    )
+    decide = lambda p: _closure_verdict(G, H, aut, p, False, counts)
+    words = _first_reject(word_primes_with_product_exceeding(bound), decide,
+                          "deterministic-crt", [])
+    if words.accept:
+        return Verdict(True, "deterministic-crt", primes, notes=words.notes)
+    return _first_reject(primes, decide, "deterministic-crt", [])
 
 
 def verdict_pairs(verdict: Verdict):

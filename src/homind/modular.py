@@ -19,8 +19,11 @@ range exceeds ``L``, at most ``N * log2(n)`` prime factors fit into
 ``n**N``, and the range holds at least twice that many primes).
 
 The deterministic pathwidth mode replaces sampling by the Chinese remainder
-theorem: the smallest primes ``2, 3, 5, ...`` whose product exceeds
-``n**N`` jointly detect any nonzero difference of counts.
+theorem: any set of primes whose product exceeds ``n**N`` jointly detects
+any nonzero difference of counts.  Its verdict names the smallest such set,
+the primes ``2, 3, 5, ...``, but an accept is decided at the largest primes
+below ``2**32`` (word primes): fewer of them cover the bound, and their
+residues keep the closure on machine integers.
 
 All randomness flows through an explicit, seedable generator (xoshiro256**
 seeded through splitmix64) so identical seeds reproduce identical runs
@@ -30,6 +33,7 @@ bit for bit; nothing in this module touches ambient RNG state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 __all__ = [
     "Xoshiro256StarStar",
@@ -43,6 +47,7 @@ __all__ = [
     "bound_pw",
     "bound_lasserre",
     "smallest_primes_with_product_exceeding",
+    "word_primes_with_product_exceeding",
     "ceil_log2",
 ]
 
@@ -148,7 +153,10 @@ _SMALL_PRIMES = (
     67, 71, 73, 79, 83, 89, 97,
 )
 
-# Deterministic Miller-Rabin witnesses: this set is exact for all n < 2**64.
+# Deterministic Miller-Rabin witnesses: the first set is exact for all
+# n < 4,759,123,141 (Jaeschke 1993), the second for all n < 2**64.
+_MR_WITNESSES_32 = (2, 7, 61)
+_MR_BOUND_32 = 4_759_123_141
 _MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -171,7 +179,8 @@ def is_prime(p: int) -> bool:
     """Primality test.
 
     Exact for p < 2**64 (deterministic Miller-Rabin over the witness set
-    {2,3,5,7,...,37}).  Above 2**64 it runs 64 Miller-Rabin rounds with
+    {2,7,61} below 4,759,123,141, which covers every 32-bit p, and
+    {2,3,5,7,...,37} above).  Above 2**64 it runs 64 Miller-Rabin rounds with
     bases derived deterministically from p itself, so the function stays
     pure; the error probability (at most 4**-64 per composite) is
     negligible against the 2**-trials error budget of the randomized
@@ -189,7 +198,9 @@ def is_prime(p: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    if p < (1 << 64):
+    if p < _MR_BOUND_32:
+        witnesses = _MR_WITNESSES_32
+    elif p < (1 << 64):
         witnesses = _MR_WITNESSES_64
     else:
         state = (p & _MASK64) ^ 0xD6E8FEB86659FD93
@@ -323,21 +334,38 @@ def bound_lasserre(n: int, t: int, bit_cap: int = DEFAULT_BIT_CAP) -> Bounds:
     return _make_bounds(N, n)
 
 
+def _primes_with_product_exceeding(B: int, candidates) -> list[int]:
+    """The primes among ``candidates``, in their order, up to the first
+    whose running product strictly exceeds B."""
+    if B < 1:
+        raise ValueError("requires B >= 1")
+    primes = []
+    product = 1
+    for candidate in candidates:
+        if product > B:
+            break
+        if is_prime(candidate):
+            primes.append(candidate)
+            product *= candidate
+    return primes
+
+
 def smallest_primes_with_product_exceeding(B: int) -> list[int]:
     """Smallest prefix of 2, 3, 5, ... whose product strictly exceeds B.
 
     The deterministic mode works modulo these primes: a nonzero integer of
     magnitude at most B cannot vanish modulo all of them at once.
     """
-    if B < 1:
-        raise ValueError("requires B >= 1")
-    primes = []
-    product = 1
-    candidate = 2
-    while product <= B:
-        while not is_prime(candidate):
-            candidate += 1
-        primes.append(candidate)
-        product *= candidate
-        candidate += 1
-    return primes
+    return _primes_with_product_exceeding(B, count(2))
+
+
+def word_primes_with_product_exceeding(B: int) -> list[int]:
+    """Shortest run of the largest primes below 2**32, in descending
+    order, whose product strictly exceeds B.
+
+    The same Chinese remainder argument as for the smallest primes holds
+    for any primes whose product exceeds B, and these need fewer of them
+    (76 against 269 for the builtin ``paths`` bound at n = 6, k = 2);
+    residues below 2**32 keep the closure on uint64 arrays.
+    """
+    return _primes_with_product_exceeding(B, range((1 << 32) - 1, 2, -2))

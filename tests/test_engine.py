@@ -15,13 +15,17 @@ import pytest
 from homind.engine import (
     BlockOps,
     Verdict,
+    _closure_verdict,
+    _first_reject,
     _linear_closure,
+    _small_counts,
     format_verdict,
     homind_deterministic_crt,
     homind_randomized,
     modhomind,
     modhomind_pw,
     term_block,
+    verdict_pairs,
 )
 from homind.graphs import (
     Graph,
@@ -38,12 +42,15 @@ from homind.modular import (
     Xoshiro256StarStar,
     bound_pw,
     bound_tw,
+    is_prime,
     smallest_primes_with_product_exceeding,
+    word_primes_with_product_exceeding,
 )
 from homind.oracle import enumerate_graphs_up_to, hom_tensor, paths_oracle
 from homind.recognizer import builtin, parse_automaton
 
 from conftest import permuted_copy, random_graph
+from test_cli_golden import GRAPHS, ONE_STATE_NONE
 
 BIG_PRIME = (1 << 128) - 159
 
@@ -475,6 +482,31 @@ def test_randomized_refines_once_per_decision(monkeypatch):
     assert calls == [None]
 
 
+def test_randomized_draws_only_the_primes_it_decides(monkeypatch):
+    """A decision that rejects at its first prime draws no further
+    trial's prime, and prints what drawing every prime up front prints."""
+    import homind.engine
+
+    draws = []
+    sample = homind.engine.sample_prime_in_range
+
+    def counted(L, rng):
+        draws.append(L)
+        return sample(L, rng)
+
+    monkeypatch.setattr(homind.engine, "sample_prime_in_range", counted)
+    aut = builtin("tw-all", 2)
+    G, H = path_graph(3), complete_graph(3)
+    trials = bound_tw(3, 2, 1).trials
+    verdict = homind_randomized(G, H, aut, "tw", seed=1)
+    assert not verdict.accept and len(verdict.primes_used) == 1
+    lazy = len(draws)
+    assert lazy < trials
+    eager = homind_randomized(G, H, aut, "tw", seed=1, parallel=2)
+    assert len(draws) - lazy == trials
+    assert verdict_pairs(eager) == verdict_pairs(verdict)
+
+
 def test_randomized_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
         homind_randomized(path_graph(2), path_graph(2), builtin("tw-all", 1), "qq")
@@ -536,6 +568,82 @@ def test_crt_counts_small_members_once_per_decision(monkeypatch):
     assert verdict.accept
     assert len(verdict.primes_used) == 112
     assert len(calls) == 4
+
+
+def test_word_primes_cover_the_bound_with_no_prime_to_spare():
+    for B in (1, 2, (1 << 32) - 5, 1 << 64, 6 ** bound_pw(6, 2, 13).N):
+        primes = word_primes_with_product_exceeding(B)
+        assert primes == sorted(primes, reverse=True)
+        assert primes[0] == 4294967291  # the largest prime below 2^32
+        assert all(is_prime(p) and p < 1 << 32 for p in primes)
+        product = 1
+        for p in primes[:-1]:
+            product *= p
+        assert product <= B < product * primes[-1]
+    # no prime is skipped: the list holds every prime from its last to 2^32
+    primes = word_primes_with_product_exceeding(1 << 256)
+    assert sum(is_prime(x) for x in range(primes[-1], 1 << 32)) == len(primes)
+
+
+def _crt_smallest_primes(G, H, aut):
+    """The deterministic verdict from deciding the smallest primes alone."""
+    n = max(G.n, H.n, 1)
+    bound = max(n, 2) ** bound_pw(n, aut.k, aut.states).N
+    counts = _small_counts(G, H, 10**8)
+    return _first_reject(
+        smallest_primes_with_product_exceeding(bound),
+        lambda p: _closure_verdict(G, H, aut, p, False, counts),
+        "deterministic-crt", [],
+    )
+
+
+_G6 = random_graph(random.Random(11), 6, 0.5)
+
+
+@pytest.mark.parametrize("G, H, aut, accept, rejecting", [
+    # accepts
+    (_G6, permuted_copy(random.Random(12), _G6), "paths", True, None),
+    (cycle_graph(8), Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0),
+                                          (4, 5), (5, 6), (6, 7), (7, 4)]),
+     "paths", True, None),
+    # small-stage rejects: hom(K1) is 3 against 4; hom(K2) 4 against 6
+    (path_graph(3), path_graph(4), "paths", False, 2),
+    (path_graph(3), complete_graph(3), "paths", False, 3),
+    # closure reject: walks of length 2 count 10 against 12
+    (path_graph(4), star_graph(3), "paths", False, 3),
+    # the one-state automaton without a small stage
+    (GRAPHS["c6"], GRAPHS["c6r"], "none", True, None),
+    (GRAPHS["a5"], GRAPHS["b5"], "none", False, 3),
+], ids=["gnp6", "c8-2c4", "small-2", "small-3", "closure-3", "none-accept",
+        "none-reject"])
+def test_crt_word_primes_print_the_smallest_prime_verdict(G, H, aut, accept,
+                                                          rejecting):
+    aut = builtin("paths", 2) if aut == "paths" else parse_automaton(ONE_STATE_NONE)
+    verdict = homind_deterministic_crt(G, H, aut)
+    assert verdict.accept == accept
+    assert verdict.rejecting_prime == rejecting
+    assert verdict_pairs(verdict) == verdict_pairs(_crt_smallest_primes(G, H, aut))
+
+
+def test_crt_accept_decides_the_word_primes_only(monkeypatch):
+    """An accept on a permuted G(6, 1/2) runs one closure per word prime
+    (76), not one per prime of the 269 it prints."""
+    import homind.engine
+
+    decided = []
+
+    def counted(G, H, aut, p, *args, **kwargs):
+        decided.append(p)
+        return _closure_verdict(G, H, aut, p, *args, **kwargs)
+
+    monkeypatch.setattr(homind.engine, "_closure_verdict", counted)
+    aut = builtin("paths", 2)
+    verdict = homind_deterministic_crt(
+        _G6, permuted_copy(random.Random(12), _G6), aut)
+    bound = 6 ** bound_pw(6, 2, aut.states).N
+    assert verdict.accept and len(verdict.primes_used) == 269
+    assert decided == word_primes_with_product_exceeding(bound)
+    assert len(decided) == 76
 
 
 def test_crt_requires_pathwidth_variant():

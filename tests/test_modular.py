@@ -129,6 +129,23 @@ def test_is_prime_known_values():
     assert not is_prime((1 << 61) - 3)  # even
 
 
+def test_is_prime_three_witnesses_below_their_bound(monkeypatch):
+    """Below 4,759,123,141 the bases 2, 7 and 61 decide primality.  The
+    strong pseudoprimes to the bases {2}, {2, 3}, {2, 3, 5} and
+    {2, 3, 5, 7} are caught below that bound, the first one to {2, 7, 61}
+    lies on it and is caught by the twelve-base set, and 32-bit numbers
+    get the twelve-base verdict."""
+    for composite in (2047, 1373653, 25326001, 3215031751, 4759123141):
+        assert not is_prime(composite)
+    rng = Xoshiro256StarStar(32)
+    numbers = list(range((1 << 32) - 4000, 1 << 32))
+    numbers += [rng.randbits(32) | 1 for _ in range(4000)]
+    three = [is_prime(x) for x in numbers]
+    monkeypatch.setattr("homind.modular._MR_BOUND_32", 0)
+    assert three == [is_prime(x) for x in numbers]
+    assert sum(three) > 300
+
+
 def test_is_prime_product_of_two_40_bit_primes():
     rng = Xoshiro256StarStar(424242)
     primes = []
