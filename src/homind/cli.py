@@ -37,6 +37,7 @@ import os
 import random
 import secrets
 import sys
+from functools import cache
 
 from .engine import (
     Verdict,
@@ -462,8 +463,7 @@ def _add_common_engine_flags(sp, modes):
                         help="abort if the count bound needs more bits than this")
     sp.add_argument("--prime", type=_prime_arg, default=None,
                     help="modulus for single-prime mode (decimal or 0x hex)")
-    sp.add_argument("--budget", type=int,
-                    default=_default_budget(DEFAULT_WORK_BUDGET),
+    sp.add_argument("--budget", type=int, default=None,
                     help="work budget for the small stage's exact counts")
     sp.add_argument("--json", action="store_true",
                     help="emit one JSON object instead of key=value lines")
@@ -473,7 +473,10 @@ def _prime_arg(text: str) -> int:
     return int(text, 16) if text.lower().startswith("0x") else int(text)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  ``--budget`` defaults
+    to None there; ``main`` fills it in per call (see ``_default_budget``)."""
     parser = argparse.ArgumentParser(
         prog="homind",
         description="homomorphism indistinguishability deciders",
@@ -493,8 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph_h", metavar="H.graph")
     sp.add_argument("--prime", type=_prime_arg, required=True,
                     help="prime modulus (decimal or 0x hex)")
-    sp.add_argument("--budget", type=int,
-                    default=_default_budget(DEFAULT_WORK_BUDGET))
+    sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--json", action="store_true")
     # modhomind is _decide's single-prime mode, with --prime required
     sp.set_defaults(func=cmd_modhomind, mode="single-prime", prime_bits=None)
@@ -515,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph_g", metavar="G.graph")
     sp.add_argument("graph_h", metavar="H.graph")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--budget", type=int,
-                    default=_default_budget(DEFAULT_WL_BUDGET),
+    sp.add_argument("--budget", type=int, default=None,
                     help="largest allowed tuple-space size")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_wl)
@@ -546,8 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="largest member size to enumerate")
     sp.add_argument("--prime", type=_prime_arg, default=None,
                     help="compare residues instead of exact counts")
-    sp.add_argument("--budget", type=int,
-                    default=_default_budget(DEFAULT_WORK_BUDGET))
+    sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_oracle)
 
@@ -595,9 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "budget", 0) is None:
+            args.budget = _default_budget(
+                DEFAULT_WL_BUDGET if args.command == "wl" else DEFAULT_WORK_BUDGET)
         return args.func(args)
     except (ValueError, OSError, BoundOverflow, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

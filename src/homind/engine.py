@@ -53,7 +53,14 @@ counts are never rejected), and a deterministic mode (pathwidth flavour)
 relies on the Chinese remainder theorem: any set of primes whose product
 exceeds the largest possible count detects any disagreement.  It first
 decides at the largest primes below 2^32 that make up such a set (76
-primes for the builtin paths at n = 6, where the smallest need 269).
+primes for the builtin paths at n = 6, where the smallest need 269): the
+first alone, then the others in lockstep (``_lockstep_accepts``), up to
+32 per closure.  A lockstep closure is Gaussian elimination over the
+product of its primes, stored as one uint64 residue row per prime: a
+stacked vector has a leading modulus axis, which ``BlockOps`` and
+``_Basis`` carry through, so one closure does the work of 32 with as
+many numpy calls as one.  It needs the primes to share pivot columns;
+when they do not, its primes are decided one at a time.
 If all of them accept, the counts are equal, so every prime accepts,
 and the verdict lists the smallest-prime set 2, 3, 5, ... as the
 certificate.  If one rejects, the counts differ, and the smallest primes
@@ -97,8 +104,18 @@ from .recognizer import Automaton
 
 def _residue_dtype(p):
     """Array dtype for residues mod p: uint64 while the product of two
-    residues fits (p < 2^32), Python integers (object) above."""
-    return np.uint64 if p < 1 << 32 else object
+    residues fits (p < 2^32), Python integers (object) above.  A vector
+    of lockstep moduli holds primes below 2^32 only."""
+    return np.uint64 if isinstance(p, np.ndarray) or p < 1 << 32 else object
+
+
+def _modulus_for(p, ndim):
+    """The modulus shaped to broadcast over an array of ``ndim`` axes: a
+    prime as it is, and a uint64 vector of lockstep moduli along the
+    leading axis, which then holds one residue array per modulus."""
+    if isinstance(p, np.ndarray):
+        return p.reshape((-1,) + (1,) * (ndim - 1))
+    return p
 
 
 def _require_prime(p):
@@ -123,7 +140,11 @@ class Verdict:
 
 class BlockOps:
     """Operator kernels for tensors over V(G)^k, stored as flat vectors
-    of length n^k with row-major index x = sum x_t * n^(k-t)."""
+    of length n^k with row-major index x = sum x_t * n^(k-t).  The kernels
+    act on the last axis, so a block may stack vectors along leading axes.
+    ``p`` is one prime, or a uint64 vector of lockstep moduli (see
+    ``_modulus_for``), and then the first axis of every block runs over
+    the moduli."""
 
     def __init__(self, g: Graph, k: int, p: int):
         if k < 1:
@@ -142,7 +163,7 @@ class BlockOps:
     # -- vector constructors ------------------------------------------------
 
     def ones(self):
-        return np.ones(self.length, dtype=self.dtype)
+        return np.ones(np.shape(self.p) + (self.length,), dtype=self.dtype)
 
     def from_ints(self, values):
         return np.array([v % self.p for v in values], dtype=self.dtype)
@@ -172,20 +193,22 @@ class BlockOps:
         """Marginalize axis i and broadcast the sum back along it."""
         if not (1 <= i <= self.k):
             raise ValueError(f"J label must satisfy 1 <= i <= {self.k}")
-        shape = (self.n,) * self.k
-        sums = block.reshape(shape).sum(axis=i - 1, keepdims=True) % self.p
+        lead = block.shape[:-1]
+        shape = lead + (self.n,) * self.k
+        sums = block.reshape(shape).sum(axis=len(lead) + i - 1, keepdims=True)
+        sums %= _modulus_for(self.p, len(shape))
         out = np.empty(shape, dtype=self.dtype)
         out[...] = sums
-        return out.reshape(self.length)
+        return out.reshape(block.shape)
 
     def schur(self, b1, b2):
         return (b1 * b2) % self.p
 
     def total(self, block):
-        """Sum of entries mod p (the label-dropping readout), one per row
-        of a 2-D block.  uint64 sums are exact: entries are below 2^32 and
+        """Sum of entries mod p (the label-dropping readout), one per
+        vector of a block.  uint64 sums are exact: entries are below 2^32 and
         a row that fits in memory has fewer than 2^32 of them."""
-        return block.sum(axis=-1) % self.p
+        return block.sum(axis=-1) % _modulus_for(self.p, block.ndim - 1)
 
 
 def term_block(ops: BlockOps, term):
@@ -217,15 +240,17 @@ def _float_halves(m):
 
 
 def _mod_matmul(a, b, p, b_halves=None):
-    """(a @ b) mod p for residue arrays (a 1-D or 2-D, b 2-D).
+    """(a @ b) mod p for residue arrays: a 1-D or 2-D, b 2-D, or a
+    lockstep stack (a of shape (P, r), b of shape (P, r, L) and p shaped
+    by ``_modulus_for`` for a), one matrix-vector product per modulus.
 
     object arrays multiply exactly.  For uint64 residues (p < 2^32),
     contractions longer than 2^16 terms are summed in chunks of 2^16,
     reducing mod p in between, and each chunk is exact:
 
-      * a 1-D a (a matrix-vector product) stays in uint64: a's halves
-        times b give products below 2^48, and a sum of up to 2^16 of them
-        stays below 2^64;
+      * an a with one axis fewer than b (matrix-vector products) stays in
+        uint64: a's halves times b give products below 2^48, and a sum of
+        up to 2^16 of them stays below 2^64;
       * a 2-D a runs as three float64 BLAS products on the 16-bit halves
         of both operands: hh = a_hi b_hi, ll = a_lo b_lo and
         (a_hi + a_lo)(b_hi + b_lo) = hh + (hl + lh) + ll.  The halves
@@ -245,11 +270,11 @@ def _mod_matmul(a, b, p, b_halves=None):
         head = tail = None
         if b_halves is not None:
             head, tail = [x[:n] for x in b_halves], [x[n:] for x in b_halves]
-        return (_mod_matmul(a[..., :n], b[:n], p, head)
-                + _mod_matmul(a[..., n:], b[n:], p, tail)) % p
-    if a.ndim == 1:
-        hi = ((a >> _S16) @ b) % p
-        lo = ((a & _M16) @ b) % p
+        return (_mod_matmul(a[..., :n], b[..., :n, :], p, head)
+                + _mod_matmul(a[..., n:], b[..., n:, :], p, tail)) % p
+    if a.ndim < b.ndim:
+        hi = np.matmul((a >> _S16)[..., None, :], b)[..., 0, :] % p
+        lo = np.matmul((a & _M16)[..., None, :], b)[..., 0, :] % p
         return ((hi << _S16) + lo) % p
     a_hi, a_lo, a_sum = _float_halves(a)
     b_hi, b_lo, b_sum = _float_halves(b) if b_halves is None else b_halves
@@ -262,18 +287,42 @@ def _mod_matmul(a, b, p, b_halves=None):
 _CHUNK_ROWS = 32  # candidate rows reduced against a basis per matrix product
 
 
+class _Diverged(Exception):
+    """The moduli of a lockstep basis no longer share one echelon form."""
+
+
+def _inverse(x, p):
+    """x^-1 mod p for a unit x; for a vector of lockstep moduli, the
+    inverses of x's entries, one per modulus, as a column."""
+    if isinstance(p, np.ndarray):
+        inverses = [pow(a, -1, m) for a, m in zip(x.tolist(), p.tolist())]
+        return np.array(inverses, dtype=np.uint64)[:, None]
+    return pow(int(x), -1, p)
+
+
 class _Basis:
     """Reduced echelon basis of flat vectors, incrementally maintained:
     rows are normalized to leading coefficient 1 and fully reduced against
     each other.  Full reduction makes every pivot column a unit vector, so
     span membership is a single coefficient gather plus one matrix-vector
-    elimination."""
+    elimination.
+
+    With a vector of lockstep moduli for ``p`` (see ``_modulus_for``) the
+    basis is one such basis per modulus, all with the same pivots: a
+    vector is one residue row per modulus, and the matrix has shape
+    (moduli, rows, length).  A candidate that reduces to zero at every
+    modulus is dependent, and one that is nonzero at every modulus is
+    normalized at the first column that is nonzero at all of them.  Any
+    other candidate raises ``_Diverged``: it would need a pivot that the
+    moduli do not share.  Either way each modulus's rows stay a reduced
+    echelon basis of that modulus's span."""
 
     def __init__(self, p, length):
         self.p = p
         self.pivots = []
         self._pivot_idx = None
-        self._mat = np.empty((0, length), dtype=_residue_dtype(p))
+        self.vector_ndim = np.ndim(p) + 1  # axes of one candidate vector
+        self._mat = np.empty(np.shape(p) + (0, length), dtype=_residue_dtype(p))
         self._halves = None  # _float_halves(_mat), built on demand
 
     def __len__(self):
@@ -281,7 +330,8 @@ class _Basis:
 
     @property
     def matrix(self):
-        """The basis rows as one 2-D array, (0, length) while empty."""
+        """The basis rows as one array: (rows, length), or (moduli, rows,
+        length) in lockstep; no rows while empty."""
         return self._mat
 
     def reduce(self, v):
@@ -291,10 +341,11 @@ class _Basis:
         if not self.pivots:
             return v
         p = self.p
-        if v.ndim == 1:
-            c = v[self._pivot_idx]
+        if v.ndim == self.vector_ndim:
+            c = v[..., self._pivot_idx]
             if not c.any():
                 return v
+            p = _modulus_for(p, v.ndim)
             return (v + (p - _mod_matmul(c, self._mat, p))) % p
         c = v[:, self._pivot_idx]
         live = (c != 0).any(axis=1)  # bool for object arrays too
@@ -318,6 +369,20 @@ class _Basis:
                 chunk = chunk[(chunk != 0).any(axis=1)]
             yield from chunk
 
+    def _pivot(self, v):
+        """The pivot column of a reduced vector, or None if it is zero."""
+        if v.ndim == 1:
+            nz = np.nonzero(v)[0]
+            return int(nz[0]) if len(nz) else None
+        nonzero = v != 0
+        alive = nonzero.any(axis=1)
+        if not alive.any():
+            return None
+        units = np.flatnonzero(nonzero.all(axis=0))
+        if not alive.all() or not len(units):
+            raise _Diverged
+        return int(units[0])
+
     def try_insert(self, v):
         """Reduce v against the basis; insert and return the reduced row
         if independent, else return None.  The row returned is its own
@@ -325,16 +390,23 @@ class _Basis:
         matrix alive for as long as the row sits in a worklist."""
         p = self.p
         v = self.reduce(v)
-        nz = np.nonzero(v)[0]
-        if not len(nz):
+        piv = self._pivot(v)
+        if piv is None:
             return None
-        piv = int(nz[0])
-        v = (v * pow(int(v[piv]), -1, p)) % p
-        col = self._mat[:, piv]
+        v = (v * _inverse(v[..., piv], p)) % _modulus_for(p, v.ndim)
+        col = self._mat[..., piv]
+        mat = np.concatenate((self._mat, v[..., None, :]), axis=-2)
         if col.any():
-            # outer-product elimination: single products stay < p^2
-            self._mat = (self._mat + (p - (col[:, None] * v[None, :]) % p)) % p
-        self._mat = np.vstack([self._mat, v])
+            # outer-product elimination in the new matrix, whose old rows
+            # are a copy: single products stay < p^2, sums < 2p
+            pm = _modulus_for(p, mat.ndim)
+            step = col[..., None] * v[..., None, :]
+            step %= pm
+            np.subtract(pm, step, out=step)
+            rows = mat[..., :-1, :]
+            rows += step
+            rows %= pm
+        self._mat = mat
         self._halves = None
         self.pivots.append(piv)
         self._pivot_idx = np.array(self.pivots)
@@ -342,13 +414,15 @@ class _Basis:
 
 
 def _concat(block_g, block_h):
-    """The stacked vector F_G (+) F_H."""
-    return np.concatenate((block_g, block_h))
+    """The stacked vector F_G (+) F_H (along the last axis, so one per
+    lockstep modulus when the blocks have a leading modulus axis)."""
+    return np.concatenate((block_g, block_h), axis=-1)
 
 
 def _split(vec, length_g):
-    """The G and H blocks of a stacked vector (views, not copies)."""
-    return vec[:length_g], vec[length_g:]
+    """The G and H blocks of a stacked vector, or of every vector of a
+    block along the last axis (views, not copies)."""
+    return vec[..., :length_g], vec[..., length_g:]
 
 
 def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
@@ -360,14 +434,17 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
     for Lasserre), ``seeds`` the (state, candidates) pairs to start from,
     and ``expand(state, row)`` yields the (target state, candidates) pairs
     a popped basis row generates, where candidates is one stacked vector
-    or a 2-D block of them, one per row.  A block is reduced
+    or a block of them, one per row; the basis tells the two apart by its
+    ``vector_ndim`` (a lockstep vector has a leading modulus axis, see
+    ``_Basis``).  A block is reduced
     against its bucket's basis ``_CHUNK_ROWS`` rows at a time, with one
     matrix product per chunk, and only the rows left nonzero go on to
     ``try_insert``, in order.  Full reduction against a reduced echelon
     basis is canonical, so the bases, and the rows inserted and queued,
     are those of offering the rows one at a time.  ``order_rng``
     randomizes the pop order.  Returns True iff every row of every
-    accepting bucket has equal G and H block sums.
+    accepting bucket has equal G and H block sums (at every modulus, in
+    lockstep).
     """
     worklist = []  # (state, reduced row vector)
     inserts = candidates = 0
@@ -375,7 +452,7 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
     def insert(q, block):
         nonlocal inserts, candidates
         basis = bases[q]
-        if block.ndim == 1:
+        if block.ndim == basis.vector_ndim:
             candidates += 1
             rows = (block,)
         else:
@@ -395,6 +472,7 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
             pick = head + order_rng.randbelow(len(worklist) - head)
             worklist[head], worklist[pick] = worklist[pick], worklist[head]
         q, row = worklist[head]
+        worklist[head] = None  # the basis keeps the row; drop the copy
         head += 1
         for target, block in expand(q, row):
             insert(target, block)
@@ -407,8 +485,8 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
 
     lg = ops_g.length
     for q in sorted(accepting):
-        mat = bases[q].matrix
-        if (ops_g.total(mat[:, :lg]) != ops_h.total(mat[:, lg:])).any():
+        mat_g, mat_h = _split(bases[q].matrix, lg)
+        if (ops_g.total(mat_g) != ops_h.total(mat_h)).any():
             return False
     return True
 
@@ -735,6 +813,35 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
     )
 
 
+_LOCKSTEP_MODULI = 32  # most word primes decided by one lockstep closure
+
+
+def _groups(items, most):
+    """``items`` cut into the fewest runs of at most ``most`` items, of
+    near-equal lengths (a lockstep basis grows with its moduli)."""
+    count = -(-len(items) // most)
+    return [items[i * len(items) // count:(i + 1) * len(items) // count]
+            for i in range(count)]
+
+
+def _lockstep_accepts(G, H, aut, moduli, counts):
+    """Whether the pathwidth closure accepts at every prime of ``moduli``
+    (primes below 2^32): the small stage at each prime, then one closure
+    over all of them in lockstep (a ``_Basis`` per state with a leading
+    modulus axis).  At each prime the lockstep span is that prime's
+    closure span, and the readout is linear, so every accepting row
+    balances at every prime iff every prime's closure accepts.  If the
+    primes need different pivots, they are decided one at a time."""
+    if any(_small_stage(aut, p, counts)[0] is not None for p in moduli):
+        return False
+    try:
+        return _linear_closure(G, H, aut, np.array(moduli, dtype=np.uint64),
+                               False)
+    except _Diverged:
+        decide = lambda p: _closure_verdict(G, H, aut, p, False, counts)
+        return _first_reject(moduli, decide, "deterministic-crt", []).accept
+
+
 def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
                              variant: str = "pw", prime_budget: int = 10000,
                              bit_cap=None, budget=10**8) -> Verdict:
@@ -744,10 +851,14 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
 
     An accept is decided at the largest primes below 2^32 that form such
     a set, and reported with the smallest such set, 2, 3, 5, ..., every
-    one of which accepts equal counts.  When a word prime rejects, the
-    smallest primes are decided in order up to the first that rejects,
-    which must exist, so a reject reports the same primes, rejecting prime
-    and witness as deciding the smallest primes alone."""
+    one of which accepts equal counts.  The first word prime is decided by
+    its own closure, so a reject there costs no more; after an accept the
+    others are decided in near-equal groups of at most
+    ``_LOCKSTEP_MODULI``, one lockstep closure per group.  When a word
+    prime rejects, the smallest primes are decided in order up to the
+    first that rejects, which must exist, so a reject reports the same
+    primes, rejecting prime and witness as deciding the smallest primes
+    alone."""
     if variant != "pw":
         raise ValueError(
             "deterministic CRT mode is defined for the pathwidth variant"
@@ -763,10 +874,11 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
         )
     counts = _small_counts(G, H, budget)
     decide = lambda p: _closure_verdict(G, H, aut, p, False, counts)
-    words = _first_reject(word_primes_with_product_exceeding(bound), decide,
-                          "deterministic-crt", [])
-    if words.accept:
-        return Verdict(True, "deterministic-crt", primes, notes=words.notes)
+    first, *rest = word_primes_with_product_exceeding(bound)
+    verdict = decide(first)
+    if verdict.accept and all(_lockstep_accepts(G, H, aut, group, counts)
+                              for group in _groups(rest, _LOCKSTEP_MODULI)):
+        return Verdict(True, "deterministic-crt", primes, notes=verdict.notes)
     return _first_reject(primes, decide, "deterministic-crt", [])
 
 

@@ -29,6 +29,7 @@ from homind.graphs import (
     disjoint_union,
     hom_count,
     is_isomorphic_small,
+    serialize_graph,
 )
 from homind.labelled import enumerate_lasserre, enumerate_pw, enumerate_tw, soe
 from homind.lasserre import lasserre_mod
@@ -342,3 +343,55 @@ def test_criterion_11_lasserre_sanity():
     print(f"criterion 11: PASS — iso pairs accept, {unequal} unequal-order "
           f"pairs reject, {accepted} non-isomorphic pairs accepted (each "
           f"checked member-consistent), {elapsed:.1f}s")
+
+
+def test_criterion_12_paths_exact_modes_vs_walk_oracle(tmp_path, capsys):
+    """``pwhomind --builtin paths`` agrees with the walk-count oracle in
+    its exact mode (``--mode deterministic``) on every pair of equal order
+    and size on <= 5 vertices, on the cospectral K_{1,4} vs C4 + K1 (equal
+    closed walks, unequal totals) once more as drawn, and on permuted
+    copies.
+    A seeded quarter of those pairs runs in ``--mode random`` too: there
+    a reject must be right, and so must an accept, except the accept of a
+    run that drew no prime at all (every draw composite, a known defect
+    of the randomized mode), which is counted and printed."""
+    from homind.cli import main
+
+    start = time.time()
+    rng = random.Random(1212)
+    graphs = enumerate_graphs_up_to(5)
+    pairs = [(g, h) for i, g in enumerate(graphs) for h in graphs[i + 1:]
+             if (g.n, g.m) == (h.n, h.m)]
+    star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    c4_k1 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    assert not paths_oracle(star, c4_k1)
+    pairs.append((star, c4_k1))
+    pairs += [(g, permuted_copy(rng, g)) for g in rng.sample(graphs, 6)]
+
+    def pwhomind(g, h, *mode):
+        paths = []
+        for name, graph in (("g", g), ("h", h)):
+            paths.append(tmp_path / f"{name}.graph")
+            paths[-1].write_text(serialize_graph(graph))
+        code = main(["pwhomind", "--builtin", "paths", *mode, *map(str, paths)])
+        out = capsys.readouterr().out
+        assert code in (0, 1)
+        return code == 0, out
+
+    accepts = blind = 0
+    for index, (g, h) in enumerate(pairs):
+        want = paths_oracle(g, h)
+        accepts += want
+        assert pwhomind(g, h, "--mode", "deterministic")[0] == want, (g, h)
+        if index % 4 == 0:
+            got, out = pwhomind(g, h, "--mode", "random", "--seed", str(index))
+            if got != want:
+                assert got and "\nprime=" not in out, (g, h, out)
+                blind += 1
+    assert accepts == 6
+    elapsed = time.time() - start
+    assert elapsed < 60.0
+    print(f"criterion 12: PASS — {len(pairs)} pairs in deterministic mode "
+          f"({accepts} accepts), {len(pairs[::4])} in random mode, against "
+          f"the walk oracle; {blind} random-mode accepts drew no prime, "
+          f"{elapsed:.1f}s")

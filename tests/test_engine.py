@@ -15,9 +15,14 @@ import pytest
 from homind.engine import (
     BlockOps,
     Verdict,
+    _Basis,
+    _closure,
     _closure_verdict,
+    _Diverged,
     _first_reject,
+    _groups,
     _linear_closure,
+    _lockstep_accepts,
     _small_counts,
     format_verdict,
     homind_deterministic_crt,
@@ -124,6 +129,25 @@ def test_mod_matmul_matches_python_integers(p, terms):
     assert _mod_matmul(a, b, p, _float_halves(b)).tolist() == want.tolist()
     for row in range(3):
         assert _mod_matmul(a[row], b, p).tolist() == want[row].tolist()
+
+
+@pytest.mark.parametrize("terms", [1, 1 << 16, (1 << 16) + 3])
+def test_mod_matmul_lockstep_matches_python_integers(terms):
+    """A lockstep stack of matrix-vector products, one per modulus, with
+    residues at p-1, up to and past one 2^16-term chunk."""
+    from homind.engine import _mod_matmul, _modulus_for
+
+    moduli = np.array([4294967291, 101], dtype=np.uint64)
+    rng = np.random.default_rng(terms)
+    a = rng.integers(0, 101, size=(2, terms), dtype=np.uint64)
+    b = rng.integers(0, 101, size=(2, terms, 3), dtype=np.uint64)
+    a[0], b[0, :, 0] = 4294967290, 4294967290
+    got = _mod_matmul(a, b, _modulus_for(moduli, a.ndim))
+    assert got.dtype == np.uint64 and got.shape == (2, 3)
+    for m in range(2):
+        p = int(moduli[m])
+        want = (a[m].astype(object) @ b[m].astype(object)) % p
+        assert got[m].tolist() == want.tolist()
 
 
 def test_inserted_rows_do_not_pin_the_basis_matrix():
@@ -600,7 +624,7 @@ def _crt_smallest_primes(G, H, aut):
 _G6 = random_graph(random.Random(11), 6, 0.5)
 
 
-@pytest.mark.parametrize("G, H, aut, accept, rejecting", [
+_CRT_PAIRS = [
     # accepts
     (_G6, permuted_copy(random.Random(12), _G6), "paths", True, None),
     (cycle_graph(8), Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0),
@@ -614,11 +638,19 @@ _G6 = random_graph(random.Random(11), 6, 0.5)
     # the one-state automaton without a small stage
     (GRAPHS["c6"], GRAPHS["c6r"], "none", True, None),
     (GRAPHS["a5"], GRAPHS["b5"], "none", False, 3),
-], ids=["gnp6", "c8-2c4", "small-2", "small-3", "closure-3", "none-accept",
-        "none-reject"])
+]
+
+
+def _automaton(name):
+    return builtin("paths", 2) if name == "paths" else parse_automaton(ONE_STATE_NONE)
+
+
+@pytest.mark.parametrize("G, H, aut, accept, rejecting", _CRT_PAIRS,
+                         ids=["gnp6", "c8-2c4", "small-2", "small-3",
+                              "closure-3", "none-accept", "none-reject"])
 def test_crt_word_primes_print_the_smallest_prime_verdict(G, H, aut, accept,
                                                           rejecting):
-    aut = builtin("paths", 2) if aut == "paths" else parse_automaton(ONE_STATE_NONE)
+    aut = _automaton(aut)
     verdict = homind_deterministic_crt(G, H, aut)
     assert verdict.accept == accept
     assert verdict.rejecting_prime == rejecting
@@ -626,24 +658,157 @@ def test_crt_word_primes_print_the_smallest_prime_verdict(G, H, aut, accept,
 
 
 def test_crt_accept_decides_the_word_primes_only(monkeypatch):
-    """An accept on a permuted G(6, 1/2) runs one closure per word prime
-    (76), not one per prime of the 269 it prints."""
+    """An accept on a permuted G(6, 1/2) decides the first of its 76 word
+    primes by one closure and the other 75 by three lockstep closures of
+    25 primes each, none of which falls back to one closure per prime;
+    it prints the 269 smallest primes."""
     import homind.engine
 
-    decided = []
+    decided, groups = [], []
 
     def counted(G, H, aut, p, *args, **kwargs):
         decided.append(p)
         return _closure_verdict(G, H, aut, p, *args, **kwargs)
 
+    def lockstep(G, H, aut, moduli, counts):
+        groups.append(list(moduli))
+        return _lockstep_accepts(G, H, aut, moduli, counts)
+
     monkeypatch.setattr(homind.engine, "_closure_verdict", counted)
+    monkeypatch.setattr(homind.engine, "_lockstep_accepts", lockstep)
     aut = builtin("paths", 2)
     verdict = homind_deterministic_crt(
         _G6, permuted_copy(random.Random(12), _G6), aut)
-    bound = 6 ** bound_pw(6, 2, aut.states).N
+    words = word_primes_with_product_exceeding(6 ** bound_pw(6, 2, aut.states).N)
     assert verdict.accept and len(verdict.primes_used) == 269
-    assert decided == word_primes_with_product_exceeding(bound)
-    assert len(decided) == 76
+    assert len(words) == 76
+    assert decided == words[:1]
+    assert [len(group) for group in groups] == [25, 25, 25]
+    assert [p for group in groups for p in group] == words[1:]
+
+
+def test_groups_are_near_equal_runs_of_at_most_the_limit():
+    assert _groups([], 32) == []
+    assert _groups(list(range(75)), 32) == [list(range(25)), list(range(25, 50)),
+                                           list(range(50, 75))]
+    for count in (1, 31, 32, 33, 64, 65, 156):
+        runs = _groups(list(range(count)), 32)
+        assert [x for run in runs for x in run] == list(range(count))
+        assert len(runs) == -(-count // 32)
+        assert max(map(len, runs)) - min(map(len, runs)) <= 1 <= min(map(len, runs))
+
+
+# === Lockstep closures over several moduli ===
+
+_SMALL_MODULI = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+_WORD_MODULI = word_primes_with_product_exceeding(1 << 128)[1:5]
+
+
+def _rewired(rng, g):
+    """g after degree-preserving double-edge swaps (a new graph with the
+    same degrees, so the small stage of ``paths`` cannot reject it)."""
+    edges = set(g.edges)
+    for _ in range(50):
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        new = {tuple(sorted((a, d))), tuple(sorted((c, b)))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            edges = (edges - {(a, b), (c, d)}) | new
+            if rng.random() < 0.5:
+                break
+    return Graph.from_edges(g.n, sorted(edges))
+
+
+def _lockstep_pairs():
+    """The CRT pairs above and 20 seeded pairs on 5 and 6 vertices: ten
+    permuted copies and ten rewirings."""
+    pairs = [(G, H, _automaton(aut)) for G, H, aut, _, _ in _CRT_PAIRS]
+    rng = random.Random(2024)
+    for index in range(20):
+        g = random_graph(rng, 5 + index % 2)
+        while len(g.edges) < 3:
+            g = random_graph(rng, g.n)
+        h = permuted_copy(rng, g) if index < 10 else _rewired(rng, g)
+        pairs.append((g, h, builtin("paths", 2)))
+    return pairs
+
+
+@pytest.mark.parametrize("moduli", [_WORD_MODULI, _SMALL_MODULI],
+                         ids=["word", "small"])
+def test_lockstep_verdict_is_every_prime_verdict(moduli, monkeypatch):
+    """One lockstep decision over several primes accepts iff every
+    per-prime closure accepts.  At word primes the lockstep closure runs
+    to the end on every pair; at the primes 2..23 it diverges on some
+    pairs and falls back to one closure per prime."""
+    import homind.engine
+
+    fallbacks = []
+
+    def counted(G, H, aut, p, *args, **kwargs):
+        fallbacks.append(p)
+        return _closure_verdict(G, H, aut, p, *args, **kwargs)
+
+    monkeypatch.setattr(homind.engine, "_closure_verdict", counted)
+    outcomes = set()
+    for G, H, aut in _lockstep_pairs():
+        counts = _small_counts(G, H, 10**8)
+        want = all(_closure_verdict(G, H, aut, p, False, counts).accept
+                   for p in moduli)
+        assert _lockstep_accepts(G, H, aut, moduli, counts) == want, (G, H)
+        outcomes.add(want)
+    assert outcomes == {True, False}
+    if moduli is _WORD_MODULI:
+        assert not fallbacks
+    else:
+        assert fallbacks
+
+
+def test_lockstep_pivot_is_a_unit_at_every_modulus():
+    """The first nonzero column differs between the moduli: the pivot is
+    the first column nonzero at all of them, normalized to 1 at each."""
+    moduli = np.array([5, 7], dtype=np.uint64)
+    basis = _Basis(moduli, 3)
+    row = basis.try_insert(np.array([[2, 3, 1], [0, 3, 4]], dtype=np.uint64))
+    assert basis.pivots == [1]
+    assert row.tolist() == [[4, 1, 2], [0, 1, 6]]
+    # zero at every modulus: dependent; zero at one only: diverged
+    assert basis.try_insert(np.array([[4, 1, 2], [0, 1, 6]], dtype=np.uint64)) is None
+    with pytest.raises(_Diverged):
+        basis.try_insert(np.array([[1, 1, 1], [0, 0, 0]], dtype=np.uint64))
+
+
+def test_lockstep_readout_checks_every_modulus():
+    """A row whose G and H sums agree mod 5 but not mod 7 is rejected."""
+    moduli = np.array([5, 7], dtype=np.uint64)
+    ops = BlockOps(Graph.from_edges(1, []), 1, moduli)
+    for h_entry, accept in ((6, False), (1, True)):
+        seed = np.array([[1, h_entry % 5], [1, h_entry % 7]], dtype=np.uint64)
+        bases = [_Basis(moduli, 2)]
+        assert _closure(bases, [(0, seed)], lambda q, row: (), [0],
+                        ops, ops) == accept
+
+
+def test_lockstep_arrays_stay_uint64(monkeypatch):
+    """Every vector, basis matrix and readout of a lockstep closure is
+    uint64: no float64 or object promotion, on numpy 1.x rules too."""
+    seen = []
+    try_insert, total = _Basis.try_insert, BlockOps.total
+
+    def checked_insert(self, v):
+        row = try_insert(self, v)
+        seen.extend([v.dtype, self.matrix.dtype] + ([] if row is None else [row.dtype]))
+        return row
+
+    def checked_total(self, block):
+        out = total(self, block)
+        seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(_Basis, "try_insert", checked_insert)
+    monkeypatch.setattr(BlockOps, "total", checked_total)
+    moduli = np.array(_WORD_MODULI, dtype=np.uint64)
+    assert _linear_closure(_G6, permuted_copy(random.Random(12), _G6),
+                           builtin("paths", 2), moduli, False)
+    assert seen and set(seen) == {np.dtype(np.uint64)}
 
 
 def test_crt_requires_pathwidth_variant():
