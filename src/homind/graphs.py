@@ -218,8 +218,11 @@ def hom_count(F, G, budget=10**8):
 
     Runs an odometer over V(G)^V(F) organised as a depth-first search in a
     connectivity-aware vertex order, pruning a partial map as soon as one
-    edge constraint fails.  ``budget`` caps the number of edge checks; a
-    breach raises OracleBudgetExceeded rather than approximating.
+    edge constraint fails.  ``budget`` caps the steps of the search: one
+    per edge check, and one per candidate image tried for a vertex with no
+    placed neighbour (an isolated vertex or a component root), so every
+    candidate tried costs at least one step.  A breach raises
+    OracleBudgetExceeded rather than approximating.
     """
     nf, ng = F.n, G.n
     if nf == 0:
@@ -263,6 +266,8 @@ def hom_count(F, G, budget=10**8):
             continue
         cand = choice[depth]
         ok = True
+        if not back[depth]:
+            checks += 1
         for b in back[depth]:
             checks += 1
             if not (adj_g[cand] >> image[b]) & 1:
@@ -270,7 +275,7 @@ def hom_count(F, G, budget=10**8):
                 break
         if checks > budget:
             raise OracleBudgetExceeded(
-                f"hom_count budget exceeded ({checks} > {budget} edge checks)"
+                f"hom_count budget exceeded ({checks} > {budget} steps)"
             )
         if not ok:
             choice[depth] += 1

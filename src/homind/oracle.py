@@ -96,20 +96,12 @@ def enumerate_graphs(n: int) -> tuple:
     current = [empty_graph]
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     while current:
-        buckets: dict = {}
-        level: list = []
-        for g in current:
-            present = set(g.edges)
-            for (u, v) in all_pairs:
-                if (u, v) in present:
-                    continue
-                cand = Graph(n, tuple(sorted(present | {(u, v)})))
-                key = _invariant_key(cand)
-                bucket = buckets.setdefault(key, [])
-                if any(is_isomorphic_small(cand, other) for other in bucket):
-                    continue
-                bucket.append(cand)
-                level.append(cand)
+        level = _dedup_isomorphic(
+            Graph(n, tuple(sorted(g.edges + (edge,))))
+            for g in current
+            for edge in all_pairs
+            if edge not in g.edges
+        )
         result.extend(level)
         current = level
     return tuple(result)
@@ -281,13 +273,14 @@ def is_path_graph(g: Graph) -> bool:
     return is_connected(g)
 
 
-def _dedup_isomorphic(graphs) -> list:
+def _dedup_isomorphic(graphs, cap=10) -> list:
+    """The first graph of each isomorphism class, in input order;
+    ``cap`` is passed on to ``is_isomorphic_small``."""
     buckets: dict = {}
     out = []
     for g in graphs:
-        key = _invariant_key(g)
-        bucket = buckets.setdefault(key, [])
-        if any(is_isomorphic_small(g, other) for other in bucket):
+        bucket = buckets.setdefault(_invariant_key(g), [])
+        if any(is_isomorphic_small(g, other, cap=cap) for other in bucket):
             continue
         bucket.append(g)
         out.append(g)
@@ -315,14 +308,13 @@ def class_members(spec, max_size: int) -> list:
         from .labelled import enumerate_lasserre
 
         graphs = enumerate_lasserre(cs.param, max_size, max_size)
-        members = _dedup_isomorphic(sorted(graphs, key=lambda g: (g.n, len(g.edges))))
-        return members
+        return _dedup_isomorphic(sorted(graphs, key=lambda g: (g.n, len(g.edges))))
     if cs.kind == "automaton":
         from .recognizer import accepted_value_graphs
 
         aut = cs.param
         graphs = accepted_value_graphs(aut, max_size)
-        return _dedup_isomorphic(sorted(graphs, key=lambda g: (g.n, len(g.edges))))
+        return sorted(graphs, key=lambda g: (g.n, len(g.edges)))
     raise ValueError("unrecognized class spec kind: %r" % (cs.kind,))
 
 

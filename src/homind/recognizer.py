@@ -16,62 +16,45 @@ subspace-closure decision procedure consumes exactly these tables:
     labelled vertices),
   * ``accepting``  -- the states whose graphs lie in the class.
 
-Because a k-labelled graph has at least ... well, a graph on fewer than
-k vertices cannot carry k distinct labels, membership of graphs on at
-most k vertices is not expressible through the state tables; the
-``small_members`` policy ("all", "none", or an explicit list) records it
-separately so the decision procedure can brute-force that finite stage.
+A graph on fewer than k vertices cannot carry k distinct labels, so
+membership of graphs on at most k vertices is not expressible through
+the state tables; the ``small_members`` policy ("all", "none", or an
+explicit list) records it separately so the decision procedure can
+brute-force that finite stage.
 
 This module provides the automaton type, a line-oriented text format,
-two builtin recognisers (all graphs; paths), a validation harness that
-hunts for context counterexamples against a membership oracle, and an
-experimental learner that partitions labelled graphs by their context
-verdict vectors and reads the tables off class representatives.  The
-learner is heuristic — its output must always be passed through
+two builtin recognisers (all graphs; paths), and a validation harness
+that hunts for context counterexamples against a membership oracle.
+Automaton files are written by hand; run them through
 ``validate_automaton`` (and, ideally, an independent end-to-end oracle)
-before being trusted.
+before trusting their verdicts.
 """
 
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .graphs import (
     Graph,
     GraphFormatError,
     _tokenize_with_lines,
-    is_isomorphic_small,
     parse_graph_tokens,
-    serialize_graph,
 )
 from .labelled import (
     ArityMismatch,
-    LabelledGraph,
-    LabelledSet,
     TApplyA,
     TApplyJ,
     TGlue,
     TOne,
     enumerate_tw,
     format_term,
-    glue,
-    labelled_isomorphic,
-    one_labelled,
     soe,
-    val_apply_a,
-    val_apply_j,
 )
-from .modular import Xoshiro256StarStar
+from .oracle import _dedup_isomorphic, enumerate_graphs_up_to
 
 
 class AutomatonFormatError(ValueError):
     """Raised for malformed or inconsistent automaton descriptions."""
-
-
-class LearnerError(RuntimeError):
-    """Raised when the experimental learner cannot produce a consistent
-    automaton (unstable context partition, oversized representative, or a
-    transition inconsistency)."""
 
 
 @dataclass(frozen=True)
@@ -356,33 +339,14 @@ def parse_automaton(text):
     )
 
 
-def serialize_automaton(aut):
-    """Inverse of parse_automaton, with a fixed normal form: sorted accept
-    ids, glue keys with q1 <= q2, J sorted by (i, q), A by (i, j, q)."""
-    lines = [f"k {aut.k}", f"states {aut.states}", f"start {aut.start}"]
-    lines.append("accept" + "".join(f" {q}" for q in sorted(aut.accepting)))
-    for q1, q2 in sorted(aut.glue_table):
-        lines.append(f"glue {q1} {q2} -> {aut.glue_table[(q1, q2)]}")
-    for i, q in sorted(aut.j_table):
-        lines.append(f"J {i} {q} -> {aut.j_table[(i, q)]}")
-    for i, j, q in sorted(aut.a_table):
-        lines.append(f"A {i} {j} {q} -> {aut.a_table[(i, j, q)]}")
-    if isinstance(aut.small_members, str):
-        lines.append(f"small {aut.small_members}")
-    else:
-        lines.append("small list")
-        for g in aut.small_members:
-            lines.extend(serialize_graph(g).splitlines())
-    return "\n".join(lines) + "\n"
-
-
 # === Builtins ===
 
 
 def builtin(name, k):
     """Builtin recognisers: "tw-all" (all graphs; one state, valid for any
-    arity) and "paths" (k=2 only; learner-produced, frozen after
-    validation)."""
+    arity) and "paths" (k=2 only; the frozen data file ``paths_k2.aut``,
+    checked by ``validate_automaton`` and against walk counts in the
+    tests)."""
     if name == "tw-all":
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -427,32 +391,18 @@ def accepted_value_graphs(aut, max_size):
     restricted to max_size; for arbitrary automata it is a lower bound
     limited by what the term enumeration reaches.
     """
-    out = []
-    buckets = {}
 
-    def add(g):
-        key = (g.n, g.m, tuple(sorted(g.degree_sequence())))
-        bucket = buckets.setdefault(key, [])
-        for other in bucket:
-            if is_isomorphic_small(g, other, cap=max(10, max_size)):
-                return
-        bucket.append(g)
-        out.append(g)
+    def candidates():
+        if aut.small_members == "all":
+            yield from enumerate_graphs_up_to(min(aut.k, max_size))
+        elif aut.small_members != "none":
+            yield from (g for g in aut.small_members if g.n <= max_size)
+        if max_size >= aut.k:
+            for rec in enumerate_tw(aut.k, max_size + 1, max_size):
+                if trace_term(aut, rec.term) in aut.accepting:
+                    yield soe(rec.value)
 
-    if aut.small_members == "all":
-        from .oracle import enumerate_graphs_up_to
-
-        for g in enumerate_graphs_up_to(min(aut.k, max_size)):
-            add(g)
-    elif aut.small_members != "none":
-        for g in aut.small_members:
-            if g.n <= max_size:
-                add(g)
-    if max_size >= aut.k:
-        for rec in enumerate_tw(aut.k, max_size + 1, max_size):
-            if trace_term(aut, rec.term) in aut.accepting:
-                add(soe(rec.value))
-    return out
+    return _dedup_isomorphic(candidates(), cap=max(10, max_size))
 
 
 # === Validation harness ===
@@ -557,237 +507,5 @@ def _glue_soe(ctx, value):
     return Graph(nxt, tuple(sorted(edges)))
 
 
-# === Experimental learner ===
-
-
-def _distinctly_labelled_of_size(k, n):
-    """All graphs on exactly n vertices carrying k distinct labels, up to
-    labelled isomorphism, in a deterministic order."""
-    from .oracle import enumerate_graphs
-
-    if n < k:
-        return []
-    seen = LabelledSet()
-    out = []
-    for g in enumerate_graphs(n):
-        for pins in permutations(range(n), k):
-            lg = LabelledGraph(g, tuple(pins))
-            if seen.add(lg, None):
-                out.append(lg)
-    return out
-
-
 def _membership_vector(membership, value, contexts):
     return tuple(bool(membership(_glue_soe(c, value))) for c in contexts)
-
-
-def learn_automaton(membership, k, member_bound, context_bound, *, seed=2026,
-                    glue_samples=200, rep_cap_factor=4):
-    """Learn a candidate recogniser from a membership oracle.
-
-    Members are the distinctly-k-labelled graphs on at most member_bound
-    vertices.  Contexts come from the same family; the context size bound
-    grows from k until the induced member partition is identical for two
-    consecutive bounds (failing loudly at context_bound if it never
-    stabilizes).  States are the partition classes plus any classes
-    discovered while closing the transition tables over class
-    representatives; acceptance reads off the verdict at the all-ones
-    context.  Transition consistency is then checked on every member
-    (unary operations) and on a seeded sample of member pairs (glue).
-
-    The result is only empirically correct: always run validate_automaton
-    (and, where possible, an independent oracle) before trusting it.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if member_bound < k or context_bound < k + 1:
-        raise LearnerError(
-            "bounds too small: need member_bound >= k and context_bound >= k+1"
-        )
-
-    members = []
-    for n in range(k, member_bound + 1):
-        members.extend(_distinctly_labelled_of_size(k, n))
-
-    ctx_by_size = {}
-
-    def contexts_upto(b):
-        for n in range(k, b + 1):
-            if n not in ctx_by_size:
-                ctx_by_size[n] = _distinctly_labelled_of_size(k, n)
-        return [c for n in range(k, b + 1) for c in ctx_by_size[n]]
-
-    # Grow the context bound until the member partition stabilizes.
-    # Vectors are extended incrementally as new context sizes come in.
-    vectors = [() for _ in members]
-    covered = k - 1
-
-    def extend_to(b):
-        nonlocal covered, vectors
-        if b <= covered:
-            return
-        new_ctx = []
-        for n in range(max(covered + 1, k), b + 1):
-            if n not in ctx_by_size:
-                ctx_by_size[n] = _distinctly_labelled_of_size(k, n)
-            new_ctx.extend(ctx_by_size[n])
-        vectors = [
-            vec + _membership_vector(membership, m, new_ctx)
-            for vec, m in zip(vectors, members)
-        ]
-        covered = b
-
-    def partition_at(b):
-        extend_to(b)
-        upto = sum(len(ctx_by_size.get(n, ())) for n in range(k, b + 1))
-        groups = {}
-        for idx, vec in enumerate(vectors):
-            groups.setdefault(vec[:upto], []).append(idx)
-        return tuple(tuple(g) for g in sorted(groups.values()))
-
-    stable = None
-    prev = partition_at(k)
-    for b in range(k + 1, context_bound + 1):
-        cur = partition_at(b)
-        if cur == prev:
-            stable = b
-            break
-        prev = cur
-    if stable is None:
-        raise LearnerError(
-            f"context partition did not stabilize up to bound {context_bound}; "
-            "raise context_bound or treat the class as not k-recognisable"
-        )
-    contexts = contexts_upto(stable)
-
-    # Final classes, in first-member order.
-    vec_to_class = {}
-    states = []  # representative labelled graph per class
-    class_vecs = []
-    member_class = []
-    for m, vec in zip(members, vectors):
-        if vec not in vec_to_class:
-            vec_to_class[vec] = len(states)
-            states.append(m)
-            class_vecs.append(vec)
-        member_class.append(vec_to_class[vec])
-
-    rep_cap = rep_cap_factor * member_bound
-
-    def classify(value, grow):
-        vec = _membership_vector(membership, value, contexts)
-        if vec in vec_to_class:
-            return vec_to_class[vec]
-        if not grow:
-            return None
-        if value.graph.n > rep_cap:
-            raise LearnerError(
-                f"new class representative on {value.graph.n} vertices exceeds "
-                f"the cap {rep_cap}; raise member_bound or rep_cap_factor"
-            )
-        vec_to_class[vec] = len(states)
-        states.append(value)
-        class_vecs.append(vec)
-        return vec_to_class[vec]
-
-    # Close the tables over representatives; classification may mint new
-    # states (new verdict vectors), so iterate to a fixed point.  Verdict
-    # vectors live in a finite set, so this terminates.
-    glue_table = {}
-    j_table = {}
-    a_table = {}
-    label_pairs = list(combinations(range(1, k + 1), 2))
-    while True:
-        grew = False
-        for q in range(len(states)):
-            for i in range(1, k + 1):
-                if (i, q) not in j_table:
-                    j_table[(i, q)] = classify(val_apply_j(states[q], i), grow=True)
-                    grew = True
-            for i, j in label_pairs:
-                if (i, j, q) not in a_table:
-                    a_table[(i, j, q)] = classify(
-                        val_apply_a(states[q], i, j), grow=True
-                    )
-                    grew = True
-        n_states = len(states)
-        for q1 in range(n_states):
-            for q2 in range(q1, n_states):
-                if (q1, q2) not in glue_table:
-                    glue_table[(q1, q2)] = classify(
-                        glue(states[q1], states[q2]), grow=True
-                    )
-                    grew = True
-        if not grew and len(states) == n_states:
-            break
-
-    # Acceptance: verdict at the all-ones context (gluing with the
-    # all-ones graph is the identity, so this is plain membership).
-    one = one_labelled(k)
-    idx_one = next(
-        i for i, c in enumerate(contexts) if labelled_isomorphic(c, one)
-    )
-    accepting = frozenset(q for q in range(len(states)) if class_vecs[q][idx_one])
-    start = vec_to_class[_membership_vector(membership, one, contexts)]
-
-    # Consistency: the tables were read off representatives; check that
-    # every member steps the same way (unary ops exhaustively, glue on a
-    # seeded sample of member pairs).
-    def describe(got):
-        return "outside every learned class" if got is None else f"in class {got}"
-
-    for idx, m in enumerate(members):
-        c = member_class[idx]
-        for i in range(1, k + 1):
-            got = classify(val_apply_j(m, i), grow=False)
-            if got != j_table[(i, c)]:
-                raise LearnerError(
-                    f"transition inconsistency: J {i} on member #{idx} "
-                    f"(class {c}) lands {describe(got)}, table says {j_table[(i, c)]}"
-                )
-        for i, j in label_pairs:
-            got = classify(val_apply_a(m, i, j), grow=False)
-            if got != a_table[(i, j, c)]:
-                raise LearnerError(
-                    f"transition inconsistency: A {i} {j} on member #{idx} "
-                    f"(class {c}) lands {describe(got)}, table says {a_table[(i, j, c)]}"
-                )
-    rng = Xoshiro256StarStar(seed)
-    for _ in range(glue_samples):
-        ia = rng.randbelow(len(members))
-        ib = rng.randbelow(len(members))
-        got = classify(glue(members[ia], members[ib]), grow=False)
-        ca, cb = member_class[ia], member_class[ib]
-        key = (ca, cb) if ca <= cb else (cb, ca)
-        if got != glue_table[key]:
-            raise LearnerError(
-                f"transition inconsistency: glue of members #{ia}, #{ib} "
-                f"(classes {ca}, {cb}) lands {describe(got)}, "
-                f"table says {glue_table[key]}"
-            )
-
-    small = _small_policy(membership, k)
-    return Automaton(
-        k,
-        len(states),
-        start,
-        accepting,
-        glue_table,
-        j_table,
-        a_table,
-        small,
-    )
-
-
-def _small_policy(membership, k):
-    """Derive the small-graph policy by brute force on graphs with at most
-    k vertices."""
-    from .oracle import enumerate_graphs_up_to
-
-    yes = [g for g in enumerate_graphs_up_to(k) if membership(g)]
-    total = sum(1 for _ in enumerate_graphs_up_to(k))
-    if len(yes) == total:
-        return "all"
-    if not yes:
-        return "none"
-    return tuple(yes)

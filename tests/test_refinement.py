@@ -6,20 +6,24 @@ side by side on a fixed seeded corpus, with a one-state automaton whose
 small stage is off, so every verdict comes from the closure.  The scaled
 gate checks ``modhomind`` over tw-all at arity k against (k-1)-WL on
 pairs of equal order and size that the small stage cannot split, at
-sizes far beyond the brute-force oracles.
+sizes far beyond the brute-force oracles.  The forests gate checks a
+four-state automaton, decided by the linear closure, against the
+one-state refinement and 1-WL.
 """
 
 import random
 
-from homind.engine import _linear_closure, modhomind
+from homind.engine import _linear_closure, _refine, modhomind
 from homind.graphs import (
     Graph,
     complete_graph,
+    connected_components,
     cycle_graph,
     disjoint_union,
     empty_graph,
 )
-from homind.recognizer import Automaton, builtin
+from homind.oracle import exact_treewidth_tiny
+from homind.recognizer import Automaton, builtin, parse_automaton, validate_automaton
 from homind.wl import cfi, wl_refine
 
 from conftest import permuted_copy, random_graph
@@ -165,3 +169,89 @@ def test_tw_all_matches_wl_past_the_small_stage():
         assert verdict.accept == accept, (G, H, k)
         if dim is not None:
             assert stats["dim_total"] == dim
+
+
+def test_tw_all_k4_refinement_splits_cfi_over_k4():
+    """CFI(K4) even/odd are separated at arity 4, as K4 has treewidth 3
+    (Roberson; Neuen).  ``modhomind`` rejects already in the small stage
+    (hom(K4, .) is 192 vs 0), so the refinement is called directly to
+    exercise the closure."""
+    even, odd = (cfi(complete_graph(4), parity).result for parity in (0, 1))
+    assert exact_treewidth_tiny(complete_graph(4)) == 3
+    sizes_g, sizes_h = _refine(even, odd, 4, None)
+    assert len(sizes_g) == 490
+    assert (sizes_g != sizes_h).any()
+    verdict = modhomind(even, odd, builtin("tw-all", 4), (1 << 31) - 1)
+    assert not verdict.accept
+    assert verdict.small_stage_witness == complete_graph(4)
+
+
+# === A multi-state treewidth automaton: forests ===
+
+# The arity-2 recogniser of forests (graphs with m = n - #components).
+# States: 0 the labels in different components (start), 1 the labels
+# adjacent, 2 the labels joined by a longer path (no term reaches it, as
+# J and A never make one), 3 not a forest (the only rejecting state).
+FORESTS_K2 = """\
+k 2
+states 4
+start 0
+accept 0 1 2
+glue 0 0 -> 0
+glue 0 1 -> 1
+glue 0 2 -> 2
+glue 0 3 -> 3
+glue 1 1 -> 1
+glue 1 2 -> 3
+glue 1 3 -> 3
+glue 2 2 -> 3
+glue 2 3 -> 3
+glue 3 3 -> 3
+J 1 0 -> 0
+J 1 1 -> 0
+J 1 2 -> 0
+J 1 3 -> 3
+J 2 0 -> 0
+J 2 1 -> 0
+J 2 2 -> 0
+J 2 3 -> 3
+A 1 2 0 -> 1
+A 1 2 1 -> 1
+A 1 2 2 -> 3
+A 1 2 3 -> 3
+small all
+"""
+
+
+def _is_forest(g):
+    return g.m == g.n - len(connected_components(g))
+
+
+def test_forests_automaton_matches_refinement_and_1wl():
+    """Forests have treewidth <= 1, so HI over them is 1-WL equivalence
+    (Dvořák 2010), and mod p it is HI over tw-all at arity 2.  The
+    four-state automaton runs the linear closure with Schur products,
+    tw-all the partition refinement; they must agree at every prime."""
+    aut = parse_automaton(FORESTS_K2)
+    assert validate_automaton(aut, _is_forest, 5).ok
+    even, odd = (cfi(complete_graph(4), parity).result for parity in (0, 1))
+    pairs = [
+        (cycle_graph(12), disjoint_union(cycle_graph(6), cycle_graph(6))),
+        (even, odd),
+        _rigid_rewired_pair(1, 10),
+        _rigid_rewired_pair(2, 10),
+    ]
+    rng = random.Random(12)
+    for _ in range(2):
+        g = random_graph(rng, 12)
+        pairs.append((g, permuted_copy(rng, g)))
+    tw_all = builtin("tw-all", 2)
+    rejects = 0
+    for G, H in pairs:
+        for p in (2, 3, (1 << 31) - 1):
+            verdict = modhomind(G, H, aut, p)
+            assert verdict.accept == modhomind(G, H, tw_all, p).accept, (G, H, p)
+        assert verdict.small_stage_witness is None
+        assert verdict.accept == wl_refine(G, H, 1), (G, H)
+        rejects += not verdict.accept
+    assert rejects == 2
