@@ -5,8 +5,11 @@ a statement about homomorphism counts hom(F, G): the number of maps
 V(F) -> V(G) carrying every edge of F to an edge of G.  This module owns the
 graph type itself plus the *independent* ground-truth machinery:
 
-- ``hom_count`` enumerates homomorphisms directly, with pruning but no
-  algebra shared with the tensor engine it is later used to audit;
+- ``hom_count`` enumerates homomorphisms directly, one connected
+  component of the pattern at a time, with pruning but no algebra shared
+  with the tensor engine it is later used to audit; its ``pins`` fix the
+  images of some pattern vertices, which is how the oracle fills
+  homomorphism tensors;
 - ``walk_counts`` gives exact path-homomorphism counts via 1^T A^l 1;
 - ``is_isomorphic_small`` is an exhaustive isomorphism check for the tiny
   graphs that appear in fixtures and CFI parity arguments;
@@ -47,6 +50,8 @@ class Graph:
 
     @staticmethod
     def from_edges(n, edges):
+        if n < 0:
+            raise ValueError(f"negative vertex count {n}")
         canon = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -213,80 +218,94 @@ def serialize_graph(g):
 # === Exact homomorphism counting (the independent oracle) ===
 
 
-def hom_count(F, G, budget=10**8):
-    """Number of homomorphisms F -> G by exhaustive enumeration.
+def hom_count(F, G, budget=10**8, pins=None):
+    """Number of homomorphisms F -> G by exhaustive enumeration, or of
+    those that extend the partial map ``pins`` (vertex of F -> vertex of
+    G) when it is given.
 
-    Runs an odometer over V(G)^V(F) organised as a depth-first search in a
-    connectivity-aware vertex order, pruning a partial map as soon as one
-    edge constraint fails.  ``budget`` caps the steps of the search: one
-    per edge check, and one per candidate image tried for a vertex with no
-    placed neighbour (an isolated vertex or a component root), so every
-    candidate tried costs at least one step.  A breach raises
-    OracleBudgetExceeded rather than approximating.
+    Counts each connected component of F on its own and multiplies the
+    counts, returning 0 at the first component with no homomorphism.  A
+    component is an odometer over V(G)^V(C) organised as a depth-first
+    search in breadth-first order (from its least pinned vertex, if it
+    has one), pruning a partial map as soon as one edge constraint fails;
+    a pinned vertex has one candidate, its image.  ``budget`` caps the
+    steps of all components together: one per edge check, and one per
+    candidate image tried for a vertex with no placed neighbour (a
+    component root), so every candidate tried costs at least one step.
+    A breach raises OracleBudgetExceeded rather than approximating.
     """
     nf, ng = F.n, G.n
+    pins = pins or {}
+    for x, y in pins.items():
+        if not (0 <= x < nf and 0 <= y < ng):
+            raise ValueError(f"pin out of range: {x} -> {y}")
     if nf == 0:
         return 1
     if ng == 0:
         return 0
 
-    # Order F's vertices so that all but component roots have an already
-    # placed neighbor: breadth-first inside each component.
     adj_f = adjacency_sets(F)
-    order = []
+    adj_g = adjacency_bitmasks(G)
     seen = [False] * nf
-    for root in range(nf):
+    checks = 0
+    total = 1
+    for root in [*sorted(pins), *range(nf)]:
         if seen[root]:
             continue
+        # Breadth-first inside the component, so every vertex but the
+        # root has an already placed neighbour.
         seen[root] = True
-        queue = [root]
-        while queue:
-            x = queue.pop(0)
-            order.append(x)
+        order = [root]
+        for x in order:
             for y in sorted(adj_f[x]):
                 if not seen[y]:
                     seen[y] = True
-                    queue.append(y)
-    pos = {x: i for i, x in enumerate(order)}
-    # For each vertex (in placement order), neighbors already placed.
-    back = [[pos[y] for y in adj_f[x] if pos[y] < pos[x]] for x in order]
+                    order.append(y)
+        pos = {x: i for i, x in enumerate(order)}
+        # For each vertex (in placement order), neighbours already placed.
+        back = [[pos[y] for y in adj_f[x] if pos[y] < pos[x]] for x in order]
+        # Candidate images lo..hi-1 per depth.
+        lo = [pins.get(x, 0) for x in order]
+        hi = [pins[x] + 1 if x in pins else ng for x in order]
 
-    adj_g = adjacency_bitmasks(G)
-    checks = 0
-    count = 0
-    image = [0] * nf
-    depth = 0
-    choice = [0] * nf
-    while depth >= 0:
-        if choice[depth] == ng:
-            choice[depth] = 0
-            depth -= 1
-            if depth >= 0:
+        last = len(order) - 1
+        count = 0
+        image = [0] * len(order)
+        choice = lo[:]
+        depth = 0
+        while depth >= 0:
+            if choice[depth] == hi[depth]:
+                choice[depth] = lo[depth]
+                depth -= 1
+                if depth >= 0:
+                    choice[depth] += 1
+                continue
+            cand = choice[depth]
+            ok = True
+            if not back[depth]:
+                checks += 1
+            for b in back[depth]:
+                checks += 1
+                if not (adj_g[cand] >> image[b]) & 1:
+                    ok = False
+                    break
+            if checks > budget:
+                raise OracleBudgetExceeded(
+                    f"hom_count budget exceeded ({checks} > {budget} steps)"
+                )
+            if not ok:
                 choice[depth] += 1
-            continue
-        cand = choice[depth]
-        ok = True
-        if not back[depth]:
-            checks += 1
-        for b in back[depth]:
-            checks += 1
-            if not (adj_g[cand] >> image[b]) & 1:
-                ok = False
-                break
-        if checks > budget:
-            raise OracleBudgetExceeded(
-                f"hom_count budget exceeded ({checks} > {budget} steps)"
-            )
-        if not ok:
-            choice[depth] += 1
-            continue
-        image[depth] = cand
-        if depth == nf - 1:
-            count += 1
-            choice[depth] += 1
-        else:
-            depth += 1
-    return count
+                continue
+            image[depth] = cand
+            if depth == last:
+                count += 1
+                choice[depth] += 1
+            else:
+                depth += 1
+        if count == 0:
+            return 0
+        total *= count
+    return total
 
 
 # === Products and unions ===

@@ -22,7 +22,9 @@ iff every basis element has equal block entry sums (the all-ones
 bilinear form 1^T M 1 erases the labels).
 
 The closure is the treewidth engine's worklist loop with a single state,
-on the same arrays: uint64 when p < 2^32, object (Python integers)
+on the same arrays and kernels: a matrix is a ``BlockOps`` tensor of
+arity 2t (``MatrixOps`` adds the matrix products and axis permutations),
+stored as uint64 when p < 2^32 and as object (Python integers)
 otherwise.  A popped basis element M yields its candidates as three
 blocks: the Schur products with every atomic (one broadcast), the
 transpositions, and the products with every basis element X_b in both
@@ -41,6 +43,7 @@ directly on primes its sampler has proved.
 import numpy as np
 
 from .engine import (
+    BlockOps,
     Verdict,
     _Basis,
     _closure,
@@ -48,7 +51,6 @@ from .engine import (
     _mod_matmul,
     _randomized_verdict,
     _require_prime,
-    _residue_dtype,
     _split,
 )
 from .graphs import Graph
@@ -62,67 +64,37 @@ from .labelled import (
 from .modular import bound_lasserre
 
 
-class MatrixOps:
-    """Kernels for n^t-by-n^t matrices over one target graph, stored as
-    flat vectors of length n^(2t) (row axes first, then column axes)."""
+class MatrixOps(BlockOps):
+    """Kernels for n^t-by-n^t matrices over one target graph: ``BlockOps``
+    tensors of arity 2t (row axes first, then column axes), which bring
+    the Schur product and the readout 1^T M 1, plus the matrix product
+    and the axis permutations."""
 
     def __init__(self, g: Graph, t: int, p: int):
         if t < 1:
             raise ValueError("t must be >= 1")
-        self.n = g.n
+        super().__init__(g, 2 * t, p)
         self.t = t
-        self.p = p
         self.side = g.n**t
-        self.length = g.n ** (2 * t)
-        self.dtype = _residue_dtype(p)
-        self._adj = np.zeros((g.n, g.n), dtype=self.dtype)
-        for u, v in g.edges:
-            self._adj[u, v] = 1
-            self._adj[v, u] = 1
         self._shape = (g.n,) * (2 * t)
-        self._masks = {}
-
-    # -- coordinate machinery ------------------------------------------------
-
-    def _coordinate(self, slot):
-        """Value of tensor axis `slot` (0-based) at every flat index."""
-        idx = np.arange(self.length)
-        return (idx // self.n ** (2 * self.t - 1 - slot)) % self.n
-
-    def _slot_pair_mask(self, kind, a, b):
-        key = (kind, a, b)
-        if key not in self._masks:
-            xa, xb = self._coordinate(a), self._coordinate(b)
-            if kind == "eq":
-                mask = np.where(xa == xb, 1, 0).astype(self.dtype)
-            else:
-                mask = self._adj[xa, xb]
-            self._masks[key] = mask
-        return self._masks[key]
-
-    # -- constructors ---------------------------------------------------------
 
     def atomic_tensor(self, atomic):
         """0/1 tensor of an atomic bilabelled graph: coincident slots force
         equal coordinates, atomic edges force adjacent coordinates."""
         combined = atomic.in_labels + atomic.out_labels
-        if len(combined) != 2 * self.t or atomic.graph.n != len(set(combined)):
+        if len(combined) != self.k or atomic.graph.n != len(set(combined)):
             raise ValueError("not an atomic bilabelled graph for this level")
-        out = np.ones(self.length, dtype=self.dtype)
-        slot_of = {}
-        for slot, v in enumerate(combined):
-            if v in slot_of:
-                out = self.schur(out, self._slot_pair_mask("eq", slot_of[v], slot))
+        out = self.ones()
+        axis_of = {}
+        for axis, v in enumerate(combined, start=1):
+            if v in axis_of:
+                equal = self._coordinate(axis_of[v]) == self._coordinate(axis)
+                out = self.schur(out, equal.astype(self.dtype))
             else:
-                slot_of[v] = slot
-        for u, v in (tuple(e) for e in atomic.graph.edges):
-            out = self.schur(out, self._slot_pair_mask("adj", slot_of[u], slot_of[v]))
+                axis_of[v] = axis
+        for u, v in atomic.graph.edges:
+            out = self.schur(out, self._a_mask(axis_of[u], axis_of[v]))
         return out
-
-    # -- kernels ---------------------------------------------------------------
-
-    def schur(self, b1, b2):
-        return (b1 * b2) % self.p
 
     def matmul(self, b1, b2):
         """Matrix product of the n^t-by-n^t views, entries mod p."""
@@ -155,11 +127,6 @@ class MatrixOps:
         what the input held for slot sigma[i]."""
         moved = np.transpose(block.reshape(self._shape), axes=sigma)
         return np.ascontiguousarray(moved).reshape(self.length)
-
-    def total(self, block):
-        """1^T M 1 mod p (the label-erasing readout), one per row of a 2-D
-        block; uint64 sums are exact as in ``BlockOps.total``."""
-        return block.sum(axis=-1) % self.p
 
 
 def lasserre_term_tensor(ops: MatrixOps, term):

@@ -15,6 +15,10 @@ counts satisfy a linear recurrence of order |V(G)| (Cayley-Hamilton on the
 adjacency matrix), and two sequences that each satisfy a recurrence of
 order at most n and agree on the first 2n terms agree everywhere.
 
+The enumerating oracles count through ``graphs.hom_count``, and so does
+``hom_tensor``: each entry of a labelled graph's homomorphism tensor is a
+count with the label vertices pinned.
+
 Enumeration of non-isomorphic graphs is incremental edge addition with
 exhaustive isomorphism rejection — fine up to 7 vertices, no external
 graph catalogs involved.  Membership in the bounded-width classes is
@@ -32,6 +36,7 @@ import numpy as np
 
 from .graphs import (
     Graph,
+    adjacency_bitmasks,
     adjacency_sets,
     hom_count,
     is_connected,
@@ -136,10 +141,7 @@ def exact_treewidth_tiny(F, cap=8):
         raise ValueError(f"exact_treewidth_tiny cap exceeded ({n} > {cap})")
     if n == 0:
         return -1
-    adj = [0] * n
-    for u, v in F.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = adjacency_bitmasks(F)
 
     def q_cost(s_mask, v):
         # vertices outside s_mask|{v} reachable from v via paths through s_mask
@@ -187,10 +189,7 @@ def exact_pathwidth_tiny(F, cap=8):
         raise ValueError(f"exact_pathwidth_tiny cap exceeded ({n} > {cap})")
     if n == 0:
         return -1
-    adj = [0] * n
-    for u, v in F.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = adjacency_bitmasks(F)
 
     full = (1 << n) - 1
 
@@ -401,67 +400,6 @@ def paths_oracle(G: Graph, H: Graph, modulus: int | None = None) -> bool:
 # ------------------------------------------------------------ hom tensors
 
 
-def _count_homs_with_pins(F: Graph, G: Graph, pins: dict) -> int:
-    """Number of homomorphisms F -> G extending the partial map `pins`."""
-    adj_f = adjacency_sets(F)
-    adj_g = adjacency_sets(G)
-    for u, img in pins.items():
-        for w in adj_f[u]:
-            if w in pins and pins[w] not in adj_g[img]:
-                return 0
-    free = [v for v in range(F.n) if v not in pins]
-    if not free:
-        return 1
-    # visit free vertices so that each has as many already-placed
-    # neighbors as possible (pinned vertices count as placed)
-    order = []
-    placed = set(pins)
-    remaining = set(free)
-    while remaining:
-        best = max(
-            remaining,
-            key=lambda v: (len(adj_f[v] & placed), len(adj_f[v])),
-        )
-        order.append(best)
-        placed.add(best)
-        remaining.discard(best)
-
-    assignment = dict(pins)
-    count = 0
-    pos = 0
-    choices = [0] * len(order)
-    if G.n == 0:
-        return 0
-    while pos >= 0:
-        if pos == len(order):
-            count += 1
-            pos -= 1
-            continue
-        v = order[pos]
-        start = choices[pos]
-        found = False
-        for img in range(start, G.n):
-            ok = True
-            for w in adj_f[v]:
-                if w in assignment and assignment[w] not in adj_g[img]:
-                    ok = False
-                    break
-            if ok:
-                assignment[v] = img
-                choices[pos] = img + 1
-                found = True
-                break
-        if found:
-            pos += 1
-            if pos < len(order):
-                choices[pos] = 0
-        else:
-            choices[pos] = 0
-            assignment.pop(v, None)
-            pos -= 1
-    return count
-
-
 def hom_tensor(F: LabelledGraph, G: Graph, modulus: int | None = None) -> np.ndarray:
     """The homomorphism tensor of a labelled graph F in G.
 
@@ -476,16 +414,10 @@ def hom_tensor(F: LabelledGraph, G: Graph, modulus: int | None = None) -> np.nda
     shape = (G.n,) * r
     tensor = np.zeros(shape, dtype=object)
     for targets in itertools.product(range(G.n), repeat=r):
-        pins: dict = {}
-        consistent = True
-        for vertex, img in zip(label_vertices, targets):
-            if pins.get(vertex, img) != img:
-                consistent = False
-                break
-            pins[vertex] = img
-        if not consistent:
-            continue
-        value = _count_homs_with_pins(F.graph, G, pins)
+        pins = dict(zip(label_vertices, targets))
+        if any(pins[v] != x for v, x in zip(label_vertices, targets)):
+            continue  # a coincident label vertex sent to two places
+        value = hom_count(F.graph, G, pins=pins)
         if modulus is not None:
             value %= modulus
         tensor[targets] = value

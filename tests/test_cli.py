@@ -6,6 +6,7 @@ reproducibility of seeded runs.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -324,7 +325,7 @@ def test_cfi_out_file_and_manifest(files, capsys, tmp_path):
     assert rc == 0
     lines = out.splitlines()
     assert "parity=0" in lines and "vertices=6" in lines
-    assert parse_graph(open(dest).read()).n == 6
+    assert parse_graph(Path(dest).read_text()).n == 6
 
 
 def test_gen_writes_pair_with_manifest(files, capsys, tmp_path):
@@ -334,8 +335,8 @@ def test_gen_writes_pair_with_manifest(files, capsys, tmp_path):
     assert rc == 0
     lines = out.splitlines()
     assert "kind=wl-hardness" in lines and "k=1" in lines
-    left = parse_graph(open(prefix + "_left.graph").read())
-    right = parse_graph(open(prefix + "_right.graph").read())
+    left = parse_graph(Path(prefix + "_left.graph").read_text())
+    right = parse_graph(Path(prefix + "_right.graph").read_text())
     assert left.n == right.n == 6
     rc_wl, _, _ = run(["wl", prefix + "_left.graph", prefix + "_right.graph",
                        "--k", "1"], capsys)
@@ -359,6 +360,13 @@ def test_graph_random_is_seed_deterministic(files, capsys):
     assert out1 == out2
     assert out1.startswith("# random seed=9")
     assert parse_graph(out1).n == 6
+
+
+def test_graph_random_rejects_a_negative_order(files, capsys):
+    rc, out, err = run(["graph", "random", "--n", "-3", "--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "negative" in err
 
 
 def test_graph_info_reports_widths(files, capsys):

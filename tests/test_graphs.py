@@ -81,6 +81,11 @@ def test_self_loop_rejected_in_constructor():
         Graph.from_edges(2, [(1, 1)])
 
 
+def test_negative_order_rejected_in_constructor():
+    with pytest.raises(ValueError, match="negative"):
+        Graph.from_edges(-3, [])
+
+
 # === hom_count ===
 
 
@@ -103,13 +108,62 @@ def test_hom_budget_enforced():
 
 def test_hom_budget_charges_candidates_without_placed_neighbours():
     """Five isolated vertices into K20 make 3.2 M maps without one edge
-    check; the budget still stops them, and a budget that covers the
-    20 + 400 + 8000 candidates of three isolated vertices keeps the count."""
+    check; the budget still stops them.  Each isolated vertex is its own
+    component, so three of them cost 3 x 20 candidates, not 20^3."""
     with pytest.raises(OracleBudgetExceeded):
         hom_count(empty_graph(5), complete_graph(20), budget=10)
-    assert hom_count(empty_graph(3), complete_graph(20), budget=8420) == 8000
+    assert hom_count(empty_graph(3), complete_graph(20), budget=60) == 8000
     with pytest.raises(OracleBudgetExceeded):
-        hom_count(empty_graph(3), complete_graph(20), budget=8419)
+        hom_count(empty_graph(3), complete_graph(20), budget=59)
+
+
+def test_hom_counts_components_separately():
+    g = random_graph(seeded(30), 30)
+    assert hom_count(empty_graph(7), g, budget=1000) == 30**7
+
+
+def _random_pattern(rng):
+    """A random pattern on 1..5 vertices, disconnected about half the time."""
+    f = random_graph(rng, rng.randint(1, 4))
+    if rng.random() < 0.5:
+        f = disjoint_union(f, random_graph(rng, rng.randint(1, 2)))
+    return f
+
+
+def test_hom_pins_sum_to_the_free_count():
+    rng = seeded(31)
+    for _ in range(20):
+        f, g = _random_pattern(rng), random_graph(rng, rng.randint(1, 5))
+        free = hom_count(f, g)
+        for v in range(f.n):
+            assert sum(hom_count(f, g, pins={v: x}) for x in range(g.n)) == free
+    with pytest.raises(ValueError, match="pin out of range"):
+        hom_count(K2, C6, pins={0: 6})
+
+
+def test_hom_pins_on_a_non_edge_give_zero():
+    rng = seeded(32)
+    for _ in range(20):
+        f = _random_pattern(rng)
+        g = random_graph(rng, rng.randint(2, 5))
+        non_edges = [(x, y) for x in range(g.n) for y in range(g.n)
+                     if not g.has_edge(x, y)]
+        for u, v in f.edges:
+            x, y = rng.choice(non_edges)
+            assert hom_count(f, g, pins={u: x, v: y}) == 0
+
+
+def test_hom_pin_leaves_free_components_alone():
+    rng = seeded(33)
+    for _ in range(20):
+        a = random_graph(rng, rng.randint(1, 3))
+        b = random_graph(rng, rng.randint(1, 3))
+        g = random_graph(rng, rng.randint(1, 5))
+        f = disjoint_union(a, b)
+        for v in range(a.n):
+            for x in range(g.n):
+                assert hom_count(f, g, pins={v: x}) == (
+                    hom_count(a, g, pins={v: x}) * hom_count(b, g))
 
 
 def test_hom_multiplicative_over_product():
