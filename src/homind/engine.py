@@ -96,6 +96,7 @@ from .modular import (
     is_prime,
     sample_prime_in_range,
     smallest_primes_with_product_exceeding,
+    trial_count,
     word_primes_with_product_exceeding,
 )
 from .oracle import enumerate_graphs_up_to
@@ -753,7 +754,7 @@ def _randomized_verdict(decide, seed, prime_bits, bit_cap, parallel,
     if prime_bits is not None:
         if prime_bits < 5:
             raise ValueError("prime_bits must be at least 5")
-        trials = ((1 << (prime_bits - 1)) ** 4 - 1).bit_length()
+        trials = trial_count(1 << (prime_bits - 1))
         draw = lambda rng: _draw_prime_with_bits(rng, prime_bits)
     else:
         kwargs = {} if bit_cap is None else {"bit_cap": bit_cap}

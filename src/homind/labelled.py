@@ -27,6 +27,8 @@ The Lasserre world instead starts from *atomic* (t,t)-bilabelled graphs
 (every vertex labelled: a set partition of the 2t label slots plus an edge
 set on the quotient) and closes under series composition, gluing with
 atomics, and label permutations, with depth counted only along series.
+Its enumerator builds the bilabelled values directly: no automaton reads
+a level-t term, so there is no term syntax to keep.
 
 Gluing graphs whose labels coincide can demand a self-loop (for example the
 merged single-vertex atomic glued onto the edge atomic).  Over simple
@@ -36,8 +38,7 @@ skip them.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations
 
 from .graphs import Graph, empty_graph, is_isomorphic_small
 
@@ -497,7 +498,7 @@ def enumerate_pw(k, d):
     return records
 
 
-# === Atomic graphs and the Lasserre term algebra ===
+# === Atomic graphs and the Lasserre values ===
 
 
 def _set_partitions(n):
@@ -544,137 +545,53 @@ def enumerate_atomic(t):
     return out
 
 
-def identity_atomic(t):
-    """The atomic with u_i = v_i and no edges; its tensor is the identity."""
-    ids = tuple(range(t))
-    return LabelledGraph(empty_graph(t), ids, ids)
+def enumerate_lasserre_values(t, depth, max_vertices):
+    """Bilabelled values of the level-t hierarchy up to the given series
+    depth and size, deduplicated by bilabelled isomorphism, in the order
+    found; values that would need a loop are skipped.
 
-
-@dataclass(frozen=True)
-class LAtomic:
-    value: LabelledGraph
-
-
-@dataclass(frozen=True)
-class LGlueAtomic:
-    atomic: LabelledGraph
-    arg: object
-
-
-@dataclass(frozen=True)
-class LPermute:
-    sigma: tuple
-    arg: object
-
-
-@dataclass(frozen=True)
-class LSeries:
-    left: object
-    right: object
-
-
-def lasserre_depth(w):
-    """Depth counts only series nesting: atomics are 1, glue/permute free."""
-    if isinstance(w, LAtomic):
-        return 1
-    if isinstance(w, (LGlueAtomic, LPermute)):
-        return lasserre_depth(w.arg)
-    if isinstance(w, LSeries):
-        return max(lasserre_depth(w.left), lasserre_depth(w.right)) + 1
-    raise TypeError(f"not a Lasserre term: {w!r}")
-
-
-def lasserre_val(w):
-    """Evaluate to the (t,t)-bilabelled graph (may raise LoopCreated)."""
-    if isinstance(w, LAtomic):
-        return w.value
-    if isinstance(w, LGlueAtomic):
-        return glue(w.atomic, lasserre_val(w.arg))
-    if isinstance(w, LPermute):
-        return permute_labels(lasserre_val(w.arg), w.sigma)
-    if isinstance(w, LSeries):
-        return series(lasserre_val(w.left), lasserre_val(w.right))
-    raise TypeError(f"not a Lasserre term: {w!r}")
-
-
-def _format_graph_inline(g):
-    inner = ",".join(f"{u}-{v}" for u, v in g.edges)
-    return f"n{g.n}:{inner}" if inner else f"n{g.n}"
-
-
-def format_lasserre_term(w):
-    """Render: atomic(<graph>,<in>,<out>), glue(atomic,w), perm(<sigma>,w),
-    series(w1,w2)."""
-    if isinstance(w, LAtomic):
-        f = w.value
-        ins = ",".join(str(v) for v in f.in_labels)
-        outs = ",".join(str(v) for v in f.out_labels)
-        return f"atomic({_format_graph_inline(f.graph)},({ins}),({outs}))"
-    if isinstance(w, LGlueAtomic):
-        return f"glue({format_lasserre_term(LAtomic(w.atomic))},{format_lasserre_term(w.arg)})"
-    if isinstance(w, LPermute):
-        sig = ",".join(str(s) for s in w.sigma)
-        return f"perm(({sig}),{format_lasserre_term(w.arg)})"
-    if isinstance(w, LSeries):
-        return f"series({format_lasserre_term(w.left)},{format_lasserre_term(w.right)})"
-    raise TypeError(f"not a Lasserre term: {w!r}")
-
-
-@lru_cache(maxsize=None)
-def _all_perms(n):
-    from itertools import permutations
-
-    return tuple(permutations(range(n)))
-
-
-def enumerate_lasserre_terms(t, depth, max_vertices):
-    """Records (term, bilabelled value, depth) for the level-t hierarchy,
-    deduplicated by bilabelled isomorphism; loop-forcing terms are skipped.
-
-    Depth-preserving operations (glue with an atomic, permutation) never add
-    vertices, so each depth class saturates; series steps to the next depth.
+    Depth-1 values are the atomics.  Glue with an atomic and label
+    permutations keep the depth and never add vertices, so each depth
+    class saturates under them; a series composition of values of depths
+    d1 and d2 has depth max(d1, d2) + 1.
     """
     atomics = enumerate_atomic(t)
-    perms = _all_perms(2 * t)
+    perms = tuple(permutations(range(2 * t)))
     seen = LabelledSet()
-    records = []  # (term, value, depth)
+    values, depths = [], []
 
     def saturate(batch, dep):
         """Close under glue-with-atomic and permutations at fixed depth."""
         fresh = []
-        for term, value in batch:
-            if value.graph.n <= max_vertices and seen.add(value, None):
-                rec = (term, value, dep)
-                records.append(rec)
-                fresh.append(rec)
+
+        def admit(value):
+            if seen.add(value, None):
+                values.append(value)
+                depths.append(dep)
+                fresh.append(value)
+
+        for value in batch:
+            if value.graph.n <= max_vertices:
+                admit(value)
         idx = 0
         while idx < len(fresh):
-            term, value, _ = fresh[idx]
+            value = fresh[idx]
             idx += 1
             for a in atomics:
                 try:
-                    v2 = glue(a, value)
+                    glued = glue(a, value)
                 except LoopCreated:
                     continue
-                t2 = LGlueAtomic(a, term)
-                if seen.add(v2, None):
-                    rec = (t2, v2, dep)
-                    records.append(rec)
-                    fresh.append(rec)
+                admit(glued)
             for sigma in perms:
-                v2 = permute_labels(value, sigma)
-                t2 = LPermute(sigma, term)
-                if seen.add(v2, None):
-                    rec = (t2, v2, dep)
-                    records.append(rec)
-                    fresh.append(rec)
+                admit(permute_labels(value, sigma))
 
-    saturate([(LAtomic(a), a) for a in atomics], 1)
+    saturate(atomics, 1)
     for dep in range(2, depth + 1):
-        lower = [r for r in records if r[2] < dep]
+        lower = list(zip(values, depths))
         batch = []
-        for t1, v1, d1 in lower:
-            for t2, v2, d2 in lower:
+        for v1, d1 in lower:
+            for v2, d2 in lower:
                 if max(d1, d2) + 1 != dep:
                     continue
                 try:
@@ -682,14 +599,11 @@ def enumerate_lasserre_terms(t, depth, max_vertices):
                 except LoopCreated:
                     continue
                 if v.graph.n <= max_vertices:
-                    batch.append((LSeries(t1, t2), v))
+                    batch.append(v)
         saturate(batch, dep)
-    return records
+    return values
 
 
 def enumerate_lasserre(t, depth, max_vertices):
-    """Underlying unlabelled graphs soe(val(w)) of the enumerated terms."""
-    out = set()
-    for _, value, _ in enumerate_lasserre_terms(t, depth, max_vertices):
-        out.add(soe(value))
-    return out
+    """Underlying unlabelled graphs of the enumerated level-t values."""
+    return {soe(v) for v in enumerate_lasserre_values(t, depth, max_vertices)}

@@ -23,7 +23,7 @@ bilinear form 1^T M 1 erases the labels).
 
 The closure is the treewidth engine's worklist loop with a single state,
 on the same arrays and kernels: a matrix is a ``BlockOps`` tensor of
-arity 2t (``MatrixOps`` adds the matrix products and axis permutations),
+arity 2t (``MatrixOps`` adds the matrix products and axis transpositions),
 stored as uint64 when p < 2^32 and as object (Python integers)
 otherwise.  A popped basis element M yields its candidates as three
 blocks: the Schur products with every atomic (one broadcast), the
@@ -54,21 +54,15 @@ from .engine import (
     _split,
 )
 from .graphs import Graph
-from .labelled import (
-    LAtomic,
-    LGlueAtomic,
-    LPermute,
-    LSeries,
-    enumerate_atomic,
-)
+from .labelled import enumerate_atomic
 from .modular import bound_lasserre
 
 
 class MatrixOps(BlockOps):
     """Kernels for n^t-by-n^t matrices over one target graph: ``BlockOps``
     tensors of arity 2t (row axes first, then column axes), which bring
-    the Schur product and the readout 1^T M 1, plus the matrix product
-    and the axis permutations."""
+    the Schur product and the readout 1^T M 1, plus the matrix products
+    and the axis transpositions."""
 
     def __init__(self, g: Graph, t: int, p: int):
         if t < 1:
@@ -97,7 +91,8 @@ class MatrixOps(BlockOps):
         return out
 
     def matmul(self, b1, b2):
-        """Matrix product of the n^t-by-n^t views, entries mod p."""
+        """Matrix product of the n^t-by-n^t views, entries mod p: one
+        pair at a time, the reference for ``products``."""
         m1 = b1.reshape(self.side, self.side)
         m2 = b2.reshape(self.side, self.side)
         return _mod_matmul(m1, m2, self.p).reshape(self.length)
@@ -121,30 +116,6 @@ class MatrixOps(BlockOps):
         """Swap tensor axes a and b (0-based among the 2t slots)."""
         swapped = np.swapaxes(block.reshape(self._shape), a, b)
         return np.ascontiguousarray(swapped).reshape(self.length)
-
-    def permute_axes(self, block, sigma):
-        """General pull-convention axis permutation: output slot i carries
-        what the input held for slot sigma[i]."""
-        moved = np.transpose(block.reshape(self._shape), axes=sigma)
-        return np.ascontiguousarray(moved).reshape(self.length)
-
-
-def lasserre_term_tensor(ops: MatrixOps, term):
-    """Tensor of a level-t term over one target, built from the kernels."""
-    if isinstance(term, LAtomic):
-        return ops.atomic_tensor(term.value)
-    if isinstance(term, LGlueAtomic):
-        return ops.schur(
-            ops.atomic_tensor(term.atomic), lasserre_term_tensor(ops, term.arg)
-        )
-    if isinstance(term, LPermute):
-        return ops.permute_axes(lasserre_term_tensor(ops, term.arg), term.sigma)
-    if isinstance(term, LSeries):
-        return ops.matmul(
-            lasserre_term_tensor(ops, term.left),
-            lasserre_term_tensor(ops, term.right),
-        )
-    raise TypeError(f"not a level-t term: {term!r}")
 
 
 def _check_level(t):

@@ -253,13 +253,18 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def trial_count(L: int) -> int:
+    """The number of randomized trials for primes drawn above L,
+    ceil(4*log2 L)."""
+    # ceil(4*log2 L) == bit_length(L**4 - 1):  4*log2(L) <= x  iff  L**4 <= 2**x.
+    return (L ** 4 - 1).bit_length()
+
+
 def _make_bounds(N: int, n: int) -> Bounds:
     # For n = 1, ceil(log2 n) = 0 would collapse L below N and break the
     # invariant L >= N; clamp the factor to 1 (a larger L is always sound).
     L = N * max(1, ceil_log2(n))
-    # ceil(4*log2 L) == bit_length(L**4 - 1):  4*log2(L) <= x  iff  L**4 <= 2**x.
-    trials = (L ** 4 - 1).bit_length()
-    return Bounds(N=N, L=L, trials=trials)
+    return Bounds(N=N, L=L, trials=trial_count(L))
 
 
 def _checked_power(base: int, exponent: int, bit_cap: int) -> int:

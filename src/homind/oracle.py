@@ -350,9 +350,11 @@ def homind_bruteforce(
     """Compare hom(F, G) against hom(F, H) for every class member F with at
     most max_size vertices; exact counts, or residues mod modulus.
 
-    Returns the first witness in enumeration order on failure.  Raises
-    OracleBudgetExceeded (from the homomorphism counter) if the total
-    work breaches the budget.
+    Returns the first witness in enumeration order on failure.  The
+    budget caps each homomorphism count on its own, as in the small
+    stage, so a run may take up to 2 * len(members) * budget steps;
+    OracleBudgetExceeded (from the homomorphism counter) is raised by the
+    first count that breaches it.
     """
     members = class_members(class_spec, max_size)
     for index, F in enumerate(members):

@@ -1,8 +1,13 @@
-"""Shared test helpers: seeded random graphs and tiny fixtures."""
+"""Shared test helpers: seeded random graphs, tiny fixtures, and the
+bases a closure ends with."""
 
 import random
 
+import numpy as np
+
+from homind import engine, lasserre
 from homind.graphs import Graph
+from homind.oracle import hom_tensor
 
 
 def random_graph(rng, n, p=0.5):
@@ -31,6 +36,54 @@ def permuted_copy(rng, g):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def _rows(pairs):
+    """Every (target, block) pair split into one (target, vector) per row."""
+    for target, block in pairs:
+        if block.ndim == 1:
+            yield target, block
+        else:
+            for vec in block:
+                yield target, vec
+
+
+def closure_runs(monkeypatch, one_at_a_time=False):
+    """Patch ``_closure`` where the deciders look it up; the returned list
+    collects the bases of every closure run.  With ``one_at_a_time`` the
+    closure is fed its seeds and expansions one candidate at a time."""
+    runs = []
+    closure = engine._closure
+
+    def traced(bases, seeds, expand, *args):
+        if one_at_a_time:
+            seeds = list(_rows(seeds))
+            batched = expand
+            expand = lambda q, row: _rows(batched(q, row))  # noqa: E731
+        runs.append(bases)
+        return closure(bases, seeds, expand, *args)
+
+    monkeypatch.setattr(engine, "_closure", traced)
+    monkeypatch.setattr(lasserre, "_closure", traced)
+    return runs
+
+
+def stacked_tensors(values, G, H):
+    """The exact brute-force tensors F_G (+) F_H of labelled values, one
+    row each, as Python integers: counted once, reduced mod any prime."""
+    return np.array([np.concatenate((hom_tensor(F, G).ravel(),
+                                     hom_tensor(F, H).ravel()))
+                     for F in values], dtype=object)
+
+
+def span_check(basis, exact, p):
+    """Whether every row of ``exact`` mod p lies in the span of a closure
+    basis, and the rank of those rows mod p."""
+    block = np.array(exact % p, dtype=engine._residue_dtype(p))
+    rank = engine._Basis(p, block.shape[1])
+    for vec in block:
+        rank.try_insert(vec)
+    return not basis.reduce(block).any(), len(rank)
 
 
 # The arity-1 recogniser of paths.  Its four states are the context classes

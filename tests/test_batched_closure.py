@@ -23,40 +23,11 @@ from homind.lasserre import lasserre_mod
 from homind.modular import Xoshiro256StarStar
 from homind.recognizer import builtin
 
-from conftest import permuted_copy, random_graph
+from conftest import closure_runs, permuted_copy, random_graph
 
 PRIMES = [101, (1 << 31) - 1, (1 << 61) - 1]
 
 TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-
-
-def _rows(pairs):
-    """Every (target, block) pair split into one (target, vector) per row."""
-    for target, block in pairs:
-        if block.ndim == 1:
-            yield target, block
-        else:
-            for vec in block:
-                yield target, vec
-
-
-def _closure_runs(monkeypatch, one_at_a_time):
-    """Patch ``_closure`` where the deciders look it up; the returned list
-    collects the bases of every closure run."""
-    runs = []
-    closure = engine._closure
-
-    def traced(bases, seeds, expand, *args):
-        if one_at_a_time:
-            seeds = list(_rows(seeds))
-            batched = expand
-            expand = lambda q, row: _rows(batched(q, row))  # noqa: E731
-        runs.append(bases)
-        return closure(bases, seeds, expand, *args)
-
-    monkeypatch.setattr(engine, "_closure", traced)
-    monkeypatch.setattr(lasserre, "_closure", traced)
-    return runs
 
 
 def _cases():
@@ -84,7 +55,7 @@ def _cases():
 
 
 def _decide(monkeypatch, decide, p, order_seed, one_at_a_time):
-    runs = _closure_runs(monkeypatch, one_at_a_time)
+    runs = closure_runs(monkeypatch, one_at_a_time)
     stats = {}
     order_rng = None if order_seed is None else Xoshiro256StarStar(order_seed)
     verdict = decide(p=p, order_rng=order_rng, stats=stats)
@@ -196,7 +167,7 @@ def test_lasserre_blocks_match_per_pair_products(monkeypatch, p):
     they come from several slices of the basis."""
     G, H = path_graph(3), Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     for t in (1, 2):
-        runs = _closure_runs(monkeypatch, False)
+        runs = closure_runs(monkeypatch, False)
         monkeypatch.setattr(lasserre, "_PRODUCT_ENTRIES", 1000)
         stats = {}
         verdict = lasserre_mod(G, H, t, p, stats=stats)

@@ -42,7 +42,7 @@ from homind.graphs import (
     star_graph,
     walk_counts,
 )
-from homind.labelled import TApplyA, TApplyJ, TOne, enumerate_tw
+from homind.labelled import TApplyA, TApplyJ, TOne, enumerate_pw, enumerate_tw
 from homind.modular import (
     Xoshiro256StarStar,
     bound_pw,
@@ -52,9 +52,9 @@ from homind.modular import (
     word_primes_with_product_exceeding,
 )
 from homind.oracle import enumerate_graphs_up_to, hom_tensor, paths_oracle
-from homind.recognizer import builtin, parse_automaton
+from homind.recognizer import builtin, parse_automaton, trace_term
 
-from conftest import permuted_copy, random_graph
+from conftest import closure_runs, permuted_copy, random_graph, span_check, stacked_tensors
 from test_cli_golden import GRAPHS, ONE_STATE_NONE
 
 BIG_PRIME = (1 << 128) - 159
@@ -443,6 +443,34 @@ def test_paths_reject_matches_first_walk_disagreement():
     aut = builtin("paths", 2)
     assert modhomind_pw(P4, K13, aut, 2).accept
     assert not modhomind_pw(P4, K13, aut, 3).accept
+
+
+_PERMUTED_G5 = random_graph(random.Random(5), 5, 0.5)
+
+
+@pytest.mark.parametrize("G, H", [
+    (cycle_graph(6), TWO_TRIANGLES),
+    (_PERMUTED_G5, permuted_copy(random.Random(6), _PERMUTED_G5)),
+], ids=["C6-vs-2K3", "permuted-G5"])
+def test_pw_closure_spans_every_term_tensor(monkeypatch, G, H):
+    """The span gate of the linear closure: every pathwidth term of depth
+    <= 6 is traced through the ``paths`` automaton to its state, and the
+    brute-force tensor F_G (+) F_H of its value must lie in that state's
+    basis; the terms of each state must span all of it."""
+    aut = builtin("paths", 2)
+    records = enumerate_pw(2, 6)
+    assert len(records) == 346
+    states = np.array([trace_term(aut, rec.term) for rec in records])
+    exact = stacked_tensors([rec.value for rec in records], G, H)
+    for p in (2, 97, (1 << 61) - 1):
+        runs = closure_runs(monkeypatch)
+        stats = {}
+        modhomind_pw(G, H, aut, p, stats=stats)
+        monkeypatch.undo()
+        [bases] = runs
+        for q, basis in enumerate(bases):
+            in_span, rank = span_check(basis, exact[states == q], p)
+            assert in_span and rank == stats["per_state"][q], (p, q)
 
 
 # === Randomized wrapper ===

@@ -12,11 +12,7 @@ from homind.graphs import (
 from homind.labelled import (
     ArityMismatch,
     LabelledGraph,
-    LAtomic,
-    LGlueAtomic,
     LoopCreated,
-    LPermute,
-    LSeries,
     TApplyA,
     TApplyJ,
     TGlue,
@@ -25,18 +21,14 @@ from homind.labelled import (
     compose_perms,
     enumerate_atomic,
     enumerate_lasserre,
-    enumerate_lasserre_terms,
+    enumerate_lasserre_values,
     enumerate_pw,
     enumerate_tw,
-    format_lasserre_term,
     format_term,
     generators,
     glue,
-    identity_atomic,
     j_generator,
     labelled_isomorphic,
-    lasserre_depth,
-    lasserre_val,
     one_labelled,
     permute_labels,
     series,
@@ -454,25 +446,16 @@ def test_enumerate_atomic_rejects_large_t():
 
 
 def test_identity_atomic():
+    # the atomic with u_i = v_i and no edges, whose tensor is the identity,
+    # is enumerated once
     for t in (1, 2):
-        ident = identity_atomic(t)
-        assert soe(ident).m == 0
-        assert soe(ident).n == t
-        assert ident.in_labels == ident.out_labels
+        idents = [a for a in enumerate_atomic(t) if soe(a).m == 0
+                  and a.in_labels == a.out_labels == tuple(range(t))]
+        assert len(idents) == 1
+        assert soe(idents[0]).n == t
 
 
 # ------------------------------------------------------------ lasserre
-
-
-def test_lasserre_depth_rules():
-    atomics = enumerate_atomic(1)
-    edge = next(a for a in atomics if soe(a).m == 1)
-    w = LAtomic(edge)
-    assert lasserre_depth(w) == 1
-    assert lasserre_depth(LGlueAtomic(edge, w)) == 1
-    assert lasserre_depth(LPermute((1, 0), w)) == 1
-    assert lasserre_depth(LSeries(w, w)) == 2
-    assert lasserre_depth(LSeries(LSeries(w, w), w)) == 3
 
 
 def test_enumerate_lasserre_depth1_sizes():
@@ -498,20 +481,21 @@ def test_lasserre_series_example():
     # series of two edge atomics evaluates to P3 (in at one end, out at the
     # other)
     edge = next(a for a in enumerate_atomic(1) if soe(a).m == 1)
-    w = LSeries(LAtomic(edge), LAtomic(edge))
-    value = lasserre_val(w)
+    value = series(edge, edge)
     assert is_isomorphic_small(soe(value), path_graph(3))
     assert value.k == 1 and value.l == 1
 
 
 def test_lasserre_glue_triangle():
     # gluing the edge atomic onto the path P3 (in/out at its ends) closes a
-    # triangle
+    # triangle, a depth-2 value
     edge = next(a for a in enumerate_atomic(1) if soe(a).m == 1)
-    p3 = LSeries(LAtomic(edge), LAtomic(edge))
-    tri = LGlueAtomic(edge, p3)
-    assert is_isomorphic_small(soe(lasserre_val(tri)), complete_graph(3))
-    assert lasserre_depth(tri) == 2
+    tri = glue(edge, series(edge, edge))
+    assert is_isomorphic_small(soe(tri), complete_graph(3))
+    assert not any(labelled_isomorphic(tri, v)
+                   for v in enumerate_lasserre_values(1, 1, 3))
+    assert any(labelled_isomorphic(tri, v)
+               for v in enumerate_lasserre_values(1, 2, 3))
 
 
 def test_loop_created_glue():
@@ -534,13 +518,14 @@ def test_loop_created_series_t2():
 
 
 def test_enumerate_lasserre_terms_skip_loops():
-    # enumeration silently skips loop-forcing combinations
-    records = enumerate_lasserre_terms(1, 2, 6)
-    assert records
-    for term, value, depth in records:
-        evaluated = lasserre_val(term)  # must all evaluate cleanly
-        assert labelled_isomorphic(evaluated, value)
-        assert lasserre_depth(term) == depth <= 2
+    # enumeration silently skips loop-forcing combinations, and keeps one
+    # value per bilabelled isomorphism class
+    values = enumerate_lasserre_values(1, 2, 6)
+    assert values
+    for i, value in enumerate(values):
+        assert all(u != v for u, v in value.graph.edges)
+        assert value.k == value.l == 1
+        assert not any(labelled_isomorphic(value, other) for other in values[:i])
 
 
 # ------------------------------------------------------------ serialization
@@ -551,14 +536,6 @@ def test_format_term_examples():
     assert format_term(TApplyA(1, 2, TOne(2))) == "A(1,2,one)"
     assert format_term(TApplyJ(2, TOne(2))) == "J(2,one)"
     assert format_term(TGlue(TOne(2), TApplyJ(1, TOne(2)))) == "glue(one,J(1,one))"
-
-
-def test_format_lasserre_term_shapes():
-    edge = next(a for a in enumerate_atomic(1) if soe(a).m == 1)
-    w = LSeries(LAtomic(edge), LAtomic(edge))
-    text = format_lasserre_term(w)
-    assert text.startswith("series(atomic(")
-    assert format_lasserre_term(LPermute((1, 0), LAtomic(edge))).startswith("perm(")
 
 
 # ------------------------------------------------------------ label checks

@@ -1,67 +1,90 @@
 """Tests for the level-t matrix-algebra indistinguishability engine.
 
-Kernels are validated against brute-force bilabelled homomorphism
-tensors on enumerated terms; verdict semantics against hand-derived
-atomic read-outs (vertex and edge counts) and the brute-force member
-oracle.
+The closure is gated by its span: the brute-force homomorphism tensor
+of every enumerated level-t value must reduce to zero against the basis
+the closure ends with, and where the values reach every dimension their
+rank must be ``dim_total``.  The matrix-product kernels are checked
+against each other, verdict semantics against hand-derived atomic
+read-outs (vertex and edge counts) and the brute-force member oracle.
 """
 
 import random
+from functools import cache
 
 import numpy as np
 import pytest
 
 from homind.graphs import Graph, complete_graph, cycle_graph, hom_count, path_graph
-from homind.labelled import enumerate_atomic, enumerate_lasserre, enumerate_lasserre_terms, identity_atomic
-from homind.lasserre import (
-    MatrixOps,
-    lasserre_mod,
-    lasserre_randomized,
-    lasserre_term_tensor,
-)
+from homind.labelled import enumerate_atomic, enumerate_lasserre, enumerate_lasserre_values
+from homind.lasserre import MatrixOps, lasserre_mod, lasserre_randomized
 from homind.modular import BoundOverflow, Xoshiro256StarStar, bound_lasserre
-from homind.oracle import hom_tensor
 
-from conftest import permuted_copy, random_graph
+from conftest import closure_runs, permuted_copy, random_graph, span_check, stacked_tensors
 
 BIG_PRIME = (1 << 128) - 159
 
 TWO_TRIANGLES = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
-# === kernels against brute force ===
+# === the closure's span against brute-force tensors ===
 
 
-def test_level1_term_tensors_match_brute_force():
-    for g in (cycle_graph(4), path_graph(5)):
-        for p in (2, 97):
-            ops = MatrixOps(g, 1, p)
-            checked = 0
-            for term, value, depth in enumerate_lasserre_terms(1, 3, 5):
-                got = [int(x) for x in lasserre_term_tensor(ops, term)]
-                want = [int(x) % p for x in hom_tensor(value, g).ravel()]
-                assert got == want, (g, p, term)
-                checked += 1
-            assert checked > 40
+@cache
+def _values(t, depth, max_vertices):
+    return enumerate_lasserre_values(t, depth, max_vertices)
 
 
-def test_level2_term_tensors_match_brute_force():
-    g = cycle_graph(3)
-    ops = MatrixOps(g, 2, 97)
-    for term, value, depth in enumerate_lasserre_terms(2, 2, 3):
-        got = [int(x) for x in lasserre_term_tensor(ops, term)]
-        want = [int(x) % 97 for x in hom_tensor(value, g).ravel()]
-        assert got == want, term
+@cache
+def _exact(t, depth, max_vertices, G, H):
+    return stacked_tensors(_values(t, depth, max_vertices), G, H)
 
 
-def test_term_tensors_big_prime_python_path():
-    g = path_graph(4)
-    ops = MatrixOps(g, 1, BIG_PRIME)
-    assert ops.dtype == object
-    for term, value, depth in enumerate_lasserre_terms(1, 2, 4):
-        got = [int(x) for x in lasserre_term_tensor(ops, term)]
-        want = [int(x) % BIG_PRIME for x in hom_tensor(value, g).ravel()]
-        assert got == want
+def _span_gate(monkeypatch, G, H, t, depth, max_vertices, p):
+    """Close G and H at p, then reduce the brute-force tensor M_G (+) M_H
+    of every enumerated level-t value against the closure's basis.
+    Returns (every value in the span, the values' rank, dim_total)."""
+    runs = closure_runs(monkeypatch)
+    stats = {}
+    lasserre_mod(G, H, t, p, stats=stats)
+    monkeypatch.undo()
+    [[basis]] = runs
+    in_span, rank = span_check(basis, _exact(t, depth, max_vertices, G, H), p)
+    return in_span, rank, stats["dim_total"]
+
+
+# (G, H, p, rank of the depth-3 level-1 values on <= 5 vertices, which
+# is the dimension of the closure)
+LEVEL1_SPANS = [
+    (cycle_graph(4), path_graph(5), 2, 16),
+    (cycle_graph(4), path_graph(5), 97, 16),
+    (cycle_graph(6), TWO_TRIANGLES, 2, 5),
+    (cycle_graph(6), TWO_TRIANGLES, 97, 7),
+]
+
+
+def test_level1_term_tensors_match_brute_force(monkeypatch):
+    """Every level-1 value of depth <= 3 on <= 5 vertices has its
+    brute-force tensor in the span the closure builds from the kernels,
+    and the values span all of it."""
+    assert len(_values(1, 3, 5)) == 173
+    for G, H, p, dim in LEVEL1_SPANS:
+        assert _span_gate(monkeypatch, G, H, 1, 3, 5, p) == (True, dim, dim), (G, p)
+
+
+def test_level2_term_tensors_match_brute_force(monkeypatch):
+    """Level 2 on C3 vs P3: the depth-2 values on <= 3 vertices lie in the
+    closure's span and reach all but one of its 55 dimensions."""
+    assert len(_values(2, 2, 3)) == 121
+    G, H = cycle_graph(3), path_graph(3)
+    assert _span_gate(monkeypatch, G, H, 2, 2, 3, 97) == (True, 54, 55)
+
+
+def test_term_tensors_big_prime_python_path(monkeypatch):
+    """The level-1 span gate on Python-integer residues."""
+    assert MatrixOps(path_graph(4), 1, BIG_PRIME).dtype == object
+    for G, H, dim in [(cycle_graph(4), path_graph(5), 16),
+                      (cycle_graph(6), TWO_TRIANGLES, 7)]:
+        assert _span_gate(monkeypatch, G, H, 1, 3, 5, BIG_PRIME) == (True, dim, dim)
 
 
 def test_atomic_enumeration_sizes():
@@ -69,17 +92,23 @@ def test_atomic_enumeration_sizes():
     assert len(enumerate_atomic(2)) == 127
 
 
+def _atomic_identity(t):
+    """The atomic with u_i = v_i and no edges; its tensor is the identity."""
+    return next(a for a in enumerate_atomic(t)
+                if a.graph.m == 0 and a.in_labels == a.out_labels == tuple(range(t)))
+
+
 def test_identity_atomic_tensor_is_identity_matrix():
     g = cycle_graph(4)
     ops = MatrixOps(g, 1, 101)
-    ident = ops.atomic_tensor(identity_atomic(1))
+    ident = ops.atomic_tensor(_atomic_identity(1))
     assert list(ident) == list(np.eye(4, dtype=np.uint64).reshape(-1))
 
 
 def test_atomic_readouts_are_vertex_and_edge_counts():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
     ops = MatrixOps(g, 1, 997)
-    coincident = ops.atomic_tensor(identity_atomic(1))
+    coincident = ops.atomic_tensor(_atomic_identity(1))
     assert ops.total(coincident) == g.n
     edge_atomic = next(
         a
@@ -121,22 +150,6 @@ def test_products_are_matmuls_in_closure_order(t, p):
     for b, x in enumerate(others):
         assert got[2 * b].tolist() == ops.matmul(m, x).tolist()
         assert got[2 * b + 1].tolist() == ops.matmul(x, m).tolist()
-
-
-def test_permute_axes_paths_agree_on_all_level2_permutations():
-    from itertools import permutations
-
-    rng = random.Random(21)
-    g = random_graph(rng, 3, 0.6)
-    small = MatrixOps(g, 2, 10007)
-    big = MatrixOps(g, 2, BIG_PRIME)
-    data = [rng.randrange(10007) for _ in range(small.length)]
-    arr = np.array(data, dtype=np.uint64)
-    obj = np.array(data, dtype=object)
-    for sigma in permutations(range(4)):
-        got_np = [int(x) for x in small.permute_axes(arr, sigma)]
-        got_py = list(big.permute_axes(obj, sigma))
-        assert got_np == got_py, sigma
 
 
 # === verdict semantics ===

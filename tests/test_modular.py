@@ -17,6 +17,7 @@ from homind.modular import (
     sample_prime_in_range,
     smallest_primes_with_product_exceeding,
     splitmix64,
+    trial_count,
 )
 
 
@@ -234,8 +235,7 @@ def test_bound_lasserre_frozen_example():
 def test_trials_identity_matches_ceil_log():
     for L in range(2, 2000):
         expected = math.ceil(4 * math.log2(L))
-        got = (L ** 4 - 1).bit_length()
-        assert got == expected, L
+        assert trial_count(L) == expected, L
 
 
 def test_bounds_invariants_and_small_cases():

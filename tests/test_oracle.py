@@ -207,6 +207,16 @@ def test_bruteforce_modular():
     assert homind_bruteforce(g, h, "all", 1, modulus=2).indistinguishable
 
 
+def test_bruteforce_budget_caps_each_count():
+    """The budget bounds every single homomorphism count, not the run:
+    P4 against K_{1,3} counts six members on both graphs, each under 50
+    steps, and rejects at P3 (10 against 12 walks of length 2)."""
+    verdict = homind_bruteforce(path_graph(4), star_graph(3), "all", 5, budget=50)
+    assert not verdict.indistinguishable
+    assert is_isomorphic_small(verdict.witness, path_graph(3))
+    assert verdict.counts == (10, 12)
+
+
 def test_size_bruteforce_k1_is_order_comparison():
     rng = Xoshiro256StarStar(2)
     for _ in range(10):
