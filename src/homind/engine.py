@@ -54,20 +54,25 @@ relies on the Chinese remainder theorem: any set of primes whose product
 exceeds the largest possible count detects any disagreement.  It first
 decides at the largest primes below 2^32 that make up such a set (76
 primes for the builtin paths at n = 6, where the smallest need 269): the
-first alone, then the others in lockstep (``_lockstep_accepts``), up to
+first alone, then the others in lockstep (``_lockstep_verdicts``), up to
 32 per closure.  A lockstep closure is Gaussian elimination over the
 product of its primes, stored as one uint64 residue row per prime: a
 stacked vector has a leading modulus axis, which ``BlockOps`` and
 ``_Basis`` carry through, so one closure does the work of 32 with as
-many numpy calls as one.  It needs the primes to share pivot columns;
-when they do not, its primes are decided one at a time.
+many numpy calls as one, and its readout is one flag per prime.  It
+needs the primes to share pivot columns; when they do not, its primes
+are decided one at a time.
 If all of them accept, the counts are equal, so every prime accepts,
 and the verdict lists the smallest-prime set 2, 3, 5, ... as the
 certificate.  If one rejects, the counts differ, and the smallest primes
 are decided in order up to the first that rejects, which names the
-rejecting prime and witness.  Both wrappers hand their primes to one
-loop (``_first_reject``), which decides at each prime in order and stops
-at the first that rejects.
+rejecting prime and witness.  A randomized pathwidth decision whose
+primes lie below 2^32 (the certified draws on small graphs, and
+``prime_bits`` up to 32) decides its distinct primes in lockstep too,
+and its verdict is read from their flags.  Both modes close in lockstep
+only pairs with short stacked vectors (``_LOCKSTEP_LENGTH``).  Both
+wrappers hand their primes to one loop (``_first_reject``), which
+decides at each prime in order and stops at the first that rejects.
 
 Tensors and basis rows are numpy arrays whose dtype follows from the
 modulus alone (``_residue_dtype``): uint64 when p < 2^32, so the product
@@ -81,7 +86,7 @@ the closure directly on primes their samplers have already proved.
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -443,9 +448,10 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
     ``try_insert``, in order.  Full reduction against a reduced echelon
     basis is canonical, so the bases, and the rows inserted and queued,
     are those of offering the rows one at a time.  ``order_rng``
-    randomizes the pop order.  Returns True iff every row of every
-    accepting bucket has equal G and H block sums (at every modulus, in
-    lockstep).
+    randomizes the pop order.  Returns one flag per modulus, with the
+    shape of ``ops_g.p`` (a 0-d array for one prime): whether every row
+    of every accepting bucket has equal G and H block sums at that
+    modulus.
     """
     worklist = []  # (state, reduced row vector)
     inserts = candidates = 0
@@ -485,11 +491,11 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
         stats["per_state"] = {q: len(b) for q, b in enumerate(bases)}
 
     lg = ops_g.length
-    for q in sorted(accepting):
+    balanced = np.ones(np.shape(ops_g.p), dtype=bool)
+    for q in accepting:
         mat_g, mat_h = _split(bases[q].matrix, lg)
-        if (ops_g.total(mat_g) != ops_h.total(mat_h)).any():
-            return False
-    return True
+        balanced &= (ops_g.total(mat_g) == ops_h.total(mat_h)).all(axis=-1)
+    return balanced
 
 
 # === Algorithm: modular indistinguishability over a recognisable class ===
@@ -527,7 +533,8 @@ def _small_stage(aut, p, counts):
 def _linear_closure(G, H, aut, p, include_schur, order_rng=None, stats=None):
     """The closure by Gaussian elimination: one echelon basis per
     recogniser state, grown under the operator actions (and pairwise
-    Schur products when ``include_schur``); True iff it accepts."""
+    Schur products when ``include_schur``); the flags of ``_closure``,
+    one per modulus of ``p``."""
     og, oh = BlockOps(G, aut.k, p), BlockOps(H, aut.k, p)
     lg = og.length
     bases = [_Basis(p, lg + oh.length) for _ in range(aut.states)]
@@ -645,6 +652,15 @@ def _blocks_balanced(sizes_g, sizes_h, p):
     return not diff.any()
 
 
+def _prime_verdict(p, accept, note="", witness=None):
+    """The single-prime verdict at p: an accept carries the small stage's
+    note, a reject its witness (None for a closure reject)."""
+    if accept:
+        return Verdict(True, "single-prime", [p], notes=note)
+    return Verdict(False, "single-prime", [p], rejecting_prime=p,
+                   small_stage_witness=witness)
+
+
 def _closure_verdict(G, H, aut, p, include_schur, counts, order_rng=None,
                      stats=None, partitions=None):
     """modhomind / modhomind_pw for a modulus already known to be prime;
@@ -655,13 +671,7 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, order_rng=None,
     if witness is not None:
         if stats is not None:
             stats.update(dim_total=0, inserts=0, candidates=0, per_state={})
-        return Verdict(
-            False,
-            "single-prime",
-            [p],
-            rejecting_prime=p,
-            small_stage_witness=witness,
-        )
+        return _prime_verdict(p, False, witness=witness)
 
     if include_schur and aut.states == 1:
         sizes_g, sizes_h = (partitions or _partitions(G, H, aut.k))(p)
@@ -670,10 +680,9 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, order_rng=None,
             stats["per_state"] = {0: len(sizes_g)}
         accept = not aut.accepting or _blocks_balanced(sizes_g, sizes_h, p)
     else:
-        accept = _linear_closure(G, H, aut, p, include_schur, order_rng, stats)
-    if accept:
-        return Verdict(True, "single-prime", [p], notes=note)
-    return Verdict(False, "single-prime", [p], rejecting_prime=p)
+        accept = bool(_linear_closure(G, H, aut, p, include_schur, order_rng,
+                                      stats))
+    return _prime_verdict(p, accept, note)
 
 
 def modhomind(G: Graph, H: Graph, aut: Automaton, p: int, *, order_rng=None,
@@ -736,7 +745,7 @@ def _first_reject(primes, decide, mode, notes):
 
 
 def _randomized_verdict(decide, seed, prime_bits, bit_cap, parallel,
-                        bound_fn, *bound_args) -> Verdict:
+                        bound_fn, *bound_args, lockstep=None) -> Verdict:
     """Shared trial loop of the randomized wrappers.
 
     With prime_bits: random primes of that many bits, and the trial-count
@@ -750,6 +759,14 @@ def _randomized_verdict(decide, seed, prime_bits, bit_cap, parallel,
     decided across a thread pool.  Each distinct prime is decided once,
     and the verdict is identical either way, so fan-out only trades
     wasted work for latency.
+
+    ``lockstep``, when given, decides several primes below 2^32 at once:
+    it maps distinct such primes, in draw order, to their verdicts up to
+    the first reject (``_lockstep_verdicts``).  Once two distinct primes
+    are drawn and all are below 2^32, every trial is drawn, the distinct
+    primes below 2^32 go to ``lockstep``, and ``_first_reject`` reads
+    their verdicts in draw order, so it prints what deciding one prime at
+    a time prints.
     """
     if prime_bits is not None:
         if prime_bits < 5:
@@ -772,6 +789,18 @@ def _randomized_verdict(decide, seed, prime_bits, bit_cap, parallel,
              for trial in range(trials))
     primes = (p for p in draws if p is not None)
     decide = cache(decide)
+    if lockstep is not None:
+        head = []  # the draws up to a second distinct prime or one >= 2^32
+        for p in primes:
+            head.append(p)
+            if p >> 32 or p != head[0]:
+                break
+        if head and head[-1] != head[0] and not head[-1] >> 32:
+            head += primes  # every trial's draw
+            known = lockstep([p for p in dict.fromkeys(head) if not p >> 32])
+            per_prime = decide
+            decide = lambda p: known[p] if p in known else per_prime(p)
+        primes = chain(head, primes)
     if parallel > 1:
         primes = list(primes)
         distinct = list(dict.fromkeys(primes))
@@ -800,21 +829,34 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
     prime_bits switches to the pragmatic mode: random primes of that many
     bits, same trial-count formula applied to L = 2^(bits-1).  Cheap, but
     the certified error bound no longer applies — the verdict is flagged.
+
+    In the pathwidth variant the distinct primes below 2^32 are decided
+    in lockstep closures (``_lockstep_verdicts``), up to 32 primes per
+    closure; the primes, verdict and witness are those of one closure per
+    prime.
     """
     if variant not in ("tw", "pw"):
         raise ValueError(f"unknown variant {variant!r}")
     counts = _small_counts(G, H, budget)
     partitions = _partitions(G, H, aut.k)
+    include_schur = variant == "tw"
+    lockstep = None if include_schur else (
+        lambda moduli: _lockstep_verdicts(G, H, aut, moduli, counts))
     return _randomized_verdict(
-        lambda p: _closure_verdict(G, H, aut, p, variant == "tw", counts,
+        lambda p: _closure_verdict(G, H, aut, p, include_schur, counts,
                                    partitions=partitions),
         seed, prime_bits, bit_cap, parallel,
-        bound_tw if variant == "tw" else bound_pw,
-        max(G.n, H.n, 1), aut.k, aut.states,
+        bound_tw if include_schur else bound_pw,
+        max(G.n, H.n, 1), aut.k, aut.states, lockstep=lockstep,
     )
 
 
 _LOCKSTEP_MODULI = 32  # most word primes decided by one lockstep closure
+# Longest stacked vector (n_G^k + n_H^k) decided in lockstep: beyond it
+# the bases of a group's moduli outgrow the caches, and one closure per
+# prime is faster (on permuted G(n, 1/2) pairs under paths, 2-vCPU VM,
+# the two break even at n = 15-16, length 450-512).
+_LOCKSTEP_LENGTH = 400
 
 
 def _groups(items, most):
@@ -825,22 +867,47 @@ def _groups(items, most):
             for i in range(count)]
 
 
-def _lockstep_accepts(G, H, aut, moduli, counts):
-    """Whether the pathwidth closure accepts at every prime of ``moduli``
-    (primes below 2^32): the small stage at each prime, then one closure
-    over all of them in lockstep (a ``_Basis`` per state with a leading
-    modulus axis).  At each prime the lockstep span is that prime's
-    closure span, and the readout is linear, so every accepting row
-    balances at every prime iff every prime's closure accepts.  If the
-    primes need different pivots, they are decided one at a time."""
-    if any(_small_stage(aut, p, counts)[0] is not None for p in moduli):
-        return False
-    try:
-        return _linear_closure(G, H, aut, np.array(moduli, dtype=np.uint64),
-                               False)
-    except _Diverged:
-        decide = lambda p: _closure_verdict(G, H, aut, p, False, counts)
-        return _first_reject(moduli, decide, "deterministic-crt", []).accept
+def _lockstep_verdicts(G, H, aut, moduli, counts):
+    """The single-prime pathwidth verdicts, by prime, at the distinct
+    primes below 2^32 of ``moduli``, in their order up to the first that
+    rejects (at all of them when none does).
+
+    The small stage runs at each prime up to its first reject.  The
+    primes before that reject are closed in near-equal groups of at most
+    ``_LOCKSTEP_MODULI``, one closure over all primes of a group in
+    lockstep (a ``_Basis`` per state with a leading modulus axis), up to
+    the first group in which a prime rejects.  At each prime the lockstep
+    span is that prime's closure span, and the readout is linear, so the
+    closure's flag per modulus is that prime's verdict.  A group of one
+    prime, a group whose primes need different pivots and every prime of
+    a pair whose stacked vectors are longer than ``_LOCKSTEP_LENGTH`` are
+    decided one prime at a time, up to the first reject."""
+    closable, rejected, note = [], None, ""
+    for p in moduli:
+        witness, note = _small_stage(aut, p, counts)
+        if witness is not None:
+            rejected = _prime_verdict(p, False, witness=witness)
+            break
+        closable.append(p)
+    short = G.n ** aut.k + H.n ** aut.k <= _LOCKSTEP_LENGTH
+    verdicts = {}
+    for group in _groups(closable, _LOCKSTEP_MODULI if short else 1):
+        decided = (_closure_verdict(G, H, aut, p, False, counts) for p in group)
+        if len(group) > 1:
+            try:
+                flags = _linear_closure(
+                    G, H, aut, np.array(group, dtype=np.uint64), False)
+                decided = (_prime_verdict(p, accept, note)
+                           for p, accept in zip(group, flags.tolist()))
+            except _Diverged:
+                pass
+        for verdict in decided:
+            verdicts[verdict.primes_used[0]] = verdict
+            if not verdict.accept:
+                return verdicts
+    if rejected is not None:
+        verdicts[rejected.rejecting_prime] = rejected
+    return verdicts
 
 
 def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
@@ -855,7 +922,8 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
     one of which accepts equal counts.  The first word prime is decided by
     its own closure, so a reject there costs no more; after an accept the
     others are decided in near-equal groups of at most
-    ``_LOCKSTEP_MODULI``, one lockstep closure per group.  When a word
+    ``_LOCKSTEP_MODULI``, one lockstep closure per group
+    (``_lockstep_verdicts``).  When a word
     prime rejects, the smallest primes are decided in order up to the
     first that rejects, which must exist, so a reject reports the same
     primes, rejecting prime and witness as deciding the smallest primes
@@ -877,8 +945,8 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
     decide = lambda p: _closure_verdict(G, H, aut, p, False, counts)
     first, *rest = word_primes_with_product_exceeding(bound)
     verdict = decide(first)
-    if verdict.accept and all(_lockstep_accepts(G, H, aut, group, counts)
-                              for group in _groups(rest, _LOCKSTEP_MODULI)):
+    if verdict.accept and all(
+            v.accept for v in _lockstep_verdicts(G, H, aut, rest, counts).values()):
         return Verdict(True, "deterministic-crt", primes, notes=verdict.notes)
     return _first_reject(primes, decide, "deterministic-crt", [])
 

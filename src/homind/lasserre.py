@@ -14,8 +14,13 @@ labelled) under those three operations and erasing labels at the end.
 The decision procedure mirrors the treewidth engine: it spans stacked
 matrix pairs M_G (+) M_H inside F_p^{n_G^{2t}} (+) F_p^{n_H^{2t}},
 starting from all atomic pairs and closing under Schur products with
-atomics, pairwise matrix products in both orders, and the axis
-transpositions (which generate all label permutations).  The span has
+atomics, pairwise matrix products in both orders, and, at t = 2, the
+axis transpositions (which generate all label permutations).  At t = 1
+the span is closed under the one transposition, the matrix transpose T,
+without it: the atomics I, J and A are symmetric, A∘T(X) = T(A∘X) and
+T(X)T(Y) = T(YX), so T maps the closure onto a space that holds the
+atomics and is closed under the same operations, which contains the
+closure and has its dimension.  The span has
 dimension at most n_G^{2t} + n_H^{2t}, so the closure terminates, and
 the graphs agree on homomorphism counts mod p from every class member
 iff every basis element has equal block entry sums (the all-ones
@@ -27,12 +32,12 @@ arity 2t (``MatrixOps`` adds the matrix products and axis transpositions),
 stored as uint64 when p < 2^32 and as object (Python integers)
 otherwise.  A popped basis element M yields its candidates as three
 blocks: the Schur products with every atomic (one broadcast), the
-transpositions, and the products with every basis element X_b in both
-orders (``MatrixOps.products``: two matrix products, over the basis
-matrices side by side and stacked, interleaved back into the order
-M X_1, X_1 M, M X_2, X_2 M, ...; a large basis is cut into slices of at
-most ``_PRODUCT_ENTRIES`` entries, one block each, which bounds the
-temporaries).  The closure reduces each block against the basis with one
+transpositions (at t = 2), and the products with every basis element
+X_b in both orders (``MatrixOps.products``: two matrix products, over
+the basis matrices side by side and stacked, interleaved back into the
+order M X_1, X_1 M, M X_2, X_2 M, ...; a large basis is cut into slices
+of at most ``_PRODUCT_ENTRIES`` entries, one block each, which bounds
+the temporaries).  The closure reduces each block against the basis with one
 matrix product per chunk of rows.  ``lasserre_mod``
 checks that a caller-supplied modulus is prime; the randomized wrapper,
 which lifts the modular verdicts to exact counts as the treewidth engine
@@ -136,15 +141,18 @@ def _lasserre_verdict(G, H, t, p, order_rng=None, stats=None):
     atomic = enumerate_atomic(t)
     atoms_g = np.array([og.atomic_tensor(a) for a in atomic])
     atoms_h = np.array([oh.atomic_tensor(a) for a in atomic])
+    # none at t = 1: the span is transpose-closed without them (see the
+    # module docstring)
     transpositions = [
         (a, b) for a in range(2 * t) for b in range(a + 1, 2 * t)
-    ]
+    ] if t > 1 else []
 
     def expand(_, row):
         g, h = _split(row, split)
         yield 0, np.concatenate((og.schur(atoms_g, g), oh.schur(atoms_h, h)), axis=1)
-        yield 0, np.array([_concat(og.transpose(g, a, b), oh.transpose(h, a, b))
-                           for a, b in transpositions])
+        if transpositions:
+            yield 0, np.array([_concat(og.transpose(g, a, b), oh.transpose(h, a, b))
+                               for a, b in transpositions])
         # products with every basis row in both orders, one block per
         # slice of the basis as it stands now
         mat = basis.matrix

@@ -25,6 +25,12 @@ the primes ``2, 3, 5, ...``, but an accept is decided at the largest primes
 below ``2**32`` (word primes): fewer of them cover the bound, and their
 residues keep the closure on machine integers.
 
+``is_prime`` is exact below psi_12 = 318,665,857,834,031,151,167,461
+(about 2**78), by Miller-Rabin over fixed bases, which covers the word
+primes, the pathwidth draws and the treewidth and Lasserre draws on
+small graphs; above it, 64 rounds with bases derived from the candidate
+leave an error below 4**-64 per composite.
+
 All randomness flows through an explicit, seedable generator (xoshiro256**
 seeded through splitmix64) so identical seeds reproduce identical runs
 bit for bit; nothing in this module touches ambient RNG state.
@@ -154,10 +160,15 @@ _SMALL_PRIMES = (
 )
 
 # Deterministic Miller-Rabin witnesses: the first set is exact for all
-# n < 4,759,123,141 (Jaeschke 1993), the second for all n < 2**64.
+# n < 4,759,123,141 (Jaeschke 1993), the second, the twelve primes up to
+# 37, for all n < psi_12 = 318,665,857,834,031,151,167,461 (about
+# 2**78.07), the smallest strong pseudoprime to all twelve (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+# 2017; OEIS A014233).  It covers every n < 2**64.
 _MR_WITNESSES_32 = (2, 7, 61)
 _MR_BOUND_32 = 4_759_123_141
 _MR_WITNESSES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PSI_12 = 318_665_857_834_031_151_167_461
 
 
 def _miller_rabin_round(n: int, d: int, r: int, base: int) -> bool:
@@ -178,13 +189,14 @@ def _miller_rabin_round(n: int, d: int, r: int, base: int) -> bool:
 def is_prime(p: int) -> bool:
     """Primality test.
 
-    Exact for p < 2**64 (deterministic Miller-Rabin over the witness set
-    {2,7,61} below 4,759,123,141, which covers every 32-bit p, and
-    {2,3,5,7,...,37} above).  Above 2**64 it runs 64 Miller-Rabin rounds with
-    bases derived deterministically from p itself, so the function stays
-    pure; the error probability (at most 4**-64 per composite) is
-    negligible against the 2**-trials error budget of the randomized
-    decision procedure that consumes these primes.
+    Exact below psi_12 = 318,665,857,834,031,151,167,461 (about 2**78):
+    deterministic Miller-Rabin over the witness set {2,7,61} below
+    4,759,123,141, which covers every 32-bit p, and {2,3,5,7,...,37}
+    above.  From psi_12 on it runs 64 Miller-Rabin rounds with bases
+    derived deterministically from p itself, so the function stays pure;
+    the error probability (at most 4**-64 per composite) is negligible
+    against the 2**-trials error budget of the randomized decision
+    procedure that consumes these primes.
     """
     if p < 2:
         return False
@@ -200,7 +212,7 @@ def is_prime(p: int) -> bool:
         r += 1
     if p < _MR_BOUND_32:
         witnesses = _MR_WITNESSES_32
-    elif p < (1 << 64):
+    elif p < _PSI_12:
         witnesses = _MR_WITNESSES_64
     else:
         state = (p & _MASK64) ^ 0xD6E8FEB86659FD93

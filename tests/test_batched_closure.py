@@ -133,13 +133,14 @@ def test_closure_blocks_are_reduced_in_chunks():
 
 def _lasserre_one_at_a_time(G, H, t, p):
     """The Lasserre closure with every candidate built alone, by the
-    per-pair tensor operations, in the order the batched blocks hold."""
+    per-pair tensor operations, in the order the batched blocks hold
+    (transpositions at t = 2 only, as there)."""
     og, oh = lasserre.MatrixOps(G, t, p), lasserre.MatrixOps(H, t, p)
     split = og.length
     basis = engine._Basis(p, og.length + oh.length)
     atomics = [(og.atomic_tensor(a), oh.atomic_tensor(a))
                for a in enumerate_atomic(t)]
-    pairs = [(a, b) for a in range(2 * t) for b in range(a + 1, 2 * t)]
+    pairs = [(a, b) for a in range(2 * t) for b in range(a + 1, 2 * t)] if t > 1 else []
 
     def expand(_, row):
         g, h = row[:split], row[split:]

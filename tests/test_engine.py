@@ -8,6 +8,8 @@ oracles first.
 """
 
 import random
+from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from homind.engine import (
     _first_reject,
     _groups,
     _linear_closure,
-    _lockstep_accepts,
+    _lockstep_verdicts,
     _small_counts,
     format_verdict,
     homind_deterministic_crt,
@@ -36,6 +38,7 @@ from homind.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     hom_count,
     is_isomorphic_small,
     path_graph,
@@ -698,12 +701,13 @@ def test_crt_accept_decides_the_word_primes_only(monkeypatch):
         decided.append(p)
         return _closure_verdict(G, H, aut, p, *args, **kwargs)
 
-    def lockstep(G, H, aut, moduli, counts):
-        groups.append(list(moduli))
-        return _lockstep_accepts(G, H, aut, moduli, counts)
+    def lockstep(G, H, aut, p, *args):
+        if isinstance(p, np.ndarray):
+            groups.append(p.tolist())
+        return _linear_closure(G, H, aut, p, *args)
 
     monkeypatch.setattr(homind.engine, "_closure_verdict", counted)
-    monkeypatch.setattr(homind.engine, "_lockstep_accepts", lockstep)
+    monkeypatch.setattr(homind.engine, "_linear_closure", lockstep)
     aut = builtin("paths", 2)
     verdict = homind_deterministic_crt(
         _G6, permuted_copy(random.Random(12), _G6), aut)
@@ -763,10 +767,11 @@ def _lockstep_pairs():
 @pytest.mark.parametrize("moduli", [_WORD_MODULI, _SMALL_MODULI],
                          ids=["word", "small"])
 def test_lockstep_verdict_is_every_prime_verdict(moduli, monkeypatch):
-    """One lockstep decision over several primes accepts iff every
-    per-prime closure accepts.  At word primes the lockstep closure runs
-    to the end on every pair; at the primes 2..23 it diverges on some
-    pairs and falls back to one closure per prime."""
+    """A lockstep decision over several primes gives each prime the
+    verdict of its own closure, up to the first prime that rejects.  At
+    word primes the lockstep closure runs to the end on every pair; at
+    the primes 2..23 it diverges on some pairs and falls back to one
+    closure per prime."""
     import homind.engine
 
     fallbacks = []
@@ -779,10 +784,14 @@ def test_lockstep_verdict_is_every_prime_verdict(moduli, monkeypatch):
     outcomes = set()
     for G, H, aut in _lockstep_pairs():
         counts = _small_counts(G, H, 10**8)
-        want = all(_closure_verdict(G, H, aut, p, False, counts).accept
-                   for p in moduli)
-        assert _lockstep_accepts(G, H, aut, moduli, counts) == want, (G, H)
-        outcomes.add(want)
+        want = {}
+        for p in moduli:
+            want[p] = verdict_pairs(_closure_verdict(G, H, aut, p, False, counts))
+            if want[p][0] != ("verdict", "accept"):
+                break
+        got = _lockstep_verdicts(G, H, aut, moduli, counts)
+        assert {p: verdict_pairs(v) for p, v in got.items()} == want, (G, H)
+        outcomes.add(len(want) == len(moduli) and all(v.accept for v in got.values()))
     assert outcomes == {True, False}
     if moduli is _WORD_MODULI:
         assert not fallbacks
@@ -805,14 +814,15 @@ def test_lockstep_pivot_is_a_unit_at_every_modulus():
 
 
 def test_lockstep_readout_checks_every_modulus():
-    """A row whose G and H sums agree mod 5 but not mod 7 is rejected."""
+    """A row whose G and H sums agree mod 5 but not mod 7 is rejected
+    at 7 alone: the readout is one flag per modulus."""
     moduli = np.array([5, 7], dtype=np.uint64)
     ops = BlockOps(Graph.from_edges(1, []), 1, moduli)
     for h_entry, accept in ((6, False), (1, True)):
         seed = np.array([[1, h_entry % 5], [1, h_entry % 7]], dtype=np.uint64)
         bases = [_Basis(moduli, 2)]
-        assert _closure(bases, [(0, seed)], lambda q, row: (), [0],
-                        ops, ops) == accept
+        flags = _closure(bases, [(0, seed)], lambda q, row: (), [0], ops, ops)
+        assert flags.tolist() == [True, accept]
 
 
 def test_lockstep_arrays_stay_uint64(monkeypatch):
@@ -835,8 +845,156 @@ def test_lockstep_arrays_stay_uint64(monkeypatch):
     monkeypatch.setattr(BlockOps, "total", checked_total)
     moduli = np.array(_WORD_MODULI, dtype=np.uint64)
     assert _linear_closure(_G6, permuted_copy(random.Random(12), _G6),
-                           builtin("paths", 2), moduli, False)
+                           builtin("paths", 2), moduli, False).all()
     assert seen and set(seen) == {np.dtype(np.uint64)}
+
+
+# === Randomized pathwidth decisions in lockstep ===
+
+
+def _one_closure_per_prime(monkeypatch):
+    """Turn the lockstep off: every prime gets its own closure."""
+    import homind.engine
+
+    monkeypatch.setattr(homind.engine, "_lockstep_verdicts", lambda *args: {})
+
+
+def test_randomized_pw_lockstep_matches_one_closure_per_prime(monkeypatch):
+    """A randomized pathwidth decision gives the same verdict, primes,
+    rejecting prime, witness and notes with its word primes decided in
+    lockstep as with one closure per prime: the lockstep pairs and six
+    random pairs with equal order and size at their certified primes, and
+    every fourth of them at 44 draws of 12-bit primes (two lockstep
+    groups)."""
+    pairs = _lockstep_pairs()
+    rng = random.Random(15)
+    for index in range(6):
+        n = 5 + index % 2
+        edges = list(combinations(range(n), 2))
+        m = rng.randrange(3, len(edges) - 2)
+        pairs.append((Graph.from_edges(n, rng.sample(edges, m)),
+                      Graph.from_edges(n, rng.sample(edges, m)), builtin("paths", 2)))
+    cases = [(G, H, aut, seed, None) for seed, (G, H, aut) in enumerate(pairs)]
+    cases += [(G, H, aut, seed, 12) for seed, (G, H, aut) in enumerate(pairs[::4])]
+    outcomes, lockstep_runs = [], 0
+    for G, H, aut, seed, bits in cases:
+        runs = closure_runs(monkeypatch)
+        verdict = homind_randomized(G, H, aut, "pw", seed=seed, prime_bits=bits)
+        monkeypatch.undo()
+        lockstep_runs += sum(np.ndim(bases[0].p) == 1 for bases in runs)
+        _one_closure_per_prime(monkeypatch)
+        alone = homind_randomized(G, H, aut, "pw", seed=seed, prime_bits=bits)
+        monkeypatch.undo()
+        assert verdict == alone, (G, H, seed, bits)
+        outcomes.append(verdict.accept)
+    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+    assert lockstep_runs >= outcomes.count(True)
+
+
+def test_lockstep_verdicts_reject_at_a_later_prime():
+    """3 P4 + K_{1,3} and 4 K_{1,3} differ in walk counts by three times
+    what P4 and K_{1,3} do, so the closure accepts at 3 and rejects at a
+    word prime placed after it: the verdicts run to that reject, and the
+    prime loop names it."""
+    G = reduce(disjoint_union, [path_graph(4)] * 3 + [star_graph(3)])
+    H = reduce(disjoint_union, [star_graph(3)] * 4)
+    aut = builtin("paths", 2)
+    counts = _small_counts(G, H, 10**8)
+    moduli = [3, _WORD_MODULI[0], _WORD_MODULI[1]]
+    verdicts = _lockstep_verdicts(G, H, aut, moduli, counts)
+    assert [(p, v.accept) for p, v in verdicts.items()] == [(3, True), (moduli[1], False)]
+    for p, v in verdicts.items():
+        assert v == _closure_verdict(G, H, aut, p, False, counts)
+    verdict = _first_reject(moduli, verdicts.__getitem__, "randomized", [])
+    assert verdict.primes_used == moduli[:2] and verdict.rejecting_prime == moduli[1]
+
+
+def test_lockstep_flags_become_verdicts_up_to_the_first_reject(monkeypatch):
+    """A lockstep closure whose flags read accept, reject, accept gives
+    the first prime an accept and the second a reject, and stops there."""
+    import homind.engine
+
+    monkeypatch.setattr(homind.engine, "_linear_closure",
+                        lambda *args: np.array([True, False, True]))
+    G, H = GRAPHS["c6"], GRAPHS["2k3"]
+    counts = _small_counts(G, H, 10**8)
+    moduli = _WORD_MODULI[:3]
+    verdicts = _lockstep_verdicts(G, H, builtin("paths", 2), moduli, counts)
+    assert verdicts == {moduli[0]: Verdict(True, "single-prime", moduli[:1]),
+                        moduli[1]: Verdict(False, "single-prime", moduli[1:2],
+                                           rejecting_prime=moduli[1])}
+
+
+def test_lockstep_only_for_short_vectors(monkeypatch):
+    """Permuted G(14, 1/2) pairs (stacked length 392) run their word
+    primes in one lockstep closure; G(15, 1/2) pairs (length 450, past
+    ``_LOCKSTEP_LENGTH``) one closure per prime.  The verdicts are those
+    of one closure per prime either way."""
+    aut = builtin("paths", 2)
+    for n, lockstep in ((14, True), (15, False)):
+        G = random_graph(random.Random(n), n)
+        H = permuted_copy(random.Random(n + 1), G)
+        counts = _small_counts(G, H, 10**8)
+        runs = closure_runs(monkeypatch)
+        verdicts = _lockstep_verdicts(G, H, aut, _WORD_MODULI, counts)
+        monkeypatch.undo()
+        assert verdicts == {p: _closure_verdict(G, H, aut, p, False, counts)
+                            for p in _WORD_MODULI}
+        assert [np.shape(bases[0].p) for bases in runs] == (
+            [(len(_WORD_MODULI),)] if lockstep else [()] * len(_WORD_MODULI))
+
+
+def test_randomized_pw_falls_back_to_one_closure_per_prime(monkeypatch):
+    """When the lockstep closure diverges, the primes are decided one at a
+    time, up to the first reject only, with the verdict of one closure
+    per prime."""
+    import homind.engine
+
+    linear = homind.engine._linear_closure
+    decided = []
+
+    def diverging(G, H, aut, p, *args, **kwargs):
+        if isinstance(p, np.ndarray):
+            raise _Diverged
+        decided.append(p)
+        return linear(G, H, aut, p, *args, **kwargs)
+
+    aut = builtin("paths", 2)
+    for G, H, accept in ((GRAPHS["c6"], GRAPHS["2k3"], True),
+                         (path_graph(4), star_graph(3), False)):
+        _one_closure_per_prime(monkeypatch)
+        alone = homind_randomized(G, H, aut, "pw", seed=7, prime_bits=12)
+        monkeypatch.undo()
+        decided.clear()
+        monkeypatch.setattr(homind.engine, "_linear_closure", diverging)
+        verdict = homind_randomized(G, H, aut, "pw", seed=7, prime_bits=12)
+        monkeypatch.undo()
+        assert verdict == alone and verdict.accept == accept
+        assert decided == list(dict.fromkeys(verdict.primes_used))
+        assert len(decided) == (41 if accept else 1)
+
+
+def test_randomized_pw_runs_one_closure_per_lockstep_group(monkeypatch):
+    """At 44 draws of 12-bit primes (41 distinct), an accept runs one
+    lockstep closure per group of distinct primes, and a closure reject
+    at the first prime runs the first group's closure only, with no
+    closure per prime after it."""
+    aut = builtin("paths", 2)
+    moduli = []
+    for G, H, accept in ((GRAPHS["c6"], GRAPHS["2k3"], True),
+                         (path_graph(4), star_graph(3), False)):
+        runs = closure_runs(monkeypatch)
+        verdict = homind_randomized(G, H, aut, "pw", seed=7, prime_bits=12)
+        monkeypatch.undo()
+        assert verdict.accept == accept
+        moduli.append([bases[0].p.tolist() for bases in runs])
+        if accept:
+            groups = _groups(list(dict.fromkeys(verdict.primes_used)), 32)
+            assert [len(group) for group in groups] == [20, 21]
+            assert moduli[0] == groups
+        else:
+            assert verdict.primes_used == [verdict.rejecting_prime] == moduli[0][0][:1]
+    assert moduli[1] == moduli[0][:1]
 
 
 def test_crt_requires_pathwidth_variant():

@@ -14,6 +14,8 @@ from functools import cache
 import numpy as np
 import pytest
 
+from homind import lasserre
+from homind.engine import _concat, _split
 from homind.graphs import Graph, complete_graph, cycle_graph, hom_count, path_graph
 from homind.labelled import enumerate_atomic, enumerate_lasserre, enumerate_lasserre_values
 from homind.lasserre import MatrixOps, lasserre_mod, lasserre_randomized
@@ -85,6 +87,45 @@ def test_term_tensors_big_prime_python_path(monkeypatch):
     for G, H, dim in [(cycle_graph(4), path_graph(5), 16),
                       (cycle_graph(6), TWO_TRIANGLES, 7)]:
         assert _span_gate(monkeypatch, G, H, 1, 3, 5, BIG_PRIME) == (True, dim, dim)
+
+
+def test_level1_span_is_transpose_closed_without_transpositions(monkeypatch):
+    """At t = 1 the closure offers no transposition block, since its span
+    is closed under the matrix transpose without one (see the module
+    docstring).  On seeded pairs the transpose of every basis row reduces
+    to zero against the final basis, and the dimension is that of the
+    closure with the transposition block put back."""
+    closure = lasserre._closure
+
+    def with_transposes(bases, seeds, expand, accepting, og, oh, *args):
+        def expanded(q, row):
+            yield from expand(q, row)
+            g, h = _split(row, og.length)
+            yield q, _concat(og.transpose(g, 0, 1), oh.transpose(h, 0, 1))
+        return closure(bases, seeds, expanded, accepting, og, oh, *args)
+
+    rng = random.Random(41)
+    for index in range(12):
+        G = random_graph(rng, 3 + index % 5)
+        H = permuted_copy(rng, G) if index % 3 == 0 else random_graph(rng, G.n)
+        p = (2, 3, 97, 2**31 - 1)[index % 4]
+        runs = closure_runs(monkeypatch)
+        stats = {}
+        lasserre_mod(G, H, 1, p, stats=stats)
+        monkeypatch.undo()
+        [[basis]] = runs
+        ng, nh, rows = G.n, H.n, len(basis)
+        mat_g, mat_h = _split(basis.matrix, ng * ng)
+        transposed = np.concatenate(
+            (mat_g.reshape(rows, ng, ng).transpose(0, 2, 1).reshape(rows, -1),
+             mat_h.reshape(rows, nh, nh).transpose(0, 2, 1).reshape(rows, -1)),
+            axis=1)
+        assert not basis.reduce(transposed).any(), (G, H, p)
+        monkeypatch.setattr(lasserre, "_closure", with_transposes)
+        with_block = {}
+        lasserre_mod(G, H, 1, p, stats=with_block)
+        monkeypatch.undo()
+        assert with_block["dim_total"] == stats["dim_total"], (G, H, p)
 
 
 def test_atomic_enumeration_sizes():

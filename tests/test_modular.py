@@ -19,6 +19,7 @@ from homind.modular import (
     splitmix64,
     trial_count,
 )
+from homind.modular import _MR_WITNESSES_64, _miller_rabin_round
 
 
 # ---------------------------------------------------------------- RNG
@@ -157,6 +158,27 @@ def test_is_prime_product_of_two_40_bit_primes():
     product = primes[0] * primes[1]
     assert product.bit_length() >= 79
     assert not is_prime(product)
+
+
+def test_is_prime_twelve_bases_up_to_psi12(monkeypatch):
+    """Below psi_12 = 318,665,857,834,031,151,167,461 the twelve prime
+    bases up to 37 decide primality (Sorenson and Webster 2017).  psi_12
+    itself, a product of two primes, passes all twelve, so it must go to
+    the 64 seeded rounds, which catch it.  On 2,000 seeded odd numbers
+    between 2^64 and psi_12 the twelve bases agree with the seeded rounds
+    that decided them before, on the composites and on the primes."""
+    psi = 318_665_857_834_031_151_167_461
+    assert psi == 399_165_290_221 * 798_330_580_441
+    d, r = (psi - 1) >> 2, 2
+    assert d % 2 == 1 and d << r == psi - 1
+    assert all(_miller_rabin_round(psi, d, r, base) for base in _MR_WITNESSES_64)
+    assert not is_prime(psi)
+    rng = Xoshiro256StarStar(78)
+    numbers = [rng.randrange(1 << 64, psi - 1) | 1 for _ in range(2000)]
+    twelve = [is_prime(x) for x in numbers]
+    monkeypatch.setattr("homind.modular._PSI_12", 1 << 64)
+    assert twelve == [is_prime(x) for x in numbers]
+    assert 20 < sum(twelve) < 2000
 
 
 def test_is_prime_above_64_bits():
