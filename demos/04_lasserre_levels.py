@@ -5,9 +5,11 @@ Matrix algebras and relaxation levels
 The level-t relaxation class is generated from "atomic" building blocks
 — graphs on at most 2t vertices, all of them labelled — closed under
 matrix products, entrywise products with atomics, and label
-permutations.  Indistinguishability over that class is decided by the
-same subspace-closure idea as the treewidth engine, but on n^t x n^t
-matrices instead of vectors.
+permutations.  Indistinguishability over that class is decided on the
+span of the class's n^t x n^t matrices, read off a partition of the
+2t-tuples of both graphs, as the treewidth engine does for tw-all: the
+colour of (a, b) is refined by the colour pairs (col(a, c), col(c, b))
+over all c, the Weisfeiler-Leman coherent-closure step.
 """
 
 # %%
@@ -41,8 +43,8 @@ for atomic in enumerate_atomic(1):
           f"{atomic.graph.m} edge(s): total = {ops.total(block)}")
 
 # %%
-# Isomorphic pairs always accept — the closure readout compares sums
-# that are genuinely equal.  A permuted copy of a random graph:
+# Isomorphic pairs always accept — the readout compares colour-class
+# sizes that are genuinely equal.  A permuted copy of a random graph:
 
 import random
 

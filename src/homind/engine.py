@@ -43,8 +43,8 @@ Dell, Grohe and Rattan, ICALP 2018).  The dimension is the number of
 colours, and the pair is accepted iff every colour holds as many
 G-tuples as H-tuples mod p.  Line counts never exceed max(n_G, n_H), so
 all primes above that share one partition, which a randomized decision
-computes once.  The pathwidth flavour, automata with several states and
-Lasserre run the linear closure (``_linear_closure``, ``_closure``).
+computes once; ``lasserre`` refines 2t-tuples alike.  The pathwidth
+flavour and multi-state automata run the linear closure (``_closure``).
 
 Counts over the integers are recovered from modular runs: a randomized
 wrapper samples primes from a range wide enough that disagreeing counts
@@ -144,6 +144,13 @@ class Verdict:
         return self.accept
 
 
+def _adjacency(g):
+    adj = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v in g.edges:
+        adj[u, v] = adj[v, u] = 1
+    return adj
+
+
 class BlockOps:
     """Operator kernels for tensors over V(G)^k, stored as flat vectors
     of length n^k with row-major index x = sum x_t * n^(k-t).  The kernels
@@ -160,10 +167,7 @@ class BlockOps:
         self.p = p
         self.length = g.n**k
         self.dtype = _residue_dtype(p)
-        self._adj = np.zeros((g.n, g.n), dtype=self.dtype)
-        for u, v in g.edges:
-            self._adj[u, v] = 1
-            self._adj[v, u] = 1
+        self._adj = _adjacency(g).astype(self.dtype)
         self._masks = {}
 
     # -- vector constructors ------------------------------------------------
@@ -433,18 +437,17 @@ def _split(vec, length_g):
 
 def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
              stats=None):
-    """Worklist closure shared by the pw, multi-state tw and Lasserre
-    deciders.
+    """Worklist closure shared by the pw and multi-state tw deciders (and
+    the tests' reference Lasserre closure).
 
-    ``bases`` holds one echelon basis per recogniser state (a single one
-    for Lasserre), ``seeds`` the (state, candidates) pairs to start from,
-    and ``expand(state, row)`` yields the (target state, candidates) pairs
-    a popped basis row generates, where candidates is one stacked vector
-    or a block of them, one per row; the basis tells the two apart by its
-    ``vector_ndim`` (a lockstep vector has a leading modulus axis, see
-    ``_Basis``).  A block is reduced
-    against its bucket's basis ``_CHUNK_ROWS`` rows at a time, with one
-    matrix product per chunk, and only the rows left nonzero go on to
+    ``bases`` holds one echelon basis per recogniser state, ``seeds`` the
+    (state, candidates) pairs to start from, and ``expand(state, row)``
+    yields the (target state, candidates) pairs a popped basis row
+    generates, where candidates is one stacked vector or a block of them,
+    one per row; the basis tells the two apart by its ``vector_ndim`` (a
+    lockstep vector has a leading modulus axis, see ``_Basis``).  A block
+    is reduced against its bucket's basis ``_CHUNK_ROWS`` rows at a time,
+    with one matrix product per chunk, and only the rows left nonzero go on to
     ``try_insert``, in order.  Full reduction against a reduced echelon
     basis is canonical, so the bases, and the rows inserted and queued,
     are those of offering the rows one at a time.  ``order_rng``
@@ -567,23 +570,62 @@ def _pair_ids(a, b):
     return np.unique(keys, return_inverse=True)[1].reshape(-1)
 
 
-def _line_signatures(line, colours, modulus):
-    """For every tuple, the id of the colour counts (mod ``modulus``, or
-    over the integers when None) along its line, where ``line`` holds the
-    line id of every tuple; lines with equal counts get equal ids."""
-    width = int(colours.max(initial=-1)) + 1
-    keys, mult = np.unique(line * width + colours, return_counts=True)
-    if modulus is not None:
-        mult %= modulus
-        keys, mult = keys[mult != 0], mult[mult != 0]
-    owner = keys // width  # ascending: entries are grouped by line
-    pos = np.arange(len(keys)) - np.searchsorted(owner, owner)
-    # one row per line: its (colour, count) entries, padded with -1
-    rows, cols = int(line.max(initial=-1)) + 1, 2 * (int(pos.max(initial=-1)) + 1)
-    table = np.full((rows, cols), -1, dtype=np.int64)
-    table[owner, 2 * pos] = keys % width
-    table[owner, 2 * pos + 1] = mult
-    return np.unique(table, axis=0, return_inverse=True)[1].reshape(-1)[line]
+def _line_signatures(groups, modulus):
+    """One id per line of every group (``line``, ``colours``: the line, from
+    0 in each group, and colour of each tuple), in group order, for its
+    colour counts mod ``modulus`` (over the integers when None): equal
+    counts, equal ids.  A generator of groups keeps one group's keys alive."""
+    tables = []  # per group, one row per line: its (colour, count) entries
+    for line, colours in groups:
+        width = int(colours.max(initial=-1)) + 1
+        keys, mult = np.unique(line * width + colours, return_counts=True)
+        if modulus is not None:
+            mult %= modulus
+            keys, mult = keys[mult != 0], mult[mult != 0]
+        owner = keys // width  # ascending: entries are grouped by line
+        pos = np.arange(len(keys)) - np.searchsorted(owner, owner)
+        rows, cols = int(line.max(initial=-1)) + 1, 2 * (int(pos.max(initial=0)) + 1)
+        tables.append(np.full((rows, cols), -1, dtype=np.int64))
+        tables[-1][owner, 2 * pos] = keys % width
+        tables[-1][owner, 2 * pos + 1] = mult
+    # padded with -1 to one width; a row as one raw-bytes item (equal rows,
+    # equal bytes) sorts several times faster than rows with axis=0
+    table = np.full((sum(map(len, tables)), max(t.shape[1] for t in tables)), -1,
+                    dtype=np.int64)
+    for start, part in zip(np.cumsum([0, *map(len, tables)]), tables):
+        table[start:start + len(part), :part.shape[1]] = part
+    table = table.view(np.dtype((np.void, table.strides[0]))).reshape(-1)
+    return np.unique(table, return_inverse=True)[1].reshape(-1)
+
+
+def _patterns(G, H, k, relation):
+    """The colour of every tuple of V(G)^k ⊔ V(H)^k, G's first, in one
+    palette: its pattern of ``relation(g)[x_i, x_j]`` over the slot pairs
+    i < j."""
+    grids = [np.indices((g.n,) * k, dtype=np.int64).reshape(k, -1) for g in (G, H)]
+    rels = [relation(g) for g in (G, H)]
+    colours = np.zeros(sum(grid.shape[1] for grid in grids), dtype=np.int64)
+    for i, j in combinations(range(k), 2):
+        colours = _pair_ids(colours, np.concatenate(
+            [rel[grid[i], grid[j]] for rel, grid in zip(rels, grids)]))
+    return colours
+
+
+def _stable(colours, signatures, size_g):
+    """``colours`` refined by every id array that ``signatures(colours)``
+    yields, round after round, until the colour count stops growing; and
+    the class sizes on the first ``size_g`` tuples (G's) and the others."""
+    count = int(colours.max(initial=-1)) + 1
+    while count:  # zero only when there are no tuples
+        refined = colours
+        for ids in signatures(colours):
+            refined = _pair_ids(refined, ids)
+        refined_count = int(refined.max(initial=-1)) + 1
+        if refined_count == count:
+            break
+        colours, count = refined, refined_count
+    return colours, (np.bincount(colours[:size_g], minlength=count),
+                     np.bincount(colours[size_g:], minlength=count))
 
 
 def _refine(G, H, k, modulus):
@@ -597,55 +639,34 @@ def _refine(G, H, k, modulus):
     Colours, line ids and the keys built from them stay below the square
     of the tuple count, so int64 is exact for any input that fits in
     memory."""
-    grids = [np.indices((g.n,) * k, dtype=np.int64).reshape(k, -1) for g in (G, H)]
-    adjs = []
-    for g in (G, H):
-        adj = np.zeros((g.n, g.n), dtype=np.int64)
-        for u, v in g.edges:
-            adj[u, v] = adj[v, u] = 1
-        adjs.append(adj)
-    # A-mask pattern: the bits adj[x_i, x_j] for i < j
-    colours = np.zeros(sum(grid.shape[1] for grid in grids), dtype=np.int64)
-    for i, j in combinations(range(k), 2):
-        colours = _pair_ids(colours, np.concatenate(
-            [adj[grid[i], grid[j]] for adj, grid in zip(adjs, grids)]))
-    # axis-i lines: tuples equal off axis i, on one side
+    # axis-i lines: tuples equal off axis i, on one side, numbered by
+    # the flat index with axis i (of stride n^(k-1-i)) left out
     lines = []
     for i in range(k):
         per_side, offset = [], 0
-        for g, grid in zip((G, H), grids):
-            line = np.zeros(grid.shape[1], dtype=np.int64)
-            for axis in range(k):
-                if axis != i:
-                    line = line * g.n + grid[axis]
-            per_side.append(line + offset)
+        for g in (G, H):
+            flat, stride = np.arange(g.n**k), g.n ** (k - 1 - i)
+            per_side.append(flat // (stride * g.n) * stride + flat % stride + offset)
             offset += g.n ** (k - 1)
         lines.append(np.concatenate(per_side))
-    count = int(colours.max(initial=-1)) + 1
-    while True:
-        refined = colours
-        for line in lines:
-            refined = _pair_ids(refined, _line_signatures(line, colours, modulus))
-        refined_count = int(refined.max(initial=-1)) + 1
-        if refined_count == count:
-            break
-        colours, count = refined, refined_count
-    size_g = grids[0].shape[1]
-    return (np.bincount(colours[:size_g], minlength=count),
-            np.bincount(colours[size_g:], minlength=count))
+    return _stable(_patterns(G, H, k, _adjacency), lambda colours: (
+        _line_signatures([(line, colours)], modulus)[line] for line in lines),
+        G.n**k)[1]
 
 
-def _partitions(G, H, k):
-    """The ``_refine`` partition of a decision for any prime p, computed
-    once per modulus: line counts never exceed max(n_G, n_H), so every
-    prime above that shares the integer partition."""
-    n = max(G.n, H.n)
-    refine = cache(lambda modulus: _refine(G, H, k, modulus))
-    return lambda p: refine(p if p <= n else None)
+def _partitions(refine, largest):
+    """The partition ``refine(modulus)`` at any prime p, once per modulus: no
+    count exceeds ``largest``, so all primes above it share modulus None."""
+    refine = cache(refine)
+    return lambda p: refine(p if p <= largest else None)
 
 
-def _blocks_balanced(sizes_g, sizes_h, p):
-    """Every colour class holds as many G-tuples as H-tuples, mod p."""
+def _blocks_balanced(sizes_g, sizes_h, p, stats=None):
+    """Every colour class holds as many G-tuples as H-tuples, mod p; into
+    ``stats`` goes the partition as a closure of one block per colour."""
+    if stats is not None:
+        stats["dim_total"] = stats["inserts"] = stats["candidates"] = len(sizes_g)
+        stats["per_state"] = {0: len(sizes_g)}
     diff = np.abs(sizes_g - sizes_h)
     if p <= int(diff.max(initial=0)):
         diff %= p
@@ -674,11 +695,9 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, order_rng=None,
         return _prime_verdict(p, False, witness=witness)
 
     if include_schur and aut.states == 1:
-        sizes_g, sizes_h = (partitions or _partitions(G, H, aut.k))(p)
-        if stats is not None:
-            stats["dim_total"] = stats["inserts"] = stats["candidates"] = len(sizes_g)
-            stats["per_state"] = {0: len(sizes_g)}
-        accept = not aut.accepting or _blocks_balanced(sizes_g, sizes_h, p)
+        sizes_g, sizes_h = (partitions or _partitions(
+            lambda m: _refine(G, H, aut.k, m), max(G.n, H.n)))(p)
+        accept = _blocks_balanced(sizes_g, sizes_h, p, stats) or not aut.accepting
     else:
         accept = bool(_linear_closure(G, H, aut, p, include_schur, order_rng,
                                       stats))
@@ -838,7 +857,7 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
     if variant not in ("tw", "pw"):
         raise ValueError(f"unknown variant {variant!r}")
     counts = _small_counts(G, H, budget)
-    partitions = _partitions(G, H, aut.k)
+    partitions = _partitions(lambda m: _refine(G, H, aut.k, m), max(G.n, H.n))
     include_schur = variant == "tw"
     lockstep = None if include_schur else (
         lambda moduli: _lockstep_verdicts(G, H, aut, moduli, counts))

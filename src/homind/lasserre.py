@@ -11,71 +11,70 @@ obtained by generating from the atomic bilabelled graphs (a partition of
 the 2t label slots plus any edge set on the quotient — every vertex
 labelled) under those three operations and erasing labels at the end.
 
-The decision procedure mirrors the treewidth engine: it spans stacked
-matrix pairs M_G (+) M_H inside F_p^{n_G^{2t}} (+) F_p^{n_H^{2t}},
-starting from all atomic pairs and closing under Schur products with
-atomics, pairwise matrix products in both orders, and, at t = 2, the
-axis transpositions (which generate all label permutations).  At t = 1
-the span is closed under the one transposition, the matrix transpose T,
-without it: the atomics I, J and A are symmetric, A∘T(X) = T(A∘X) and
-T(X)T(Y) = T(YX), so T maps the closure onto a space that holds the
-atomics and is closed under the same operations, which contains the
-closure and has its dimension.  The span has
-dimension at most n_G^{2t} + n_H^{2t}, so the closure terminates, and
-the graphs agree on homomorphism counts mod p from every class member
-iff every basis element has equal block entry sums (the all-ones
-bilinear form 1^T M 1 erases the labels).
+The decision is about the span W of the stacked matrices M_G (+) M_H of
+the class: the atomic pairs, closed under Schur products with atomics,
+matrix products and, at t = 2, the axis transpositions.  The graphs agree
+on counts mod p from every member iff every element of W has equal block
+entry sums (1^T M 1 erases the labels).  At t = 1, W is transpose-closed
+without the transposition: the atomics I, J and A are symmetric,
+A∘T(X) = T(A∘X) and T(X)T(Y) = T(YX), so T maps W onto a space that holds
+the atomics and is closed under the same operations, which contains W and
+has its dimension.
 
-The closure is the treewidth engine's worklist loop with a single state,
-on the same arrays and kernels: a matrix is a ``BlockOps`` tensor of
-arity 2t (``MatrixOps`` adds the matrix products and axis transpositions),
-stored as uint64 when p < 2^32 and as object (Python integers)
-otherwise.  A popped basis element M yields its candidates as three
-blocks: the Schur products with every atomic (one broadcast), the
-transpositions (at t = 2), and the products with every basis element
-X_b in both orders (``MatrixOps.products``: two matrix products, over
-the basis matrices side by side and stacked, interleaved back into the
-order M X_1, X_1 M, M X_2, X_2 M, ...; a large basis is cut into slices
-of at most ``_PRODUCT_ENTRIES`` entries, one block each, which bounds
-the temporaries).  The closure reduces each block against the basis with one
-matrix product per chunk of rows.  ``lasserre_mod``
-checks that a caller-supplied modulus is prime; the randomized wrapper,
-which lifts the modular verdicts to exact counts as the treewidth engine
-does with the level-t bound driving the prime range, runs the closure
-directly on primes its sampler has proved.
+``_level_refine`` reads W off a partition of V(G)^{2t} ⊔ V(H)^{2t}, as
+``engine._refine`` does for tw-all.  It starts from the atomic types (the
+equality and adjacency pattern of a tuple's slots), whose indicators the
+0/1 atomics span, and refines the colour of (a, b), a, b in V^t, by its
+product signature, the counts mod p of the pairs (col(a, c), col(c, b))
+over c in V^t, and at t = 2 by the colours of its six axis
+transpositions, until the colour count stops growing: the
+coherent-closure step of Weisfeiler and Leman (1968), on both graphs
+jointly.  As e_X e_Y (a, b) counts the c with col(a, c) = X and
+col(c, b) = Y, the stable partition's block indicators span a space that
+holds the atomics and is closed under the class operations, so contains
+W.  ``dim_total`` is the colour count, and the pair is accepted iff
+every colour holds as many G-tuples as H-tuples mod p.
+
+Proof owed: the spaces are equal if W is closed under Schur products of
+any two members (the ``engine`` docstring's x^p = x argument then makes W
+a stable partition's span), which is not proved: the class multiplies by
+atomics only.  The equality is measured: the tests gate the colour count
+and verdict against the linear closure of W by Gaussian elimination on
+``MatrixOps``, on seeded and structured pairs at both levels.  No product
+count exceeds n^t, so a randomized decision refines once, over the
+integers, for all its primes.
 """
+
+from itertools import combinations
 
 import numpy as np
 
 from .engine import (
     BlockOps,
     Verdict,
-    _Basis,
-    _closure,
-    _concat,
+    _adjacency,
+    _blocks_balanced,
+    _line_signatures,
     _mod_matmul,
+    _partitions,
+    _patterns,
+    _prime_verdict,
     _randomized_verdict,
     _require_prime,
-    _split,
+    _stable,
 )
 from .graphs import Graph
-from .labelled import enumerate_atomic
 from .modular import bound_lasserre
 
 
 class MatrixOps(BlockOps):
-    """Kernels for n^t-by-n^t matrices over one target graph: ``BlockOps``
-    tensors of arity 2t (row axes first, then column axes), which bring
-    the Schur product and the readout 1^T M 1, plus the matrix products
-    and the axis transpositions."""
+    """The operations that generate W on n^t-by-n^t matrices over one graph:
+    ``BlockOps`` tensors of arity 2t (row axes, then column axes), with the
+    atomic tensors, the matrix product and the axis transpositions."""
 
     def __init__(self, g: Graph, t: int, p: int):
-        if t < 1:
-            raise ValueError("t must be >= 1")
         super().__init__(g, 2 * t, p)
-        self.t = t
         self.side = g.n**t
-        self._shape = (g.n,) * (2 * t)
 
     def atomic_tensor(self, atomic):
         """0/1 tensor of an atomic bilabelled graph: coincident slots force
@@ -96,86 +95,68 @@ class MatrixOps(BlockOps):
         return out
 
     def matmul(self, b1, b2):
-        """Matrix product of the n^t-by-n^t views, entries mod p: one
-        pair at a time, the reference for ``products``."""
+        """Matrix product of the n^t-by-n^t views, entries mod p."""
         m1 = b1.reshape(self.side, self.side)
         m2 = b2.reshape(self.side, self.side)
         return _mod_matmul(m1, m2, self.p).reshape(self.length)
 
-    def products(self, block, others):
-        """The matrix products block @ X and X @ block for every row X of
-        ``others``, interleaved (row 2b is block @ X_b, row 2b+1 is
-        X_b @ block), as two matrix products over the side-by-side and the
-        stacked X."""
-        s, d = self.side, len(others)
-        m = block.reshape(s, s)
-        stack = others.reshape(d, s, s)
-        left = _mod_matmul(m, stack.transpose(1, 0, 2).reshape(s, d * s), self.p)
-        right = _mod_matmul(stack.reshape(d * s, s), m, self.p)
-        out = np.empty((2 * d, self.length), dtype=self.dtype)
-        out[0::2] = left.reshape(s, d, s).transpose(1, 0, 2).reshape(d, self.length)
-        out[1::2] = right.reshape(d, self.length)
-        return out
-
     def transpose(self, block, a, b):
         """Swap tensor axes a and b (0-based among the 2t slots)."""
-        swapped = np.swapaxes(block.reshape(self._shape), a, b)
+        swapped = np.swapaxes(block.reshape((self.n,) * self.k), a, b)
         return np.ascontiguousarray(swapped).reshape(self.length)
 
 
-def _check_level(t):
+_SLICE_KEYS = 1 << 16  # product keys sorted at a time, whatever the graph size
+
+
+def _level_refine(G, H, t, modulus):
+    """The colour of every tuple of V(G)^{2t} ⊔ V(H)^{2t} (G's first, each
+    in ``MatrixOps`` order) in the coarsest partition finer than the atomic
+    types that is stable under the product signatures, counted mod
+    ``modulus`` (over the integers when None), and at t = 2 under the axis
+    transpositions; and the class sizes (on G, on H).  The int64 sort keys
+    stay exact up to n = 68 at t = 2 (n = 4600 at t = 1)."""
+    k = 2 * t
+    colours = _patterns(
+        G, H, k, lambda g: 2 * _adjacency(g) + np.eye(g.n, dtype=np.int64))
+    sides = [(G.n, 0), (H.n, G.n**k)]  # (order, first tuple)
+    transpositions = list(combinations(range(k), 2)) if t > 1 else []
+
+    def products(colours):
+        """Groups (line (a, b), key col(a, c) * width + col(c, b)), per row slice."""
+        width = int(colours.max()) + 1
+        for n, start in sides:
+            s = n**t
+            mat = colours[start:start + s * s].reshape(s, s)
+            step = max(1, _SLICE_KEYS // max(1, s * s))
+            for a in range(0, s, step):
+                keys = mat[a:a + step, None, :] * width + mat.T[None, :, :]
+                yield np.repeat(np.arange(len(keys) * s), s), keys.reshape(-1)
+
+    def signatures(colours):
+        yield _line_signatures(products(colours), modulus)
+        for a, b in transpositions:
+            yield np.concatenate([
+                np.swapaxes(colours[start:start + n**k].reshape((n,) * k), a, b).reshape(-1)
+                for n, start in sides])
+
+    return _stable(colours, signatures, G.n**k)
+
+
+def _level_partitions(G, H, t):
+    """The decision's ``_partitions`` at level t."""
     if t not in (1, 2):
         raise ValueError(f"level must be 1 or 2, got {t}")
+    return _partitions(lambda modulus: _level_refine(G, H, t, modulus)[1],
+                       max(G.n, H.n) ** t)
 
 
-# Basis entries multiplied per product block: bounds the block and the
-# float64 temporaries of ``_mod_matmul`` whatever the basis size.
-_PRODUCT_ENTRIES = 1 << 16
-
-
-def _lasserre_verdict(G, H, t, p, order_rng=None, stats=None):
-    """lasserre_mod for a level and modulus already validated."""
-    og, oh = MatrixOps(G, t, p), MatrixOps(H, t, p)
-    split = og.length
-    basis = _Basis(p, og.length + oh.length)
-    atomic = enumerate_atomic(t)
-    atoms_g = np.array([og.atomic_tensor(a) for a in atomic])
-    atoms_h = np.array([oh.atomic_tensor(a) for a in atomic])
-    # none at t = 1: the span is transpose-closed without them (see the
-    # module docstring)
-    transpositions = [
-        (a, b) for a in range(2 * t) for b in range(a + 1, 2 * t)
-    ] if t > 1 else []
-
-    def expand(_, row):
-        g, h = _split(row, split)
-        yield 0, np.concatenate((og.schur(atoms_g, g), oh.schur(atoms_h, h)), axis=1)
-        if transpositions:
-            yield 0, np.array([_concat(og.transpose(g, a, b), oh.transpose(h, a, b))
-                               for a, b in transpositions])
-        # products with every basis row in both orders, one block per
-        # slice of the basis as it stands now
-        mat = basis.matrix
-        step = max(1, _PRODUCT_ENTRIES // mat.shape[1])
-        for s in range(0, len(mat), step):
-            part = mat[s:s + step]
-            yield 0, np.concatenate(
-                (og.products(g, part[:, :split]), oh.products(h, part[:, split:])),
-                axis=1)
-
-    seeds = [(0, np.concatenate((atoms_g, atoms_h), axis=1))]
-    if _closure([basis], seeds, expand, [0], og, oh, order_rng, stats):
-        return Verdict(True, "single-prime", [p])
-    return Verdict(False, "single-prime", [p], rejecting_prime=p)
-
-
-def lasserre_mod(G: Graph, H: Graph, t: int, p: int, *, order_rng=None,
-                 stats=None) -> Verdict:
+def lasserre_mod(G: Graph, H: Graph, t: int, p: int, *, stats=None) -> Verdict:
     """Decide whether G and H admit equal homomorphism counts mod p from
     every member of the level-t class."""
-    _check_level(t)
+    partitions = _level_partitions(G, H, t)
     _require_prime(p)
-    return _lasserre_verdict(G, H, t, p, order_rng, stats)
+    return _prime_verdict(p, _blocks_balanced(*partitions(p), p, stats))
 
 
 def lasserre_randomized(G: Graph, H: Graph, t: int, seed: int = 0,
@@ -184,9 +165,9 @@ def lasserre_randomized(G: Graph, H: Graph, t: int, seed: int = 0,
     """Randomized exact-count decision over the level-t class, sampling
     primes against the level-t count bound (one-sided error), or against
     random fixed-width primes in the flagged heuristic mode."""
-    _check_level(t)
+    partitions = _level_partitions(G, H, t)
     return _randomized_verdict(
-        lambda p: _lasserre_verdict(G, H, t, p),
+        lambda p: _prime_verdict(p, _blocks_balanced(*partitions(p), p)),
         seed, prime_bits, bit_cap, parallel,
         bound_lasserre, max(G.n, H.n, 1), t,
     )

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 
-from homind import engine, lasserre
+from homind import engine
 from homind.graphs import Graph
 from homind.oracle import hom_tensor
 
@@ -49,9 +49,10 @@ def _rows(pairs):
 
 
 def closure_runs(monkeypatch, one_at_a_time=False):
-    """Patch ``_closure`` where the deciders look it up; the returned list
-    collects the bases of every closure run.  With ``one_at_a_time`` the
-    closure is fed its seeds and expansions one candidate at a time."""
+    """Patch ``engine._closure``, where the deciders and the reference
+    Lasserre closure look it up; the returned list collects the bases of
+    every closure run.  With ``one_at_a_time`` the closure is fed its
+    seeds and expansions one candidate at a time."""
     runs = []
     closure = engine._closure
 
@@ -64,7 +65,6 @@ def closure_runs(monkeypatch, one_at_a_time=False):
         return closure(bases, seeds, expand, *args)
 
     monkeypatch.setattr(engine, "_closure", traced)
-    monkeypatch.setattr(lasserre, "_closure", traced)
     return runs
 
 
@@ -76,14 +76,20 @@ def stacked_tensors(values, G, H):
                      for F in values], dtype=object)
 
 
-def span_check(basis, exact, p):
-    """Whether every row of ``exact`` mod p lies in the span of a closure
-    basis, and the rank of those rows mod p."""
+def rank_mod(exact, p):
+    """The rank mod p of the rows of ``exact``."""
     block = np.array(exact % p, dtype=engine._residue_dtype(p))
     rank = engine._Basis(p, block.shape[1])
     for vec in block:
         rank.try_insert(vec)
-    return not basis.reduce(block).any(), len(rank)
+    return len(rank)
+
+
+def span_check(basis, exact, p):
+    """Whether every row of ``exact`` mod p lies in the span of a closure
+    basis, and the rank of those rows mod p."""
+    block = np.array(exact % p, dtype=engine._residue_dtype(p))
+    return not basis.reduce(block).any(), rank_mod(exact, p)
 
 
 # The arity-1 recogniser of paths.  Its four states are the context classes

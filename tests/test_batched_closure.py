@@ -5,8 +5,9 @@ at a time, and the decisions' garbage.
 matrix product and inserts the rows that survive.  Full reduction against
 a reduced echelon basis is canonical, so a block must give exactly the
 bases, verdict and statistics of offering its rows one by one.  The
-Lasserre blocks themselves are checked against candidates built one pair
-at a time by the per-pair tensor operations.
+Lasserre cases run the reference linear closure (``lasserre_reference``),
+whose blocks are also checked against candidates built one pair at a
+time by the per-pair tensor operations.
 """
 
 import gc
@@ -15,15 +16,17 @@ import random
 import numpy as np
 import pytest
 
-from homind import engine, lasserre
+from homind import engine
 from homind.engine import modhomind, modhomind_pw
 from homind.graphs import Graph, cycle_graph, path_graph
 from homind.labelled import enumerate_atomic
-from homind.lasserre import lasserre_mod
+from homind.lasserre import MatrixOps, lasserre_mod
 from homind.modular import Xoshiro256StarStar
 from homind.recognizer import builtin
 
+import lasserre_reference
 from conftest import closure_runs, permuted_copy, random_graph
+from lasserre_reference import lasserre_linear
 
 PRIMES = [101, (1 << 31) - 1, (1 << 61) - 1]
 
@@ -41,9 +44,9 @@ def _cases():
     paths = builtin("paths", 2)
     return [
         ("lasserre t=1 C6 vs 2K3",
-         lambda **kw: lasserre_mod(c6, TWO_TRIANGLES, 1, **kw)),
-        ("lasserre t=1 permuted", lambda **kw: lasserre_mod(g5, h5, 1, **kw)),
-        ("lasserre t=2 P3", lambda **kw: lasserre_mod(star, path_graph(3), 2, **kw)),
+         lambda **kw: lasserre_linear(c6, TWO_TRIANGLES, 1, **kw)),
+        ("lasserre t=1 permuted", lambda **kw: lasserre_linear(g5, h5, 1, **kw)),
+        ("lasserre t=2 P3", lambda **kw: lasserre_linear(star, path_graph(3), 2, **kw)),
         ("modhomind paths C6 vs 2K3",
          lambda **kw: modhomind(c6, TWO_TRIANGLES, paths, **kw)),
         ("modhomind paths permuted", lambda **kw: modhomind(g6, h6, paths, **kw)),
@@ -132,10 +135,10 @@ def test_closure_blocks_are_reduced_in_chunks():
 
 
 def _lasserre_one_at_a_time(G, H, t, p):
-    """The Lasserre closure with every candidate built alone, by the
-    per-pair tensor operations, in the order the batched blocks hold
+    """The reference Lasserre closure with every candidate built alone, by
+    the per-pair tensor operations, in the order its batched blocks hold
     (transpositions at t = 2 only, as there)."""
-    og, oh = lasserre.MatrixOps(G, t, p), lasserre.MatrixOps(H, t, p)
+    og, oh = MatrixOps(G, t, p), MatrixOps(H, t, p)
     split = og.length
     basis = engine._Basis(p, og.length + oh.length)
     atomics = [(og.atomic_tensor(a), oh.atomic_tensor(a))
@@ -161,17 +164,17 @@ def _lasserre_one_at_a_time(G, H, t, p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_lasserre_blocks_match_per_pair_products(monkeypatch, p):
-    """The atomic, transposition and product blocks hold the candidates
-    the per-pair operations build, in the same order: the final bases
-    agree row for row.  The product blocks are cut to 1000 basis entries,
-    so at t = 2 (162 columns, a basis of more than ``_CHUNK_ROWS`` rows)
-    they come from several slices of the basis."""
+    """The reference closure's atomic, transposition and product blocks
+    hold the candidates the per-pair operations build, in the same order:
+    the final bases agree row for row.  The product blocks are cut to 1000
+    basis entries, so at t = 2 (162 columns, a basis of more than
+    ``_CHUNK_ROWS`` rows) they come from several slices of the basis."""
     G, H = path_graph(3), Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     for t in (1, 2):
         runs = closure_runs(monkeypatch, False)
-        monkeypatch.setattr(lasserre, "_PRODUCT_ENTRIES", 1000)
+        monkeypatch.setattr(lasserre_reference, "PRODUCT_ENTRIES", 1000)
         stats = {}
-        verdict = lasserre_mod(G, H, t, p, stats=stats)
+        verdict = lasserre_linear(G, H, t, p, stats=stats)
         monkeypatch.undo()
         [[basis]] = runs
         accept, stats_1, basis_1 = _lasserre_one_at_a_time(G, H, t, p)
