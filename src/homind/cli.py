@@ -186,6 +186,8 @@ def _decide(args, single, randomized, crt=None) -> int:
     elif args.mode == "random":
         seed = _seed_of(args)
         out.emit("seed", seed)
+        if args.parallel < 1:
+            raise ValueError("parallel must be at least 1")
         verdict = randomized(G, H, seed)
     else:  # deterministic
         verdict = crt(G, H)
@@ -202,8 +204,7 @@ def _cmd_engine(args, variant: str) -> int:
         lambda G, H, p: modular(G, H, aut, p, budget=args.budget),
         lambda G, H, seed: homind_randomized(
             G, H, aut, variant, seed=seed, bit_cap=args.bit_cap,
-            budget=args.budget, prime_bits=args.prime_bits,
-            parallel=args.parallel),
+            budget=args.budget, prime_bits=args.prime_bits),
         lambda G, H: homind_deterministic_crt(
             G, H, aut, variant, prime_budget=args.prime_budget,
             bit_cap=args.bit_cap, budget=args.budget),
@@ -230,7 +231,7 @@ def cmd_lasserre(args) -> int:
         lambda G, H, p: lasserre_mod(G, H, args.t, p),
         lambda G, H, seed: lasserre_randomized(
             G, H, args.t, seed=seed, bit_cap=args.bit_cap,
-            prime_bits=args.prime_bits, parallel=args.parallel),
+            prime_bits=args.prime_bits),
     )
 
 
@@ -419,6 +420,8 @@ def cmd_graph(args) -> int:
     if args.action == "random":
         if args.n is None:
             raise ValueError("graph random needs --n")
+        if not 0 <= args.p <= 1:
+            raise ValueError(f"--p must be in [0, 1], got {args.p}")
         edges = [(u, v) for u in range(args.n) for v in range(u + 1, args.n)
                  if rng.random() < args.p]
         g = Graph.from_edges(args.n, edges)
@@ -458,7 +461,8 @@ def _add_common_engine_flags(sp, modes):
         sp.add_argument("--prime-bits", type=int, default=None, dest="prime_bits",
                         help="heuristic mode: sample primes of this width")
         sp.add_argument("--parallel", type=int, default=1,
-                        help="trial fan-out (default 1: fully sequential)")
+                        help="accepted for compatibility (at least 1); "
+                             "trials are decided one at a time")
         sp.add_argument("--bit-cap", type=int, default=None, dest="bit_cap",
                         help="abort if the count bound needs more bits than this")
     sp.add_argument("--prime", type=_prime_arg, default=None,

@@ -533,7 +533,7 @@ def _small_stage(aut, p, counts):
     return None, ""
 
 
-def _linear_closure(G, H, aut, p, include_schur, order_rng=None, stats=None):
+def _linear_closure(G, H, aut, p, include_schur, stats=None):
     """The closure by Gaussian elimination: one echelon basis per
     recogniser state, grown under the operator actions (and pairwise
     Schur products when ``include_schur``); the flags of ``_closure``,
@@ -557,7 +557,7 @@ def _linear_closure(G, H, aut, p, include_schur, order_rng=None, stats=None):
                 yield aut.glue_state(q, r), (row * bases[r].matrix) % p
 
     seeds = [(aut.start, _concat(og.ones(), oh.ones()))]
-    return _closure(bases, seeds, expand, aut.accepting, og, oh, order_rng, stats)
+    return _closure(bases, seeds, expand, aut.accepting, og, oh, stats=stats)
 
 
 # === Partition refinement: the one-state treewidth closure ===
@@ -682,8 +682,8 @@ def _prime_verdict(p, accept, note="", witness=None):
                    small_stage_witness=witness)
 
 
-def _closure_verdict(G, H, aut, p, include_schur, counts, order_rng=None,
-                     stats=None, partitions=None):
+def _closure_verdict(G, H, aut, p, include_schur, counts, stats=None,
+                     partitions=None):
     """modhomind / modhomind_pw for a modulus already known to be prime;
     ``counts`` is the decision's ``_small_counts`` and ``partitions`` its
     ``_partitions`` (made here when None).  A one-state treewidth closure
@@ -699,33 +699,28 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, order_rng=None,
             lambda m: _refine(G, H, aut.k, m), max(G.n, H.n)))(p)
         accept = _blocks_balanced(sizes_g, sizes_h, p, stats) or not aut.accepting
     else:
-        accept = bool(_linear_closure(G, H, aut, p, include_schur, order_rng,
-                                      stats))
+        accept = bool(_linear_closure(G, H, aut, p, include_schur, stats))
     return _prime_verdict(p, accept, note)
 
 
-def modhomind(G: Graph, H: Graph, aut: Automaton, p: int, *, order_rng=None,
-              stats=None, budget=10**8) -> Verdict:
+def modhomind(G: Graph, H: Graph, aut: Automaton, p: int, *, stats=None,
+              budget=10**8) -> Verdict:
     """Decide whether G and H admit equal homomorphism counts mod p from
     every member of the class recognised by ``aut`` (treewidth flavour:
     closure includes pairwise Schur products)."""
     _require_prime(p)
     return _closure_verdict(
-        G, H, aut, p, True, _small_counts(G, H, budget),
-        order_rng=order_rng, stats=stats,
-    )
+        G, H, aut, p, True, _small_counts(G, H, budget), stats=stats)
 
 
-def modhomind_pw(G: Graph, H: Graph, aut: Automaton, p: int, *, order_rng=None,
-                 stats=None, budget=10**8) -> Verdict:
+def modhomind_pw(G: Graph, H: Graph, aut: Automaton, p: int, *, stats=None,
+                 budget=10**8) -> Verdict:
     """Pathwidth flavour of modhomind: the gluing operation is dropped
     from the closure (series-only generation), which is exactly the
     difference between path and tree decompositions."""
     _require_prime(p)
     return _closure_verdict(
-        G, H, aut, p, False, _small_counts(G, H, budget),
-        order_rng=order_rng, stats=stats,
-    )
+        G, H, aut, p, False, _small_counts(G, H, budget), stats=stats)
 
 
 # === Randomized and deterministic integer-level wrappers ===
@@ -763,7 +758,7 @@ def _first_reject(primes, decide, mode, notes):
                    small_stage_witness=sub.small_stage_witness, notes=notes)
 
 
-def _randomized_verdict(decide, seed, prime_bits, bit_cap, parallel,
+def _randomized_verdict(decide, seed, prime_bits, bit_cap,
                         bound_fn, *bound_args, lockstep=None) -> Verdict:
     """Shared trial loop of the randomized wrappers.
 
@@ -772,12 +767,9 @@ def _randomized_verdict(decide, seed, prime_bits, bit_cap, parallel,
     Otherwise: draws from (L, L^2] for the class bound
     ``bound_fn(*bound_args)``, with its trial count.  Each trial draws
     from its own generator, so the sequence is a pure function of the
-    seed.  With parallel == 1 a trial draws only when ``_first_reject``
-    reaches it, so a reject at the first prime skips the other draws;
-    with parallel > 1 every prime is drawn up front and each distinct one
-    decided across a thread pool.  Each distinct prime is decided once,
-    and the verdict is identical either way, so fan-out only trades
-    wasted work for latency.
+    seed.  A trial draws only when ``_first_reject`` reaches it, so a
+    reject at the first prime skips the other draws, and each distinct
+    prime is decided once.
 
     ``lockstep``, when given, decides several primes below 2^32 at once:
     it maps distinct such primes, in draw order, to their verdicts up to
@@ -802,8 +794,6 @@ def _randomized_verdict(decide, seed, prime_bits, bit_cap, parallel,
             ) from exc
         trials = bounds.trials
         draw = lambda rng: sample_prime_in_range(bounds.L, rng)
-    if parallel < 1:
-        raise ValueError("parallel must be at least 1")
     draws = (draw(Xoshiro256StarStar(derive_seed(seed, trial)))
              for trial in range(trials))
     primes = (p for p in draws if p is not None)
@@ -820,14 +810,6 @@ def _randomized_verdict(decide, seed, prime_bits, bit_cap, parallel,
             per_prime = decide
             decide = lambda p: known[p] if p in known else per_prime(p)
         primes = chain(head, primes)
-    if parallel > 1:
-        primes = list(primes)
-        distinct = list(dict.fromkeys(primes))
-        if len(distinct) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                list(pool.map(decide, distinct))
     notes = [] if prime_bits is None else [_PRIME_BITS_NOTE]
     verdict = _first_reject(primes, decide, "randomized", notes)
     if not verdict.primes_used:  # every draw was taken, and none was prime
@@ -838,7 +820,7 @@ def _randomized_verdict(decide, seed, prime_bits, bit_cap, parallel,
 
 def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
                       seed: int = 0, bit_cap=None, budget=10**8,
-                      prime_bits=None, parallel: int = 1) -> Verdict:
+                      prime_bits=None) -> Verdict:
     """Randomized reduction of exact-count indistinguishability to the
     modular decision: sample primes from (L, L^2] and reject as soon as
     one of them rejects.  One-sided error — equal counts always accept;
@@ -864,7 +846,7 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
     return _randomized_verdict(
         lambda p: _closure_verdict(G, H, aut, p, include_schur, counts,
                                    partitions=partitions),
-        seed, prime_bits, bit_cap, parallel,
+        seed, prime_bits, bit_cap,
         bound_tw if include_schur else bound_pw,
         max(G.n, H.n, 1), aut.k, aut.states, lockstep=lockstep,
     )

@@ -160,14 +160,12 @@ def lasserre_mod(G: Graph, H: Graph, t: int, p: int, *, stats=None) -> Verdict:
 
 
 def lasserre_randomized(G: Graph, H: Graph, t: int, seed: int = 0,
-                        bit_cap=None, prime_bits=None,
-                        parallel: int = 1) -> Verdict:
+                        bit_cap=None, prime_bits=None) -> Verdict:
     """Randomized exact-count decision over the level-t class, sampling
     primes against the level-t count bound (one-sided error), or against
     random fixed-width primes in the flagged heuristic mode."""
     partitions = _level_partitions(G, H, t)
     return _randomized_verdict(
         lambda p: _prime_verdict(p, _blocks_balanced(*partitions(p), p)),
-        seed, prime_bits, bit_cap, parallel,
-        bound_lasserre, max(G.n, H.n, 1), t,
+        seed, prime_bits, bit_cap, bound_lasserre, max(G.n, H.n, 1), t,
     )

@@ -225,9 +225,9 @@ def exact_pathwidth_tiny(F, cap=8):
 class ClassSpec:
     """A graph class the oracle can enumerate.
 
-    kind: one of "all", "tw", "pw", "paths", "lasserre", "automaton"
-    param: the width bound (tw/pw), the level t (lasserre), or the
-           automaton-with-arity pair (automaton); None otherwise.
+    kind: one of "all", "tw", "pw", "paths", "lasserre"
+    param: the width bound (tw/pw) or the level t (lasserre); None
+           otherwise.
     """
 
     kind: str
@@ -239,8 +239,6 @@ def parse_class_spec(spec) -> ClassSpec:
     "pw<=2", "paths", "lasserre-t1"."""
     if isinstance(spec, ClassSpec):
         return spec
-    if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "automaton":
-        return ClassSpec("automaton", spec[1])
     if not isinstance(spec, str):
         raise ValueError("unrecognized class spec: %r" % (spec,))
     text = spec.strip().lower()
@@ -251,7 +249,10 @@ def parse_class_spec(spec) -> ClassSpec:
     for prefix in ("tw", "pw"):
         for sep in ("<=", ":"):
             if text.startswith(prefix + sep):
-                return ClassSpec(prefix, int(text[len(prefix) + len(sep):]))
+                width = int(text[len(prefix) + len(sep):])
+                if width < 0:
+                    raise ValueError("class width must be non-negative: %r" % (spec,))
+                return ClassSpec(prefix, width)
     if text.startswith("lasserre-t"):
         return ClassSpec("lasserre", int(text[len("lasserre-t"):]))
     raise ValueError("unrecognized class spec: %r" % (spec,))
@@ -308,12 +309,6 @@ def class_members(spec, max_size: int) -> list:
 
         graphs = enumerate_lasserre(cs.param, max_size, max_size)
         return _dedup_isomorphic(sorted(graphs, key=lambda g: (g.n, len(g.edges))))
-    if cs.kind == "automaton":
-        from .recognizer import accepted_value_graphs
-
-        aut = cs.param
-        graphs = accepted_value_graphs(aut, max_size)
-        return sorted(graphs, key=lambda g: (g.n, len(g.edges)))
     raise ValueError("unrecognized class spec kind: %r" % (cs.kind,))
 
 

@@ -48,21 +48,24 @@ def _rows(pairs):
                 yield target, vec
 
 
-def closure_runs(monkeypatch, one_at_a_time=False):
+def closure_runs(monkeypatch, one_at_a_time=False, order_rng=None):
     """Patch ``engine._closure``, where the deciders and the reference
     Lasserre closure look it up; the returned list collects the bases of
     every closure run.  With ``one_at_a_time`` the closure is fed its
-    seeds and expansions one candidate at a time."""
+    seeds and expansions one candidate at a time; ``order_rng``, when
+    given, randomizes every closure's pop order."""
     runs = []
     closure = engine._closure
 
-    def traced(bases, seeds, expand, *args):
+    def traced(bases, seeds, expand, accepting, ops_g, ops_h, rng=None,
+               stats=None):
         if one_at_a_time:
             seeds = list(_rows(seeds))
             batched = expand
             expand = lambda q, row: _rows(batched(q, row))  # noqa: E731
         runs.append(bases)
-        return closure(bases, seeds, expand, *args)
+        return closure(bases, seeds, expand, accepting, ops_g, ops_h,
+                       rng if order_rng is None else order_rng, stats)
 
     monkeypatch.setattr(engine, "_closure", traced)
     return runs
@@ -95,7 +98,8 @@ def span_check(basis, exact, p):
 # The arity-1 recogniser of paths.  Its four states are the context classes
 # of 1-labelled graphs: 0 the labelled K1 (start), 1 everything no context
 # repairs (the only rejecting state), 2 end-labelled and 3 internally
-# labelled paths.  Criterion 8 validates it against ``is_path_graph``.
+# labelled paths.  Criterion 8 validates it against ``is_path_graph``, but
+# only at states 0 and 1: arity-1 terms are edgeless and reach no other.
 PATHS_K1 = """\
 k 1
 states 4

@@ -48,7 +48,13 @@ from homind.oracle import (
     is_path_graph,
     paths_oracle,
 )
-from homind.recognizer import Automaton, builtin, parse_automaton, validate_automaton
+from homind.recognizer import (
+    Automaton,
+    builtin,
+    parse_automaton,
+    trace_term,
+    validate_automaton,
+)
 from homind.wl import cfi, gen_clique_reduction, wl_refine
 
 from conftest import PATHS_K1, permuted_copy, random_graph
@@ -228,9 +234,13 @@ def test_criterion_07_paths_pipeline():
 def test_criterion_08_recognisability_fixture():
     """The frozen arity-1 paths recogniser has exactly 4 states;
     validation finds no counterexample with contexts on <= 5 vertices;
-    corrupting a single transition is caught."""
+    corrupting a single transition is caught.  Validation checks only
+    states 0 and 1: arity-1 terms are edgeless (J and glue add no edge,
+    and A needs two labels), so the terms it enumerates never reach the
+    end-labelled and internal path states 2 and 3."""
     aut = parse_automaton(PATHS_K1)
     assert aut.states == 4
+    assert {trace_term(aut, rec.term) for rec in enumerate_tw(1, 5, 5)} == {0, 1}
     report = validate_automaton(aut, is_path_graph, 5)
     assert report.ok, report
     caught = []

@@ -58,10 +58,10 @@ def _cases():
 
 
 def _decide(monkeypatch, decide, p, order_seed, one_at_a_time):
-    runs = closure_runs(monkeypatch, one_at_a_time)
-    stats = {}
     order_rng = None if order_seed is None else Xoshiro256StarStar(order_seed)
-    verdict = decide(p=p, order_rng=order_rng, stats=stats)
+    runs = closure_runs(monkeypatch, one_at_a_time, order_rng)
+    stats = {}
+    verdict = decide(p=p, stats=stats)
     monkeypatch.undo()
     return verdict.accept, stats, runs
 

@@ -97,13 +97,30 @@ def test_seeded_runs_are_byte_identical(files, capsys):
     assert out1 == out2
 
 
-def test_parallel_fanout_output_is_identical(files, capsys):
-    argv = ["homind", "--builtin", "tw-all", "--k", "2", "--mode", "random",
-            "--seed", "6", files["p3"], files["k3"]]
+@pytest.mark.parametrize("command, pair, code", [
+    (("homind", "--builtin", "tw-all", "--k", "2"), ("p3", "k3"), 1),
+    # an accept whose four primes are decided in one lockstep closure
+    (("pwhomind", "--builtin", "paths"), ("c6", "2k3"), 0),
+    (("lasserre", "--t", "1"), ("c6", "c6"), 0),
+], ids=["homind", "pwhomind", "lasserre"])
+def test_parallel_fanout_output_is_identical(files, capsys, command, pair, code):
+    """``--parallel`` is accepted for compatibility and changes nothing:
+    trials are decided one at a time either way."""
+    argv = [*command, "--mode", "random", "--seed", "6",
+            *(files[name] for name in pair)]
     rc1, out1, _ = run(argv, capsys)
     rc2, out2, _ = run(argv + ["--parallel", "3"], capsys)
-    assert rc1 == rc2 == 1
+    assert rc1 == rc2 == code
     assert out1 == out2
+
+
+def test_parallel_below_one_is_a_usage_error(files, capsys):
+    rc, out, err = run(["homind", "--builtin", "tw-all", "--k", "2", "--mode",
+                        "random", "--seed", "6", "--parallel", "0",
+                        files["p3"], files["k3"]], capsys)
+    assert rc == 2
+    assert out == "seed=6\n"
+    assert err == "error: parallel must be at least 1\n"
 
 
 def test_default_seed_comes_from_entropy_and_is_echoed(files, capsys):
@@ -253,6 +270,14 @@ def test_enumerate_lists_paths(files, capsys):
     assert "graph=n 4 m 3 0 1 1 2 2 3" in lines
 
 
+def test_enumerate_rejects_a_negative_width(files, capsys):
+    rc, out, err = run(["enumerate", "--class", "pw:-1", "--max-size", "3"],
+                       capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "non-negative" in err
+
+
 def test_bounds_treewidth_worked_example(files, capsys):
     rc, out, _ = run(["bounds", "--tw", "--n", "6", "--k", "2", "--C", "1"],
                      capsys)
@@ -367,6 +392,14 @@ def test_graph_random_rejects_a_negative_order(files, capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and "negative" in err
+
+
+def test_graph_random_rejects_a_probability_outside_the_unit_interval(files, capsys):
+    rc, out, err = run(["graph", "random", "--n", "3", "--p", "2", "--seed", "1"],
+                       capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "[0, 1]" in err
 
 
 def test_graph_info_reports_widths(files, capsys):

@@ -326,7 +326,7 @@ def test_closure_counts_candidates():
         assert stats["candidates"] > stats["inserts"] == stats["dim_total"] > 0
 
 
-def test_closure_verdict_is_order_independent():
+def test_closure_verdict_is_order_independent(monkeypatch):
     """Randomizing the worklist pop order changes intermediate bases but
     never the verdict, and the closure span (hence dimension) is
     canonical."""
@@ -345,8 +345,9 @@ def test_closure_verdict_is_order_independent():
         expected = decide(G, H, aut, p, stats=base_stats)
         for seed in range(10):
             stats = {}
-            rng = Xoshiro256StarStar(seed)
-            assert decide(G, H, aut, p, order_rng=rng, stats=stats) == expected
+            closure_runs(monkeypatch, order_rng=Xoshiro256StarStar(seed))
+            assert decide(G, H, aut, p, stats=stats) == expected
+            monkeypatch.undo()
             assert stats["dim_total"] == base_stats["dim_total"]
 
 
@@ -539,7 +540,7 @@ def test_randomized_refines_once_per_decision(monkeypatch):
 
 def test_randomized_draws_only_the_primes_it_decides(monkeypatch):
     """A decision that rejects at its first prime draws no further
-    trial's prime, and prints what drawing every prime up front prints."""
+    trial's prime."""
     import homind.engine
 
     draws = []
@@ -555,11 +556,7 @@ def test_randomized_draws_only_the_primes_it_decides(monkeypatch):
     trials = bound_tw(3, 2, 1).trials
     verdict = homind_randomized(G, H, aut, "tw", seed=1)
     assert not verdict.accept and len(verdict.primes_used) == 1
-    lazy = len(draws)
-    assert lazy < trials
-    eager = homind_randomized(G, H, aut, "tw", seed=1, parallel=2)
-    assert len(draws) - lazy == trials
-    assert verdict_pairs(eager) == verdict_pairs(verdict)
+    assert len(draws) < trials
 
 
 def test_randomized_unknown_variant():

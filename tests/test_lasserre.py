@@ -434,6 +434,22 @@ def test_randomized_refines_once_per_decision(monkeypatch):
     assert calls == [None]
 
 
+def test_randomized_draws_only_the_primes_it_decides(monkeypatch):
+    """A level-1 decision that rejects at its first prime draws no
+    further trial's prime."""
+    draws = []
+    sample = engine.sample_prime_in_range
+
+    def counted(L, rng):
+        draws.append(L)
+        return sample(L, rng)
+
+    monkeypatch.setattr(engine, "sample_prime_in_range", counted)
+    verdict = lasserre_randomized(path_graph(3), complete_graph(3), 1, seed=1)
+    assert not verdict.accept and len(verdict.primes_used) == 1
+    assert len(draws) < bound_lasserre(3, 1).trials
+
+
 def test_randomized_rejects_edge_count_difference():
     a = Graph.from_edges(4, [(0, 1), (1, 2)])
     b = Graph.from_edges(4, [(0, 1)])
