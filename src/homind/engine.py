@@ -43,8 +43,19 @@ Dell, Grohe and Rattan, ICALP 2018).  The dimension is the number of
 colours, and the pair is accepted iff every colour holds as many
 G-tuples as H-tuples mod p.  Line counts never exceed max(n_G, n_H), so
 all primes above that share one partition, which a randomized decision
-computes once; ``lasserre`` refines 2t-tuples alike.  The pathwidth
-flavour and multi-state automata run the linear closure (``_closure``).
+computes once; ``lasserre`` refines 2t-tuples alike.
+
+The same partition certifies the accepts of the pathwidth flavour and of
+multi-state automata at arity k, at every prime p:
+
+  * every bucket span lies in the tw-all span W_p: it starts from the
+    same all-ones seed and uses a subset of the same operators;
+  * W_p lies in the span of the partition's block indicators;
+  * so if every block is balanced mod p, every vector of W_p has equal G
+    and H sums, and every accepting bucket reads out balanced.
+
+Only a pair whose partition is unbalanced at p, or a call that asks for
+the closure's statistics, runs the linear closure (``_closure``).
 
 Counts over the integers are recovered from modular runs: a randomized
 wrapper samples primes from a range wide enough that disagreeing counts
@@ -53,26 +64,15 @@ counts are never rejected), and a deterministic mode (pathwidth flavour)
 relies on the Chinese remainder theorem: any set of primes whose product
 exceeds the largest possible count detects any disagreement.  It first
 decides at the largest primes below 2^32 that make up such a set (76
-primes for the builtin paths at n = 6, where the smallest need 269): the
-first alone, then the others in lockstep (``_lockstep_verdicts``), up to
-32 per closure.  A lockstep closure is Gaussian elimination over the
-product of its primes, stored as one uint64 residue row per prime: a
-stacked vector has a leading modulus axis, which ``BlockOps`` and
-``_Basis`` carry through, so one closure does the work of 32 with as
-many numpy calls as one, and its readout is one flag per prime.  It
-needs the primes to share pivot columns; when they do not, its primes
-are decided one at a time.
-If all of them accept, the counts are equal, so every prime accepts,
-and the verdict lists the smallest-prime set 2, 3, 5, ... as the
+primes for the builtin paths at n = 6, where the smallest need 269), in
+order up to the first that rejects; all of them share one partition.  If
+all of them accept, the counts are equal, so every prime accepts, and
+the verdict lists the smallest-prime set 2, 3, 5, ... as the
 certificate.  If one rejects, the counts differ, and the smallest primes
 are decided in order up to the first that rejects, which names the
-rejecting prime and witness.  A randomized pathwidth decision whose
-primes lie below 2^32 (the certified draws on small graphs, and
-``prime_bits`` up to 32) decides its distinct primes in lockstep too,
-and its verdict is read from their flags.  Both modes close in lockstep
-only pairs with short stacked vectors (``_LOCKSTEP_LENGTH``).  Both
-wrappers hand their primes to one loop (``_first_reject``), which
-decides at each prime in order and stops at the first that rejects.
+rejecting prime and witness.  The randomized wrapper hands its primes to
+the same loop (``_first_reject``), which decides at each prime in order
+and stops at the first that rejects.
 
 Tensors and basis rows are numpy arrays whose dtype follows from the
 modulus alone (``_residue_dtype``): uint64 when p < 2^32, so the product
@@ -86,7 +86,7 @@ the closure directly on primes their samplers have already proved.
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -110,18 +110,8 @@ from .recognizer import Automaton
 
 def _residue_dtype(p):
     """Array dtype for residues mod p: uint64 while the product of two
-    residues fits (p < 2^32), Python integers (object) above.  A vector
-    of lockstep moduli holds primes below 2^32 only."""
-    return np.uint64 if isinstance(p, np.ndarray) or p < 1 << 32 else object
-
-
-def _modulus_for(p, ndim):
-    """The modulus shaped to broadcast over an array of ``ndim`` axes: a
-    prime as it is, and a uint64 vector of lockstep moduli along the
-    leading axis, which then holds one residue array per modulus."""
-    if isinstance(p, np.ndarray):
-        return p.reshape((-1,) + (1,) * (ndim - 1))
-    return p
+    residues fits (p < 2^32), Python integers (object) above."""
+    return np.uint64 if p < 1 << 32 else object
 
 
 def _require_prime(p):
@@ -154,10 +144,7 @@ def _adjacency(g):
 class BlockOps:
     """Operator kernels for tensors over V(G)^k, stored as flat vectors
     of length n^k with row-major index x = sum x_t * n^(k-t).  The kernels
-    act on the last axis, so a block may stack vectors along leading axes.
-    ``p`` is one prime, or a uint64 vector of lockstep moduli (see
-    ``_modulus_for``), and then the first axis of every block runs over
-    the moduli."""
+    act on the last axis, so a block may stack vectors along leading axes."""
 
     def __init__(self, g: Graph, k: int, p: int):
         if k < 1:
@@ -173,7 +160,7 @@ class BlockOps:
     # -- vector constructors ------------------------------------------------
 
     def ones(self):
-        return np.ones(np.shape(self.p) + (self.length,), dtype=self.dtype)
+        return np.ones(self.length, dtype=self.dtype)
 
     def from_ints(self, values):
         return np.array([v % self.p for v in values], dtype=self.dtype)
@@ -206,7 +193,7 @@ class BlockOps:
         lead = block.shape[:-1]
         shape = lead + (self.n,) * self.k
         sums = block.reshape(shape).sum(axis=len(lead) + i - 1, keepdims=True)
-        sums %= _modulus_for(self.p, len(shape))
+        sums %= self.p
         out = np.empty(shape, dtype=self.dtype)
         out[...] = sums
         return out.reshape(block.shape)
@@ -218,7 +205,7 @@ class BlockOps:
         """Sum of entries mod p (the label-dropping readout), one per
         vector of a block.  uint64 sums are exact: entries are below 2^32 and
         a row that fits in memory has fewer than 2^32 of them."""
-        return block.sum(axis=-1) % _modulus_for(self.p, block.ndim - 1)
+        return block.sum(axis=-1) % self.p
 
 
 def term_block(ops: BlockOps, term):
@@ -250,16 +237,13 @@ def _float_halves(m):
 
 
 def _mod_matmul(a, b, p, b_halves=None):
-    """(a @ b) mod p for residue arrays: a 1-D or 2-D, b 2-D, or a
-    lockstep stack (a of shape (P, r), b of shape (P, r, L) and p shaped
-    by ``_modulus_for`` for a), one matrix-vector product per modulus.
+    """(a @ b) mod p for residue arrays: a 1-D or 2-D, b 2-D.
 
     object arrays multiply exactly.  For uint64 residues (p < 2^32),
     contractions longer than 2^16 terms are summed in chunks of 2^16,
     reducing mod p in between, and each chunk is exact:
 
-      * an a with one axis fewer than b (matrix-vector products) stays in
-        uint64: a's halves times b give products below 2^48, and a sum of
+      * a 1-D a (a vector-matrix product) stays in uint64: a's halves times b give products below 2^48, and a sum of
         up to 2^16 of them stays below 2^64;
       * a 2-D a runs as three float64 BLAS products on the 16-bit halves
         of both operands: hh = a_hi b_hi, ll = a_lo b_lo and
@@ -280,11 +264,11 @@ def _mod_matmul(a, b, p, b_halves=None):
         head = tail = None
         if b_halves is not None:
             head, tail = [x[:n] for x in b_halves], [x[n:] for x in b_halves]
-        return (_mod_matmul(a[..., :n], b[..., :n, :], p, head)
-                + _mod_matmul(a[..., n:], b[..., n:, :], p, tail)) % p
-    if a.ndim < b.ndim:
-        hi = np.matmul((a >> _S16)[..., None, :], b)[..., 0, :] % p
-        lo = np.matmul((a & _M16)[..., None, :], b)[..., 0, :] % p
+        return (_mod_matmul(a[..., :n], b[:n], p, head)
+                + _mod_matmul(a[..., n:], b[n:], p, tail)) % p
+    if a.ndim == 1:
+        hi = ((a >> _S16) @ b) % p
+        lo = ((a & _M16) @ b) % p
         return ((hi << _S16) + lo) % p
     a_hi, a_lo, a_sum = _float_halves(a)
     b_hi, b_lo, b_sum = _float_halves(b) if b_halves is None else b_halves
@@ -297,42 +281,18 @@ def _mod_matmul(a, b, p, b_halves=None):
 _CHUNK_ROWS = 32  # candidate rows reduced against a basis per matrix product
 
 
-class _Diverged(Exception):
-    """The moduli of a lockstep basis no longer share one echelon form."""
-
-
-def _inverse(x, p):
-    """x^-1 mod p for a unit x; for a vector of lockstep moduli, the
-    inverses of x's entries, one per modulus, as a column."""
-    if isinstance(p, np.ndarray):
-        inverses = [pow(a, -1, m) for a, m in zip(x.tolist(), p.tolist())]
-        return np.array(inverses, dtype=np.uint64)[:, None]
-    return pow(int(x), -1, p)
-
-
 class _Basis:
     """Reduced echelon basis of flat vectors, incrementally maintained:
     rows are normalized to leading coefficient 1 and fully reduced against
     each other.  Full reduction makes every pivot column a unit vector, so
     span membership is a single coefficient gather plus one matrix-vector
-    elimination.
-
-    With a vector of lockstep moduli for ``p`` (see ``_modulus_for``) the
-    basis is one such basis per modulus, all with the same pivots: a
-    vector is one residue row per modulus, and the matrix has shape
-    (moduli, rows, length).  A candidate that reduces to zero at every
-    modulus is dependent, and one that is nonzero at every modulus is
-    normalized at the first column that is nonzero at all of them.  Any
-    other candidate raises ``_Diverged``: it would need a pivot that the
-    moduli do not share.  Either way each modulus's rows stay a reduced
-    echelon basis of that modulus's span."""
+    elimination."""
 
     def __init__(self, p, length):
         self.p = p
         self.pivots = []
         self._pivot_idx = None
-        self.vector_ndim = np.ndim(p) + 1  # axes of one candidate vector
-        self._mat = np.empty(np.shape(p) + (0, length), dtype=_residue_dtype(p))
+        self._mat = np.empty((0, length), dtype=_residue_dtype(p))
         self._halves = None  # _float_halves(_mat), built on demand
 
     def __len__(self):
@@ -340,8 +300,7 @@ class _Basis:
 
     @property
     def matrix(self):
-        """The basis rows as one array: (rows, length), or (moduli, rows,
-        length) in lockstep; no rows while empty."""
+        """The basis rows as one (rows, length) array; no rows while empty."""
         return self._mat
 
     def reduce(self, v):
@@ -351,11 +310,10 @@ class _Basis:
         if not self.pivots:
             return v
         p = self.p
-        if v.ndim == self.vector_ndim:
-            c = v[..., self._pivot_idx]
+        if v.ndim == 1:
+            c = v[self._pivot_idx]
             if not c.any():
                 return v
-            p = _modulus_for(p, v.ndim)
             return (v + (p - _mod_matmul(c, self._mat, p))) % p
         c = v[:, self._pivot_idx]
         live = (c != 0).any(axis=1)  # bool for object arrays too
@@ -381,17 +339,8 @@ class _Basis:
 
     def _pivot(self, v):
         """The pivot column of a reduced vector, or None if it is zero."""
-        if v.ndim == 1:
-            nz = np.nonzero(v)[0]
-            return int(nz[0]) if len(nz) else None
-        nonzero = v != 0
-        alive = nonzero.any(axis=1)
-        if not alive.any():
-            return None
-        units = np.flatnonzero(nonzero.all(axis=0))
-        if not alive.all() or not len(units):
-            raise _Diverged
-        return int(units[0])
+        nz = np.nonzero(v)[0]
+        return int(nz[0]) if len(nz) else None
 
     def try_insert(self, v):
         """Reduce v against the basis; insert and return the reduced row
@@ -403,19 +352,18 @@ class _Basis:
         piv = self._pivot(v)
         if piv is None:
             return None
-        v = (v * _inverse(v[..., piv], p)) % _modulus_for(p, v.ndim)
-        col = self._mat[..., piv]
-        mat = np.concatenate((self._mat, v[..., None, :]), axis=-2)
+        v = (v * pow(int(v[piv]), -1, p)) % p
+        col = self._mat[:, piv]
+        mat = np.concatenate((self._mat, v[None, :]))
         if col.any():
             # outer-product elimination in the new matrix, whose old rows
             # are a copy: single products stay < p^2, sums < 2p
-            pm = _modulus_for(p, mat.ndim)
-            step = col[..., None] * v[..., None, :]
-            step %= pm
-            np.subtract(pm, step, out=step)
-            rows = mat[..., :-1, :]
+            step = col[:, None] * v[None, :]
+            step %= p
+            np.subtract(p, step, out=step)
+            rows = mat[:-1]
             rows += step
-            rows %= pm
+            rows %= p
         self._mat = mat
         self._halves = None
         self.pivots.append(piv)
@@ -424,8 +372,7 @@ class _Basis:
 
 
 def _concat(block_g, block_h):
-    """The stacked vector F_G (+) F_H (along the last axis, so one per
-    lockstep modulus when the blocks have a leading modulus axis)."""
+    """The stacked vector F_G (+) F_H."""
     return np.concatenate((block_g, block_h), axis=-1)
 
 
@@ -443,18 +390,14 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
     ``bases`` holds one echelon basis per recogniser state, ``seeds`` the
     (state, candidates) pairs to start from, and ``expand(state, row)``
     yields the (target state, candidates) pairs a popped basis row
-    generates, where candidates is one stacked vector or a block of them,
-    one per row; the basis tells the two apart by its ``vector_ndim`` (a
-    lockstep vector has a leading modulus axis, see ``_Basis``).  A block
-    is reduced against its bucket's basis ``_CHUNK_ROWS`` rows at a time,
-    with one matrix product per chunk, and only the rows left nonzero go on to
-    ``try_insert``, in order.  Full reduction against a reduced echelon
-    basis is canonical, so the bases, and the rows inserted and queued,
-    are those of offering the rows one at a time.  ``order_rng``
-    randomizes the pop order.  Returns one flag per modulus, with the
-    shape of ``ops_g.p`` (a 0-d array for one prime): whether every row
-    of every accepting bucket has equal G and H block sums at that
-    modulus.
+    generates, where candidates is one stacked vector or a 2-D block of
+    them, one per row.  A block is reduced against its bucket's basis
+    ``_CHUNK_ROWS`` rows at a time, with one matrix product per chunk, and
+    only the rows left nonzero go on to ``try_insert``, in order.  Full
+    reduction against a reduced echelon basis is canonical, so the bases,
+    and the rows inserted and queued, are those of offering the rows one
+    at a time.  ``order_rng`` randomizes the pop order.  Returns whether
+    every row of every accepting bucket has equal G and H block sums.
     """
     worklist = []  # (state, reduced row vector)
     inserts = candidates = 0
@@ -462,7 +405,7 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
     def insert(q, block):
         nonlocal inserts, candidates
         basis = bases[q]
-        if block.ndim == basis.vector_ndim:
+        if block.ndim == 1:
             candidates += 1
             rows = (block,)
         else:
@@ -493,12 +436,8 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
         stats["candidates"] = candidates
         stats["per_state"] = {q: len(b) for q, b in enumerate(bases)}
 
-    lg = ops_g.length
-    balanced = np.ones(np.shape(ops_g.p), dtype=bool)
-    for q in accepting:
-        mat_g, mat_h = _split(bases[q].matrix, lg)
-        balanced &= (ops_g.total(mat_g) == ops_h.total(mat_h)).all(axis=-1)
-    return balanced
+    sums = (_split(bases[q].matrix, ops_g.length) for q in accepting)
+    return all((ops_g.total(g) == ops_h.total(h)).all() for g, h in sums)
 
 
 # === Algorithm: modular indistinguishability over a recognisable class ===
@@ -536,8 +475,7 @@ def _small_stage(aut, p, counts):
 def _linear_closure(G, H, aut, p, include_schur, stats=None):
     """The closure by Gaussian elimination: one echelon basis per
     recogniser state, grown under the operator actions (and pairwise
-    Schur products when ``include_schur``); the flags of ``_closure``,
-    one per modulus of ``p``."""
+    Schur products when ``include_schur``); the verdict of ``_closure``."""
     og, oh = BlockOps(G, aut.k, p), BlockOps(H, aut.k, p)
     lg = og.length
     bases = [_Basis(p, lg + oh.length) for _ in range(aut.states)]
@@ -661,6 +599,11 @@ def _partitions(refine, largest):
     return lambda p: refine(p if p <= largest else None)
 
 
+def _tw_partitions(G, H, k):
+    """The decision's ``_partitions`` of tw-all at arity k."""
+    return _partitions(lambda m: _refine(G, H, k, m), max(G.n, H.n))
+
+
 def _blocks_balanced(sizes_g, sizes_h, p, stats=None):
     """Every colour class holds as many G-tuples as H-tuples, mod p; into
     ``stats`` goes the partition as a closure of one block per colour."""
@@ -686,20 +629,26 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, stats=None,
                      partitions=None):
     """modhomind / modhomind_pw for a modulus already known to be prime;
     ``counts`` is the decision's ``_small_counts`` and ``partitions`` its
-    ``_partitions`` (made here when None).  A one-state treewidth closure
-    is read off the refined partition, every other closure is linear."""
+    ``_partitions`` (made here when None).
+
+    A one-state treewidth closure is read off the refined partition.  Every
+    other closure spans a subspace of its block indicators (see the module
+    docstring), so a partition balanced at p certifies an accept, and only
+    an uncertified pair runs the linear closure.  A call that passes
+    ``stats`` runs the linear closure regardless, so the statistics are
+    the closure's."""
     witness, note = _small_stage(aut, p, counts)
     if witness is not None:
         if stats is not None:
             stats.update(dim_total=0, inserts=0, candidates=0, per_state={})
         return _prime_verdict(p, False, witness=witness)
 
+    partitions = partitions or _tw_partitions(G, H, aut.k)
     if include_schur and aut.states == 1:
-        sizes_g, sizes_h = (partitions or _partitions(
-            lambda m: _refine(G, H, aut.k, m), max(G.n, H.n)))(p)
-        accept = _blocks_balanced(sizes_g, sizes_h, p, stats) or not aut.accepting
+        accept = _blocks_balanced(*partitions(p), p, stats) or not aut.accepting
     else:
-        accept = bool(_linear_closure(G, H, aut, p, include_schur, stats))
+        accept = ((stats is None and _blocks_balanced(*partitions(p), p))
+                  or _linear_closure(G, H, aut, p, include_schur, stats))
     return _prime_verdict(p, accept, note)
 
 
@@ -707,7 +656,10 @@ def modhomind(G: Graph, H: Graph, aut: Automaton, p: int, *, stats=None,
               budget=10**8) -> Verdict:
     """Decide whether G and H admit equal homomorphism counts mod p from
     every member of the class recognised by ``aut`` (treewidth flavour:
-    closure includes pairwise Schur products)."""
+    closure includes pairwise Schur products).  Passing ``stats`` fills in
+    the closure's statistics; for an automaton with several states it runs
+    the linear closure even where the tw-all partition certifies the
+    accept."""
     _require_prime(p)
     return _closure_verdict(
         G, H, aut, p, True, _small_counts(G, H, budget), stats=stats)
@@ -717,7 +669,9 @@ def modhomind_pw(G: Graph, H: Graph, aut: Automaton, p: int, *, stats=None,
                  budget=10**8) -> Verdict:
     """Pathwidth flavour of modhomind: the gluing operation is dropped
     from the closure (series-only generation), which is exactly the
-    difference between path and tree decompositions."""
+    difference between path and tree decompositions.  Passing ``stats``
+    runs the closure even where the tw-all partition certifies the
+    accept, and fills in its statistics."""
     _require_prime(p)
     return _closure_verdict(
         G, H, aut, p, False, _small_counts(G, H, budget), stats=stats)
@@ -759,7 +713,7 @@ def _first_reject(primes, decide, mode, notes):
 
 
 def _randomized_verdict(decide, seed, prime_bits, bit_cap,
-                        bound_fn, *bound_args, lockstep=None) -> Verdict:
+                        bound_fn, *bound_args) -> Verdict:
     """Shared trial loop of the randomized wrappers.
 
     With prime_bits: random primes of that many bits, and the trial-count
@@ -770,14 +724,6 @@ def _randomized_verdict(decide, seed, prime_bits, bit_cap,
     seed.  A trial draws only when ``_first_reject`` reaches it, so a
     reject at the first prime skips the other draws, and each distinct
     prime is decided once.
-
-    ``lockstep``, when given, decides several primes below 2^32 at once:
-    it maps distinct such primes, in draw order, to their verdicts up to
-    the first reject (``_lockstep_verdicts``).  Once two distinct primes
-    are drawn and all are below 2^32, every trial is drawn, the distinct
-    primes below 2^32 go to ``lockstep``, and ``_first_reject`` reads
-    their verdicts in draw order, so it prints what deciding one prime at
-    a time prints.
     """
     if prime_bits is not None:
         if prime_bits < 5:
@@ -798,18 +744,6 @@ def _randomized_verdict(decide, seed, prime_bits, bit_cap,
              for trial in range(trials))
     primes = (p for p in draws if p is not None)
     decide = cache(decide)
-    if lockstep is not None:
-        head = []  # the draws up to a second distinct prime or one >= 2^32
-        for p in primes:
-            head.append(p)
-            if p >> 32 or p != head[0]:
-                break
-        if head and head[-1] != head[0] and not head[-1] >> 32:
-            head += primes  # every trial's draw
-            known = lockstep([p for p in dict.fromkeys(head) if not p >> 32])
-            per_prime = decide
-            decide = lambda p: known[p] if p in known else per_prime(p)
-        primes = chain(head, primes)
     notes = [] if prime_bits is None else [_PRIME_BITS_NOTE]
     verdict = _first_reject(primes, decide, "randomized", notes)
     if not verdict.primes_used:  # every draw was taken, and none was prime
@@ -830,85 +764,19 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
     prime_bits switches to the pragmatic mode: random primes of that many
     bits, same trial-count formula applied to L = 2^(bits-1).  Cheap, but
     the certified error bound no longer applies — the verdict is flagged.
-
-    In the pathwidth variant the distinct primes below 2^32 are decided
-    in lockstep closures (``_lockstep_verdicts``), up to 32 primes per
-    closure; the primes, verdict and witness are those of one closure per
-    prime.
     """
     if variant not in ("tw", "pw"):
         raise ValueError(f"unknown variant {variant!r}")
     counts = _small_counts(G, H, budget)
-    partitions = _partitions(lambda m: _refine(G, H, aut.k, m), max(G.n, H.n))
+    partitions = _tw_partitions(G, H, aut.k)
     include_schur = variant == "tw"
-    lockstep = None if include_schur else (
-        lambda moduli: _lockstep_verdicts(G, H, aut, moduli, counts))
     return _randomized_verdict(
         lambda p: _closure_verdict(G, H, aut, p, include_schur, counts,
                                    partitions=partitions),
         seed, prime_bits, bit_cap,
         bound_tw if include_schur else bound_pw,
-        max(G.n, H.n, 1), aut.k, aut.states, lockstep=lockstep,
+        max(G.n, H.n, 1), aut.k, aut.states,
     )
-
-
-_LOCKSTEP_MODULI = 32  # most word primes decided by one lockstep closure
-# Longest stacked vector (n_G^k + n_H^k) decided in lockstep: beyond it
-# the bases of a group's moduli outgrow the caches, and one closure per
-# prime is faster (on permuted G(n, 1/2) pairs under paths, 2-vCPU VM,
-# the two break even at n = 15-16, length 450-512).
-_LOCKSTEP_LENGTH = 400
-
-
-def _groups(items, most):
-    """``items`` cut into the fewest runs of at most ``most`` items, of
-    near-equal lengths (a lockstep basis grows with its moduli)."""
-    count = -(-len(items) // most)
-    return [items[i * len(items) // count:(i + 1) * len(items) // count]
-            for i in range(count)]
-
-
-def _lockstep_verdicts(G, H, aut, moduli, counts):
-    """The single-prime pathwidth verdicts, by prime, at the distinct
-    primes below 2^32 of ``moduli``, in their order up to the first that
-    rejects (at all of them when none does).
-
-    The small stage runs at each prime up to its first reject.  The
-    primes before that reject are closed in near-equal groups of at most
-    ``_LOCKSTEP_MODULI``, one closure over all primes of a group in
-    lockstep (a ``_Basis`` per state with a leading modulus axis), up to
-    the first group in which a prime rejects.  At each prime the lockstep
-    span is that prime's closure span, and the readout is linear, so the
-    closure's flag per modulus is that prime's verdict.  A group of one
-    prime, a group whose primes need different pivots and every prime of
-    a pair whose stacked vectors are longer than ``_LOCKSTEP_LENGTH`` are
-    decided one prime at a time, up to the first reject."""
-    closable, rejected, note = [], None, ""
-    for p in moduli:
-        witness, note = _small_stage(aut, p, counts)
-        if witness is not None:
-            rejected = _prime_verdict(p, False, witness=witness)
-            break
-        closable.append(p)
-    short = G.n ** aut.k + H.n ** aut.k <= _LOCKSTEP_LENGTH
-    verdicts = {}
-    for group in _groups(closable, _LOCKSTEP_MODULI if short else 1):
-        decided = (_closure_verdict(G, H, aut, p, False, counts) for p in group)
-        if len(group) > 1:
-            try:
-                flags = _linear_closure(
-                    G, H, aut, np.array(group, dtype=np.uint64), False)
-                decided = (_prime_verdict(p, accept, note)
-                           for p, accept in zip(group, flags.tolist()))
-            except _Diverged:
-                pass
-        for verdict in decided:
-            verdicts[verdict.primes_used[0]] = verdict
-            if not verdict.accept:
-                return verdicts
-    if rejected is not None:
-        verdicts[rejected.rejecting_prime] = rejected
-    return verdicts
 
 
 def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
@@ -920,15 +788,13 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
 
     An accept is decided at the largest primes below 2^32 that form such
     a set, and reported with the smallest such set, 2, 3, 5, ..., every
-    one of which accepts equal counts.  The first word prime is decided by
-    its own closure, so a reject there costs no more; after an accept the
-    others are decided in near-equal groups of at most
-    ``_LOCKSTEP_MODULI``, one lockstep closure per group
-    (``_lockstep_verdicts``).  When a word
-    prime rejects, the smallest primes are decided in order up to the
-    first that rejects, which must exist, so a reject reports the same
-    primes, rejecting prime and witness as deciding the smallest primes
-    alone."""
+    one of which accepts equal counts.  The word primes are decided in
+    order, largest first, up to the first that rejects; one tw-all
+    partition, refined once for all of them, certifies most accepts.
+    When a word prime rejects, the smallest primes are decided in order
+    up to the first that rejects, which must exist, so a reject reports
+    the same primes, rejecting prime and witness as deciding the
+    smallest primes alone."""
     if variant != "pw":
         raise ValueError(
             "deterministic CRT mode is defined for the pathwidth variant"
@@ -943,11 +809,12 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
             f"deterministic mode needs {len(primes)} primes, budget is {prime_budget}"
         )
     counts = _small_counts(G, H, budget)
-    decide = lambda p: _closure_verdict(G, H, aut, p, False, counts)
+    partitions = _tw_partitions(G, H, aut.k)
+    decide = lambda p: _closure_verdict(G, H, aut, p, False, counts,
+                                        partitions=partitions)
     first, *rest = word_primes_with_product_exceeding(bound)
     verdict = decide(first)
-    if verdict.accept and all(
-            v.accept for v in _lockstep_verdicts(G, H, aut, rest, counts).values()):
+    if verdict.accept and all(decide(p).accept for p in rest):
         return Verdict(True, "deterministic-crt", primes, notes=verdict.notes)
     return _first_reject(primes, decide, "deterministic-crt", [])
 

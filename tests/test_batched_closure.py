@@ -86,13 +86,15 @@ def test_batched_closure_matches_one_candidate_at_a_time(monkeypatch, p, order_s
 
 def test_decisions_leave_no_cyclic_garbage():
     """A decision's bases, arrays and generators are freed by reference
-    counting alone: none of them sits in a reference cycle."""
+    counting alone: none of them sits in a reference cycle.  ``stats``
+    makes the ``paths`` decisions run the linear closure, which the tw-all
+    partition would otherwise certify."""
     paths = builtin("paths", 2)
     decisions = [
         lambda: lasserre_mod(cycle_graph(6), TWO_TRIANGLES, 1, 101),
         lambda: lasserre_mod(path_graph(3), path_graph(3), 2, 101),
-        lambda: modhomind_pw(cycle_graph(6), TWO_TRIANGLES, paths, 101),
-        lambda: modhomind(cycle_graph(6), TWO_TRIANGLES, paths, 101),
+        lambda: modhomind_pw(cycle_graph(6), TWO_TRIANGLES, paths, 101, stats={}),
+        lambda: modhomind(cycle_graph(6), TWO_TRIANGLES, paths, 101, stats={}),
     ]
     for decide in decisions:  # caches and lazy imports
         decide()

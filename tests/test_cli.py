@@ -99,7 +99,7 @@ def test_seeded_runs_are_byte_identical(files, capsys):
 
 @pytest.mark.parametrize("command, pair, code", [
     (("homind", "--builtin", "tw-all", "--k", "2"), ("p3", "k3"), 1),
-    # an accept whose four primes are decided in one lockstep closure
+    # an accept whose four primes the tw-all partition certifies
     (("pwhomind", "--builtin", "paths"), ("c6", "2k3"), 0),
     (("lasserre", "--t", "1"), ("c6", "c6"), 0),
 ], ids=["homind", "pwhomind", "lasserre"])

@@ -150,7 +150,7 @@ EXPECTED = {
         1, 'seed=7\nverdict=reject\nmode=randomized\nprime=99257\nrejecting_prime=99257\nwitness=none\n',
         '{"seed": 7, "verdict": "reject", "mode": "randomized", "prime": 99257, "rejecting_prime": 99257, "witness": "none"}\n',
         ''),
-    # 44 primes below 2^12, decided in lockstep
+    # 44 primes below 2^12, each accept certified by the tw-all partition
     'pwhomind-random-bits': (
         0, 'seed=7\nverdict=accept\nmode=randomized\nprime=2789\nprime=3833\nprime=3923\nprime=2683\nprime=3191\nprime=2969\nprime=3461\nprime=2423\nprime=2789\nprime=2609\nprime=3323\nprime=2081\nprime=3593\nprime=2591\nprime=4049\nprime=3931\nprime=2617\nprime=2351\nprime=4001\nprime=3169\nprime=2909\nprime=2539\nprime=2503\nprime=3769\nprime=3631\nprime=3863\nprime=3001\nprime=3137\nprime=3121\nprime=4057\nprime=3637\nprime=2729\nprime=2633\nprime=3391\nprime=3271\nprime=2843\nprime=2243\nprime=4027\nprime=3517\nprime=3251\nprime=3271\nprime=3001\nprime=3389\nprime=2179\nwitness=none\nnote=heuristic: prime-bits mode, error bound not certified\n',
         '{"seed": 7, "verdict": "accept", "mode": "randomized", "prime": [2789, 3833, 3923, 2683, 3191, 2969, 3461, 2423, 2789, 2609, 3323, 2081, 3593, 2591, 4049, 3931, 2617, 2351, 4001, 3169, 2909, 2539, 2503, 3769, 3631, 3863, 3001, 3137, 3121, 4057, 3637, 2729, 2633, 3391, 3271, 2843, 2243, 4027, 3517, 3251, 3271, 3001, 3389, 2179], "witness": "none", "note": "heuristic: prime-bits mode, error bound not certified"}\n',

@@ -8,8 +8,6 @@ oracles first.
 """
 
 import random
-from functools import reduce
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,13 +16,11 @@ from homind.engine import (
     BlockOps,
     Verdict,
     _Basis,
-    _closure,
+    _blocks_balanced,
     _closure_verdict,
-    _Diverged,
     _first_reject,
-    _groups,
     _linear_closure,
-    _lockstep_verdicts,
+    _refine,
     _small_counts,
     format_verdict,
     homind_deterministic_crt,
@@ -132,25 +128,6 @@ def test_mod_matmul_matches_python_integers(p, terms):
     assert _mod_matmul(a, b, p, _float_halves(b)).tolist() == want.tolist()
     for row in range(3):
         assert _mod_matmul(a[row], b, p).tolist() == want[row].tolist()
-
-
-@pytest.mark.parametrize("terms", [1, 1 << 16, (1 << 16) + 3])
-def test_mod_matmul_lockstep_matches_python_integers(terms):
-    """A lockstep stack of matrix-vector products, one per modulus, with
-    residues at p-1, up to and past one 2^16-term chunk."""
-    from homind.engine import _mod_matmul, _modulus_for
-
-    moduli = np.array([4294967291, 101], dtype=np.uint64)
-    rng = np.random.default_rng(terms)
-    a = rng.integers(0, 101, size=(2, terms), dtype=np.uint64)
-    b = rng.integers(0, 101, size=(2, terms, 3), dtype=np.uint64)
-    a[0], b[0, :, 0] = 4294967290, 4294967290
-    got = _mod_matmul(a, b, _modulus_for(moduli, a.ndim))
-    assert got.dtype == np.uint64 and got.shape == (2, 3)
-    for m in range(2):
-        p = int(moduli[m])
-        want = (a[m].astype(object) @ b[m].astype(object)) % p
-        assert got[m].tolist() == want.tolist()
 
 
 def test_inserted_rows_do_not_pin_the_basis_matrix():
@@ -432,7 +409,7 @@ def test_paths_engine_agrees_with_paths_oracle():
     for G, H in pairs:
         for _ in range(3):
             p = rng.choice([2, 3, 5, 10007, 4294967291])
-            got = modhomind_pw(G, H, aut, p).accept
+            got = modhomind_pw(G, H, aut, p, stats={}).accept
             want = paths_oracle(G, H, modulus=p)
             assert got == want, (G, H, p)
 
@@ -686,51 +663,50 @@ def test_crt_word_primes_print_the_smallest_prime_verdict(G, H, aut, accept,
 
 
 def test_crt_accept_decides_the_word_primes_only(monkeypatch):
-    """An accept on a permuted G(6, 1/2) decides the first of its 76 word
-    primes by one closure and the other 75 by three lockstep closures of
-    25 primes each, none of which falls back to one closure per prime;
+    """An accept on a permuted G(6, 1/2) decides its 76 word primes only,
+    each certified by the tw-all partition, so it runs no linear closure;
     it prints the 269 smallest primes."""
     import homind.engine
 
-    decided, groups = [], []
+    decided = []
 
     def counted(G, H, aut, p, *args, **kwargs):
         decided.append(p)
         return _closure_verdict(G, H, aut, p, *args, **kwargs)
 
-    def lockstep(G, H, aut, p, *args):
-        if isinstance(p, np.ndarray):
-            groups.append(p.tolist())
-        return _linear_closure(G, H, aut, p, *args)
-
     monkeypatch.setattr(homind.engine, "_closure_verdict", counted)
-    monkeypatch.setattr(homind.engine, "_linear_closure", lockstep)
+    runs = closure_runs(monkeypatch)
     aut = builtin("paths", 2)
     verdict = homind_deterministic_crt(
         _G6, permuted_copy(random.Random(12), _G6), aut)
     words = word_primes_with_product_exceeding(6 ** bound_pw(6, 2, aut.states).N)
     assert verdict.accept and len(verdict.primes_used) == 269
-    assert len(words) == 76
-    assert decided == words[:1]
-    assert [len(group) for group in groups] == [25, 25, 25]
-    assert [p for group in groups for p in group] == words[1:]
+    assert decided == words and len(words) == 76
+    assert not runs
 
 
-def test_groups_are_near_equal_runs_of_at_most_the_limit():
-    assert _groups([], 32) == []
-    assert _groups(list(range(75)), 32) == [list(range(25)), list(range(25, 50)),
-                                           list(range(50, 75))]
-    for count in (1, 31, 32, 33, 64, 65, 156):
-        runs = _groups(list(range(count)), 32)
-        assert [x for run in runs for x in run] == list(range(count))
-        assert len(runs) == -(-count // 32)
-        assert max(map(len, runs)) - min(map(len, runs)) <= 1 <= min(map(len, runs))
+# Equal walk counts, but 1-WL tells them apart.
+_G7 = Graph.from_edges(7, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 6),
+                           (3, 5), (3, 6), (5, 6)])
+_H7 = Graph.from_edges(7, [(0, 1), (0, 2), (1, 5), (1, 6), (2, 4), (3, 5),
+                           (3, 6), (4, 6), (5, 6)])
 
 
-# === Lockstep closures over several moduli ===
+def test_crt_uncertified_accept_runs_one_closure_per_word_prime(monkeypatch):
+    """The tw-all partition of G7 and H7 is unbalanced, so it cannot
+    certify their pathwidth accept under ``paths``: the CRT accept runs
+    one linear closure at each of its 112 word primes."""
+    aut = builtin("paths", 2)
+    assert paths_oracle(_G7, _H7)
+    assert not _blocks_balanced(*_refine(_G7, _H7, 2, None), 2**31 - 1)
+    runs = closure_runs(monkeypatch)
+    verdict = homind_deterministic_crt(_G7, _H7, aut)
+    words = word_primes_with_product_exceeding(7 ** bound_pw(7, 2, aut.states).N)
+    assert verdict.accept
+    assert len(runs) == len(words) == 112
 
-_SMALL_MODULI = [2, 3, 5, 7, 11, 13, 17, 19, 23]
-_WORD_MODULI = word_primes_with_product_exceeding(1 << 128)[1:5]
+
+# === The tw-all certificate of pathwidth and multi-state accepts ===
 
 
 def _rewired(rng, g):
@@ -747,251 +723,75 @@ def _rewired(rng, g):
     return Graph.from_edges(g.n, sorted(edges))
 
 
-def _lockstep_pairs():
+def _seeded_pairs():
     """The CRT pairs above and 20 seeded pairs on 5 and 6 vertices: ten
     permuted copies and ten rewirings."""
-    pairs = [(G, H, _automaton(aut)) for G, H, aut, _, _ in _CRT_PAIRS]
+    pairs = [(G, H) for G, H, _, _, _ in _CRT_PAIRS]
     rng = random.Random(2024)
     for index in range(20):
         g = random_graph(rng, 5 + index % 2)
         while len(g.edges) < 3:
             g = random_graph(rng, g.n)
-        h = permuted_copy(rng, g) if index < 10 else _rewired(rng, g)
-        pairs.append((g, h, builtin("paths", 2)))
+        pairs.append((g, permuted_copy(rng, g) if index < 10 else _rewired(rng, g)))
     return pairs
 
 
-@pytest.mark.parametrize("moduli", [_WORD_MODULI, _SMALL_MODULI],
-                         ids=["word", "small"])
-def test_lockstep_verdict_is_every_prime_verdict(moduli, monkeypatch):
-    """A lockstep decision over several primes gives each prime the
-    verdict of its own closure, up to the first prime that rejects.  At
-    word primes the lockstep closure runs to the end on every pair; at
-    the primes 2..23 it diverges on some pairs and falls back to one
-    closure per prime."""
-    import homind.engine
+def _two_regular_pairs():
+    """C_a + C_b against C_(a+b), for a + b from 6 to 9: both 2-regular,
+    so 1-WL cannot tell them apart."""
+    return [(disjoint_union(cycle_graph(a), cycle_graph(c - a)), cycle_graph(c))
+            for c in range(6, 10) for a in range(3, c // 2 + 1)]
 
-    fallbacks = []
 
-    def counted(G, H, aut, p, *args, **kwargs):
-        fallbacks.append(p)
-        return _closure_verdict(G, H, aut, p, *args, **kwargs)
+def test_certified_accept_is_the_closure_verdict(monkeypatch):
+    """``_closure_verdict`` without ``stats`` (the tw-all certificate
+    first) prints what it prints with ``stats`` (the linear closure
+    always), for ``paths`` and the forests automaton in both flavours, on
+    the seeded and 2-regular pairs, at small primes and a word prime.  The
+    certificate decides at least half of the cases; a case it leaves to
+    the closure, or to the small stage, takes the same path either way."""
+    from test_refinement import FORESTS_K2
 
-    monkeypatch.setattr(homind.engine, "_closure_verdict", counted)
-    outcomes = set()
-    for G, H, aut in _lockstep_pairs():
+    automata = [builtin("paths", 2), parse_automaton(FORESTS_K2)]
+    cases = certified = 0
+    for G, H in _seeded_pairs() + _two_regular_pairs():
         counts = _small_counts(G, H, 10**8)
-        want = {}
-        for p in moduli:
-            want[p] = verdict_pairs(_closure_verdict(G, H, aut, p, False, counts))
-            if want[p][0] != ("verdict", "accept"):
-                break
-        got = _lockstep_verdicts(G, H, aut, moduli, counts)
-        assert {p: verdict_pairs(v) for p, v in got.items()} == want, (G, H)
-        outcomes.add(len(want) == len(moduli) and all(v.accept for v in got.values()))
-    assert outcomes == {True, False}
-    if moduli is _WORD_MODULI:
-        assert not fallbacks
-    else:
-        assert fallbacks
+        for aut in automata:
+            for include_schur in (False, True):
+                for p in (2, 3, 5, 7, 97, 4294967291):
+                    cases += 1
+                    runs = closure_runs(monkeypatch)
+                    got = _closure_verdict(G, H, aut, p, include_schur, counts)
+                    monkeypatch.undo()
+                    if runs or not got.accept:
+                        continue
+                    certified += 1
+                    want = _closure_verdict(G, H, aut, p, include_schur, counts,
+                                            stats={})
+                    assert verdict_pairs(got) == verdict_pairs(want), (G, H, p)
+    assert 2 * certified >= cases, (certified, cases)
 
 
-def test_lockstep_pivot_is_a_unit_at_every_modulus():
-    """The first nonzero column differs between the moduli: the pivot is
-    the first column nonzero at all of them, normalized to 1 at each."""
-    moduli = np.array([5, 7], dtype=np.uint64)
-    basis = _Basis(moduli, 3)
-    row = basis.try_insert(np.array([[2, 3, 1], [0, 3, 4]], dtype=np.uint64))
-    assert basis.pivots == [1]
-    assert row.tolist() == [[4, 1, 2], [0, 1, 6]]
-    # zero at every modulus: dependent; zero at one only: diverged
-    assert basis.try_insert(np.array([[4, 1, 2], [0, 1, 6]], dtype=np.uint64)) is None
-    with pytest.raises(_Diverged):
-        basis.try_insert(np.array([[1, 1, 1], [0, 0, 0]], dtype=np.uint64))
-
-
-def test_lockstep_readout_checks_every_modulus():
-    """A row whose G and H sums agree mod 5 but not mod 7 is rejected
-    at 7 alone: the readout is one flag per modulus."""
-    moduli = np.array([5, 7], dtype=np.uint64)
-    ops = BlockOps(Graph.from_edges(1, []), 1, moduli)
-    for h_entry, accept in ((6, False), (1, True)):
-        seed = np.array([[1, h_entry % 5], [1, h_entry % 7]], dtype=np.uint64)
-        bases = [_Basis(moduli, 2)]
-        flags = _closure(bases, [(0, seed)], lambda q, row: (), [0], ops, ops)
-        assert flags.tolist() == [True, accept]
-
-
-def test_lockstep_arrays_stay_uint64(monkeypatch):
-    """Every vector, basis matrix and readout of a lockstep closure is
-    uint64: no float64 or object promotion, on numpy 1.x rules too."""
-    seen = []
-    try_insert, total = _Basis.try_insert, BlockOps.total
-
-    def checked_insert(self, v):
-        row = try_insert(self, v)
-        seen.extend([v.dtype, self.matrix.dtype] + ([] if row is None else [row.dtype]))
-        return row
-
-    def checked_total(self, block):
-        out = total(self, block)
-        seen.append(out.dtype)
-        return out
-
-    monkeypatch.setattr(_Basis, "try_insert", checked_insert)
-    monkeypatch.setattr(BlockOps, "total", checked_total)
-    moduli = np.array(_WORD_MODULI, dtype=np.uint64)
-    assert _linear_closure(_G6, permuted_copy(random.Random(12), _G6),
-                           builtin("paths", 2), moduli, False).all()
-    assert seen and set(seen) == {np.dtype(np.uint64)}
-
-
-# === Randomized pathwidth decisions in lockstep ===
-
-
-def _one_closure_per_prime(monkeypatch):
-    """Turn the lockstep off: every prime gets its own closure."""
+def test_randomized_pw_reject_draws_only_its_first_prime(monkeypatch):
+    """P4 against K_{1,3} is rejected by the closure at its first 12-bit
+    prime, so the decision draws that prime only, of 44 trials, and runs
+    one closure."""
     import homind.engine
 
-    monkeypatch.setattr(homind.engine, "_lockstep_verdicts", lambda *args: {})
+    draws = []
+    draw = homind.engine._draw_prime_with_bits
 
+    def counted(rng, bits):
+        draws.append(draw(rng, bits))
+        return draws[-1]
 
-def test_randomized_pw_lockstep_matches_one_closure_per_prime(monkeypatch):
-    """A randomized pathwidth decision gives the same verdict, primes,
-    rejecting prime, witness and notes with its word primes decided in
-    lockstep as with one closure per prime: the lockstep pairs and six
-    random pairs with equal order and size at their certified primes, and
-    every fourth of them at 44 draws of 12-bit primes (two lockstep
-    groups)."""
-    pairs = _lockstep_pairs()
-    rng = random.Random(15)
-    for index in range(6):
-        n = 5 + index % 2
-        edges = list(combinations(range(n), 2))
-        m = rng.randrange(3, len(edges) - 2)
-        pairs.append((Graph.from_edges(n, rng.sample(edges, m)),
-                      Graph.from_edges(n, rng.sample(edges, m)), builtin("paths", 2)))
-    cases = [(G, H, aut, seed, None) for seed, (G, H, aut) in enumerate(pairs)]
-    cases += [(G, H, aut, seed, 12) for seed, (G, H, aut) in enumerate(pairs[::4])]
-    outcomes, lockstep_runs = [], 0
-    for G, H, aut, seed, bits in cases:
-        runs = closure_runs(monkeypatch)
-        verdict = homind_randomized(G, H, aut, "pw", seed=seed, prime_bits=bits)
-        monkeypatch.undo()
-        lockstep_runs += sum(np.ndim(bases[0].p) == 1 for bases in runs)
-        _one_closure_per_prime(monkeypatch)
-        alone = homind_randomized(G, H, aut, "pw", seed=seed, prime_bits=bits)
-        monkeypatch.undo()
-        assert verdict == alone, (G, H, seed, bits)
-        outcomes.append(verdict.accept)
-    assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
-    assert lockstep_runs >= outcomes.count(True)
-
-
-def test_lockstep_verdicts_reject_at_a_later_prime():
-    """3 P4 + K_{1,3} and 4 K_{1,3} differ in walk counts by three times
-    what P4 and K_{1,3} do, so the closure accepts at 3 and rejects at a
-    word prime placed after it: the verdicts run to that reject, and the
-    prime loop names it."""
-    G = reduce(disjoint_union, [path_graph(4)] * 3 + [star_graph(3)])
-    H = reduce(disjoint_union, [star_graph(3)] * 4)
-    aut = builtin("paths", 2)
-    counts = _small_counts(G, H, 10**8)
-    moduli = [3, _WORD_MODULI[0], _WORD_MODULI[1]]
-    verdicts = _lockstep_verdicts(G, H, aut, moduli, counts)
-    assert [(p, v.accept) for p, v in verdicts.items()] == [(3, True), (moduli[1], False)]
-    for p, v in verdicts.items():
-        assert v == _closure_verdict(G, H, aut, p, False, counts)
-    verdict = _first_reject(moduli, verdicts.__getitem__, "randomized", [])
-    assert verdict.primes_used == moduli[:2] and verdict.rejecting_prime == moduli[1]
-
-
-def test_lockstep_flags_become_verdicts_up_to_the_first_reject(monkeypatch):
-    """A lockstep closure whose flags read accept, reject, accept gives
-    the first prime an accept and the second a reject, and stops there."""
-    import homind.engine
-
-    monkeypatch.setattr(homind.engine, "_linear_closure",
-                        lambda *args: np.array([True, False, True]))
-    G, H = GRAPHS["c6"], GRAPHS["2k3"]
-    counts = _small_counts(G, H, 10**8)
-    moduli = _WORD_MODULI[:3]
-    verdicts = _lockstep_verdicts(G, H, builtin("paths", 2), moduli, counts)
-    assert verdicts == {moduli[0]: Verdict(True, "single-prime", moduli[:1]),
-                        moduli[1]: Verdict(False, "single-prime", moduli[1:2],
-                                           rejecting_prime=moduli[1])}
-
-
-def test_lockstep_only_for_short_vectors(monkeypatch):
-    """Permuted G(14, 1/2) pairs (stacked length 392) run their word
-    primes in one lockstep closure; G(15, 1/2) pairs (length 450, past
-    ``_LOCKSTEP_LENGTH``) one closure per prime.  The verdicts are those
-    of one closure per prime either way."""
-    aut = builtin("paths", 2)
-    for n, lockstep in ((14, True), (15, False)):
-        G = random_graph(random.Random(n), n)
-        H = permuted_copy(random.Random(n + 1), G)
-        counts = _small_counts(G, H, 10**8)
-        runs = closure_runs(monkeypatch)
-        verdicts = _lockstep_verdicts(G, H, aut, _WORD_MODULI, counts)
-        monkeypatch.undo()
-        assert verdicts == {p: _closure_verdict(G, H, aut, p, False, counts)
-                            for p in _WORD_MODULI}
-        assert [np.shape(bases[0].p) for bases in runs] == (
-            [(len(_WORD_MODULI),)] if lockstep else [()] * len(_WORD_MODULI))
-
-
-def test_randomized_pw_falls_back_to_one_closure_per_prime(monkeypatch):
-    """When the lockstep closure diverges, the primes are decided one at a
-    time, up to the first reject only, with the verdict of one closure
-    per prime."""
-    import homind.engine
-
-    linear = homind.engine._linear_closure
-    decided = []
-
-    def diverging(G, H, aut, p, *args, **kwargs):
-        if isinstance(p, np.ndarray):
-            raise _Diverged
-        decided.append(p)
-        return linear(G, H, aut, p, *args, **kwargs)
-
-    aut = builtin("paths", 2)
-    for G, H, accept in ((GRAPHS["c6"], GRAPHS["2k3"], True),
-                         (path_graph(4), star_graph(3), False)):
-        _one_closure_per_prime(monkeypatch)
-        alone = homind_randomized(G, H, aut, "pw", seed=7, prime_bits=12)
-        monkeypatch.undo()
-        decided.clear()
-        monkeypatch.setattr(homind.engine, "_linear_closure", diverging)
-        verdict = homind_randomized(G, H, aut, "pw", seed=7, prime_bits=12)
-        monkeypatch.undo()
-        assert verdict == alone and verdict.accept == accept
-        assert decided == list(dict.fromkeys(verdict.primes_used))
-        assert len(decided) == (41 if accept else 1)
-
-
-def test_randomized_pw_runs_one_closure_per_lockstep_group(monkeypatch):
-    """At 44 draws of 12-bit primes (41 distinct), an accept runs one
-    lockstep closure per group of distinct primes, and a closure reject
-    at the first prime runs the first group's closure only, with no
-    closure per prime after it."""
-    aut = builtin("paths", 2)
-    moduli = []
-    for G, H, accept in ((GRAPHS["c6"], GRAPHS["2k3"], True),
-                         (path_graph(4), star_graph(3), False)):
-        runs = closure_runs(monkeypatch)
-        verdict = homind_randomized(G, H, aut, "pw", seed=7, prime_bits=12)
-        monkeypatch.undo()
-        assert verdict.accept == accept
-        moduli.append([bases[0].p.tolist() for bases in runs])
-        if accept:
-            groups = _groups(list(dict.fromkeys(verdict.primes_used)), 32)
-            assert [len(group) for group in groups] == [20, 21]
-            assert moduli[0] == groups
-        else:
-            assert verdict.primes_used == [verdict.rejecting_prime] == moduli[0][0][:1]
-    assert moduli[1] == moduli[0][:1]
+    monkeypatch.setattr(homind.engine, "_draw_prime_with_bits", counted)
+    runs = closure_runs(monkeypatch)
+    verdict = homind_randomized(path_graph(4), star_graph(3), builtin("paths", 2),
+                                "pw", seed=7, prime_bits=12)
+    assert not verdict.accept and verdict.small_stage_witness is None
+    assert draws == verdict.primes_used == [verdict.rejecting_prime]
+    assert len(runs) == 1
 
 
 def test_crt_requires_pathwidth_variant():

@@ -230,7 +230,8 @@ def _is_forest(g):
 def test_forests_automaton_matches_refinement_and_1wl():
     """Forests have treewidth <= 1, so HI over them is 1-WL equivalence
     (Dvořák 2010), and mod p it is HI over tw-all at arity 2.  The
-    four-state automaton runs the linear closure with Schur products,
+    four-state automaton runs the linear closure with Schur products
+    (``stats`` keeps the tw-all certificate from deciding its accepts),
     tw-all the partition refinement; they must agree at every prime."""
     aut = parse_automaton(FORESTS_K2)
     assert validate_automaton(aut, _is_forest, 5).ok
@@ -249,7 +250,7 @@ def test_forests_automaton_matches_refinement_and_1wl():
     rejects = 0
     for G, H in pairs:
         for p in (2, 3, (1 << 31) - 1):
-            verdict = modhomind(G, H, aut, p)
+            verdict = modhomind(G, H, aut, p, stats={})
             assert verdict.accept == modhomind(G, H, tw_all, p).accept, (G, H, p)
         assert verdict.small_stage_witness is None
         assert verdict.accept == wl_refine(G, H, 1), (G, H)
