@@ -38,10 +38,10 @@ print(format_verdict(modhomind_pw(p4, k13, paths, 2)))
 
 # %%
 # The deterministic mode covers the largest possible homomorphism count
-# with a product of primes.  A word-size prime below 2^32 rejects first;
-# then the engine runs at the smallest primes 2, 3, 5, ... in order to
-# name the first that separates.  Prime 2 passes, prime 3 separates
-# (10 = 1 vs 12 = 0 mod 3), and the run stops with a certificate.
+# with a product of primes.  The engine runs at the smallest primes
+# 2, 3, 5, ... in order and names the first that separates.  Prime 2
+# passes, prime 3 separates (10 = 1 vs 12 = 0 mod 3), and the run stops
+# with a certificate.
 
 from homind.engine import format_verdict, homind_deterministic_crt
 
@@ -50,9 +50,8 @@ print(format_verdict(verdict))
 
 # %%
 # An isomorphic pair must survive the full ladder.  Relabelling P4
-# reverses it; the engine accepts at every word-size prime that covers
-# the bound, and the verdict lists the smallest-prime ladder that covers
-# it too, every prime of which accepts equal counts.
+# reverses it; the engine accepts at every prime of the smallest-prime
+# ladder that covers the bound, and the verdict lists them all.
 
 from homind.graphs import Graph
 

@@ -62,17 +62,12 @@ wrapper samples primes from a range wide enough that disagreeing counts
 are caught with constant probability per trial (one-sided error: equal
 counts are never rejected), and a deterministic mode (pathwidth flavour)
 relies on the Chinese remainder theorem: any set of primes whose product
-exceeds the largest possible count detects any disagreement.  It first
-decides at the largest primes below 2^32 that make up such a set (76
-primes for the builtin paths at n = 6, where the smallest need 269), in
-order up to the first that rejects; all of them share one partition.  If
-all of them accept, the counts are equal, so every prime accepts, and
-the verdict lists the smallest-prime set 2, 3, 5, ... as the
-certificate.  If one rejects, the counts differ, and the smallest primes
-are decided in order up to the first that rejects, which names the
-rejecting prime and witness.  The randomized wrapper hands its primes to
-the same loop (``_first_reject``), which decides at each prime in order
-and stops at the first that rejects.
+exceeds the largest possible count detects any disagreement.  It decides
+the smallest such set, 2, 3, 5, ... (269 primes for the builtin paths at
+n = 6), in order up to the first that rejects, and prints exactly the
+primes it decided.  Every prime above max(n_G, n_H) reuses one tw-all
+partition, and each smaller prime refines its own.  The randomized
+wrapper hands its primes to the same loop (``_first_reject``).
 
 Tensors and basis rows are numpy arrays whose dtype follows from the
 modulus alone (``_residue_dtype``): uint64 when p < 2^32, so the product
@@ -102,7 +97,6 @@ from .modular import (
     sample_prime_in_range,
     smallest_primes_with_product_exceeding,
     trial_count,
-    word_primes_with_product_exceeding,
 )
 from .oracle import enumerate_graphs_up_to
 from .recognizer import Automaton
@@ -492,7 +486,7 @@ def _linear_closure(G, H, aut, p, include_schur, stats=None):
         if include_schur:
             for r in range(aut.states):
                 # Schur products with every row of bucket r
-                yield aut.glue_state(q, r), (row * bases[r].matrix) % p
+                yield aut.glue_state(q, r), og.schur(row, bases[r].matrix)
 
     seeds = [(aut.start, _concat(og.ones(), oh.ones()))]
     return _closure(bases, seeds, expand, aut.accepting, og, oh, stats=stats)
@@ -786,15 +780,10 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
     the largest possible homomorphism count (n^N) can only agree modulo
     every prime of a set whose product exceeds n^N if they are equal.
 
-    An accept is decided at the largest primes below 2^32 that form such
-    a set, and reported with the smallest such set, 2, 3, 5, ..., every
-    one of which accepts equal counts.  The word primes are decided in
-    order, largest first, up to the first that rejects; one tw-all
-    partition, refined once for all of them, certifies most accepts.
-    When a word prime rejects, the smallest primes are decided in order
-    up to the first that rejects, which must exist, so a reject reports
-    the same primes, rejecting prime and witness as deciding the
-    smallest primes alone."""
+    The smallest such set, 2, 3, 5, ..., is decided in order up to the
+    first prime that rejects; the verdict lists the primes decided.  One
+    tw-all partition, refined once for every prime above max(n_G, n_H),
+    certifies most accepts without a closure."""
     if variant != "pw":
         raise ValueError(
             "deterministic CRT mode is defined for the pathwidth variant"
@@ -812,10 +801,6 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
     partitions = _tw_partitions(G, H, aut.k)
     decide = lambda p: _closure_verdict(G, H, aut, p, False, counts,
                                         partitions=partitions)
-    first, *rest = word_primes_with_product_exceeding(bound)
-    verdict = decide(first)
-    if verdict.accept and all(decide(p).accept for p in rest):
-        return Verdict(True, "deterministic-crt", primes, notes=verdict.notes)
     return _first_reject(primes, decide, "deterministic-crt", [])
 
 

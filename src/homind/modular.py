@@ -20,13 +20,11 @@ range exceeds ``L``, at most ``N * log2(n)`` prime factors fit into
 
 The deterministic pathwidth mode replaces sampling by the Chinese remainder
 theorem: any set of primes whose product exceeds ``n**N`` jointly detects
-any nonzero difference of counts.  Its verdict names the smallest such set,
-the primes ``2, 3, 5, ...``, but an accept is decided at the largest primes
-below ``2**32`` (word primes): fewer of them cover the bound, and their
-residues keep the closure on machine integers.
+any nonzero difference of counts.  It decides the smallest such set, the
+primes ``2, 3, 5, ...``.
 
 ``is_prime`` is exact below psi_12 = 318,665,857,834,031,151,167,461
-(about 2**78), by Miller-Rabin over fixed bases, which covers the word
+(about 2**78), by Miller-Rabin over fixed bases, which covers the CRT
 primes, the pathwidth draws and the treewidth and Lasserre draws on
 small graphs; above it, 64 rounds with bases derived from the candidate
 leave an error below 4**-64 per composite.
@@ -39,7 +37,6 @@ bit for bit; nothing in this module touches ambient RNG state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
 __all__ = [
     "Xoshiro256StarStar",
@@ -53,7 +50,6 @@ __all__ = [
     "bound_pw",
     "bound_lasserre",
     "smallest_primes_with_product_exceeding",
-    "word_primes_with_product_exceeding",
     "ceil_log2",
 ]
 
@@ -351,38 +347,21 @@ def bound_lasserre(n: int, t: int, bit_cap: int = DEFAULT_BIT_CAP) -> Bounds:
     return _make_bounds(N, n)
 
 
-def _primes_with_product_exceeding(B: int, candidates) -> list[int]:
-    """The primes among ``candidates``, in their order, up to the first
-    whose running product strictly exceeds B."""
-    if B < 1:
-        raise ValueError("requires B >= 1")
-    primes = []
-    product = 1
-    for candidate in candidates:
-        if product > B:
-            break
-        if is_prime(candidate):
-            primes.append(candidate)
-            product *= candidate
-    return primes
-
-
 def smallest_primes_with_product_exceeding(B: int) -> list[int]:
     """Smallest prefix of 2, 3, 5, ... whose product strictly exceeds B.
 
     The deterministic mode works modulo these primes: a nonzero integer of
     magnitude at most B cannot vanish modulo all of them at once.
     """
-    return _primes_with_product_exceeding(B, count(2))
-
-
-def word_primes_with_product_exceeding(B: int) -> list[int]:
-    """Shortest run of the largest primes below 2**32, in descending
-    order, whose product strictly exceeds B.
-
-    The same Chinese remainder argument as for the smallest primes holds
-    for any primes whose product exceeds B, and these need fewer of them
-    (76 against 269 for the builtin ``paths`` bound at n = 6, k = 2);
-    residues below 2**32 keep the closure on uint64 arrays.
-    """
-    return _primes_with_product_exceeding(B, range((1 << 32) - 1, 2, -2))
+    if B < 1:
+        raise ValueError("requires B >= 1")
+    primes = []
+    product = 1
+    candidate = 2
+    while product <= B:
+        while not is_prime(candidate):
+            candidate += 1
+        primes.append(candidate)
+        product *= candidate
+        candidate += 1
+    return primes

@@ -291,7 +291,9 @@ def class_members(spec, max_size: int) -> list:
     """All non-isomorphic members of the class with at most max_size
     vertices, ordered by vertex count then edge count."""
     cs = parse_class_spec(spec)
-    if max_size <= 0:
+    if max_size < 0:
+        raise ValueError(f"max size must be non-negative: {max_size}")
+    if max_size == 0:
         return []
     if cs.kind == "all":
         return enumerate_graphs_up_to(max_size)

@@ -278,6 +278,22 @@ def test_enumerate_rejects_a_negative_width(files, capsys):
     assert err.startswith("error:") and "non-negative" in err
 
 
+def test_enumerate_rejects_a_negative_max_size(files, capsys):
+    rc, out, err = run(["enumerate", "--class", "tw:1", "--max-size", "-1"],
+                       capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: max size must be non-negative: -1\n"
+
+
+def test_oracle_rejects_a_negative_max_size(files, capsys):
+    rc, out, err = run(["oracle", files["p3"], files["k3"], "--class", "tw:1",
+                        "--max-size", "-1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: max size must be non-negative: -1\n"
+
+
 def test_bounds_treewidth_worked_example(files, capsys):
     rc, out, _ = run(["bounds", "--tw", "--n", "6", "--k", "2", "--C", "1"],
                      capsys)

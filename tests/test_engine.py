@@ -20,8 +20,8 @@ from homind.engine import (
     _closure_verdict,
     _first_reject,
     _linear_closure,
-    _refine,
     _small_counts,
+    _tw_partitions,
     format_verdict,
     homind_deterministic_crt,
     homind_randomized,
@@ -46,9 +46,7 @@ from homind.modular import (
     Xoshiro256StarStar,
     bound_pw,
     bound_tw,
-    is_prime,
     smallest_primes_with_product_exceeding,
-    word_primes_with_product_exceeding,
 )
 from homind.oracle import enumerate_graphs_up_to, hom_tensor, paths_oracle
 from homind.recognizer import builtin, parse_automaton, trace_term
@@ -599,23 +597,9 @@ def test_crt_counts_small_members_once_per_decision(monkeypatch):
     assert len(calls) == 4
 
 
-def test_word_primes_cover_the_bound_with_no_prime_to_spare():
-    for B in (1, 2, (1 << 32) - 5, 1 << 64, 6 ** bound_pw(6, 2, 13).N):
-        primes = word_primes_with_product_exceeding(B)
-        assert primes == sorted(primes, reverse=True)
-        assert primes[0] == 4294967291  # the largest prime below 2^32
-        assert all(is_prime(p) and p < 1 << 32 for p in primes)
-        product = 1
-        for p in primes[:-1]:
-            product *= p
-        assert product <= B < product * primes[-1]
-    # no prime is skipped: the list holds every prime from its last to 2^32
-    primes = word_primes_with_product_exceeding(1 << 256)
-    assert sum(is_prime(x) for x in range(primes[-1], 1 << 32)) == len(primes)
-
-
 def _crt_smallest_primes(G, H, aut):
-    """The deterministic verdict from deciding the smallest primes alone."""
+    """The deterministic verdict from deciding the smallest primes one by
+    one, each with a partition of its own."""
     n = max(G.n, H.n, 1)
     bound = max(n, 2) ** bound_pw(n, aut.k, aut.states).N
     counts = _small_counts(G, H, 10**8)
@@ -653,8 +637,8 @@ def _automaton(name):
 @pytest.mark.parametrize("G, H, aut, accept, rejecting", _CRT_PAIRS,
                          ids=["gnp6", "c8-2c4", "small-2", "small-3",
                               "closure-3", "none-accept", "none-reject"])
-def test_crt_word_primes_print_the_smallest_prime_verdict(G, H, aut, accept,
-                                                          rejecting):
+def test_crt_verdict_is_the_smallest_primes_decided_one_by_one(
+        G, H, aut, accept, rejecting):
     aut = _automaton(aut)
     verdict = homind_deterministic_crt(G, H, aut)
     assert verdict.accept == accept
@@ -662,27 +646,47 @@ def test_crt_word_primes_print_the_smallest_prime_verdict(G, H, aut, accept,
     assert verdict_pairs(verdict) == verdict_pairs(_crt_smallest_primes(G, H, aut))
 
 
-def test_crt_accept_decides_the_word_primes_only(monkeypatch):
-    """An accept on a permuted G(6, 1/2) decides its 76 word primes only,
-    each certified by the tw-all partition, so it runs no linear closure;
-    it prints the 269 smallest primes."""
+def _decided_primes(monkeypatch):
+    """Patch ``engine._closure_verdict``; the returned list collects the
+    prime of every single-prime decision."""
     import homind.engine
 
     decided = []
+    decide = homind.engine._closure_verdict
 
     def counted(G, H, aut, p, *args, **kwargs):
         decided.append(p)
-        return _closure_verdict(G, H, aut, p, *args, **kwargs)
+        return decide(G, H, aut, p, *args, **kwargs)
 
     monkeypatch.setattr(homind.engine, "_closure_verdict", counted)
+    return decided
+
+
+def test_crt_accept_decides_exactly_its_printed_primes(monkeypatch):
+    """An accept on a permuted G(6, 1/2) decides the 269 primes it prints,
+    each certified by the tw-all partition, so it runs no linear closure."""
+    decided = _decided_primes(monkeypatch)
     runs = closure_runs(monkeypatch)
     aut = builtin("paths", 2)
     verdict = homind_deterministic_crt(
         _G6, permuted_copy(random.Random(12), _G6), aut)
-    words = word_primes_with_product_exceeding(6 ** bound_pw(6, 2, aut.states).N)
-    assert verdict.accept and len(verdict.primes_used) == 269
-    assert decided == words and len(words) == 76
+    primes = smallest_primes_with_product_exceeding(
+        6 ** bound_pw(6, 2, aut.states).N)
+    assert verdict.accept and len(primes) == 269
+    assert decided == verdict.primes_used == primes
     assert not runs
+
+
+def test_crt_reject_decides_up_to_its_rejecting_prime(monkeypatch):
+    """P4 against K_{1,3}: the partition certifies the accept at 2, and the
+    one linear closure, at 3, rejects (walks of length 2: 10 against 12)."""
+    decided = _decided_primes(monkeypatch)
+    runs = closure_runs(monkeypatch)
+    verdict = homind_deterministic_crt(path_graph(4), star_graph(3),
+                                       builtin("paths", 2))
+    assert not verdict.accept and verdict.rejecting_prime == 3
+    assert decided == verdict.primes_used == [2, 3]
+    assert [bases[0].p for bases in runs] == [3]
 
 
 # Equal walk counts, but 1-WL tells them apart.
@@ -692,18 +696,22 @@ _H7 = Graph.from_edges(7, [(0, 1), (0, 2), (1, 5), (1, 6), (2, 4), (3, 5),
                            (3, 6), (4, 6), (5, 6)])
 
 
-def test_crt_uncertified_accept_runs_one_closure_per_word_prime(monkeypatch):
+def test_crt_uncertified_accept_runs_one_closure_per_unbalanced_prime(
+        monkeypatch):
     """The tw-all partition of G7 and H7 is unbalanced, so it cannot
-    certify their pathwidth accept under ``paths``: the CRT accept runs
-    one linear closure at each of its 112 word primes."""
+    certify their pathwidth accept under ``paths``: the CRT accept runs a
+    linear closure at each of its 374 printed primes but 2, where the
+    partition is balanced."""
     aut = builtin("paths", 2)
     assert paths_oracle(_G7, _H7)
-    assert not _blocks_balanced(*_refine(_G7, _H7, 2, None), 2**31 - 1)
+    partitions = _tw_partitions(_G7, _H7, 2)
     runs = closure_runs(monkeypatch)
     verdict = homind_deterministic_crt(_G7, _H7, aut)
-    words = word_primes_with_product_exceeding(7 ** bound_pw(7, 2, aut.states).N)
-    assert verdict.accept
-    assert len(runs) == len(words) == 112
+    unbalanced = [p for p in verdict.primes_used
+                  if not _blocks_balanced(*partitions(p), p)]
+    assert verdict.accept and len(verdict.primes_used) == 374
+    assert unbalanced == verdict.primes_used[1:]
+    assert len(runs) == 373
 
 
 # === The tw-all certificate of pathwidth and multi-state accepts ===
