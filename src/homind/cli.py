@@ -58,11 +58,10 @@ from .lasserre import lasserre_mod, lasserre_randomized
 from .modular import BoundOverflow, bound_lasserre, bound_pw, bound_tw
 from .oracle import (
     class_members,
+    class_membership,
     exact_pathwidth_tiny,
     exact_treewidth_tiny,
     homind_bruteforce,
-    is_path_graph,
-    parse_class_spec,
 )
 from .recognizer import builtin, parse_automaton, validate_automaton
 from .wl import cfi, gen_clique_reduction, gen_wl_hardness, wl_refine
@@ -146,25 +145,6 @@ def _seed_of(args) -> int:
     return secrets.randbits(64) if args.seed is None else args.seed
 
 
-def _membership_for(spec_text: str):
-    """Membership oracle for validate-automaton, from a class spec."""
-    spec = parse_class_spec(spec_text)
-    if spec.kind == "all":
-        return lambda g: True
-    if spec.kind == "paths":
-        return is_path_graph
-    # width 0 means edgeless and treewidth 1 a forest: tests with no size cap
-    if spec.kind in ("tw", "pw") and spec.param == 0:
-        return lambda g: g.m == 0
-    if spec.kind == "tw" and spec.param == 1:
-        return lambda g: g.m == g.n - len(connected_components(g))
-    if spec.kind == "tw":
-        return lambda g: exact_treewidth_tiny(g) <= spec.param
-    if spec.kind == "pw":
-        return lambda g: exact_pathwidth_tiny(g) <= spec.param
-    raise ValueError(f"no membership oracle for class kind {spec.kind!r}")
-
-
 # === verdict-producing subcommands ===
 
 
@@ -217,12 +197,6 @@ def cmd_homind(args) -> int:
 
 def cmd_pwhomind(args) -> int:
     return _cmd_engine(args, "pw")
-
-
-def cmd_modhomind(args) -> int:
-    aut = _resolve_automaton(args)
-    return _decide(
-        args, lambda G, H, p: modhomind(G, H, aut, p, budget=args.budget), None)
 
 
 def cmd_lasserre(args) -> int:
@@ -283,11 +257,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_bounds(args) -> int:
     out = _Output(args.json)
-    kwargs = {} if args.bit_cap is None else {"bit_cap": args.bit_cap}
     if args.lasserre:
         if args.t is None:
             raise ValueError("--lasserre needs --t")
-        bounds = bound_lasserre(args.n, args.t, **kwargs)
+        bounds = bound_lasserre(args.n, args.t, bit_cap=args.bit_cap)
         out.emit("family", "lasserre")
         out.emit("n", args.n)
         out.emit("t", args.t)
@@ -295,7 +268,7 @@ def cmd_bounds(args) -> int:
         if args.k is None:
             raise ValueError("--tw/--pw need --k")
         fn = bound_tw if args.tw else bound_pw
-        bounds = fn(args.n, args.k, args.C, **kwargs)
+        bounds = fn(args.n, args.k, args.C, bit_cap=args.bit_cap)
         out.emit("family", "tw" if args.tw else "pw")
         out.emit("n", args.n)
         out.emit("k", args.k)
@@ -309,7 +282,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_validate(args) -> int:
     aut = _resolve_automaton(args)
-    membership = _membership_for(args.class_spec)
+    membership = class_membership(args.class_spec)
     report = validate_automaton(aut, membership, args.context_bound,
                                 term_depth=args.term_depth)
     out = _Output(args.json)
@@ -502,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="prime modulus (decimal or 0x hex)")
     sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--json", action="store_true")
-    # modhomind is _decide's single-prime mode, with --prime required
-    sp.set_defaults(func=cmd_modhomind, mode="single-prime", prime_bits=None)
+    # modhomind is homind's single-prime mode, with --prime required
+    sp.set_defaults(func=cmd_homind, mode="single-prime", prime_bits=None)
 
     sp = sub.add_parser("pwhomind", help="decide over a bounded-pathwidth class")
     _add_automaton_flags(sp)

@@ -156,9 +156,6 @@ class BlockOps:
     def ones(self):
         return np.ones(self.length, dtype=self.dtype)
 
-    def from_ints(self, values):
-        return np.array([v % self.p for v in values], dtype=self.dtype)
-
     # -- index helpers ------------------------------------------------------
 
     def _coordinate(self, i):
@@ -725,9 +722,8 @@ def _randomized_verdict(decide, seed, prime_bits, bit_cap,
         trials = trial_count(1 << (prime_bits - 1))
         draw = lambda rng: _draw_prime_with_bits(rng, prime_bits)
     else:
-        kwargs = {} if bit_cap is None else {"bit_cap": bit_cap}
         try:
-            bounds = bound_fn(*bound_args, **kwargs)
+            bounds = bound_fn(*bound_args, bit_cap=bit_cap)
         except BoundOverflow as exc:
             raise BoundOverflow(
                 f"{exc}; rerun with prime_bits for a heuristic decision"
@@ -789,8 +785,7 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
             "deterministic CRT mode is defined for the pathwidth variant"
         )
     n = max(G.n, H.n, 1)
-    kwargs = {} if bit_cap is None else {"bit_cap": bit_cap}
-    bounds = bound_pw(n, aut.k, aut.states, **kwargs)
+    bounds = bound_pw(n, aut.k, aut.states, bit_cap=bit_cap)
     bound = max(n, 2) ** bounds.N
     primes = smallest_primes_with_product_exceeding(bound)
     if len(primes) > prime_budget:

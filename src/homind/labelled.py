@@ -75,9 +75,6 @@ class LabelledGraph:
     def l(self):
         return len(self.out_labels)
 
-    def is_distinct(self):
-        return len(set(self.in_labels)) == self.k and len(set(self.out_labels)) == self.l
-
 
 def one_labelled(k):
     """The all-ones graph: k isolated vertices, vertex i carrying label i+1."""
@@ -177,16 +174,6 @@ def permute_labels(F, sigma):
     return LabelledGraph(F.graph, new[: F.k], new[F.k :])
 
 
-def compose_perms(s, t):
-    """The single permutation equivalent to permuting by t, then by s:
-    permute_labels(permute_labels(F, t), s) == permute_labels(F, compose_perms(s, t)).
-
-    permute_labels pulls (new position i takes the label from old position
-    sigma[i]), so the two-step application reads t at position s[i].
-    """
-    return tuple(t[s[i]] for i in range(len(s)))
-
-
 # === Generators B(k) ===
 
 
@@ -210,18 +197,6 @@ def a_generator(k, i, j):
     g = Graph.from_edges(k, [(i - 1, j - 1)])
     ids = tuple(range(k))
     return LabelledGraph(g, ids, ids)
-
-
-def generators(k):
-    """The family B(k) = {J^i : i in [k]} u {A^{ij} : i < j in [k]}."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out = {}
-    for i in range(1, k + 1):
-        out[f"J{i}"] = j_generator(k, i)
-    for i, j in combinations(range(1, k + 1), 2):
-        out[f"A{i}{j}"] = a_generator(k, i, j)
-    return out
 
 
 # === Terms of the treewidth/pathwidth algebra ===
@@ -355,7 +330,6 @@ class LabelledSet:
 class TwRecord:
     term: object
     value: LabelledGraph
-    level: int
 
 
 def _a_closure(records, k):
@@ -397,8 +371,8 @@ def enumerate_tw(k, d, max_vertices):
     labels per glue factor mirror the out-degree-bounded decomposition and
     give the sharp size bound max{k^d, d}.
 
-    Returns TwRecords (term, labelled value, first level seen), deduplicated
-    by labelled isomorphism.
+    Returns TwRecords (term, labelled value) in the order first seen,
+    deduplicated by labelled isomorphism.
     """
     if k < 1 or d < 1:
         raise ValueError("k and d must be >= 1")
@@ -408,20 +382,20 @@ def enumerate_tw(k, d, max_vertices):
     seen = LabelledSet()
     records = []
 
-    def admit(batch, level):
+    def admit(batch):
         fresh = []
         for term, value in batch:
             if value.graph.n <= max_vertices and seen.add(value, None):
-                rec = TwRecord(term, value, level)
+                rec = TwRecord(term, value)
                 records.append(rec)
                 fresh.append(rec)
         return fresh
 
     base = _a_closure([(TOne(k), one_labelled(k))], k)
-    admit(base, 1)
+    admit(base)
     current = [(r.term, r.value) for r in records]
 
-    for level in range(2, d + 1):
+    for _ in range(2, d + 1):
         produced = LabelledSet()
         by_size = sorted(current, key=lambda tf: tf[1].graph.n)
         if not by_size:
@@ -459,7 +433,7 @@ def enumerate_tw(k, d, max_vertices):
         closed = _a_closure(
             [(payload, f) for f, payload in produced.items], k
         )
-        fresh = admit(closed, level)
+        fresh = admit(closed)
         current = [(r.term, r.value) for r in records]
         if not fresh:
             break  # cumulative rule: an empty level is a fixed point
@@ -475,23 +449,23 @@ def enumerate_pw(k, d):
     seen = LabelledSet()
     records = []
 
-    def admit(batch, level):
+    def admit(batch):
         fresh = []
         for term, value in batch:
             if seen.add(value, None):
-                rec = TwRecord(term, value, level)
+                rec = TwRecord(term, value)
                 records.append(rec)
                 fresh.append(rec)
         return fresh
 
-    admit(_a_closure([(TOne(k), one_labelled(k))], k), 1)
+    admit(_a_closure([(TOne(k), one_labelled(k))], k))
     current = [(r.term, r.value) for r in records]
-    for level in range(2, d + 1):
+    for _ in range(2, d + 1):
         produced = []
         for t, f in current:
             for i in range(1, k + 1):
                 produced.append((TApplyJ(i, t), val_apply_j(f, i)))
-        fresh = admit(_a_closure(produced, k), level)
+        fresh = admit(_a_closure(produced, k))
         current = [(r.term, r.value) for r in records]
         if not fresh:
             break

@@ -268,16 +268,28 @@ def trial_count(L: int) -> int:
     return (L ** 4 - 1).bit_length()
 
 
-def _make_bounds(N: int, n: int) -> Bounds:
+DEFAULT_BIT_CAP = 1 << 20
+
+
+def _make_bounds(N: int, n: int, bit_cap) -> Bounds:
+    """Bounds for the class-size bound N; BoundOverflow when N needs more
+    than bit_cap bits (None: DEFAULT_BIT_CAP)."""
+    bit_cap = DEFAULT_BIT_CAP if bit_cap is None else bit_cap
+    if N.bit_length() > bit_cap:
+        raise BoundOverflow(
+            "bound needs %d bits, cap is %d" % (N.bit_length(), bit_cap)
+        )
     # For n = 1, ceil(log2 n) = 0 would collapse L below N and break the
     # invariant L >= N; clamp the factor to 1 (a larger L is always sound).
     L = N * max(1, ceil_log2(n))
     return Bounds(N=N, L=L, trials=trial_count(L))
 
 
-def _checked_power(base: int, exponent: int, bit_cap: int) -> int:
+def _checked_power(base: int, exponent: int, bit_cap) -> int:
     """base**exponent, refusing (BoundOverflow) if the result needs more
-    than bit_cap bits; the check runs before materializing the power."""
+    than bit_cap bits (None: DEFAULT_BIT_CAP); the check runs before
+    materializing the power."""
+    bit_cap = DEFAULT_BIT_CAP if bit_cap is None else bit_cap
     if base < 1 or exponent < 0:
         raise ValueError("power arguments out of range")
     if base == 1 or exponent == 0:
@@ -301,50 +313,35 @@ def _checked_power(base: int, exponent: int, bit_cap: int) -> int:
     return value
 
 
-DEFAULT_BIT_CAP = 1 << 20
-
-
-def bound_tw(n: int, k: int, C: int, bit_cap: int = DEFAULT_BIT_CAP) -> Bounds:
+def bound_tw(n: int, k: int, C: int, bit_cap=None) -> Bounds:
     """Class-size bound for the treewidth variant: N = max(k**(2*C*n**k), 2*C*n**k).
 
     n bounds the order of either input graph, k is the label arity, C the
     automaton state count.  Raises BoundOverflow when N would exceed
-    bit_cap bits (default 2**20).
+    bit_cap bits (None: DEFAULT_BIT_CAP, 2**20).
     """
     if n < 1 or k < 1 or C < 1:
         raise ValueError("bound_tw requires n, k, C >= 1")
     e = 2 * C * n ** k
     N = max(_checked_power(k, e, bit_cap), e)
-    if N.bit_length() > bit_cap:
-        raise BoundOverflow(
-            "bound needs %d bits, cap is %d" % (N.bit_length(), bit_cap)
-        )
-    return _make_bounds(N, n)
+    return _make_bounds(N, n, bit_cap)
 
 
-def bound_pw(n: int, k: int, C: int, bit_cap: int = DEFAULT_BIT_CAP) -> Bounds:
+def bound_pw(n: int, k: int, C: int, bit_cap=None) -> Bounds:
     """Class-size bound for the pathwidth variant: N = 2*C*n**k + k - 1."""
     if n < 1 or k < 1 or C < 1:
         raise ValueError("bound_pw requires n, k, C >= 1")
     N = 2 * C * n ** k + k - 1
-    if N.bit_length() > bit_cap:
-        raise BoundOverflow(
-            "bound needs %d bits, cap is %d" % (N.bit_length(), bit_cap)
-        )
-    return _make_bounds(N, n)
+    return _make_bounds(N, n, bit_cap)
 
 
-def bound_lasserre(n: int, t: int, bit_cap: int = DEFAULT_BIT_CAP) -> Bounds:
+def bound_lasserre(n: int, t: int, bit_cap=None) -> Bounds:
     """Class-size bound for the Lasserre variant: N = 2*t * 4**(n**(2*t))."""
     if n < 1 or t < 1:
         raise ValueError("bound_lasserre requires n, t >= 1")
     e = n ** (2 * t)
     N = 2 * t * _checked_power(4, e, bit_cap)
-    if N.bit_length() > bit_cap:
-        raise BoundOverflow(
-            "bound needs %d bits, cap is %d" % (N.bit_length(), bit_cap)
-        )
-    return _make_bounds(N, n)
+    return _make_bounds(N, n, bit_cap)
 
 
 def smallest_primes_with_product_exceeding(B: int) -> list[int]:

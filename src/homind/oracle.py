@@ -38,6 +38,7 @@ from .graphs import (
     Graph,
     adjacency_bitmasks,
     adjacency_sets,
+    connected_components,
     hom_count,
     is_connected,
     is_isomorphic_small,
@@ -53,6 +54,7 @@ __all__ = [
     "enumerate_graphs",
     "enumerate_graphs_up_to",
     "class_members",
+    "class_membership",
     "homind_bruteforce",
     "homind_size_bruteforce",
     "paths_oracle",
@@ -300,18 +302,33 @@ def class_members(spec, max_size: int) -> list:
     if cs.kind == "paths":
         return [path_graph(n) for n in range(1, max_size + 1)]
     if cs.kind in ("tw", "pw"):
-        measure = exact_treewidth_tiny if cs.kind == "tw" else exact_pathwidth_tiny
-        out = []
-        for g in enumerate_graphs_up_to(max_size):
-            if measure(g) <= cs.param:
-                out.append(g)
-        return out
+        return list(filter(class_membership(cs), enumerate_graphs_up_to(max_size)))
     if cs.kind == "lasserre":
         from .labelled import enumerate_lasserre
 
         graphs = enumerate_lasserre(cs.param, max_size, max_size)
         return _dedup_isomorphic(sorted(graphs, key=lambda g: (g.n, len(g.edges))))
     raise ValueError("unrecognized class spec kind: %r" % (cs.kind,))
+
+
+def class_membership(spec):
+    """The membership test of a class spec, as a predicate on graphs.
+    Width 0 means edgeless and treewidth 1 a forest, with no size cap;
+    other widths run the exact dynamic programs (at most 8 vertices)."""
+    cs = parse_class_spec(spec)
+    if cs.kind == "all":
+        return lambda g: True
+    if cs.kind == "paths":
+        return is_path_graph
+    if cs.kind in ("tw", "pw") and cs.param == 0:
+        return lambda g: g.m == 0
+    if cs.kind == "tw" and cs.param == 1:
+        return lambda g: g.m == g.n - len(connected_components(g))
+    if cs.kind == "tw":
+        return lambda g: exact_treewidth_tiny(g) <= cs.param
+    if cs.kind == "pw":
+        return lambda g: exact_pathwidth_tiny(g) <= cs.param
+    raise ValueError(f"no membership oracle for class kind {cs.kind!r}")
 
 
 # ------------------------------------------------------------ verdicts

@@ -31,6 +31,7 @@ before trusting their verdicts.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from itertools import combinations
 
@@ -152,6 +153,14 @@ def _check_tables(aut):
 
 # === Text format ===
 
+# Transition directives: usage text, and how many label indices lead the
+# line (the state ids follow them, then "->" and the target state).
+_TRANSITIONS = {
+    "glue": ("glue <q1> <q2> -> <q>", 0),
+    "J": ("J <i> <q> -> <q>", 1),
+    "A": ("A <i> <j> <q> -> <q>", 2),
+}
+
 
 def parse_automaton(text):
     """Parse the automaton file format.  Accepts str or bytes.
@@ -224,16 +233,7 @@ def parse_automaton(text):
     for q in accept_ids:
         chk_state(q, ln)
 
-    glue_raw = {}  # ordered (q1, q2) -> target, for asymmetry reporting
-    j_table = {}
-    a_table = {}
-    small = None
-
-    def arrow(parts, idx, ln):
-        if idx >= len(parts) or parts[idx] != "->":
-            got = parts[idx] if idx < len(parts) else "end of line"
-            raise AutomatonFormatError(f"line {ln}: expected '->', got {got!r}")
-
+    tables = {kw: {} for kw in _TRANSITIONS}  # glue keyed as written
     while True:
         ln, parts = next_line("transition or 'small' policy line")
         kw = parts[0]
@@ -244,65 +244,39 @@ def parse_automaton(text):
                 )
             small = parts[1]
             break
-        if kw == "glue":
-            if len(parts) != 5:
-                raise AutomatonFormatError(
-                    f"line {ln}: expected 'glue <q1> <q2> -> <q>'"
-                )
-            arrow(parts, 3, ln)
-            q1 = chk_state(as_int(parts[1], ln, "state id"), ln)
-            q2 = chk_state(as_int(parts[2], ln, "state id"), ln)
-            tgt = chk_state(as_int(parts[4], ln, "state id"), ln)
-            if (q1, q2) in glue_raw and glue_raw[(q1, q2)] != tgt:
-                raise AutomatonFormatError(
-                    f"line {ln}: conflicting duplicate glue {q1} {q2} -> {tgt} "
-                    f"(earlier target {glue_raw[(q1, q2)]})"
-                )
-            if (q2, q1) in glue_raw and glue_raw[(q2, q1)] != tgt:
-                raise AutomatonFormatError(
-                    f"line {ln}: asymmetric glue entry: glue {q1} {q2} -> {tgt} "
-                    f"conflicts with glue {q2} {q1} -> {glue_raw[(q2, q1)]}"
-                )
-            glue_raw[(q1, q2)] = tgt
-        elif kw == "J":
-            if len(parts) != 5:
-                raise AutomatonFormatError(f"line {ln}: expected 'J <i> <q> -> <q>'")
-            arrow(parts, 3, ln)
-            i = as_int(parts[1], ln, "label index")
-            if not (1 <= i <= k):
-                raise AutomatonFormatError(
-                    f"line {ln}: label index {i} out of range 1..{k}"
-                )
-            q = chk_state(as_int(parts[2], ln, "state id"), ln)
-            tgt = chk_state(as_int(parts[4], ln, "state id"), ln)
-            if (i, q) in j_table and j_table[(i, q)] != tgt:
-                raise AutomatonFormatError(
-                    f"line {ln}: conflicting duplicate J {i} {q} -> {tgt} "
-                    f"(earlier target {j_table[(i, q)]})"
-                )
-            j_table[(i, q)] = tgt
-        elif kw == "A":
-            if len(parts) != 6:
-                raise AutomatonFormatError(
-                    f"line {ln}: expected 'A <i> <j> <q> -> <q>'"
-                )
-            arrow(parts, 4, ln)
-            i = as_int(parts[1], ln, "label index")
-            j = as_int(parts[2], ln, "label index")
-            if not (1 <= i < j <= k):
-                raise AutomatonFormatError(
-                    f"line {ln}: A labels must satisfy 1 <= i < j <= {k}, got {i} {j}"
-                )
-            q = chk_state(as_int(parts[3], ln, "state id"), ln)
-            tgt = chk_state(as_int(parts[5], ln, "state id"), ln)
-            if (i, j, q) in a_table and a_table[(i, j, q)] != tgt:
-                raise AutomatonFormatError(
-                    f"line {ln}: conflicting duplicate A {i} {j} {q} -> {tgt} "
-                    f"(earlier target {a_table[(i, j, q)]})"
-                )
-            a_table[(i, j, q)] = tgt
-        else:
+        if kw not in _TRANSITIONS:
             raise AutomatonFormatError(f"line {ln}: unknown directive {kw!r}")
+        usage, n_labels = _TRANSITIONS[kw]
+        if len(parts) != len(usage.split()):
+            raise AutomatonFormatError(f"line {ln}: expected '{usage}'")
+        if parts[-2] != "->":
+            raise AutomatonFormatError(f"line {ln}: expected '->', got {parts[-2]!r}")
+        labels = tuple(as_int(t, ln, "label index") for t in parts[1:1 + n_labels])
+        if kw == "J" and not 1 <= labels[0] <= k:
+            raise AutomatonFormatError(
+                f"line {ln}: label index {labels[0]} out of range 1..{k}"
+            )
+        if kw == "A" and not 1 <= labels[0] < labels[1] <= k:
+            raise AutomatonFormatError(
+                f"line {ln}: A labels must satisfy 1 <= i < j <= {k}, "
+                f"got {labels[0]} {labels[1]}"
+            )
+        key = labels + tuple(
+            chk_state(as_int(t, ln, "state id"), ln) for t in parts[1 + n_labels:-2]
+        )
+        tgt = chk_state(as_int(parts[-1], ln, "state id"), ln)
+        table = tables[kw]
+        if table.get(key, tgt) != tgt:
+            raise AutomatonFormatError(
+                f"line {ln}: conflicting duplicate {kw} {' '.join(map(str, key))} "
+                f"-> {tgt} (earlier target {table[key]})"
+            )
+        if kw == "glue" and table.get(key[::-1], tgt) != tgt:
+            raise AutomatonFormatError(
+                f"line {ln}: asymmetric glue entry: glue {key[0]} {key[1]} -> {tgt} "
+                f"conflicts with glue {key[1]} {key[0]} -> {table[key[::-1]]}"
+            )
+        table[key] = tgt
 
     if small == "list":
         rest = []
@@ -329,24 +303,24 @@ def parse_automaton(text):
             f"line {ln}: trailing tokens after 'small {small}' ({parts[0]!r})"
         )
 
-    glue_table = {}
-    for (q1, q2), tgt in glue_raw.items():
-        key = (q1, q2) if q1 <= q2 else (q2, q1)
-        glue_table[key] = tgt
+    glue_table = {tuple(sorted(key)): tgt for key, tgt in tables["glue"].items()}
     # _check_tables reports missing entries precisely
     return Automaton(
-        k, states, start, frozenset(accept_ids), glue_table, j_table, a_table, small
+        k, states, start, frozenset(accept_ids), glue_table, tables["J"], tables["A"],
+        small,
     )
 
 
 # === Builtins ===
 
 
+@cache
 def builtin(name, k):
     """Builtin recognisers: "tw-all" (all graphs; one state, valid for any
     arity) and "paths" (k=2 only; the frozen data file ``paths_k2.aut``,
     checked by ``validate_automaton`` and against walk counts in the
-    tests)."""
+    tests).  Built once per process: callers share the returned tables
+    and must not mutate them."""
     if name == "tw-all":
         if k < 1:
             raise ValueError("k must be >= 1")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from homind.cli import _membership_for, main
+from homind.cli import main
 from homind.graphs import (
     complete_graph,
     cycle_graph,
@@ -21,6 +21,7 @@ from homind.graphs import (
     serialize_graph,
 )
 from homind.oracle import (
+    class_membership,
     enumerate_graphs_up_to,
     exact_pathwidth_tiny,
     exact_treewidth_tiny,
@@ -331,7 +332,7 @@ def test_validate_automaton_ok_and_failing(files, capsys):
 
 
 def test_width_zero_and_forest_membership_match_the_exact_widths():
-    members = {spec: _membership_for(spec) for spec in ("tw:0", "pw:0", "tw:1")}
+    members = {spec: class_membership(spec) for spec in ("tw:0", "pw:0", "tw:1")}
     for g in enumerate_graphs_up_to(6):
         assert members["tw:0"](g) == (exact_treewidth_tiny(g) <= 0)
         assert members["pw:0"](g) == (exact_pathwidth_tiny(g) <= 0)

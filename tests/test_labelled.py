@@ -18,14 +18,12 @@ from homind.labelled import (
     TGlue,
     TOne,
     a_generator,
-    compose_perms,
     enumerate_atomic,
     enumerate_lasserre,
     enumerate_lasserre_values,
     enumerate_pw,
     enumerate_tw,
     format_term,
-    generators,
     glue,
     j_generator,
     labelled_isomorphic,
@@ -213,22 +211,14 @@ def test_permute_composition_law():
         rng.shuffle(tau)
         sigma, tau = tuple(sigma), tuple(tau)
         two_step = permute_labels(permute_labels(f, tau), sigma)
-        one_step = permute_labels(f, compose_perms(sigma, tau))
+        # permute_labels pulls, so the two steps compose to tau[sigma[i]]
+        one_step = permute_labels(f, tuple(tau[sigma[i]] for i in range(r)))
         assert labelled_isomorphic(two_step, one_step)
 
 
 def test_permute_rejects_non_bijection():
     with pytest.raises(ValueError):
         permute_labels(a_generator(2, 1, 2), (0, 0, 1, 2))
-
-
-def test_generators_family():
-    b1 = generators(1)
-    assert set(b1) == {"J1"}
-    b2 = generators(2)
-    assert set(b2) == {"J1", "J2", "A12"}
-    for k in range(1, 6):
-        assert len(generators(k)) == k + k * (k - 1) // 2 <= k * k
 
 
 def test_val_examples():
@@ -361,7 +351,7 @@ def test_enumerate_tw_size_bound():
 
 def test_enumerate_tw_values_are_distinctly_labelled():
     for rec in enumerate_tw(2, 3, 8):
-        assert rec.value.is_distinct()
+        assert len(set(rec.value.in_labels)) == len(rec.value.in_labels)
         assert rec.value.out_labels == ()
 
 

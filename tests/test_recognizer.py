@@ -20,6 +20,7 @@ from homind.labelled import (
     soe,
     val,
 )
+from homind import recognizer
 from homind.oracle import enumerate_graphs_up_to, is_path_graph
 from homind.recognizer import (
     Automaton,
@@ -197,6 +198,35 @@ def test_unknown_directive_rejected():
         parse_automaton(text)
 
 
+_HEADER = "k 2\nstates 3\nstart 0\naccept 0\n"  # transitions start on line 5
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("glue 0 0 0", "line 5: expected 'glue <q1> <q2> -> <q>'"),
+    ("J 1 0 0", "line 5: expected 'J <i> <q> -> <q>'"),
+    ("A 1 2 0 -> 0 0", "line 5: expected 'A <i> <j> <q> -> <q>'"),
+    ("J 1 0 => 0", "line 5: expected '->', got '=>'"),
+    ("A 1 x 0 -> 0", "line 5: expected label index, got 'x'"),
+    ("glue 0 y -> 0", "line 5: expected state id, got 'y'"),
+    ("J 3 0 -> 0", "line 5: label index 3 out of range 1..2"),
+    ("A 2 1 0 -> 0", "line 5: A labels must satisfy 1 <= i < j <= 2, got 2 1"),
+    ("A 1 2 0 -> 3", "line 5: state id 3 out of range 0..2"),
+    ("glue 0 1 -> 1\nglue 0 1 -> 2",
+     "line 6: conflicting duplicate glue 0 1 -> 2 (earlier target 1)"),
+    ("J 1 0 -> 1\nJ 1 0 -> 2",
+     "line 6: conflicting duplicate J 1 0 -> 2 (earlier target 1)"),
+    ("A 1 2 0 -> 0\nA 1 2 0 -> 1",
+     "line 6: conflicting duplicate A 1 2 0 -> 1 (earlier target 0)"),
+    ("glue 0 1 -> 1\nglue 1 0 -> 2",
+     "line 6: asymmetric glue entry: glue 1 0 -> 2 conflicts with glue 0 1 -> 1"),
+    ("B 1 0 -> 0", "line 5: unknown directive 'B'"),
+])
+def test_transition_line_errors_carry_their_full_message(lines, message):
+    with pytest.raises(AutomatonFormatError) as exc:
+        parse_automaton(_HEADER + lines + "\nsmall all\n")
+    assert str(exc.value) == message
+
+
 # === Builtins ===
 
 
@@ -213,6 +243,19 @@ def test_unknown_builtin():
         builtin("cliques", 2)
     with pytest.raises(ValueError):
         builtin("paths", 3)
+
+
+def test_paths_builtin_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse_automaton(text)
+
+    monkeypatch.setattr(recognizer, "parse_automaton", counting_parse)
+    builtin.cache_clear()
+    assert builtin("paths", 2) is builtin("paths", 2)
+    assert len(calls) == 1
 
 
 def test_paths_builtin_is_validated_against_membership():
