@@ -47,10 +47,12 @@ print("hom(K3, K3+K3)   =", hom_count(complete_graph(3), two_k3))
 
 # %%
 # The randomized wrapper turns the mod-p decision into an exact-count
-# decision: it samples primes from a range wide enough that unequal
-# counts survive all trials with probability < 2^-trials.  Equal counts
-# are never rejected, so on this arity-2-indistinguishable pair every
-# seed accepts.
+# decision.  For a class of several states it samples primes from a
+# range wide enough that unequal counts survive all trials with
+# probability < 2^-trials.  tw-all has one state, and every prime that
+# range holds exceeds every count the decision compares, so the wrapper
+# draws none: it decides over the integers (mode=exact), and on this
+# arity-2-indistinguishable pair every seed accepts.
 
 from homind.engine import homind_randomized
 

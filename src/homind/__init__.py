@@ -2,8 +2,10 @@
 
 Two graphs G and H are homomorphism indistinguishable over a class of
 graphs F when hom(F, G) = hom(F, H) for every F in F.  This package decides
-that relation — exactly modulo a prime, with one-sided randomized error over
-the integers, or deterministically by CRT over many small primes — for
+that relation — exactly modulo a prime; over the integers exactly for
+one-state treewidth classes and the Lasserre levels, with one-sided
+randomized error or deterministically by CRT over many small primes for
+the others — for
 
 - recognisable classes of bounded treewidth or pathwidth, presented by
   finite automata over a labelled-graph algebra (``homind.engine``,

@@ -3,11 +3,13 @@
 One binary, one subcommand per capability:
 
   homind      exact-count decision over a recognisable bounded-treewidth
-              class (randomized prime sampling by default)
+              class (randomized prime sampling by default; one-state
+              classes are decided over the integers, with no prime)
   modhomind   the same decision modulo one explicit prime
   pwhomind    the pathwidth flavour (no Schur closure); supports the
               deterministic CRT mode on top of random / single-prime
-  lasserre    level-t relaxation decision (random or single-prime)
+  lasserre    level-t relaxation decision (over the integers in random
+              and deterministic mode, or single-prime)
   wl          k-dimensional Weisfeiler-Leman refinement comparison
   cfi         build one even/odd gadget graph over a base graph
   gen         reduction generators (wl-hardness, clique-reduction)
@@ -37,6 +39,7 @@ import os
 import random
 import secrets
 import sys
+from contextlib import contextmanager
 from functools import cache
 
 from .engine import (
@@ -54,7 +57,7 @@ from .graphs import (
     parse_graph,
     serialize_graph,
 )
-from .lasserre import lasserre_mod, lasserre_randomized
+from .lasserre import lasserre_exact, lasserre_mod, lasserre_randomized
 from .modular import BoundOverflow, bound_lasserre, bound_pw, bound_tw
 from .oracle import (
     class_members,
@@ -148,10 +151,10 @@ def _seed_of(args) -> int:
 # === verdict-producing subcommands ===
 
 
-def _decide(args, single, randomized, crt=None) -> int:
+def _decide(args, single, randomized, deterministic) -> int:
     """Body of every deciding subcommand: load both graphs, check the mode
     flags and print the verdict of ``single(G, H, p)``,
-    ``randomized(G, H, seed)`` or ``crt(G, H)``."""
+    ``randomized(G, H, seed)`` or ``deterministic(G, H)``."""
     G = _load_graph(args.graph_g)
     H = _load_graph(args.graph_h)
     out = _Output(args.json)
@@ -169,8 +172,8 @@ def _decide(args, single, randomized, crt=None) -> int:
         if args.parallel < 1:
             raise ValueError("parallel must be at least 1")
         verdict = randomized(G, H, seed)
-    else:  # deterministic
-        verdict = crt(G, H)
+    else:
+        verdict = deterministic(G, H)
     out.emit_verdict(verdict)
     out.finish()
     return 0 if verdict.accept else 1
@@ -206,6 +209,7 @@ def cmd_lasserre(args) -> int:
         lambda G, H, seed: lasserre_randomized(
             G, H, args.t, seed=seed, bit_cap=args.bit_cap,
             prime_bits=args.prime_bits),
+        lambda G, H: lasserre_exact(G, H, args.t),
     )
 
 
@@ -255,28 +259,42 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Integer-to-decimal conversion of any length inside the block:
+    Python 3.11 and later refuse integers of more than 4300 digits by
+    default.  The previous limit is restored on the way out."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(previous)
+
+
 def cmd_bounds(args) -> int:
-    out = _Output(args.json)
     if args.lasserre:
         if args.t is None:
             raise ValueError("--lasserre needs --t")
         bounds = bound_lasserre(args.n, args.t, bit_cap=args.bit_cap)
-        out.emit("family", "lasserre")
-        out.emit("n", args.n)
-        out.emit("t", args.t)
+        pairs = [("family", "lasserre"), ("n", args.n), ("t", args.t)]
     else:
         if args.k is None:
             raise ValueError("--tw/--pw need --k")
         fn = bound_tw if args.tw else bound_pw
         bounds = fn(args.n, args.k, args.C, bit_cap=args.bit_cap)
-        out.emit("family", "tw" if args.tw else "pw")
-        out.emit("n", args.n)
-        out.emit("k", args.k)
-        out.emit("C", args.C)
-    out.emit("N", bounds.N)
-    out.emit("L", bounds.L)
-    out.emit("trials", bounds.trials)
-    out.finish()
+        pairs = [("family", "tw" if args.tw else "pw"), ("n", args.n),
+                 ("k", args.k), ("C", args.C)]
+    pairs += [("N", bounds.N), ("L", bounds.L), ("trials", bounds.trials)]
+    out = _Output(args.json)
+    with _unlimited_int_digits():  # N and L run up to the bit cap, 2^20 bits
+        for key, value in pairs:
+            out.emit(key, value)
+        out.finish()
     return 0
 
 
@@ -487,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lasserre", help="decide the level-t relaxation")
     sp.add_argument("--t", type=int, required=True, help="relaxation level (1 or 2)")
-    _add_common_engine_flags(sp, ("random", "single-prime"))
+    _add_common_engine_flags(sp, ("random", "deterministic", "single-prime"))
     sp.set_defaults(func=cmd_lasserre)
 
     sp = sub.add_parser("wl", help="compare k-WL refinement histograms")

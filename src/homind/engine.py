@@ -42,8 +42,8 @@ line through the tuple), the oblivious k-WL refinement (Dvorak 2010;
 Dell, Grohe and Rattan, ICALP 2018).  The dimension is the number of
 colours, and the pair is accepted iff every colour holds as many
 G-tuples as H-tuples mod p.  Line counts never exceed max(n_G, n_H), so
-all primes above that share one partition, which a randomized decision
-computes once; ``lasserre`` refines 2t-tuples alike.
+all primes above that share one partition, the one refined over the
+integers; ``lasserre`` refines 2t-tuples alike.
 
 The same partition certifies the accepts of the pathwidth flavour and of
 multi-state automata at arity k, at every prime p:
@@ -57,13 +57,18 @@ multi-state automata at arity k, at every prime p:
 Only a pair whose partition is unbalanced at p, or a call that asks for
 the closure's statistics, runs the linear closure (``_closure``).
 
-Counts over the integers are recovered from modular runs: a randomized
-wrapper samples primes from a range wide enough that disagreeing counts
-are caught with constant probability per trial (one-sided error: equal
-counts are never rejected), and a deterministic mode (pathwidth flavour)
-relies on the Chinese remainder theorem: any set of primes whose product
-exceeds the largest possible count detects any disagreement.  It decides
-the smallest such set, 2, 3, 5, ... (269 primes for the builtin paths at
+Counts over the integers are decided three ways.  A one-state
+treewidth recogniser needs no prime (``homind_exact``): the small stage
+compares exact counts and the partition refined over the integers is
+checked for balance over the integers, which is the verdict at every
+prime above n^k, so at every prime a certified draw can return.  For the
+pathwidth flavour and multi-state automata a randomized wrapper samples
+primes from a range wide enough that disagreeing counts are caught with
+constant probability per trial (one-sided error: equal counts are never
+rejected), and a deterministic mode (pathwidth flavour) relies on the
+Chinese remainder theorem: any set of primes whose product exceeds the
+largest possible count detects any disagreement.  It decides the
+smallest such set, 2, 3, 5, ... (269 primes for the builtin paths at
 n = 6), in order up to the first that rejects, and prints exactly the
 primes it decided.  Every prime above max(n_G, n_H) reuses one tw-all
 partition, and each smaller prime refines its own.  The randomized
@@ -118,7 +123,7 @@ class Verdict:
     """Outcome of a homomorphism-indistinguishability decision."""
 
     accept: bool
-    mode: str  # "single-prime" | "randomized" | "deterministic-crt"
+    mode: str  # "single-prime" | "exact" | "randomized" | "deterministic-crt"
     primes_used: list
     rejecting_prime: object = None
     small_stage_witness: object = None
@@ -443,9 +448,9 @@ def _small_counts(G, H, budget):
 
 
 def _small_stage(aut, p, counts):
-    """Brute-force hom-count comparison mod p for the class members on at
-    most k vertices, from the decision's ``_small_counts``; returns a
-    witness graph or None, and a note."""
+    """Brute-force hom-count comparison mod p (over the integers when p is
+    None) for the class members on at most k vertices, from the decision's
+    ``_small_counts``; returns a witness graph or None, and a note."""
     if aut.small_members == "none":
         return None, "small stage skipped (policy none): verdict covers only class members on more than k vertices"
     if aut.small_members == "all":
@@ -458,7 +463,9 @@ def _small_stage(aut, p, counts):
         candidates = aut.small_members
     for F in candidates:
         count_g, count_h = counts(F)
-        if count_g % p != count_h % p:
+        if p is not None:
+            count_g, count_h = count_g % p, count_h % p
+        if count_g != count_h:
             return F, ""
     return None, ""
 
@@ -584,10 +591,11 @@ def _refine(G, H, k, modulus):
 
 
 def _partitions(refine, largest):
-    """The partition ``refine(modulus)`` at any prime p, once per modulus: no
-    count exceeds ``largest``, so all primes above it share modulus None."""
+    """The partition ``refine(modulus)`` at any prime p, or over the
+    integers when p is None, once per modulus: no count exceeds
+    ``largest``, so all primes above it share modulus None."""
     refine = cache(refine)
-    return lambda p: refine(p if p <= largest else None)
+    return lambda p: refine(p if p is not None and p <= largest else None)
 
 
 def _tw_partitions(G, H, k):
@@ -596,31 +604,35 @@ def _tw_partitions(G, H, k):
 
 
 def _blocks_balanced(sizes_g, sizes_h, p, stats=None):
-    """Every colour class holds as many G-tuples as H-tuples, mod p; into
-    ``stats`` goes the partition as a closure of one block per colour."""
+    """Every colour class holds as many G-tuples as H-tuples, mod p (over
+    the integers when p is None); into ``stats`` goes the partition as a
+    closure of one block per colour."""
     if stats is not None:
         stats["dim_total"] = stats["inserts"] = stats["candidates"] = len(sizes_g)
         stats["per_state"] = {0: len(sizes_g)}
     diff = np.abs(sizes_g - sizes_h)
-    if p <= int(diff.max(initial=0)):
+    if p is not None and p <= int(diff.max(initial=0)):
         diff %= p
     return not diff.any()
 
 
 def _prime_verdict(p, accept, note="", witness=None):
-    """The single-prime verdict at p: an accept carries the small stage's
-    note, a reject its witness (None for a closure reject)."""
+    """The single-prime verdict at p, or the exact verdict when p is None:
+    an accept carries the small stage's note, a reject its witness (None
+    for a closure reject)."""
+    mode, primes = ("exact", []) if p is None else ("single-prime", [p])
     if accept:
-        return Verdict(True, "single-prime", [p], notes=note)
-    return Verdict(False, "single-prime", [p], rejecting_prime=p,
+        return Verdict(True, mode, primes, notes=note)
+    return Verdict(False, mode, primes, rejecting_prime=p,
                    small_stage_witness=witness)
 
 
 def _closure_verdict(G, H, aut, p, include_schur, counts, stats=None,
                      partitions=None):
-    """modhomind / modhomind_pw for a modulus already known to be prime;
-    ``counts`` is the decision's ``_small_counts`` and ``partitions`` its
-    ``_partitions`` (made here when None).
+    """modhomind / modhomind_pw for a modulus already known to be prime,
+    and ``homind_exact`` for p None; ``counts`` is the decision's
+    ``_small_counts`` and ``partitions`` its ``_partitions`` (made here
+    when None).
 
     A one-state treewidth closure is read off the refined partition.  Every
     other closure spans a subspace of its block indicators (see the module
@@ -668,7 +680,34 @@ def modhomind_pw(G: Graph, H: Graph, aut: Automaton, p: int, *, stats=None,
         G, H, aut, p, False, _small_counts(G, H, budget), stats=stats)
 
 
-# === Randomized and deterministic integer-level wrappers ===
+# === Exact, randomized and deterministic integer-level wrappers ===
+
+
+def homind_exact(G: Graph, H: Graph, aut: Automaton, *, stats=None,
+                 budget=10**8) -> Verdict:
+    """Decide equal homomorphism counts over the integers from every member
+    of the class of a one-state automaton in the treewidth flavour (the
+    builtin tw-all, or any one-state automaton file): the small stage
+    compares exact counts, and the pair is accepted iff every class of
+    the partition ``_refine(G, H, k, None)`` holds as many G-tuples as
+    H-tuples.  The verdict lists no prime (mode "exact").
+
+    This is the verdict of ``modhomind`` at every prime p that a certified
+    draw of ``homind_randomized`` can return.  Let n = max(n_G, n_H).  Such
+    a p exceeds L >= N >= 2n^k (``bound_tw``), so p > n^k >= n, and:
+
+      * a small member F has at most k vertices, so hom(F, G) and hom(F, H)
+        lie in [0, n^k]; they are congruent mod p iff they are equal;
+      * p > n, so ``_partitions`` refines over the integers at p, and each
+        class size lies in [0, n^k]; a difference of sizes vanishes mod p
+        iff it vanishes.
+
+    A draw that finds no prime has no verdict of its own; this one holds
+    for every prime it could have found."""
+    if aut.states != 1:
+        raise ValueError("the exact decision needs a one-state automaton")
+    return _closure_verdict(G, H, aut, None, True, _small_counts(G, H, budget),
+                            stats=stats)
 
 
 def _draw_prime_with_bits(rng, bits):
@@ -703,27 +742,41 @@ def _first_reject(primes, decide, mode, notes):
                    small_stage_witness=sub.small_stage_witness, notes=notes)
 
 
-def _randomized_verdict(decide, seed, prime_bits, bit_cap,
-                        bound_fn, *bound_args) -> Verdict:
-    """Shared trial loop of the randomized wrappers.
-
-    With prime_bits: random primes of that many bits, and the trial-count
-    formula applied to L = 2^(bits-1); the verdict is flagged heuristic.
-    Otherwise: draws from (L, L^2] for the class bound
-    ``bound_fn(*bound_args)``, with its trial count.  Each trial draws
+def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
+                      seed: int = 0, bit_cap=None, budget=10**8,
+                      prime_bits=None) -> Verdict:
+    """Randomized reduction of exact-count indistinguishability to the
+    modular decision: sample primes from (L, L^2] for the class bound
+    (``bound_tw`` or ``bound_pw``) and reject as soon as one of them
+    rejects.  One-sided error — equal counts always accept; unequal counts
+    escape one prime trial with probability at most 1/2 by the bound
+    construction, and the trial count drives that down.  Each trial draws
     from its own generator, so the sequence is a pure function of the
-    seed.  A trial draws only when ``_first_reject`` reaches it, so a
-    reject at the first prime skips the other draws, and each distinct
+    seed; a trial draws only when the loop reaches it, and each distinct
     prime is decided once.
+
+    prime_bits switches to the pragmatic mode: random primes of that many
+    bits, same trial-count formula applied to L = 2^(bits-1).  Cheap, but
+    the certified error bound no longer applies — the verdict is flagged.
+
+    A one-state automaton in the treewidth flavour draws no prime: its
+    verdict is ``homind_exact``, which every certified draw would return,
+    so seed, bit_cap and prime_bits do not matter there.
     """
+    if variant not in ("tw", "pw"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "tw" and aut.states == 1:
+        return homind_exact(G, H, aut, budget=budget)
+    include_schur = variant == "tw"
     if prime_bits is not None:
         if prime_bits < 5:
             raise ValueError("prime_bits must be at least 5")
         trials = trial_count(1 << (prime_bits - 1))
         draw = lambda rng: _draw_prime_with_bits(rng, prime_bits)
     else:
+        bound = bound_tw if include_schur else bound_pw
         try:
-            bounds = bound_fn(*bound_args, bit_cap=bit_cap)
+            bounds = bound(max(G.n, H.n, 1), aut.k, aut.states, bit_cap=bit_cap)
         except BoundOverflow as exc:
             raise BoundOverflow(
                 f"{exc}; rerun with prime_bits for a heuristic decision"
@@ -732,41 +785,17 @@ def _randomized_verdict(decide, seed, prime_bits, bit_cap,
         draw = lambda rng: sample_prime_in_range(bounds.L, rng)
     draws = (draw(Xoshiro256StarStar(derive_seed(seed, trial)))
              for trial in range(trials))
-    primes = (p for p in draws if p is not None)
-    decide = cache(decide)
+    counts = _small_counts(G, H, budget)
+    partitions = _tw_partitions(G, H, aut.k)
+    decide = cache(lambda p: _closure_verdict(G, H, aut, p, include_schur, counts,
+                                              partitions=partitions))
     notes = [] if prime_bits is None else [_PRIME_BITS_NOTE]
-    verdict = _first_reject(primes, decide, "randomized", notes)
+    verdict = _first_reject((p for p in draws if p is not None), decide,
+                            "randomized", notes)
     if not verdict.primes_used:  # every draw was taken, and none was prime
         verdict.notes = "; ".join(
             [f"no prime drawn in {trials} trials", *notes])
     return verdict
-
-
-def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
-                      seed: int = 0, bit_cap=None, budget=10**8,
-                      prime_bits=None) -> Verdict:
-    """Randomized reduction of exact-count indistinguishability to the
-    modular decision: sample primes from (L, L^2] and reject as soon as
-    one of them rejects.  One-sided error — equal counts always accept;
-    unequal counts escape one prime trial with probability at most 1/2
-    by the bound construction, and the trial count drives that down.
-
-    prime_bits switches to the pragmatic mode: random primes of that many
-    bits, same trial-count formula applied to L = 2^(bits-1).  Cheap, but
-    the certified error bound no longer applies — the verdict is flagged.
-    """
-    if variant not in ("tw", "pw"):
-        raise ValueError(f"unknown variant {variant!r}")
-    counts = _small_counts(G, H, budget)
-    partitions = _tw_partitions(G, H, aut.k)
-    include_schur = variant == "tw"
-    return _randomized_verdict(
-        lambda p: _closure_verdict(G, H, aut, p, include_schur, counts,
-                                   partitions=partitions),
-        seed, prime_bits, bit_cap,
-        bound_tw if include_schur else bound_pw,
-        max(G.n, H.n, 1), aut.k, aut.states,
-    )
 
 
 def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
@@ -779,7 +808,14 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
     The smallest such set, 2, 3, 5, ..., is decided in order up to the
     first prime that rejects; the verdict lists the primes decided.  One
     tw-all partition, refined once for every prime above max(n_G, n_H),
-    certifies most accepts without a closure."""
+    certifies most accepts without a closure.
+
+    A one-state automaton in the treewidth flavour is decided by
+    ``homind_exact``, with no prime; a treewidth automaton with several
+    states has no deterministic mode (its count bound is doubly
+    exponential)."""
+    if variant == "tw" and aut.states == 1:
+        return homind_exact(G, H, aut, budget=budget)
     if variant != "pw":
         raise ValueError(
             "deterministic CRT mode is defined for the pathwidth variant"

@@ -41,8 +41,8 @@ a stable partition's span), which is not proved: the class multiplies by
 atomics only.  The equality is measured: the tests gate the colour count
 and verdict against the linear closure of W by Gaussian elimination on
 ``MatrixOps``, on seeded and structured pairs at both levels.  No product
-count exceeds n^t, so a randomized decision refines once, over the
-integers, for all its primes.
+count exceeds n^t, so every prime above it shares the partition refined
+over the integers, and ``lasserre_exact`` decides over the integers.
 """
 
 from itertools import combinations
@@ -59,12 +59,10 @@ from .engine import (
     _partitions,
     _patterns,
     _prime_verdict,
-    _randomized_verdict,
     _require_prime,
     _stable,
 )
 from .graphs import Graph
-from .modular import bound_lasserre
 
 
 class MatrixOps(BlockOps):
@@ -159,13 +157,26 @@ def lasserre_mod(G: Graph, H: Graph, t: int, p: int, *, stats=None) -> Verdict:
     return _prime_verdict(p, _blocks_balanced(*partitions(p), p, stats))
 
 
+def lasserre_exact(G: Graph, H: Graph, t: int, *, stats=None) -> Verdict:
+    """Decide equal homomorphism counts over the integers from every member
+    of the level-t class: every class of the partition refined over the
+    integers holds as many G-tuples as H-tuples.  The verdict lists no
+    prime (mode "exact").
+
+    This is the verdict of ``lasserre_mod`` at every prime p that a
+    certified draw against ``bound_lasserre`` can return.  Let n =
+    max(n_G, n_H).  Such a p exceeds L >= N = 2t * 4^(n^(2t)) > n^(2t) >= n^t,
+    so ``_level_partitions`` refines over the integers at p, and each class
+    size lies in [0, n^(2t)]: a difference of sizes vanishes mod p iff it
+    vanishes."""
+    partitions = _level_partitions(G, H, t)
+    return _prime_verdict(None, _blocks_balanced(*partitions(None), None, stats))
+
+
 def lasserre_randomized(G: Graph, H: Graph, t: int, seed: int = 0,
                         bit_cap=None, prime_bits=None) -> Verdict:
-    """Randomized exact-count decision over the level-t class, sampling
-    primes against the level-t count bound (one-sided error), or against
-    random fixed-width primes in the flagged heuristic mode."""
-    partitions = _level_partitions(G, H, t)
-    return _randomized_verdict(
-        lambda p: _prime_verdict(p, _blocks_balanced(*partitions(p), p)),
-        seed, prime_bits, bit_cap, bound_lasserre, max(G.n, H.n, 1), t,
-    )
+    """The exact-count decision over the level-t class, for callers of the
+    randomized interface: ``lasserre_exact``, the verdict every certified
+    prime draw would return, so no prime is drawn and seed, bit_cap and
+    prime_bits do not matter."""
+    return lasserre_exact(G, H, t)

@@ -154,6 +154,7 @@ _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
     67, 71, 73, 79, 83, 89, 97,
 )
+_TRIAL_DIVISION_BOUND = 101 * 101
 
 # Deterministic Miller-Rabin witnesses: the first set is exact for all
 # n < 4,759,123,141 (Jaeschke 1993), the second, the twelve primes up to
@@ -186,7 +187,8 @@ def is_prime(p: int) -> bool:
     """Primality test.
 
     Exact below psi_12 = 318,665,857,834,031,151,167,461 (about 2**78):
-    deterministic Miller-Rabin over the witness set {2,7,61} below
+    trial division by the primes up to 97 alone below 101**2 = 10,201,
+    then deterministic Miller-Rabin over the witness set {2,7,61} below
     4,759,123,141, which covers every 32-bit p, and {2,3,5,7,...,37}
     above.  From psi_12 on it runs 64 Miller-Rabin rounds with bases
     derived deterministically from p itself, so the function stays pure;
@@ -201,6 +203,8 @@ def is_prime(p: int) -> bool:
             return True
         if p % q == 0:
             return False
+    if p < _TRIAL_DIVISION_BOUND:  # a composite below 101^2 has a factor <= 97
+        return True
     d = p - 1
     r = 0
     while d % 2 == 0:

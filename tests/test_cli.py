@@ -5,7 +5,9 @@ the key=value line contract, the JSON mirror, and byte-for-byte
 reproducibility of seeded runs.
 """
 
+import decimal
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,7 +147,9 @@ def test_pwhomind_deterministic_crt(files, capsys):
 
 
 def test_homind_deterministic_is_a_usage_error(files, capsys):
-    rc, _, err = run(["homind", "--builtin", "tw-all", "--k", "2",
+    """Deterministic mode of a multi-state treewidth automaton has no prime
+    set small enough; one-state classes are decided exactly instead."""
+    rc, _, err = run(["homind", "--builtin", "paths",
                       "--mode", "deterministic", files["c6"], files["2k3"]],
                      capsys)
     assert rc == 2
@@ -182,12 +186,37 @@ def test_hex_prime_accepted(files, capsys):
 
 
 def test_prime_bits_heuristic_is_flagged(files, capsys):
+    """The multi-state paths automaton still samples primes; a one-state
+    class is decided exactly, so --prime-bits changes nothing there."""
     twin = permuted(files, capsys, "p4", 4)
-    rc, out, _ = run(["homind", "--builtin", "tw-all", "--k", "1",
+    rc, out, _ = run(["homind", "--builtin", "paths",
                       "--mode", "random", "--seed", "5", "--prime-bits", "16",
                       files["p4"], twin], capsys)
     assert rc == 0
     assert any(line.startswith("note=heuristic") for line in out.splitlines())
+    exact = ["homind", "--builtin", "tw-all", "--k", "1", "--mode", "random",
+             "--seed", "5", files["p4"], twin]
+    rc_exact, out_exact, _ = run(exact, capsys)
+    assert (rc_exact, out_exact) == (0, "seed=5\nverdict=accept\nmode=exact\n"
+                                        "witness=none\n")
+    assert run(exact + ["--prime-bits", "16"], capsys)[:2] == (0, out_exact)
+
+
+@pytest.mark.parametrize("command", [
+    ("homind", "--builtin", "tw-all", "--k", "2"),
+    ("lasserre", "--t", "1"),
+], ids=["tw-all", "lasserre"])
+def test_one_state_classes_decide_exactly_in_both_integer_modes(
+        files, capsys, command):
+    """P4 against K_{1,3} (hom(P3, .) is 10 against 12): random mode echoes
+    the seed, then both modes print the same exact reject, with no prime."""
+    star = files["dir"] + "/star.graph"
+    Path(star).write_text("n 4 m 3\n0 1\n0 2\n0 3\n")
+    argv = [*command, files["p4"], star]
+    verdict = "verdict=reject\nmode=exact\nwitness=none\n"
+    assert run([*argv, "--mode", "deterministic"], capsys) == (1, verdict, "")
+    assert run([*argv, "--mode", "random", "--seed", "9"], capsys) == (
+        1, "seed=9\n" + verdict, "")
 
 
 # === JSON mirror ===
@@ -310,6 +339,35 @@ def test_bounds_lasserre_worked_example(files, capsys):
     assert rc == 0
     obj = json.loads(out)
     assert (obj["N"], obj["L"], obj["trials"]) == (512, 512, 36)
+
+
+def test_bounds_print_in_full_past_the_int_string_limit(files, capsys):
+    """N = 2^21,600 has 6,503 digits, more than Python 3.11 and later turn
+    into a string by default: every line is printed, N and L in full, in
+    both renderings, and the interpreter's limit is restored afterwards."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 10_000
+        N = decimal.Decimal(2) ** 21_600
+        L = N * 6  # ceil(log2 60)
+    argv = ["bounds", "--tw", "--k", "2", "--n", "60", "--C", "3"]
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    previous = get_limit() if get_limit else None
+    if get_limit:
+        sys.set_int_max_str_digits(4321)  # a value the command must put back
+    try:
+        rc, out, err = run(argv, capsys)
+        assert (rc, err) == (0, "")
+        assert out.splitlines() == ["family=tw", "n=60", "k=2", "C=3",
+                                    f"N={N:f}", f"L={L:f}", "trials=86411"]
+        rc, out, err = run(argv + ["--json"], capsys)
+        assert (rc, err) == (0, "")
+        obj = json.loads(out, parse_int=decimal.Decimal)
+        assert (obj["N"], obj["L"], obj["trials"]) == (N, L, 86411)
+        if get_limit:
+            assert get_limit() == 4321
+    finally:
+        if get_limit:
+            sys.set_int_max_str_digits(previous)
 
 
 def test_bounds_missing_arity_is_usage_error(files, capsys):

@@ -54,6 +54,7 @@ CASES = {
     "homind-bit-cap": (*TW2, "--seed", "7", "--bit-cap", "20", "c6", "c6r"),
     "homind-single-prime": (*TW3, *SINGLE, "101", "c6", "2k3"),
     "homind-deterministic": (*TW2, *CRT, "c6", "c6r"),
+    "homind-paths-deterministic": ("homind", *PATHS, *CRT, "c6", "c6r"),
     "homind-paths-random": ("homind", *PATHS, "--mode", "random", "--seed", "7",
                             "p3", "p3r"),
     "modhomind-tw3": ("modhomind", "--builtin", "tw-all", "--k", "3",
@@ -68,10 +69,13 @@ CASES = {
     "pwhomind-random-parallel": ("pwhomind", *PATHS, "--seed", "7", "--parallel", "2",
                                  "c6", "2k3"),
     "pwhomind-single-prime": ("pwhomind", *PATHS, *SINGLE, "101", "p4", "star"),
+    "pwhomind-bit-cap": ("pwhomind", *PATHS, "--seed", "7", "--bit-cap", "4",
+                         "c6", "c6r"),
     "lasserre-single-prime": ("lasserre", "--t", "1", *SINGLE, "101", "p4", "star"),
     "lasserre-single-prime-bits": ("lasserre", "--t", "1", *SINGLE, "101",
                                    "--prime-bits", "16", "p4", "star"),
     "lasserre-random": ("lasserre", "--t", "1", "--seed", "7", "c6", "c6r"),
+    "lasserre-deterministic": ("lasserre", "--t", "1", *CRT, "p4", "star"),
     "lasserre-random-bits": ("lasserre", "--t", "1", "--seed", "7",
                              "--prime-bits", "16", "c6", "c6r"),
     "none-homind-random": ("homind", *NONE, "--seed", "3", "c6", "c6r"),
@@ -85,42 +89,53 @@ CASES = {
 
 # case -> (exit code, line-mode stdout, --json stdout, stderr)
 EXPECTED = {
+    # one-state treewidth classes are decided over the integers: random mode
+    # echoes the seed, then the exact verdict, with no prime
     'homind-random-reject': (
-        1, 'seed=7\nverdict=reject\nmode=randomized\nprime=19557896330113216921\nrejecting_prime=19557896330113216921\nwitness=none\n',
-        '{"seed": 7, "verdict": "reject", "mode": "randomized", "prime": 19557896330113216921, "rejecting_prime": 19557896330113216921, "witness": "none"}\n',
+        1, 'seed=7\nverdict=reject\nmode=exact\nwitness=none\n',
+        '{"seed": 7, "verdict": "reject", "mode": "exact", "witness": "none"}\n',
         ''),
     'homind-random-c6-2k3': (
-        0, 'seed=7\nverdict=accept\nmode=randomized\nprime=192765532752700668426370168970464104061870277\nprime=181199830593230443362084796529054928371956487\nprime=49742776927020891792979407138518491194750557\nprime=84502215184291475506263123267674353877675783\nprime=118251373627358396840651571353287995014005523\nwitness=none\n',
-        '{"seed": 7, "verdict": "accept", "mode": "randomized", "prime": [192765532752700668426370168970464104061870277, 181199830593230443362084796529054928371956487, 49742776927020891792979407138518491194750557, 84502215184291475506263123267674353877675783, 118251373627358396840651571353287995014005523], "witness": "none"}\n',
+        0, 'seed=7\nverdict=accept\nmode=exact\nwitness=none\n',
+        '{"seed": 7, "verdict": "accept", "mode": "exact", "witness": "none"}\n',
         ''),
     'homind-random-c6-relabelled': (
-        0, 'seed=7\nverdict=accept\nmode=randomized\nprime=192765532752700668426370168970464104061870277\nprime=181199830593230443362084796529054928371956487\nprime=49742776927020891792979407138518491194750557\nprime=84502215184291475506263123267674353877675783\nprime=118251373627358396840651571353287995014005523\nwitness=none\n',
-        '{"seed": 7, "verdict": "accept", "mode": "randomized", "prime": [192765532752700668426370168970464104061870277, 181199830593230443362084796529054928371956487, 49742776927020891792979407138518491194750557, 84502215184291475506263123267674353877675783, 118251373627358396840651571353287995014005523], "witness": "none"}\n',
+        0, 'seed=7\nverdict=accept\nmode=exact\nwitness=none\n',
+        '{"seed": 7, "verdict": "accept", "mode": "exact", "witness": "none"}\n',
         ''),
+    # --prime-bits and --bit-cap no longer matter for a one-state class
     'homind-prime-bits-k2': (
-        0, 'seed=7\nverdict=accept\nmode=randomized\nprime=2789\nprime=3833\nprime=3923\nprime=2683\nprime=3191\nprime=2969\nprime=3461\nprime=2423\nprime=2789\nprime=2609\nprime=3323\nprime=2081\nprime=3593\nprime=2591\nprime=4049\nprime=3931\nprime=2617\nprime=2351\nprime=4001\nprime=3169\nprime=2909\nprime=2539\nprime=2503\nprime=3769\nprime=3631\nprime=3863\nprime=3001\nprime=3137\nprime=3121\nprime=4057\nprime=3637\nprime=2729\nprime=2633\nprime=3391\nprime=3271\nprime=2843\nprime=2243\nprime=4027\nprime=3517\nprime=3251\nprime=3271\nprime=3001\nprime=3389\nprime=2179\nwitness=none\nnote=heuristic: prime-bits mode, error bound not certified\n',
-        '{"seed": 7, "verdict": "accept", "mode": "randomized", "prime": [2789, 3833, 3923, 2683, 3191, 2969, 3461, 2423, 2789, 2609, 3323, 2081, 3593, 2591, 4049, 3931, 2617, 2351, 4001, 3169, 2909, 2539, 2503, 3769, 3631, 3863, 3001, 3137, 3121, 4057, 3637, 2729, 2633, 3391, 3271, 2843, 2243, 4027, 3517, 3251, 3271, 3001, 3389, 2179], "witness": "none", "note": "heuristic: prime-bits mode, error bound not certified"}\n',
+        0, 'seed=7\nverdict=accept\nmode=exact\nwitness=none\n',
+        '{"seed": 7, "verdict": "accept", "mode": "exact", "witness": "none"}\n',
         ''),
     'homind-prime-bits-k3': (
-        1, 'seed=7\nverdict=reject\nmode=randomized\nprime=2789\nrejecting_prime=2789\nwitness=n 3 m 3 0 1 0 2 1 2\nnote=heuristic: prime-bits mode, error bound not certified\n',
-        '{"seed": 7, "verdict": "reject", "mode": "randomized", "prime": 2789, "rejecting_prime": 2789, "witness": "n 3 m 3 0 1 0 2 1 2", "note": "heuristic: prime-bits mode, error bound not certified"}\n',
+        1, 'seed=7\nverdict=reject\nmode=exact\nwitness=n 3 m 3 0 1 0 2 1 2\n',
+        '{"seed": 7, "verdict": "reject", "mode": "exact", "witness": "n 3 m 3 0 1 0 2 1 2"}\n',
         ''),
     'homind-parallel': (
-        0, 'seed=7\nverdict=accept\nmode=randomized\nprime=192765532752700668426370168970464104061870277\nprime=181199830593230443362084796529054928371956487\nprime=49742776927020891792979407138518491194750557\nprime=84502215184291475506263123267674353877675783\nprime=118251373627358396840651571353287995014005523\nwitness=none\n',
-        '{"seed": 7, "verdict": "accept", "mode": "randomized", "prime": [192765532752700668426370168970464104061870277, 181199830593230443362084796529054928371956487, 49742776927020891792979407138518491194750557, 84502215184291475506263123267674353877675783, 118251373627358396840651571353287995014005523], "witness": "none"}\n',
+        0, 'seed=7\nverdict=accept\nmode=exact\nwitness=none\n',
+        '{"seed": 7, "verdict": "accept", "mode": "exact", "witness": "none"}\n',
         ''),
+    # a bound over the cap used to exit 2; no bound is needed now
     'homind-bit-cap': (
-        2, 'seed=7\n',
-        '',
-        'error: bound needs at least 73 bits, cap is 20; rerun with prime_bits for a heuristic decision\n'),
+        0, 'seed=7\nverdict=accept\nmode=exact\nwitness=none\n',
+        '{"seed": 7, "verdict": "accept", "mode": "exact", "witness": "none"}\n',
+        ''),
     'homind-single-prime': (
         1, 'verdict=reject\nmode=single-prime\nprime=101\nrejecting_prime=101\nwitness=n 3 m 3 0 1 0 2 1 2\n',
         '{"verdict": "reject", "mode": "single-prime", "prime": 101, "rejecting_prime": 101, "witness": "n 3 m 3 0 1 0 2 1 2"}\n',
         ''),
+    # deterministic mode of a one-state class is the exact decision, and of
+    # a multi-state treewidth automaton still a usage error
     'homind-deterministic': (
+        0, 'verdict=accept\nmode=exact\nwitness=none\n',
+        '{"verdict": "accept", "mode": "exact", "witness": "none"}\n',
+        ''),
+    'homind-paths-deterministic': (
         2, '',
         '',
         'error: deterministic CRT mode is defined for the pathwidth variant\n'),
+    # multi-state: the prime loop, here with the composite-draw accept
     'homind-paths-random': (
         0, 'seed=7\nverdict=accept\nmode=randomized\nwitness=none\nnote=no prime drawn in 940 trials\n',
         '{"seed": 7, "verdict": "accept", "mode": "randomized", "witness": "none", "note": "no prime drawn in 940 trials"}\n',
@@ -163,6 +178,11 @@ EXPECTED = {
         1, 'verdict=reject\nmode=single-prime\nprime=101\nrejecting_prime=101\nwitness=none\n',
         '{"verdict": "reject", "mode": "single-prime", "prime": 101, "rejecting_prime": 101, "witness": "none"}\n',
         ''),
+    # the pathwidth flavour still samples primes against its bound
+    'pwhomind-bit-cap': (
+        2, 'seed=7\n',
+        '',
+        'error: bound needs 10 bits, cap is 4; rerun with prime_bits for a heuristic decision\n'),
     'lasserre-single-prime': (
         1, 'verdict=reject\nmode=single-prime\nprime=101\nrejecting_prime=101\nwitness=none\n',
         '{"verdict": "reject", "mode": "single-prime", "prime": 101, "rejecting_prime": 101, "witness": "none"}\n',
@@ -173,22 +193,26 @@ EXPECTED = {
         '',
         'error: --prime-bits requires --mode random\n'),
     'lasserre-random': (
-        0, 'seed=7\nverdict=accept\nmode=randomized\nprime=9277022244921114910108974834177683308268167\nprime=271175847632082824895617593469108608201950643\nwitness=none\n',
-        '{"seed": 7, "verdict": "accept", "mode": "randomized", "prime": [9277022244921114910108974834177683308268167, 271175847632082824895617593469108608201950643], "witness": "none"}\n',
+        0, 'seed=7\nverdict=accept\nmode=exact\nwitness=none\n',
+        '{"seed": 7, "verdict": "accept", "mode": "exact", "witness": "none"}\n',
+        ''),
+    'lasserre-deterministic': (
+        1, 'verdict=reject\nmode=exact\nwitness=none\n',
+        '{"verdict": "reject", "mode": "exact", "witness": "none"}\n',
         ''),
     'lasserre-random-bits': (
-        0, 'seed=7\nverdict=accept\nmode=randomized\nprime=33749\nprime=45817\nprime=35069\nprime=39581\nprime=64919\nprime=39313\nprime=61837\nprime=46703\nprime=61297\nprime=48857\nprime=53171\nprime=49391\nprime=35537\nprime=41453\nprime=51001\nprime=42181\nprime=62401\nprime=60133\nprime=65267\nprime=46381\nprime=48679\nprime=40637\nprime=40037\nprime=57179\nprime=45979\nprime=44879\nprime=64189\nprime=54311\nprime=49937\nprime=63617\nprime=44579\nprime=43649\nprime=42157\nprime=44519\nprime=63391\nprime=63353\nprime=44293\nprime=63299\nprime=33547\nprime=38273\nprime=37039\nprime=59753\nprime=53087\nprime=34877\nprime=49789\nprime=56393\nprime=47317\nprime=42083\nprime=48481\nprime=34961\nprime=36901\nprime=60167\nprime=60383\nprime=54059\nprime=58901\nprime=49477\nprime=48079\nprime=33353\nprime=61813\nprime=33199\nwitness=none\nnote=heuristic: prime-bits mode, error bound not certified\n',
-        '{"seed": 7, "verdict": "accept", "mode": "randomized", "prime": [33749, 45817, 35069, 39581, 64919, 39313, 61837, 46703, 61297, 48857, 53171, 49391, 35537, 41453, 51001, 42181, 62401, 60133, 65267, 46381, 48679, 40637, 40037, 57179, 45979, 44879, 64189, 54311, 49937, 63617, 44579, 43649, 42157, 44519, 63391, 63353, 44293, 63299, 33547, 38273, 37039, 59753, 53087, 34877, 49789, 56393, 47317, 42083, 48481, 34961, 36901, 60167, 60383, 54059, 58901, 49477, 48079, 33353, 61813, 33199], "witness": "none", "note": "heuristic: prime-bits mode, error bound not certified"}\n',
+        0, 'seed=7\nverdict=accept\nmode=exact\nwitness=none\n',
+        '{"seed": 7, "verdict": "accept", "mode": "exact", "witness": "none"}\n',
         ''),
-    # this case and the next two: a randomized accept carries the
+    # this case and the next two: a random-mode accept carries the
     # small-stage caveat, as single-prime and CRT accepts do
     'none-homind-random': (
-        0, 'seed=3\nverdict=accept\nmode=randomized\nprime=13947167406188335624969275673217188521514547\nprime=167262699214587925580463069063496572184625159\nprime=169662544201172465719261981912119404558287891\nwitness=none\nnote=small stage skipped (policy none): verdict covers only class members on more than k vertices\n',
-        '{"seed": 3, "verdict": "accept", "mode": "randomized", "prime": [13947167406188335624969275673217188521514547, 167262699214587925580463069063496572184625159, 169662544201172465719261981912119404558287891], "witness": "none", "note": "small stage skipped (policy none): verdict covers only class members on more than k vertices"}\n',
+        0, 'seed=3\nverdict=accept\nmode=exact\nwitness=none\nnote=small stage skipped (policy none): verdict covers only class members on more than k vertices\n',
+        '{"seed": 3, "verdict": "accept", "mode": "exact", "witness": "none", "note": "small stage skipped (policy none): verdict covers only class members on more than k vertices"}\n',
         ''),
     'none-homind-random-bits': (
-        0, 'seed=3\nverdict=accept\nmode=randomized\nprime=2423\nprime=3907\nprime=2833\nprime=4057\nprime=3191\nprime=3617\nprime=3539\nprime=2557\nprime=2663\nprime=3539\nprime=2381\nprime=2351\nprime=2381\nprime=2237\nprime=2131\nprime=2999\nprime=3251\nprime=2221\nprime=3877\nprime=2963\nprime=3631\nprime=2129\nprime=2543\nprime=3851\nprime=2213\nprime=3769\nprime=3359\nprime=2423\nprime=2819\nprime=2473\nprime=3851\nprime=3931\nprime=2621\nprime=2731\nprime=2671\nprime=2111\nprime=2699\nprime=2383\nprime=3023\nprime=3413\nprime=2237\nprime=3191\nprime=2531\nprime=2423\nwitness=none\nnote=small stage skipped (policy none): verdict covers only class members on more than k vertices; heuristic: prime-bits mode, error bound not certified\n',
-        '{"seed": 3, "verdict": "accept", "mode": "randomized", "prime": [2423, 3907, 2833, 4057, 3191, 3617, 3539, 2557, 2663, 3539, 2381, 2351, 2381, 2237, 2131, 2999, 3251, 2221, 3877, 2963, 3631, 2129, 2543, 3851, 2213, 3769, 3359, 2423, 2819, 2473, 3851, 3931, 2621, 2731, 2671, 2111, 2699, 2383, 3023, 3413, 2237, 3191, 2531, 2423], "witness": "none", "note": "small stage skipped (policy none): verdict covers only class members on more than k vertices; heuristic: prime-bits mode, error bound not certified"}\n',
+        0, 'seed=3\nverdict=accept\nmode=exact\nwitness=none\nnote=small stage skipped (policy none): verdict covers only class members on more than k vertices\n',
+        '{"seed": 3, "verdict": "accept", "mode": "exact", "witness": "none", "note": "small stage skipped (policy none): verdict covers only class members on more than k vertices"}\n',
         ''),
     'none-pwhomind-random': (
         0, 'seed=3\nverdict=accept\nmode=randomized\nprime=42157\nwitness=none\nnote=small stage skipped (policy none): verdict covers only class members on more than k vertices\n',

@@ -1,10 +1,10 @@
 """Tests for the modular indistinguishability engine.
 
 The operator kernels are checked against brute-force homomorphism
-tensors, the closure against brute-force class oracles, and the two
-integer-level wrappers (randomized primes, deterministic CRT prime set)
-against worked examples whose expected values were derived from the
-oracles first.
+tensors, the closure against brute-force class oracles, and the
+integer-level wrappers (the exact one-state decision, randomized primes,
+deterministic CRT prime set) against worked examples whose expected
+values were derived from the oracles first.
 """
 
 import random
@@ -24,6 +24,7 @@ from homind.engine import (
     _tw_partitions,
     format_verdict,
     homind_deterministic_crt,
+    homind_exact,
     homind_randomized,
     modhomind,
     modhomind_pw,
@@ -42,10 +43,13 @@ from homind.graphs import (
     walk_counts,
 )
 from homind.labelled import TApplyA, TApplyJ, TOne, enumerate_pw, enumerate_tw
+from homind.lasserre import lasserre_randomized
 from homind.modular import (
+    BoundOverflow,
     Xoshiro256StarStar,
     bound_pw,
     bound_tw,
+    sample_prime_in_range,
     smallest_primes_with_product_exceeding,
 )
 from homind.oracle import enumerate_graphs_up_to, hom_tensor, paths_oracle
@@ -459,32 +463,37 @@ def test_pw_closure_spans_every_term_tensor(monkeypatch, G, H):
 
 # === Randomized wrapper ===
 
+PATHS = builtin("paths", 2)
+
 
 def test_randomized_accepts_isomorphic_pairs():
+    """The prime loop (pathwidth flavour of the multi-state ``paths``)
+    accepts with every prime in (L, L^2]; tw-all decides exactly."""
     rng = random.Random(7)
-    aut = builtin("tw-all", 1)
+    bounds = bound_pw(8, 2, PATHS.states)
     for seed in range(4):
         g = random_graph(rng, 8, 0.5)
         h = permuted_copy(rng, g)
-        verdict = homind_randomized(g, h, aut, "tw", seed=seed)
+        verdict = homind_randomized(g, h, PATHS, "pw", seed=seed)
         assert verdict.accept
         assert verdict.mode == "randomized"
-        bounds = bound_tw(8, 1, 1)
         for p in verdict.primes_used:
             assert bounds.L < p <= bounds.L**2
+        exact = homind_randomized(g, h, builtin("tw-all", 1), "tw", seed=seed)
+        assert exact.accept and exact.mode == "exact" and not exact.primes_used
 
 
 def test_randomized_rejects_at_first_prime_found():
     """P_3 vs K_3 differ on hom(K_2, -) = 4 vs 6, caught by the small
     stage at any odd prime; the wrapper must stop at its first prime."""
-    aut = builtin("tw-all", 2)
-    verdict = homind_randomized(path_graph(3), complete_graph(3), aut, "tw", seed=1)
+    verdict = homind_randomized(path_graph(3), complete_graph(3), PATHS, "pw", seed=1)
     assert not verdict.accept
     assert verdict.rejecting_prime == verdict.primes_used[-1]
     assert len(verdict.primes_used) >= 1
-    bounds = bound_tw(3, 2, 1)
+    assert verdict.small_stage_witness == complete_graph(2)
+    bounds = bound_pw(3, 2, PATHS.states)
     assert bounds.L < verdict.rejecting_prime <= bounds.L**2
-    again = homind_randomized(path_graph(3), complete_graph(3), aut, "tw", seed=1)
+    again = homind_randomized(path_graph(3), complete_graph(3), PATHS, "pw", seed=1)
     assert again.rejecting_prime == verdict.rejecting_prime
     assert again.primes_used == verdict.primes_used
 
@@ -497,9 +506,10 @@ def test_randomized_pw_variant_runs():
 
 
 def test_randomized_refines_once_per_decision(monkeypatch):
-    """tw-all in random mode refines the partition once per decision and
+    """The prime loop refines the tw-all partition once per decision and
     checks every prime against it: all the primes exceed the order, so
-    their partitions coincide with the integer one."""
+    their partitions coincide with the integer one.  The exact decision
+    refines once, over the integers."""
     import homind.engine
 
     calls = []
@@ -511,10 +521,14 @@ def test_randomized_refines_once_per_decision(monkeypatch):
 
     monkeypatch.setattr(homind.engine, "_refine", counted)
     g = random_graph(random.Random(4), 6, 0.5)
-    verdict = homind_randomized(g, permuted_copy(random.Random(5), g),
-                                builtin("tw-all", 2), "tw", seed=2, prime_bits=7)
+    h = permuted_copy(random.Random(5), g)
+    verdict = homind_randomized(g, h, PATHS, "pw", seed=2, prime_bits=7)
     assert verdict.accept
     assert len(set(verdict.primes_used)) > 1
+    assert calls == [None]
+    calls.clear()
+    verdict = homind_randomized(g, h, builtin("tw-all", 2), "tw", seed=2, prime_bits=7)
+    assert verdict.accept and not verdict.primes_used
     assert calls == [None]
 
 
@@ -531,17 +545,99 @@ def test_randomized_draws_only_the_primes_it_decides(monkeypatch):
         return sample(L, rng)
 
     monkeypatch.setattr(homind.engine, "sample_prime_in_range", counted)
-    aut = builtin("tw-all", 2)
     G, H = path_graph(3), complete_graph(3)
-    trials = bound_tw(3, 2, 1).trials
-    verdict = homind_randomized(G, H, aut, "tw", seed=1)
+    trials = bound_pw(3, 2, PATHS.states).trials
+    verdict = homind_randomized(G, H, PATHS, "pw", seed=1)
     assert not verdict.accept and len(verdict.primes_used) == 1
     assert len(draws) < trials
+
+
+def test_randomized_heuristic_mode_is_flagged():
+    g = path_graph(4)
+    h = permuted_copy(random.Random(3), g)
+    verdict = homind_randomized(g, h, PATHS, "pw", seed=2, prime_bits=24)
+    assert verdict.accept
+    assert "heuristic" in verdict.notes
+    assert verdict.primes_used
+    for p in verdict.primes_used:
+        assert p.bit_length() == 24
+
+
+def test_randomized_overflow_suggests_heuristic_mode():
+    with pytest.raises(BoundOverflow, match="prime_bits"):
+        homind_randomized(cycle_graph(6), TWO_TRIANGLES, PATHS, "pw", bit_cap=4)
 
 
 def test_randomized_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
         homind_randomized(path_graph(2), path_graph(2), builtin("tw-all", 1), "qq")
+
+
+# === Exact decision of one-state classes ===
+
+
+def test_exact_decision_needs_one_state():
+    with pytest.raises(ValueError, match="one-state"):
+        homind_exact(path_graph(2), path_graph(2), PATHS)
+
+
+def test_one_state_random_rejects_p4_against_the_star_at_every_seed():
+    """P4 against K_{1,3}: hom(P3, .) is 10 against 12, so tw-all at k = 2
+    and Lasserre at t = 1 must reject.  Drawing primes, a seed whose draws
+    found no prime accepted it unchecked; the exact decision rejects at
+    every seed."""
+    P4, star = path_graph(4), star_graph(3)
+    tw_all = builtin("tw-all", 2)
+    for seed in range(300):
+        for verdict in (homind_randomized(P4, star, tw_all, "tw", seed=seed),
+                        lasserre_randomized(P4, star, 1, seed=seed)):
+            assert not verdict.accept, seed
+            assert (verdict.mode, verdict.primes_used) == ("exact", [])
+            assert verdict.small_stage_witness is None
+
+
+def test_one_state_random_decisions_never_draw(monkeypatch):
+    """With both prime samplers patched to raise, one-state treewidth
+    decisions (certified, prime-bits, a ``small none`` automaton file)
+    and Lasserre decisions still decide; the pathwidth flavour draws."""
+    import homind.engine
+
+    def refuse(*args):
+        raise AssertionError("a prime was drawn")
+
+    monkeypatch.setattr(homind.engine, "sample_prime_in_range", refuse)
+    monkeypatch.setattr(homind.engine, "_draw_prime_with_bits", refuse)
+    c6, c6r, two_k3 = GRAPHS["c6"], GRAPHS["c6r"], GRAPHS["2k3"]
+    none = parse_automaton(ONE_STATE_NONE)
+    for kwargs in ({}, {"prime_bits": 12}, {"bit_cap": 20}):
+        assert homind_randomized(c6, c6r, builtin("tw-all", 2), **kwargs).accept
+        assert not homind_randomized(c6, two_k3, builtin("tw-all", 3), **kwargs).accept
+        verdict = homind_randomized(c6, c6r, none, seed=3, **kwargs)
+        assert verdict.accept and verdict.notes.startswith("small stage skipped")
+        assert lasserre_randomized(c6, c6r, 1, **kwargs).accept
+        assert not lasserre_randomized(c6, two_k3, 1, **kwargs).accept
+    with pytest.raises(AssertionError, match="drawn"):
+        homind_randomized(c6, c6r, builtin("tw-all", 2), "pw")
+
+
+def test_exact_verdict_is_the_verdict_at_every_certified_prime():
+    """On the seeded pairs the exact tw-all verdict, its witness and its
+    dimension equal those of ``modhomind`` at a prime above the bound L;
+    the small stage and the partition have no prime to disagree at."""
+    rng = Xoshiro256StarStar(21)
+    for G, H in _seeded_pairs():
+        for k in (1, 2):
+            aut = builtin("tw-all", k)
+            bounds = bound_tw(max(G.n, H.n, 1), k, 1)
+            p = None
+            while p is None:
+                p = sample_prime_in_range(bounds.L, rng)
+            exact, modular = {}, {}
+            got = homind_exact(G, H, aut, stats=exact)
+            want = modhomind(G, H, aut, p, stats=modular)
+            assert (got.accept, got.small_stage_witness, got.notes) == (
+                want.accept, want.small_stage_witness, want.notes), (G, H, k)
+            assert exact == modular
 
 
 # === Deterministic CRT wrapper ===
@@ -808,9 +904,13 @@ def test_randomized_pw_reject_draws_only_its_first_prime(monkeypatch):
 
 
 def test_crt_requires_pathwidth_variant():
+    """A multi-state treewidth automaton has no deterministic mode; a
+    one-state one is decided exactly."""
     with pytest.raises(ValueError, match="pathwidth"):
-        homind_deterministic_crt(path_graph(2), path_graph(2),
-                                 builtin("tw-all", 1), variant="tw")
+        homind_deterministic_crt(path_graph(2), path_graph(2), PATHS, variant="tw")
+    verdict = homind_deterministic_crt(path_graph(2), path_graph(2),
+                                       builtin("tw-all", 1), variant="tw")
+    assert verdict.accept and (verdict.mode, verdict.primes_used) == ("exact", [])
 
 
 def test_crt_prime_budget_error_reports_required_count():

@@ -29,8 +29,14 @@ from homind.graphs import (
     path_graph,
 )
 from homind.labelled import enumerate_atomic, enumerate_lasserre, enumerate_lasserre_values
-from homind.lasserre import MatrixOps, lasserre_mod, lasserre_randomized
-from homind.modular import BoundOverflow, Xoshiro256StarStar, bound_lasserre
+from homind.engine import verdict_pairs
+from homind.lasserre import MatrixOps, lasserre_exact, lasserre_mod, lasserre_randomized
+from homind.modular import (
+    BoundOverflow,
+    Xoshiro256StarStar,
+    bound_lasserre,
+    sample_prime_in_range,
+)
 from homind.oracle import enumerate_graphs_up_to
 from homind.wl import cfi
 
@@ -401,24 +407,27 @@ def test_level1_separates_cycle_from_triangles():
     assert not verdict.accept
 
 
-# === randomized wrapper ===
+# === randomized wrapper: the exact decision ===
 
 
 def test_randomized_bound_example_and_prime_range():
+    """The level-1 bound at n = 2; every prime a certified draw returns
+    exceeds L = 512 > n^2, so the randomized wrapper decides exactly and
+    draws none."""
     bounds = bound_lasserre(2, 1)
     assert (bounds.N, bounds.L, bounds.trials) == (512, 512, 36)
     g = complete_graph(2)
     h = permuted_copy(random.Random(1), g)
     verdict = lasserre_randomized(g, h, 1, seed=4)
     assert verdict.accept
-    for p in verdict.primes_used:
-        assert 512 < p <= 512**2
+    assert (verdict.mode, verdict.primes_used) == ("exact", [])
+    assert verdict_pairs(verdict) == verdict_pairs(lasserre_exact(g, h, 1))
 
 
 def test_randomized_refines_once_per_decision(monkeypatch):
-    """A randomized decision refines the partition once and reads every
-    prime off it: all the primes exceed n^t, the largest product count,
-    so their partitions coincide with the integer one."""
+    """A randomized decision refines the partition once, over the
+    integers: every prime a certified draw returns exceeds n^t, the
+    largest product count, so its partition is the integer one."""
     calls = []
     colours = lasserre._level_refine
 
@@ -430,13 +439,12 @@ def test_randomized_refines_once_per_decision(monkeypatch):
     g = random_graph(random.Random(4), 5)
     verdict = lasserre_randomized(g, permuted_copy(random.Random(5), g), 1, seed=1)
     assert verdict.accept
-    assert len(set(verdict.primes_used)) > 1
+    assert verdict.primes_used == []
     assert calls == [None]
 
 
 def test_randomized_draws_only_the_primes_it_decides(monkeypatch):
-    """A level-1 decision that rejects at its first prime draws no
-    further trial's prime."""
+    """A level-1 decision draws no prime at all."""
     draws = []
     sample = engine.sample_prime_in_range
 
@@ -446,8 +454,8 @@ def test_randomized_draws_only_the_primes_it_decides(monkeypatch):
 
     monkeypatch.setattr(engine, "sample_prime_in_range", counted)
     verdict = lasserre_randomized(path_graph(3), complete_graph(3), 1, seed=1)
-    assert not verdict.accept and len(verdict.primes_used) == 1
-    assert len(draws) < bound_lasserre(3, 1).trials
+    assert not verdict.accept and verdict.primes_used == []
+    assert draws == []
 
 
 def test_randomized_rejects_edge_count_difference():
@@ -455,19 +463,38 @@ def test_randomized_rejects_edge_count_difference():
     b = Graph.from_edges(4, [(0, 1)])
     verdict = lasserre_randomized(a, b, 1, seed=9)
     assert not verdict.accept
-    assert verdict.rejecting_prime == verdict.primes_used[-1]
+    assert verdict.rejecting_prime is None and verdict.mode == "exact"
 
 
-def test_randomized_heuristic_mode_is_flagged():
+def test_exact_verdict_is_the_verdict_at_a_certified_prime():
+    """At a prime above the level-t bound L the modular verdict and
+    dimension are the exact ones, on seeded pairs at both levels."""
+    rng = Xoshiro256StarStar(5)
+    pairs = [(cycle_graph(6), TWO_TRIANGLES), (path_graph(4), Graph.from_edges(
+        4, [(0, 1), (0, 2), (0, 3)]))]
+    seeded = random.Random(17)
+    for n in (3, 4, 5):
+        g = random_graph(seeded, n)
+        pairs += [(g, permuted_copy(seeded, g)), (g, random_graph(seeded, n))]
+    for G, H in pairs:
+        for t in (1, 2) if max(G.n, H.n) <= 3 else (1,):
+            p = None
+            while p is None:
+                p = sample_prime_in_range(bound_lasserre(max(G.n, H.n), t).L, rng)
+            exact, modular = {}, {}
+            assert (lasserre_exact(G, H, t, stats=exact).accept
+                    == lasserre_mod(G, H, t, p, stats=modular).accept), (G, H, t)
+            assert exact == modular
+
+
+def test_randomized_prime_bits_and_bit_cap_do_not_matter():
+    """prime_bits and bit_cap chose and bounded the primes, and no prime
+    is drawn: a bound that overflows its cap is decided all the same."""
     g = path_graph(4)
     h = permuted_copy(random.Random(3), g)
     verdict = lasserre_randomized(g, h, 1, seed=2, prime_bits=24)
-    assert verdict.accept
-    assert "heuristic" in verdict.notes
-    for p in verdict.primes_used:
-        assert p.bit_length() == 24
-
-
-def test_randomized_overflow_suggests_heuristic_mode():
-    with pytest.raises(BoundOverflow, match="prime_bits"):
-        lasserre_randomized(cycle_graph(6), TWO_TRIANGLES, 2, bit_cap=50)
+    assert verdict.accept and verdict.notes == "" and verdict.primes_used == []
+    with pytest.raises(BoundOverflow):
+        bound_lasserre(6, 2, bit_cap=50)
+    verdict = lasserre_randomized(cycle_graph(6), TWO_TRIANGLES, 2, bit_cap=50)
+    assert not verdict.accept and verdict.mode == "exact"

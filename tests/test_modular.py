@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import homind.modular
 from homind.modular import (
     Bounds,
     BoundOverflow,
@@ -120,6 +121,27 @@ def _is_prime_trial_division(n: int) -> bool:
 def test_is_prime_small_exhaustive():
     for n in range(0, 2000):
         assert is_prime(n) == _is_prime_trial_division(n), n
+
+
+def test_is_prime_matches_a_sieve_across_the_trial_division_bound(monkeypatch):
+    """Below 101^2 = 10,201 trial division by the primes up to 97 decides,
+    and no Miller-Rabin round runs; above it every prime, and every
+    composite without a factor up to 97, goes through the rounds."""
+    limit = 20_000
+    sieve = [False, False] + [True] * (limit - 1)
+    for q in range(2, int(limit ** 0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(sieve[q * q::q])
+    tested = set()
+
+    def counted(n, d, r, base):
+        tested.add(n)
+        return _miller_rabin_round(n, d, r, base)
+
+    monkeypatch.setattr(homind.modular, "_miller_rabin_round", counted)
+    assert [is_prime(n) for n in range(limit + 1)] == sieve
+    assert min(tested) == 101 * 101  # the first composite trial division misses
+    assert tested >= {n for n in range(101 * 101, limit + 1) if sieve[n]}
 
 
 def test_is_prime_known_values():

@@ -8,11 +8,13 @@ gate checks ``modhomind`` over tw-all at arity k against (k-1)-WL on
 pairs of equal order and size that the small stage cannot split, at
 sizes far beyond the brute-force oracles.  The forests gate checks a
 four-state automaton, decided by the linear closure, against the
-one-state refinement and 1-WL.
+one-state refinement and 1-WL.  The exact gate checks the command line's
+exact tw-all decision against (k-1)-WL on all of these pairs.
 """
 
 import random
 
+from homind.cli import main
 from homind.engine import _linear_closure, _refine, modhomind
 from homind.graphs import (
     Graph,
@@ -21,6 +23,7 @@ from homind.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    serialize_graph,
 )
 from homind.oracle import exact_treewidth_tiny
 from homind.recognizer import Automaton, builtin, parse_automaton, validate_automaton
@@ -256,3 +259,34 @@ def test_forests_automaton_matches_refinement_and_1wl():
         assert verdict.accept == wl_refine(G, H, 1), (G, H)
         rejects += not verdict.accept
     assert rejects == 2
+
+
+# === The exact tw-all decision against (k-1)-WL ===
+
+
+def test_exact_tw_all_matches_wl_in_both_integer_modes(tmp_path, capsys):
+    """``homind --builtin tw-all`` decides HI over treewidth below k, which
+    is (k-1)-WL equivalence (equal orders at k = 1), exactly: the same
+    verdict, and no prime, in deterministic and random mode, on the
+    seeded corpus, the scaled cases and the forests pairs."""
+    even, odd = (cfi(complete_graph(4), parity).result for parity in (0, 1))
+    triples = list(_corpus())
+    triples += [(k, G, H) for G, H, k, _, _ in _scaled_cases()]
+    triples += [(2, cycle_graph(12), disjoint_union(cycle_graph(6), cycle_graph(6))),
+                (2, even, odd), (2, *_rigid_rewired_pair(1, 10))]
+    rejects = 0
+    for index, (k, G, H) in enumerate(triples):
+        files = []
+        for tag, g in (("G", G), ("H", H)):
+            files.append(tmp_path / f"{index}-{tag}.graph")
+            files[-1].write_text(serialize_graph(g))
+        expected = G.n == H.n if k == 1 else wl_refine(G, H, k - 1)
+        argv = ["homind", *map(str, files), "--builtin", "tw-all", "--k", str(k)]
+        for mode in (["--mode", "deterministic"], ["--mode", "random", "--seed", "5"]):
+            rc = main(argv + mode)
+            out = capsys.readouterr().out.splitlines()
+            assert rc == (0 if expected else 1), (k, G, H, mode)
+            assert "mode=exact" in out and not any(
+                line.startswith("prime=") for line in out)
+        rejects += not expected
+    assert rejects >= 15 and len(triples) - rejects >= 15, rejects
