@@ -37,7 +37,6 @@ import argparse
 import json
 import os
 import random
-import secrets
 import sys
 from contextlib import contextmanager
 from functools import cache
@@ -145,7 +144,11 @@ def _resolve_automaton(args):
 
 
 def _seed_of(args) -> int:
-    return secrets.randbits(64) if args.seed is None else args.seed
+    """The --seed given, or 64 bits of OS entropy (``os.urandom``, which
+    loads no OpenSSL, unlike ``secrets``)."""
+    if args.seed is None:
+        return int.from_bytes(os.urandom(8), "big")
+    return args.seed
 
 
 # === verdict-producing subcommands ===
@@ -154,7 +157,9 @@ def _seed_of(args) -> int:
 def _decide(args, single, randomized, deterministic) -> int:
     """Body of every deciding subcommand: load both graphs, check the mode
     flags and print the verdict of ``single(G, H, p)``,
-    ``randomized(G, H, seed)`` or ``deterministic(G, H)``."""
+    ``randomized(G, H, seed)`` or ``deterministic(G, H)``.  Every flag is
+    checked, in every mode and for every class, before anything is
+    printed."""
     G = _load_graph(args.graph_g)
     H = _load_graph(args.graph_h)
     out = _Output(args.json)
@@ -162,6 +167,10 @@ def _decide(args, single, randomized, deterministic) -> int:
         raise ValueError("--prime requires --mode single-prime")
     if args.prime_bits is not None and args.mode != "random":
         raise ValueError("--prime-bits requires --mode random")
+    if args.prime_bits is not None and args.prime_bits < 5:
+        raise ValueError("prime_bits must be at least 5")
+    if args.parallel < 1:
+        raise ValueError("parallel must be at least 1")
     if args.mode == "single-prime":
         if args.prime is None:
             raise ValueError("--mode single-prime needs --prime")
@@ -169,8 +178,6 @@ def _decide(args, single, randomized, deterministic) -> int:
     elif args.mode == "random":
         seed = _seed_of(args)
         out.emit("seed", seed)
-        if args.parallel < 1:
-            raise ValueError("parallel must be at least 1")
         verdict = randomized(G, H, seed)
     else:
         verdict = deterministic(G, H)
@@ -494,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--json", action="store_true")
     # modhomind is homind's single-prime mode, with --prime required
-    sp.set_defaults(func=cmd_homind, mode="single-prime", prime_bits=None)
+    sp.set_defaults(func=cmd_homind, mode="single-prime", prime_bits=None,
+                    parallel=1)
 
     sp = sub.add_parser("pwhomind", help="decide over a bounded-pathwidth class")
     _add_automaton_flags(sp)

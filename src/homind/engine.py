@@ -55,7 +55,13 @@ multi-state automata at arity k, at every prime p:
     and H sums, and every accepting bucket reads out balanced.
 
 Only a pair whose partition is unbalanced at p, or a call that asks for
-the closure's statistics, runs the linear closure (``_closure``).
+the closure's statistics, runs the linear closure (``_closure``).  It
+reads out each row as it inserts it into an accepting bucket and, unless
+statistics are asked for, rejects at the first row whose G and H sums
+differ, the counterexample a forward closure finds in weighted-automaton
+equivalence (Tzeng, SIAM J. Comput. 1992).  That is the full closure's
+reject: the readout is linear, the rows inserted into a bucket span its
+final basis, and a row in the span stays there.
 
 Counts over the integers are decided three ways.  A one-state
 treewidth recogniser needs no prime (``homind_exact``): the small stage
@@ -392,14 +398,29 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
     only the rows left nonzero go on to ``try_insert``, in order.  Full
     reduction against a reduced echelon basis is canonical, so the bases,
     and the rows inserted and queued, are those of offering the rows one
-    at a time.  ``order_rng`` randomizes the pop order.  Returns whether
-    every row of every accepting bucket has equal G and H block sums.
+    at a time.  ``order_rng`` randomizes the pop order.
+
+    Returns whether every row of every accepting bucket has equal G and H
+    block sums.  Each row is read out as it is inserted into an accepting
+    bucket, and without ``stats`` the closure stops at the first row that
+    reads unequal; with ``stats`` it runs to the end, so the statistics
+    are those of the whole closure.  The verdict is the same either way:
+    a bucket's inserted rows span its basis at every step (each is the
+    reduced candidate, and the basis rows are combinations of them), so
+    they span its final basis, and the readout, the G sum minus the H sum
+    mod p, is linear.  It vanishes on every final basis row iff it
+    vanishes on every inserted row, and a row that reads unequal when it
+    is inserted stays in the span the full closure ends with.
     """
     worklist = []  # (state, reduced row vector)
     inserts = candidates = 0
+    balanced = True
 
     def insert(q, block):
-        nonlocal inserts, candidates
+        """Offer the candidates to bucket q; False once the closure may
+        stop: a row inserted into an accepting bucket read unequal sums
+        and no statistics are asked for."""
+        nonlocal inserts, candidates, balanced
         basis = bases[q]
         if block.ndim == 1:
             candidates += 1
@@ -409,12 +430,19 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
             rows = basis.survivors(block)
         for vec in rows:
             row = basis.try_insert(vec)
-            if row is not None:
-                inserts += 1
-                worklist.append((q, row))
+            if row is None:
+                continue
+            inserts += 1
+            worklist.append((q, row))
+            if balanced and q in accepting:
+                g, h = _split(row, ops_g.length)
+                balanced = bool(ops_g.total(g) == ops_h.total(h))
+                if not balanced and stats is None:
+                    return False
+        return True
 
-    for q, vec in seeds:
-        insert(q, vec)
+    if not all(insert(q, vec) for q, vec in seeds):
+        return False
     head = 0
     while head < len(worklist):
         if order_rng is not None:
@@ -423,17 +451,15 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
         q, row = worklist[head]
         worklist[head] = None  # the basis keeps the row; drop the copy
         head += 1
-        for target, block in expand(q, row):
-            insert(target, block)
+        if not all(insert(target, block) for target, block in expand(q, row)):
+            return False
 
     if stats is not None:
         stats["dim_total"] = sum(len(b) for b in bases)
         stats["inserts"] = inserts
         stats["candidates"] = candidates
         stats["per_state"] = {q: len(b) for q, b in enumerate(bases)}
-
-    sums = (_split(bases[q].matrix, ops_g.length) for q in accepting)
-    return all((ops_g.total(g) == ops_h.total(h)).all() for g, h in sums)
+    return balanced
 
 
 # === Algorithm: modular indistinguishability over a recognisable class ===
@@ -637,9 +663,9 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, stats=None,
     A one-state treewidth closure is read off the refined partition.  Every
     other closure spans a subspace of its block indicators (see the module
     docstring), so a partition balanced at p certifies an accept, and only
-    an uncertified pair runs the linear closure.  A call that passes
-    ``stats`` runs the linear closure regardless, so the statistics are
-    the closure's."""
+    an uncertified pair runs the linear closure, up to its first unequal
+    readout.  A call that passes ``stats`` runs the full linear closure
+    regardless, so the statistics are the whole closure's."""
     witness, note = _small_stage(aut, p, counts)
     if witness is not None:
         if stats is not None:
@@ -661,8 +687,8 @@ def modhomind(G: Graph, H: Graph, aut: Automaton, p: int, *, stats=None,
     every member of the class recognised by ``aut`` (treewidth flavour:
     closure includes pairwise Schur products).  Passing ``stats`` fills in
     the closure's statistics; for an automaton with several states it runs
-    the linear closure even where the tw-all partition certifies the
-    accept."""
+    the full linear closure, even where the tw-all partition certifies the
+    accept and past the first unequal readout of a reject."""
     _require_prime(p)
     return _closure_verdict(
         G, H, aut, p, True, _small_counts(G, H, budget), stats=stats)
@@ -673,8 +699,9 @@ def modhomind_pw(G: Graph, H: Graph, aut: Automaton, p: int, *, stats=None,
     """Pathwidth flavour of modhomind: the gluing operation is dropped
     from the closure (series-only generation), which is exactly the
     difference between path and tree decompositions.  Passing ``stats``
-    runs the closure even where the tw-all partition certifies the
-    accept, and fills in its statistics."""
+    runs the full closure, even where the tw-all partition certifies the
+    accept and past the first unequal readout of a reject, and fills in
+    its statistics."""
     _require_prime(p)
     return _closure_verdict(
         G, H, aut, p, False, _small_counts(G, H, budget), stats=stats)

@@ -21,13 +21,13 @@ range exceeds ``L``, at most ``N * log2(n)`` prime factors fit into
 The deterministic pathwidth mode replaces sampling by the Chinese remainder
 theorem: any set of primes whose product exceeds ``n**N`` jointly detects
 any nonzero difference of counts.  It decides the smallest such set, the
-primes ``2, 3, 5, ...``.
+primes ``2, 3, 5, ...``, which a sieve lists.
 
 ``is_prime`` is exact below psi_12 = 318,665,857,834,031,151,167,461
-(about 2**78), by Miller-Rabin over fixed bases, which covers the CRT
-primes, the pathwidth draws and the treewidth and Lasserre draws on
-small graphs; above it, 64 rounds with bases derived from the candidate
-leave an error below 4**-64 per composite.
+(about 2**78), by Miller-Rabin over fixed bases, which covers the
+pathwidth draws and the treewidth draws on small graphs; above it, 64
+rounds with bases derived from the candidate leave an error below 4**-64
+per composite.
 
 All randomness flows through an explicit, seedable generator (xoshiro256**
 seeded through splitmix64) so identical seeds reproduce identical runs
@@ -37,6 +37,8 @@ bit for bit; nothing in this module touches ambient RNG state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from math import isqrt
 
 __all__ = [
     "Xoshiro256StarStar",
@@ -356,13 +358,21 @@ def smallest_primes_with_product_exceeding(B: int) -> list[int]:
     """
     if B < 1:
         raise ValueError("requires B >= 1")
-    primes = []
-    product = 1
-    candidate = 2
-    while product <= B:
-        while not is_prime(candidate):
-            candidate += 1
-        primes.append(candidate)
-        product *= candidate
-        candidate += 1
-    return primes
+    primes, product, limit = [], 1, 64
+    while True:  # the primes below limit are all taken: sieve twice as far
+        for q in _primes_below(limit)[len(primes):]:
+            primes.append(q)
+            product *= q
+            if product > B:
+                return primes
+        limit *= 2
+
+
+def _primes_below(limit: int) -> list[int]:
+    """The primes below limit, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = bytes(2)
+    for q in range(2, isqrt(limit - 1) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, limit, q)))
+    return list(compress(range(limit), sieve))

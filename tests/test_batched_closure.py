@@ -18,7 +18,7 @@ import pytest
 
 from homind import engine
 from homind.engine import modhomind, modhomind_pw
-from homind.graphs import Graph, cycle_graph, path_graph
+from homind.graphs import Graph, cycle_graph, path_graph, star_graph
 from homind.labelled import enumerate_atomic
 from homind.lasserre import MatrixOps, lasserre_mod
 from homind.modular import Xoshiro256StarStar
@@ -88,13 +88,17 @@ def test_decisions_leave_no_cyclic_garbage():
     """A decision's bases, arrays and generators are freed by reference
     counting alone: none of them sits in a reference cycle.  ``stats``
     makes the ``paths`` decisions run the linear closure, which the tw-all
-    partition would otherwise certify."""
+    partition would otherwise certify.  P4 against K_{1,3} at 3 runs it
+    without ``stats`` and stops at its first unequal readout, with the
+    worklist and the expansion generators left unfinished."""
     paths = builtin("paths", 2)
     decisions = [
         lambda: lasserre_mod(cycle_graph(6), TWO_TRIANGLES, 1, 101),
         lambda: lasserre_mod(path_graph(3), path_graph(3), 2, 101),
         lambda: modhomind_pw(cycle_graph(6), TWO_TRIANGLES, paths, 101, stats={}),
         lambda: modhomind(cycle_graph(6), TWO_TRIANGLES, paths, 101, stats={}),
+        lambda: modhomind_pw(path_graph(4), star_graph(3), paths, 3),
+        lambda: modhomind(path_graph(4), star_graph(3), paths, 3),
     ]
     for decide in decisions:  # caches and lazy imports
         decide()

@@ -7,6 +7,8 @@ reproducibility of seeded runs.
 
 import decimal
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -122,8 +124,41 @@ def test_parallel_below_one_is_a_usage_error(files, capsys):
                         "random", "--seed", "6", "--parallel", "0",
                         files["p3"], files["k3"]], capsys)
     assert rc == 2
-    assert out == "seed=6\n"
+    assert out == ""
     assert err == "error: parallel must be at least 1\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("homind", "--builtin", "tw-all", "--k", "2"),
+    ("homind", "--builtin", "paths"),
+    ("pwhomind", "--builtin", "paths"),
+    ("lasserre", "--t", "1"),
+], ids=["tw-all", "paths", "pwhomind", "lasserre"])
+@pytest.mark.parametrize("flags, error", [
+    (("--mode", "random", "--prime-bits", "3"), "prime_bits must be at least 5"),
+    (("--mode", "random", "--parallel", "0"), "parallel must be at least 1"),
+    (("--mode", "deterministic", "--parallel", "0"), "parallel must be at least 1"),
+], ids=["prime-bits", "parallel-random", "parallel-deterministic"])
+def test_bad_trial_flags_exit_2_before_any_output(files, capsys, command, flags,
+                                                   error):
+    """One rule for every deciding command and class, whether or not the
+    class draws primes: a bad --prime-bits or --parallel exits 2 and
+    prints nothing, not even the seed."""
+    for as_json in ((), ("--json",)):
+        rc, out, err = run([*command, *flags, "--seed", "6", *as_json,
+                            files["p4"], files["p4"]], capsys)
+        assert (rc, out, err) == (2, "", f"error: {error}\n")
+
+
+def test_cli_import_loads_no_openssl():
+    """The default seed comes from ``os.urandom``: importing the CLI pulls
+    in neither ``secrets`` nor the OpenSSL-backed ``_hashlib``."""
+    code = ("import sys, homind.cli; "
+            "print(sorted({'secrets', 'hmac', '_hashlib'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.stdout == "[]\n"
 
 
 def test_default_seed_comes_from_entropy_and_is_echoed(files, capsys):

@@ -881,6 +881,51 @@ def test_certified_accept_is_the_closure_verdict(monkeypatch):
     assert 2 * certified >= cases, (certified, cases)
 
 
+# === The early stop of the linear closure ===
+
+
+def test_closure_verdict_without_stats_is_the_full_closure_verdict(monkeypatch):
+    """Without ``stats`` the linear closure stops at its first unequal
+    readout; with ``stats`` it runs to the end.  The verdicts agree in
+    both flavours of ``paths``, at small primes and a word prime, on every
+    seeded pair (and G7/H7) the tw-all partition leaves to the closure,
+    the cases a decision runs it on.  A reject, where the row it stops at
+    depends on the pop order, is also decided in a randomized order."""
+    aut = builtin("paths", 2)
+    verdicts = []
+    for index, (G, H) in enumerate(_seeded_pairs() + [(_G7, _H7)]):
+        partitions = _tw_partitions(G, H, aut.k)
+        for p in (2, 3, 5, 97, 2**31 - 1):
+            if _blocks_balanced(*partitions(p), p):
+                continue
+            for include_schur in (False, True):
+                want = _linear_closure(G, H, aut, p, include_schur, {})
+                assert _linear_closure(G, H, aut, p, include_schur) == want
+                verdicts.append(want)
+                if want:
+                    continue
+                closure_runs(monkeypatch, order_rng=Xoshiro256StarStar(index))
+                got = _linear_closure(G, H, aut, p, include_schur)
+                monkeypatch.undo()
+                assert not got, (G, H, p, include_schur)
+    assert verdicts.count(False) >= 20 and True in verdicts, verdicts
+
+
+@pytest.mark.parametrize("include_schur", [False, True], ids=["pw", "tw"])
+def test_closure_reject_stops_before_the_full_span(monkeypatch, include_schur):
+    """P4 against K_{1,3} at 3: the closure without ``stats`` rejects after
+    fewer inserts than the full closure's dimension."""
+    aut = builtin("paths", 2)
+    G, H = path_graph(4), star_graph(3)
+    stats = {}
+    assert not _linear_closure(G, H, aut, 3, include_schur, stats)
+    runs = closure_runs(monkeypatch)
+    assert not _linear_closure(G, H, aut, 3, include_schur)
+    [bases] = runs
+    inserts = sum(len(basis) for basis in bases)
+    assert 0 < inserts < stats["inserts"] == stats["dim_total"], (inserts, stats)
+
+
 def test_randomized_pw_reject_draws_only_its_first_prime(monkeypatch):
     """P4 against K_{1,3} is rejected by the closure at its first 12-bit
     prime, so the decision draws that prime only, of 44 trials, and runs

@@ -365,3 +365,24 @@ def test_smallest_primes_big_budget():
     assert product // primes[-1] <= B
     assert all(is_prime(p) for p in primes)
 
+
+def _smallest_primes_by_is_prime(B):
+    """The prefix of 2, 3, 5, ... that ``is_prime`` finds one integer at a
+    time, up to the first product above B."""
+    primes, product, candidate = [], 1, 2
+    while product <= B:
+        if is_prime(candidate):
+            primes.append(candidate)
+            product *= candidate
+        candidate += 1
+    return primes
+
+
+@pytest.mark.parametrize("B", [
+    1, 2, 6, 7, 29, 30, 31, 2**64, 10**100,
+    6 ** bound_pw(6, 2, 13).N,  # the builtin paths at n = 6: 269 primes
+    2**5000,  # past several doublings of the sieve
+])
+def test_smallest_primes_sieve_matches_is_prime_scan(B):
+    """The sieve lists exactly the primes the ``is_prime`` scan finds."""
+    assert smallest_primes_with_product_exceeding(B) == _smallest_primes_by_is_prime(B)
