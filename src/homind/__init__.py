@@ -3,9 +3,9 @@
 Two graphs G and H are homomorphism indistinguishable over a class of
 graphs F when hom(F, G) = hom(F, H) for every F in F.  This package decides
 that relation — exactly modulo a prime; over the integers exactly for
-one-state treewidth classes and the Lasserre levels, with one-sided
-randomized error or deterministically by CRT over many small primes for
-the others — for
+one-state treewidth classes, the Lasserre levels and every pair whose
+integer partition certifies the accept, with one-sided randomized error
+or deterministically by CRT over many small primes for the others — for
 
 - recognisable classes of bounded treewidth or pathwidth, presented by
   finite automata over a labelled-graph algebra (``homind.engine``,

@@ -4,7 +4,9 @@ One binary, one subcommand per capability:
 
   homind      exact-count decision over a recognisable bounded-treewidth
               class (randomized prime sampling by default; one-state
-              classes are decided over the integers, with no prime)
+              classes, small-stage rejects and pairs the integer tw-all
+              partition certifies are decided over the integers, with no
+              prime)
   modhomind   the same decision modulo one explicit prime
   pwhomind    the pathwidth flavour (no Schur closure); supports the
               deterministic CRT mode on top of random / single-prime
@@ -15,7 +17,7 @@ One binary, one subcommand per capability:
   gen         reduction generators (wl-hardness, clique-reduction)
   oracle      brute-force hom-count comparison over an enumerated class
   enumerate   list the enumerated members of a class
-  bounds      print the count bound, prime range, and trial budget
+  bounds      print the count bound, prime range, and error exponent
   validate-automaton  hunt for counterexamples to a recogniser
   graph       inspect, generate, or permute graph files
 
@@ -455,12 +457,12 @@ def _add_common_engine_flags(sp, modes):
     if modes:
         sp.add_argument("--mode", choices=modes, default="random")
         sp.add_argument("--seed", type=int, default=None,
-                        help="trial seed (default: OS entropy, echoed)")
+                        help="seed of the prime draws (default: OS entropy, echoed)")
         sp.add_argument("--prime-bits", type=int, default=None, dest="prime_bits",
                         help="heuristic mode: sample primes of this width")
         sp.add_argument("--parallel", type=int, default=1,
                         help="accepted for compatibility (at least 1); "
-                             "trials are decided one at a time")
+                             "primes are decided one at a time")
         sp.add_argument("--bit-cap", type=int, default=None, dest="bit_cap",
                         help="abort if the count bound needs more bits than this")
     sp.add_argument("--prime", type=_prime_arg, default=None,
@@ -560,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_enumerate)
 
-    sp = sub.add_parser("bounds", help="count bound, prime range, trial budget")
+    sp = sub.add_parser("bounds", help="count bound, prime range, error exponent")
     grp = sp.add_mutually_exclusive_group(required=True)
     grp.add_argument("--tw", action="store_true")
     grp.add_argument("--pw", action="store_true")

@@ -68,10 +68,15 @@ treewidth recogniser needs no prime (``homind_exact``): the small stage
 compares exact counts and the partition refined over the integers is
 checked for balance over the integers, which is the verdict at every
 prime above n^k, so at every prime a certified draw can return.  For the
-pathwidth flavour and multi-state automata a randomized wrapper samples
-primes from a range wide enough that disagreeing counts are caught with
-constant probability per trial (one-sided error: equal counts are never
-rejected), and a deterministic mode (pathwidth flavour) relies on the
+pathwidth flavour and multi-state automata the randomized wrapper runs the
+same two checks first.  A small-stage witness is an exact reject, and a
+balanced integer partition an exact accept: the certificate above holds
+over Q, since the block indicators of the integer partition span a space
+that contains 1 and is closed under the A-masks, the J_i and Schur
+products.  Only the other pairs draw primes, uniform ones from a range
+wide enough that five independent draws catch disagreeing counts except
+with probability 2^-trials (one-sided error: equal counts are never
+rejected).  A deterministic mode (pathwidth flavour) relies on the
 Chinese remainder theorem: any set of primes whose product exceeds the
 largest possible count detects any disagreement.  It decides the
 smallest such set, 2, 3, 5, ... (269 primes for the builtin paths at
@@ -103,9 +108,10 @@ from .modular import (
     Xoshiro256StarStar,
     bound_pw,
     bound_tw,
-    derive_seed,
+    certified_prime_count,
     is_prime,
     sample_prime_in_range,
+    sample_prime_with_bits,
     smallest_primes_with_product_exceeding,
     trial_count,
 )
@@ -727,43 +733,30 @@ def homind_exact(G: Graph, H: Graph, aut: Automaton, *, stats=None,
         lie in [0, n^k]; they are congruent mod p iff they are equal;
       * p > n, so ``_partitions`` refines over the integers at p, and each
         class size lies in [0, n^k]; a difference of sizes vanishes mod p
-        iff it vanishes.
-
-    A draw that finds no prime has no verdict of its own; this one holds
-    for every prime it could have found."""
+        iff it vanishes."""
     if aut.states != 1:
         raise ValueError("the exact decision needs a one-state automaton")
     return _closure_verdict(G, H, aut, None, True, _small_counts(G, H, budget),
                             stats=stats)
 
 
-def _draw_prime_with_bits(rng, bits):
-    """A random prime of exactly `bits` bits, or None after bounded
-    rejection sampling (density makes misses astronomically unlikely)."""
-    for _ in range(64 * bits):
-        cand = (1 << (bits - 1)) | rng.randbelow(1 << (bits - 1)) | 1
-        if is_prime(cand):
-            return cand
-    return None
-
-
 _PRIME_BITS_NOTE = "heuristic: prime-bits mode, error bound not certified"
 
 
 def _first_reject(primes, decide, mode, notes):
-    """Run ``decide(p)`` at each prime in order and stop at the first
-    reject.  The verdict lists the primes decided, the rejecting prime and
-    its witness, then the notes of the single-prime verdict that settled
-    the outcome (the reject, or the last accept) followed by the mode's
-    own ``notes``."""
-    primes_used, sub = [], None
+    """Run ``decide(p)`` at each of at least one prime in order and stop at
+    the first reject.  The verdict lists the primes decided, the rejecting
+    prime and its witness, then the notes of the single-prime verdict that
+    settled the outcome (the reject, or the last accept) followed by the
+    mode's own ``notes``."""
+    primes_used = []
     for p in primes:
         primes_used.append(p)
         sub = decide(p)
         if not sub.accept:
             break
-    notes = "; ".join(x for x in ("" if sub is None else sub.notes, *notes) if x)
-    if sub is None or sub.accept:
+    notes = "; ".join(x for x in (sub.notes, *notes) if x)
+    if sub.accept:
         return Verdict(True, mode, primes_used, notes=notes)
     return Verdict(False, mode, primes_used, rejecting_prime=primes_used[-1],
                    small_stage_witness=sub.small_stage_witness, notes=notes)
@@ -772,34 +765,68 @@ def _first_reject(primes, decide, mode, notes):
 def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
                       seed: int = 0, bit_cap=None, budget=10**8,
                       prime_bits=None) -> Verdict:
-    """Randomized reduction of exact-count indistinguishability to the
-    modular decision: sample primes from (L, L^2] for the class bound
-    (``bound_tw`` or ``bound_pw``) and reject as soon as one of them
-    rejects.  One-sided error — equal counts always accept; unequal counts
-    escape one prime trial with probability at most 1/2 by the bound
-    construction, and the trial count drives that down.  Each trial draws
-    from its own generator, so the sequence is a pure function of the
-    seed; a trial draws only when the loop reaches it, and each distinct
-    prime is decided once.
+    """Decide equal homomorphism counts over the integers from every member
+    of the class of ``aut`` (the pathwidth flavour when ``variant`` is
+    "pw"): exactly where the integer partition decides, by random primes
+    where it cannot.  One-sided error: equal counts are always accepted.
 
-    prime_bits switches to the pragmatic mode: random primes of that many
-    bits, same trial-count formula applied to L = 2^(bits-1).  Cheap, but
-    the certified error bound no longer applies — the verdict is flagged.
+    A one-state automaton in the treewidth flavour is ``homind_exact``.
+    Every other decision runs the small stage over the integers first; a
+    witness there is an exact reject.  Next it checks the tw-all partition
+    at arity k, refined over the integers: if every class is balanced, the
+    accept is exact (module docstring).  Either verdict has mode "exact",
+    lists no prime and computes no bound, so seed, bit_cap and prime_bits
+    do not matter there.
 
-    A one-state automaton in the treewidth flavour draws no prime: its
-    verdict is ``homind_exact``, which every certified draw would return,
-    so seed, bit_cap and prime_bits do not matter there.
+    Only an uncertified pair draws primes, from one generator per decision,
+    ``Xoshiro256StarStar(seed)``, so the primes are a pure function of the
+    seed.  Each is a uniform prime from (L, L^2] for the class bound L
+    (``bound_tw`` or ``bound_pw``), found by rejection sampling
+    (``sample_prime_in_range``, which raises RuntimeError rather than
+    return a composite).  The decision takes m =
+    ``certified_prime_count(L, trials)`` primes in draw order, draws each
+    when the loop reaches it, and stops at the first reject; a prime drawn
+    twice is decided once.
+
+    The error bound.  Say the counts differ.  By the size bound (module
+    ``modular``) they differ on a member F whose counts are at most
+    n^N <= 2^L, so D = hom(F, G) - hom(F, H) is nonzero with |D| <= 2^L,
+    and the decision at p accepts only if p divides D.  A product of r
+    primes above L exceeds L^r, so fewer than L / log2 L primes above L
+    divide D.  Rosser and Schoenfeld (Illinois J. Math. 6, 1962, Theorem 1)
+    give pi(x) > x / ln x for x >= 17 and pi(x) < 1.25506 x / ln x for
+    x > 1, so for L >= 5 the range (L, L^2] holds more than
+    L^2 / (2 ln L) - 1.25506 L / ln L = L (L - 2.51012) / (2 ln L) primes.
+    A uniform prime from it divides D with probability
+
+        eps < (L / log2 L) * 2 ln L / (L (L - 2.51012)) = 2 ln 2 / (L - 2.51012),
+
+    and m independent ones all divide it with probability eps^m, at most
+    2^-trials for trials = ceil(4 log2 L) once m >= trials / log2(1/eps).
+    ``certified_prime_count`` returns the least m that its integer test
+    proves, which is 5 for every L from 18 on, so at every bound the tests
+    reach.  Where the proof does not apply (L < 5) it returns ``trials``.
+
+    prime_bits switches to the pragmatic mode: trial_count(2^(bits-1))
+    uniform primes of that many bits.  Cheap, but the error bound no
+    longer applies, so the verdict is flagged.
     """
     if variant not in ("tw", "pw"):
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "tw" and aut.states == 1:
-        return homind_exact(G, H, aut, budget=budget)
+    if prime_bits is not None and prime_bits < 5:
+        raise ValueError("prime_bits must be at least 5")
     include_schur = variant == "tw"
+    if include_schur and aut.states == 1:
+        return homind_exact(G, H, aut, budget=budget)
+    counts = _small_counts(G, H, budget)
+    partitions = _tw_partitions(G, H, aut.k)
+    witness, note = _small_stage(aut, None, counts)
+    if witness is not None or _blocks_balanced(*partitions(None), None):
+        return _prime_verdict(None, witness is None, note, witness)
+    rng = Xoshiro256StarStar(seed)
     if prime_bits is not None:
-        if prime_bits < 5:
-            raise ValueError("prime_bits must be at least 5")
-        trials = trial_count(1 << (prime_bits - 1))
-        draw = lambda rng: _draw_prime_with_bits(rng, prime_bits)
+        count = trial_count(1 << (prime_bits - 1))
+        draw = lambda: sample_prime_with_bits(prime_bits, rng)
     else:
         bound = bound_tw if include_schur else bound_pw
         try:
@@ -808,21 +835,13 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
             raise BoundOverflow(
                 f"{exc}; rerun with prime_bits for a heuristic decision"
             ) from exc
-        trials = bounds.trials
-        draw = lambda rng: sample_prime_in_range(bounds.L, rng)
-    draws = (draw(Xoshiro256StarStar(derive_seed(seed, trial)))
-             for trial in range(trials))
-    counts = _small_counts(G, H, budget)
-    partitions = _tw_partitions(G, H, aut.k)
+        count = certified_prime_count(bounds.L, bounds.trials)
+        draw = lambda: sample_prime_in_range(bounds.L, rng)
     decide = cache(lambda p: _closure_verdict(G, H, aut, p, include_schur, counts,
                                               partitions=partitions))
     notes = [] if prime_bits is None else [_PRIME_BITS_NOTE]
-    verdict = _first_reject((p for p in draws if p is not None), decide,
-                            "randomized", notes)
-    if not verdict.primes_used:  # every draw was taken, and none was prime
-        verdict.notes = "; ".join(
-            [f"no prime drawn in {trials} trials", *notes])
-    return verdict
+    return _first_reject((draw() for _ in range(count)), decide,
+                         "randomized", notes)
 
 
 def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,

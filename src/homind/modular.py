@@ -10,13 +10,16 @@ computation can build:
 * Lasserre variant:    ``N = 2*t * 4**(n**(2*t))``
 
 where ``n`` bounds the order of the two input graphs, ``k`` is the label
-arity, ``C`` the automaton state count, and ``t`` the Lasserre level.  Any
-difference between two homomorphism counts is an integer of magnitude at
-most ``n**N``, so a single uniformly random prime in ``(L, L**2]`` divides
-it with probability at most 1/2; running ``ceil(4*log2 L)`` independent
-trials pushes the one-sided error below ``2**-trials`` (a prime in that
-range exceeds ``L``, at most ``N * log2(n)`` prime factors fit into
-``n**N``, and the range holds at least twice that many primes).
+arity, ``C`` the automaton state count, and ``t`` the Lasserre level.  Two
+graphs the class tells apart differ on a member whose counts are at most
+``n**N <= 2**L``, so a nonzero difference has fewer than ``L / log2 L``
+prime factors above ``L``.  ``sample_prime_in_range`` draws a uniform prime
+from ``(L, L**2]``, which holds more than ``L*(L - 2.51012) / (2 ln L)``
+primes (Rosser and Schoenfeld 1962), so one draw divides the difference
+with probability below ``2 ln 2 / (L - 2.51012)``.  The error budget is
+``2**-trials`` with ``trials = ceil(4*log2 L)`` (what ``homind bounds``
+prints), and ``certified_prime_count`` is the number of independent primes
+that reaches it: 5 for every L from 18 on.
 
 The deterministic pathwidth mode replaces sampling by the Chinese remainder
 theorem: any set of primes whose product exceeds ``n**N`` jointly detects
@@ -45,9 +48,10 @@ __all__ = [
     "Bounds",
     "BoundOverflow",
     "splitmix64",
-    "derive_seed",
     "is_prime",
     "sample_prime_in_range",
+    "sample_prime_with_bits",
+    "certified_prime_count",
     "bound_tw",
     "bound_pw",
     "bound_lasserre",
@@ -66,19 +70,6 @@ def splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     z = z ^ (z >> 31)
     return state, z
-
-
-def derive_seed(master_seed: int, index: int) -> int:
-    """Deterministically derive an independent child seed from a master seed.
-
-    Used to give each trial of the randomized procedure its own generator:
-    trial i uses ``Xoshiro256StarStar(derive_seed(seed, i))``, so trials are
-    reproducible individually and insensitive to evaluation order.
-    """
-    state = (master_seed ^ (0xA3EC647659359ACD * (index + 1))) & _MASK64
-    state, a = splitmix64(state)
-    _, b = splitmix64(state)
-    return (a << 32 | b >> 32) & _MASK64
 
 
 class Xoshiro256StarStar:
@@ -230,20 +221,42 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def sample_prime_in_range(L: int, rng: Xoshiro256StarStar):
-    """Draw a uniform integer from (L, L**2] and return it if prime.
+def _first_prime(draw, cap: int, where: str) -> int:
+    """The first prime among the values of ``draw()``; RuntimeError after
+    ``cap`` composites."""
+    for _ in range(cap):
+        cand = draw()
+        if is_prime(cand):
+            return cand
+    raise RuntimeError(f"no prime in {cap} draws from {where}")
 
-    Returns the drawn prime, or None to report a miss (the draw was
-    composite).  The caller's trial loop absorbs misses: each trial simply
-    counts as a failure to find a certifying prime, which only makes the
-    procedure more conservative.
-    """
+
+def sample_prime_in_range(L: int, rng: Xoshiro256StarStar) -> int:
+    """A uniform random prime from (L, L**2], by rejection sampling:
+    uniform integers are drawn from the range until one is prime.
+
+    A draw is prime with probability above (L - 2.51012) / (2 (L-1) ln L)
+    for L >= 5 (see the module docstring), so above 1 / (6 ln L), as it is
+    for L = 2, 3, 4 too.  The cap of 256 draws per bit of L**2, at least
+    512 log2 L draws, is then reached with probability below
+    exp(-512 / (6 ln 2)) < 2**-88, and reaching it raises RuntimeError
+    instead of returning."""
     if L < 2:
         raise ValueError("sample_prime_in_range requires L >= 2")
-    draw = rng.randrange(L + 1, L * L + 1)
-    if is_prime(draw):
-        return draw
-    return None
+    return _first_prime(lambda: rng.randrange(L + 1, L * L + 1),
+                        256 * (L * L).bit_length(),
+                        f"(L, L^2] for a {L.bit_length()}-bit L")
+
+
+def sample_prime_with_bits(bits: int, rng: Xoshiro256StarStar) -> int:
+    """A uniform random prime of exactly ``bits`` bits, by rejection
+    sampling odd ``bits``-bit integers; RuntimeError after 64 draws per
+    bit, which the density of primes makes astronomically unlikely."""
+    if bits < 2:
+        raise ValueError("sample_prime_with_bits requires bits >= 2")
+    top = 1 << (bits - 1)
+    return _first_prime(lambda: top | rng.randbelow(top) | 1, 64 * bits,
+                        f"the {bits}-bit integers")
 
 
 class BoundOverflow(Exception):
@@ -252,8 +265,9 @@ class BoundOverflow(Exception):
 
 @dataclass(frozen=True)
 class Bounds:
-    """Size bound N, trial-range base L = N*max(1, ceil(log2 n)), and the
-    number of randomized trials ceil(4*log2 L)."""
+    """Size bound N, prime-range base L = N*max(1, ceil(log2 n)), and the
+    error exponent trials = ceil(4*log2 L): a randomized decision errs
+    with probability at most 2**-trials."""
 
     N: int
     L: int
@@ -268,10 +282,29 @@ def ceil_log2(n: int) -> int:
 
 
 def trial_count(L: int) -> int:
-    """The number of randomized trials for primes drawn above L,
-    ceil(4*log2 L)."""
+    """The error exponent for primes drawn above L, ceil(4*log2 L): the
+    randomized decision errs with probability at most 2**-trial_count(L)."""
     # ceil(4*log2 L) == bit_length(L**4 - 1):  4*log2(L) <= x  iff  L**4 <= 2**x.
     return (L ** 4 - 1).bit_length()
+
+
+def certified_prime_count(L: int, trials: int) -> int:
+    """The least m such that m independent uniform primes from (L, L**2]
+    all divide a given nonzero integer of magnitude at most 2**L, and so
+    all fail to detect it, with probability at most 2**-trials; ``trials``
+    itself where that is not proved (L < 5) or no smaller m suffices.
+
+    One prime divides it with probability eps < 2 ln 2 / (L - 2.51012)
+    (module docstring), and 2 ln 2 < 1.3863, so eps**m <= 2**-trials holds
+    once 138630**m * 2**trials <= (100000*L - 251012)**m, compared here
+    over the integers."""
+    if L < 5:
+        return trials
+    top = 100000 * L - 251012
+    for m in range(1, trials):
+        if 138630 ** m << trials <= top ** m:
+            return m
+    return trials
 
 
 DEFAULT_BIT_CAP = 1 << 20

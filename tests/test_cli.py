@@ -31,6 +31,8 @@ from homind.oracle import (
     exact_treewidth_tiny,
 )
 
+from test_cli_golden import GRAPHS
+
 
 def run(argv, capsys):
     try:
@@ -52,6 +54,8 @@ def files(tmp_path):
         "p4": path_graph(4),
         "k3": complete_graph(3),
         "p2k1": disjoint_union(path_graph(2), empty_graph(1)),
+        "g7": GRAPHS["g7"],
+        "h7": GRAPHS["h7"],
     }
     for name, g in fixtures.items():
         p = tmp_path / f"{name}.graph"
@@ -104,13 +108,13 @@ def test_seeded_runs_are_byte_identical(files, capsys):
 
 @pytest.mark.parametrize("command, pair, code", [
     (("homind", "--builtin", "tw-all", "--k", "2"), ("p3", "k3"), 1),
-    # an accept whose four primes the tw-all partition certifies
+    # an accept the integer tw-all partition certifies: exact, no prime
     (("pwhomind", "--builtin", "paths"), ("c6", "2k3"), 0),
     (("lasserre", "--t", "1"), ("c6", "c6"), 0),
 ], ids=["homind", "pwhomind", "lasserre"])
 def test_parallel_fanout_output_is_identical(files, capsys, command, pair, code):
     """``--parallel`` is accepted for compatibility and changes nothing:
-    trials are decided one at a time either way."""
+    primes are decided one at a time either way."""
     argv = [*command, "--mode", "random", "--seed", "6",
             *(files[name] for name in pair)]
     rc1, out1, _ = run(argv, capsys)
@@ -221,20 +225,46 @@ def test_hex_prime_accepted(files, capsys):
 
 
 def test_prime_bits_heuristic_is_flagged(files, capsys):
-    """The multi-state paths automaton still samples primes; a one-state
-    class is decided exactly, so --prime-bits changes nothing there."""
-    twin = permuted(files, capsys, "p4", 4)
-    rc, out, _ = run(["homind", "--builtin", "paths",
-                      "--mode", "random", "--seed", "5", "--prime-bits", "16",
-                      files["p4"], twin], capsys)
+    """G7/H7 under the multi-state paths automaton is uncertified, so
+    --prime-bits decides trial_count(2^15) = 60 primes of 16 bits and
+    flags the verdict; a pair the integer partition certifies, or a
+    one-state class, is decided exactly, so --prime-bits changes nothing
+    there."""
+    rc, out, _ = run(["pwhomind", "--builtin", "paths", "--mode", "random",
+                      "--seed", "5", "--prime-bits", "16",
+                      files["g7"], files["h7"]], capsys)
     assert rc == 0
-    assert any(line.startswith("note=heuristic") for line in out.splitlines())
-    exact = ["homind", "--builtin", "tw-all", "--k", "1", "--mode", "random",
-             "--seed", "5", files["p4"], twin]
-    rc_exact, out_exact, _ = run(exact, capsys)
-    assert (rc_exact, out_exact) == (0, "seed=5\nverdict=accept\nmode=exact\n"
-                                        "witness=none\n")
-    assert run(exact + ["--prime-bits", "16"], capsys)[:2] == (0, out_exact)
+    lines = out.splitlines()
+    assert "note=heuristic: prime-bits mode, error bound not certified" in lines
+    primes = [int(line[6:]) for line in lines if line.startswith("prime=")]
+    assert len(primes) == 60 and all(p.bit_length() == 16 for p in primes)
+    twin = permuted(files, capsys, "p4", 4)
+    for exact in (["homind", "--builtin", "tw-all", "--k", "1"],
+                  ["pwhomind", "--builtin", "paths"]):
+        exact += ["--mode", "random", "--seed", "5", files["p4"], twin]
+        rc_exact, out_exact, _ = run(exact, capsys)
+        assert (rc_exact, out_exact) == (0, "seed=5\nverdict=accept\nmode=exact\n"
+                                            "witness=none\n")
+        assert run(exact + ["--prime-bits", "16"], capsys)[:2] == (0, out_exact)
+
+
+def test_prime_sampler_cap_exits_2(files, capsys, monkeypatch):
+    """A generator that yields only composites exhausts the sampler's cap:
+    the decision exits 2 and prints no verdict."""
+    import homind.engine
+
+    class Composite:
+        def __init__(self, seed):
+            pass
+
+        def randrange(self, lo, hi):
+            return hi - 1 - (hi - 1) % 2  # even, and above 2
+
+    monkeypatch.setattr(homind.engine, "Xoshiro256StarStar", Composite)
+    rc, out, err = run(["pwhomind", "--builtin", "paths", "--mode", "random",
+                        "--seed", "5", files["g7"], files["h7"]], capsys)
+    assert (rc, out) == (2, "seed=5\n")
+    assert err.startswith("error: no prime in ")
 
 
 @pytest.mark.parametrize("command", [

@@ -31,6 +31,13 @@ GRAPHS = {
     # one-state k=2 closure rejects this pair at prime 3, after accepting at 2
     "a5": Graph.from_edges(5, [(0, 2), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)]),
     "b5": Graph.from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 3), (2, 4), (3, 4)]),
+    "k3": complete_graph(3),
+    # equal walk counts, but 1-WL tells them apart: the tw-all partition
+    # cannot certify their accept under paths, so random mode draws primes
+    "g7": Graph.from_edges(7, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 6),
+                               (3, 5), (3, 6), (5, 6)]),
+    "h7": Graph.from_edges(7, [(0, 1), (0, 2), (1, 5), (1, 6), (2, 4), (3, 5),
+                               (3, 6), (4, 6), (5, 6)]),
 }
 
 # one state, every transition to it, accepting, no small stage
@@ -56,21 +63,23 @@ CASES = {
     "homind-deterministic": (*TW2, *CRT, "c6", "c6r"),
     "homind-paths-deterministic": ("homind", *PATHS, *CRT, "c6", "c6r"),
     "homind-paths-random": ("homind", *PATHS, "--mode", "random", "--seed", "7",
-                            "p3", "p3r"),
+                            "p4", "star"),
     "modhomind-tw3": ("modhomind", "--builtin", "tw-all", "--k", "3",
                       "--prime", "2147483647", "c6", "c6r"),
     "modhomind-paths": ("modhomind", *PATHS, "--prime", "7", "p4", "star"),
     "pwhomind-crt-accept": ("pwhomind", *PATHS, *CRT, "c6", "2k3"),
     "pwhomind-crt-reject": ("pwhomind", *PATHS, *CRT, "p4", "star"),
-    "pwhomind-random": ("pwhomind", *PATHS, "--seed", "7", "c6", "2k3"),
+    "pwhomind-random": ("pwhomind", *PATHS, "--seed", "7", "g7", "h7"),
+    "pwhomind-random-exact": ("pwhomind", *PATHS, "--seed", "7", "c6", "2k3"),
+    "pwhomind-random-witness": ("pwhomind", *PATHS, "--seed", "7", "p3", "k3"),
     "pwhomind-random-reject": ("pwhomind", *PATHS, "--seed", "7", "p4", "star"),
     "pwhomind-random-bits": ("pwhomind", *PATHS, "--seed", "7", "--prime-bits", "12",
-                             "c6", "2k3"),
+                             "g7", "h7"),
     "pwhomind-random-parallel": ("pwhomind", *PATHS, "--seed", "7", "--parallel", "2",
-                                 "c6", "2k3"),
+                                 "g7", "h7"),
     "pwhomind-single-prime": ("pwhomind", *PATHS, *SINGLE, "101", "p4", "star"),
     "pwhomind-bit-cap": ("pwhomind", *PATHS, "--seed", "7", "--bit-cap", "4",
-                         "c6", "c6r"),
+                         "p4", "star"),
     "lasserre-single-prime": ("lasserre", "--t", "1", *SINGLE, "101", "p4", "star"),
     "lasserre-single-prime-bits": ("lasserre", "--t", "1", *SINGLE, "101",
                                    "--prime-bits", "16", "p4", "star"),
@@ -81,7 +90,8 @@ CASES = {
     "none-homind-random": ("homind", *NONE, "--seed", "3", "c6", "c6r"),
     "none-homind-random-bits": ("homind", *NONE, "--seed", "3",
                                 "--prime-bits", "12", "c6", "c6r"),
-    "none-pwhomind-random": ("pwhomind", *NONE, "--seed", "3", "c6", "c6r"),
+    "none-pwhomind-random": ("pwhomind", *NONE, "--seed", "3", "g7", "h7"),
+    "none-pwhomind-random-exact": ("pwhomind", *NONE, "--seed", "3", "c6", "c6r"),
     "none-homind-single-prime": ("homind", *NONE, *SINGLE, "101", "c6", "c6r"),
     "none-pwhomind-crt-accept": ("pwhomind", *NONE, *CRT, "c6", "c6r"),
     "none-pwhomind-crt-reject": ("pwhomind", *NONE, *CRT, "a5", "b5"),
@@ -135,10 +145,11 @@ EXPECTED = {
         2, '',
         '',
         'error: deterministic CRT mode is defined for the pathwidth variant\n'),
-    # multi-state: the prime loop, here with the composite-draw accept
+    # multi-state, treewidth flavour: P4 against K_{1,3} is uncertified, and
+    # the closure rejects at the first prime, of 836 bits
     'homind-paths-random': (
-        0, 'seed=7\nverdict=accept\nmode=randomized\nwitness=none\nnote=no prime drawn in 940 trials\n',
-        '{"seed": 7, "verdict": "accept", "mode": "randomized", "witness": "none", "note": "no prime drawn in 940 trials"}\n',
+        1, 'seed=7\nverdict=reject\nmode=randomized\nprime=44479975276230222008104880361903471434878568125341838868041212045466654133909368140308455841478118396388731179914534031814516624218239861863699550742525644811208112776153443955952424489527873085307322946793147491225014403522207165094477359618453273163\nrejecting_prime=44479975276230222008104880361903471434878568125341838868041212045466654133909368140308455841478118396388731179914534031814516624218239861863699550742525644811208112776153443955952424489527873085307322946793147491225014403522207165094477359618453273163\nwitness=none\n',
+        '{"seed": 7, "verdict": "reject", "mode": "randomized", "prime": 44479975276230222008104880361903471434878568125341838868041212045466654133909368140308455841478118396388731179914534031814516624218239861863699550742525644811208112776153443955952424489527873085307322946793147491225014403522207165094477359618453273163, "rejecting_prime": 44479975276230222008104880361903471434878568125341838868041212045466654133909368140308455841478118396388731179914534031814516624218239861863699550742525644811208112776153443955952424489527873085307322946793147491225014403522207165094477359618453273163, "witness": "none"}\n',
         ''),
     'modhomind-tw3': (
         0, 'verdict=accept\nmode=single-prime\nprime=2147483647\nwitness=none\n',
@@ -156,33 +167,43 @@ EXPECTED = {
         1, 'verdict=reject\nmode=deterministic-crt\nprime=2\nprime=3\nrejecting_prime=3\nwitness=none\n',
         '{"verdict": "reject", "mode": "deterministic-crt", "prime": [2, 3], "rejecting_prime": 3, "witness": "none"}\n',
         ''),
+    # G7/H7 is uncertified: the accept decides five primes above L
     'pwhomind-random': (
-        0, 'seed=7\nverdict=accept\nmode=randomized\nprime=3973633\nprime=3116947\nprime=6050753\nwitness=none\n',
-        '{"seed": 7, "verdict": "accept", "mode": "randomized", "prime": [3973633, 3116947, 6050753], "witness": "none"}\n',
+        0, 'seed=7\nverdict=accept\nmode=randomized\nprime=7826339\nprime=2158801\nprime=4284893\nprime=10119209\nprime=639637\nwitness=none\n',
+        '{"seed": 7, "verdict": "accept", "mode": "randomized", "prime": [7826339, 2158801, 4284893, 10119209, 639637], "witness": "none"}\n',
+        ''),
+    # a certified accept and a small-stage reject are exact: no prime
+    'pwhomind-random-exact': (
+        0, 'seed=7\nverdict=accept\nmode=exact\nwitness=none\n',
+        '{"seed": 7, "verdict": "accept", "mode": "exact", "witness": "none"}\n',
+        ''),
+    'pwhomind-random-witness': (
+        1, 'seed=7\nverdict=reject\nmode=exact\nwitness=n 2 m 1 0 1\n',
+        '{"seed": 7, "verdict": "reject", "mode": "exact", "witness": "n 2 m 1 0 1"}\n',
         ''),
     # a closure reject: the witness is none, the small stage passed
     'pwhomind-random-reject': (
-        1, 'seed=7\nverdict=reject\nmode=randomized\nprime=99257\nrejecting_prime=99257\nwitness=none\n',
-        '{"seed": 7, "verdict": "reject", "mode": "randomized", "prime": 99257, "rejecting_prime": 99257, "witness": "none"}\n',
+        1, 'seed=7\nverdict=reject\nmode=randomized\nprime=683831\nrejecting_prime=683831\nwitness=none\n',
+        '{"seed": 7, "verdict": "reject", "mode": "randomized", "prime": 683831, "rejecting_prime": 683831, "witness": "none"}\n',
         ''),
-    # 44 primes below 2^12, each accept certified by the tw-all partition
+    # 44 primes below 2^12, each running the closure on G7/H7
     'pwhomind-random-bits': (
-        0, 'seed=7\nverdict=accept\nmode=randomized\nprime=2789\nprime=3833\nprime=3923\nprime=2683\nprime=3191\nprime=2969\nprime=3461\nprime=2423\nprime=2789\nprime=2609\nprime=3323\nprime=2081\nprime=3593\nprime=2591\nprime=4049\nprime=3931\nprime=2617\nprime=2351\nprime=4001\nprime=3169\nprime=2909\nprime=2539\nprime=2503\nprime=3769\nprime=3631\nprime=3863\nprime=3001\nprime=3137\nprime=3121\nprime=4057\nprime=3637\nprime=2729\nprime=2633\nprime=3391\nprime=3271\nprime=2843\nprime=2243\nprime=4027\nprime=3517\nprime=3251\nprime=3271\nprime=3001\nprime=3389\nprime=2179\nwitness=none\nnote=heuristic: prime-bits mode, error bound not certified\n',
-        '{"seed": 7, "verdict": "accept", "mode": "randomized", "prime": [2789, 3833, 3923, 2683, 3191, 2969, 3461, 2423, 2789, 2609, 3323, 2081, 3593, 2591, 4049, 3931, 2617, 2351, 4001, 3169, 2909, 2539, 2503, 3769, 3631, 3863, 3001, 3137, 3121, 4057, 3637, 2729, 2633, 3391, 3271, 2843, 2243, 4027, 3517, 3251, 3271, 3001, 3389, 2179], "witness": "none", "note": "heuristic: prime-bits mode, error bound not certified"}\n',
+        0, 'seed=7\nverdict=accept\nmode=randomized\nprime=3767\nprime=4057\nprime=3547\nprime=3851\nprime=2399\nprime=3583\nprime=2311\nprime=2131\nprime=3257\nprime=3929\nprime=3457\nprime=2411\nprime=3571\nprime=3631\nprime=3449\nprime=3769\nprime=3307\nprime=3733\nprime=3691\nprime=3931\nprime=2851\nprime=2311\nprime=2593\nprime=3413\nprime=2141\nprime=2243\nprime=2351\nprime=4003\nprime=2087\nprime=2837\nprime=3919\nprime=2917\nprime=2887\nprime=3413\nprime=2539\nprime=2053\nprime=2339\nprime=3989\nprime=2939\nprime=3769\nprime=3203\nprime=3907\nprime=3331\nprime=2179\nwitness=none\nnote=heuristic: prime-bits mode, error bound not certified\n',
+        '{"seed": 7, "verdict": "accept", "mode": "randomized", "prime": [3767, 4057, 3547, 3851, 2399, 3583, 2311, 2131, 3257, 3929, 3457, 2411, 3571, 3631, 3449, 3769, 3307, 3733, 3691, 3931, 2851, 2311, 2593, 3413, 2141, 2243, 2351, 4003, 2087, 2837, 3919, 2917, 2887, 3413, 2539, 2053, 2339, 3989, 2939, 3769, 3203, 3907, 3331, 2179], "witness": "none", "note": "heuristic: prime-bits mode, error bound not certified"}\n',
         ''),
     'pwhomind-random-parallel': (
-        0, 'seed=7\nverdict=accept\nmode=randomized\nprime=3973633\nprime=3116947\nprime=6050753\nwitness=none\n',
-        '{"seed": 7, "verdict": "accept", "mode": "randomized", "prime": [3973633, 3116947, 6050753], "witness": "none"}\n',
+        0, 'seed=7\nverdict=accept\nmode=randomized\nprime=7826339\nprime=2158801\nprime=4284893\nprime=10119209\nprime=639637\nwitness=none\n',
+        '{"seed": 7, "verdict": "accept", "mode": "randomized", "prime": [7826339, 2158801, 4284893, 10119209, 639637], "witness": "none"}\n',
         ''),
     'pwhomind-single-prime': (
         1, 'verdict=reject\nmode=single-prime\nprime=101\nrejecting_prime=101\nwitness=none\n',
         '{"verdict": "reject", "mode": "single-prime", "prime": 101, "rejecting_prime": 101, "witness": "none"}\n',
         ''),
-    # the pathwidth flavour still samples primes against its bound
+    # an uncertified pair needs the bound, which overflows the cap
     'pwhomind-bit-cap': (
         2, 'seed=7\n',
         '',
-        'error: bound needs 10 bits, cap is 4; rerun with prime_bits for a heuristic decision\n'),
+        'error: bound needs 9 bits, cap is 4; rerun with prime_bits for a heuristic decision\n'),
     'lasserre-single-prime': (
         1, 'verdict=reject\nmode=single-prime\nprime=101\nrejecting_prime=101\nwitness=none\n',
         '{"verdict": "reject", "mode": "single-prime", "prime": 101, "rejecting_prime": 101, "witness": "none"}\n',
@@ -214,9 +235,15 @@ EXPECTED = {
         0, 'seed=3\nverdict=accept\nmode=exact\nwitness=none\nnote=small stage skipped (policy none): verdict covers only class members on more than k vertices\n',
         '{"seed": 3, "verdict": "accept", "mode": "exact", "witness": "none", "note": "small stage skipped (policy none): verdict covers only class members on more than k vertices"}\n',
         ''),
+    'none-pwhomind-random-exact': (
+        0, 'seed=3\nverdict=accept\nmode=exact\nwitness=none\nnote=small stage skipped (policy none): verdict covers only class members on more than k vertices\n',
+        '{"seed": 3, "verdict": "accept", "mode": "exact", "witness": "none", "note": "small stage skipped (policy none): verdict covers only class members on more than k vertices"}\n',
+        ''),
+    # G7/H7 under the one-state pathwidth class: uncertified, and a
+    # closure reject, sound whatever the small members are: no caveat
     'none-pwhomind-random': (
-        0, 'seed=3\nverdict=accept\nmode=randomized\nprime=42157\nwitness=none\nnote=small stage skipped (policy none): verdict covers only class members on more than k vertices\n',
-        '{"seed": 3, "verdict": "accept", "mode": "randomized", "prime": 42157, "witness": "none", "note": "small stage skipped (policy none): verdict covers only class members on more than k vertices"}\n',
+        1, 'seed=3\nverdict=reject\nmode=randomized\nprime=78979\nrejecting_prime=78979\nwitness=none\n',
+        '{"seed": 3, "verdict": "reject", "mode": "randomized", "prime": 78979, "rejecting_prime": 78979, "witness": "none"}\n',
         ''),
     'none-homind-single-prime': (
         0, 'verdict=accept\nmode=single-prime\nprime=101\nwitness=none\nnote=small stage skipped (policy none): verdict covers only class members on more than k vertices\n',

@@ -49,8 +49,11 @@ from homind.modular import (
     Xoshiro256StarStar,
     bound_pw,
     bound_tw,
+    certified_prime_count,
+    is_prime,
     sample_prime_in_range,
     smallest_primes_with_product_exceeding,
+    trial_count,
 )
 from homind.oracle import enumerate_graphs_up_to, hom_tensor, paths_oracle
 from homind.recognizer import builtin, parse_automaton, trace_term
@@ -465,37 +468,65 @@ def test_pw_closure_spans_every_term_tensor(monkeypatch, G, H):
 
 PATHS = builtin("paths", 2)
 
+# Equal walk counts, but 1-WL tells them apart: the tw-all partition is
+# unbalanced, so a pathwidth accept under ``paths`` is not certified.
+_G7 = Graph.from_edges(7, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 6),
+                           (3, 5), (3, 6), (5, 6)])
+_H7 = Graph.from_edges(7, [(0, 1), (0, 2), (1, 5), (1, 6), (2, 4), (3, 5),
+                           (3, 6), (4, 6), (5, 6)])
+
+
+def _counted(monkeypatch, name):
+    """Patch the engine's prime sampler ``name``; the returned list
+    collects every prime it hands out."""
+    import homind.engine
+
+    primes = []
+    sample = getattr(homind.engine, name)
+
+    def counted(*args):
+        primes.append(sample(*args))
+        return primes[-1]
+
+    monkeypatch.setattr(homind.engine, name, counted)
+    return primes
+
 
 def test_randomized_accepts_isomorphic_pairs():
-    """The prime loop (pathwidth flavour of the multi-state ``paths``)
-    accepts with every prime in (L, L^2]; tw-all decides exactly."""
+    """Permuted copies are certified by the integer partition: the
+    pathwidth flavour of the multi-state ``paths`` accepts them exactly,
+    with no prime, as tw-all does."""
     rng = random.Random(7)
-    bounds = bound_pw(8, 2, PATHS.states)
     for seed in range(4):
         g = random_graph(rng, 8, 0.5)
         h = permuted_copy(rng, g)
-        verdict = homind_randomized(g, h, PATHS, "pw", seed=seed)
-        assert verdict.accept
-        assert verdict.mode == "randomized"
-        for p in verdict.primes_used:
-            assert bounds.L < p <= bounds.L**2
-        exact = homind_randomized(g, h, builtin("tw-all", 1), "tw", seed=seed)
-        assert exact.accept and exact.mode == "exact" and not exact.primes_used
+        for aut, variant in ((PATHS, "pw"), (builtin("tw-all", 1), "tw")):
+            verdict = homind_randomized(g, h, aut, variant, seed=seed)
+            assert verdict.accept and verdict.mode == "exact"
+            assert not verdict.primes_used
 
 
 def test_randomized_rejects_at_first_prime_found():
-    """P_3 vs K_3 differ on hom(K_2, -) = 4 vs 6, caught by the small
-    stage at any odd prime; the wrapper must stop at its first prime."""
-    verdict = homind_randomized(path_graph(3), complete_graph(3), PATHS, "pw", seed=1)
-    assert not verdict.accept
-    assert verdict.rejecting_prime == verdict.primes_used[-1]
-    assert len(verdict.primes_used) >= 1
-    assert verdict.small_stage_witness == complete_graph(2)
-    bounds = bound_pw(3, 2, PATHS.states)
+    """P4 against K_{1,3} passes the small stage of ``paths`` (both have 3
+    edges), and its partition is unbalanced; every prime above L rejects,
+    so the wrapper stops at its first prime, the same one for the same
+    seed.  P3 against K3 differs on hom(K_2, -) = 4 vs 6: an exact
+    reject with witness K_2, and no prime."""
+    P4, star = path_graph(4), star_graph(3)
+    verdict = homind_randomized(P4, star, PATHS, "pw", seed=1)
+    assert not verdict.accept and verdict.mode == "randomized"
+    assert verdict.primes_used == [verdict.rejecting_prime]
+    assert verdict.small_stage_witness is None
+    bounds = bound_pw(4, 2, PATHS.states)
     assert bounds.L < verdict.rejecting_prime <= bounds.L**2
-    again = homind_randomized(path_graph(3), complete_graph(3), PATHS, "pw", seed=1)
-    assert again.rejecting_prime == verdict.rejecting_prime
-    assert again.primes_used == verdict.primes_used
+    assert homind_randomized(P4, star, PATHS, "pw", seed=1) == verdict
+    for variant in ("pw", "tw"):
+        exact = homind_randomized(path_graph(3), complete_graph(3), PATHS,
+                                  variant, seed=1)
+        assert not exact.accept
+        assert (exact.mode, exact.primes_used) == ("exact", [])
+        assert exact.rejecting_prime is None
+        assert exact.small_stage_witness == complete_graph(2)
 
 
 def test_randomized_pw_variant_runs():
@@ -506,10 +537,10 @@ def test_randomized_pw_variant_runs():
 
 
 def test_randomized_refines_once_per_decision(monkeypatch):
-    """The prime loop refines the tw-all partition once per decision and
-    checks every prime against it: all the primes exceed the order, so
-    their partitions coincide with the integer one.  The exact decision
-    refines once, over the integers."""
+    """The prime loop refines the tw-all partition once per decision, over
+    the integers, and checks every prime against it: the 7-bit primes of
+    G7/H7 exceed the order, so their partitions coincide with the integer
+    one.  The exact decision refines once, over the integers."""
     import homind.engine
 
     calls = []
@@ -520,57 +551,80 @@ def test_randomized_refines_once_per_decision(monkeypatch):
         return refine(G, H, k, modulus)
 
     monkeypatch.setattr(homind.engine, "_refine", counted)
-    g = random_graph(random.Random(4), 6, 0.5)
-    h = permuted_copy(random.Random(5), g)
-    verdict = homind_randomized(g, h, PATHS, "pw", seed=2, prime_bits=7)
+    verdict = homind_randomized(_G7, _H7, PATHS, "pw", seed=2, prime_bits=7)
     assert verdict.accept
     assert len(set(verdict.primes_used)) > 1
     assert calls == [None]
     calls.clear()
+    g = random_graph(random.Random(4), 6, 0.5)
+    h = permuted_copy(random.Random(5), g)
     verdict = homind_randomized(g, h, builtin("tw-all", 2), "tw", seed=2, prime_bits=7)
     assert verdict.accept and not verdict.primes_used
     assert calls == [None]
 
 
 def test_randomized_draws_only_the_primes_it_decides(monkeypatch):
-    """A decision that rejects at its first prime draws no further
-    trial's prime."""
-    import homind.engine
-
-    draws = []
-    sample = homind.engine.sample_prime_in_range
-
-    def counted(L, rng):
-        draws.append(L)
-        return sample(L, rng)
-
-    monkeypatch.setattr(homind.engine, "sample_prime_in_range", counted)
-    G, H = path_graph(3), complete_graph(3)
-    trials = bound_pw(3, 2, PATHS.states).trials
-    verdict = homind_randomized(G, H, PATHS, "pw", seed=1)
-    assert not verdict.accept and len(verdict.primes_used) == 1
-    assert len(draws) < trials
+    """A decision that rejects at its first prime draws no further prime."""
+    draws = _counted(monkeypatch, "sample_prime_in_range")
+    verdict = homind_randomized(path_graph(4), star_graph(3), PATHS, "pw", seed=1)
+    assert not verdict.accept and draws == verdict.primes_used
+    assert len(draws) == 1
 
 
 def test_randomized_heuristic_mode_is_flagged():
-    g = path_graph(4)
-    h = permuted_copy(random.Random(3), g)
-    verdict = homind_randomized(g, h, PATHS, "pw", seed=2, prime_bits=24)
+    """--prime-bits decides trial_count(2^(bits-1)) primes of that width
+    on an uncertified accept, and flags the verdict."""
+    verdict = homind_randomized(_G7, _H7, PATHS, "pw", seed=2, prime_bits=24)
     assert verdict.accept
     assert "heuristic" in verdict.notes
-    assert verdict.primes_used
+    assert len(verdict.primes_used) == trial_count(1 << 23)
     for p in verdict.primes_used:
-        assert p.bit_length() == 24
+        assert p.bit_length() == 24 and is_prime(p)
 
 
 def test_randomized_overflow_suggests_heuristic_mode():
+    """An uncertified pair needs the bound; a certified one computes none."""
     with pytest.raises(BoundOverflow, match="prime_bits"):
-        homind_randomized(cycle_graph(6), TWO_TRIANGLES, PATHS, "pw", bit_cap=4)
+        homind_randomized(path_graph(4), star_graph(3), PATHS, "pw", bit_cap=4)
+    verdict = homind_randomized(cycle_graph(6), TWO_TRIANGLES, PATHS, "pw", bit_cap=4)
+    assert verdict.accept and verdict.mode == "exact"
 
 
 def test_randomized_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
         homind_randomized(path_graph(2), path_graph(2), builtin("tw-all", 1), "qq")
+
+
+def test_multi_state_random_rejects_p4_against_the_star_at_every_seed():
+    """P4 against K_{1,3} under ``paths``: walks of length 2 count 10
+    against 12.  A seed whose draws were all composite used to accept it
+    unchecked; every draw is now a prime, and every prime above L
+    rejects.  The pathwidth flavour at seeds 0-299, the treewidth flavour
+    (primes of 800-odd bits) at three seeds."""
+    P4, star = path_graph(4), star_graph(3)
+    for variant, seeds in (("pw", range(300)), ("tw", range(3))):
+        for seed in seeds:
+            verdict = homind_randomized(P4, star, PATHS, variant, seed=seed)
+            assert not verdict.accept, (variant, seed)
+            assert verdict.primes_used == [verdict.rejecting_prime], (variant, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_uncertified_random_accept_decides_the_certified_prime_count(seed):
+    """G7/H7 under ``paths`` in the pathwidth flavour: the accept decides
+    exactly ``certified_prime_count(L, trials)`` primes, five, each in
+    (L, L^2], and the same list for the same seed."""
+    bounds = bound_pw(7, 2, PATHS.states)
+    count = certified_prime_count(bounds.L, bounds.trials)
+    assert count == 5
+    verdict = homind_randomized(_G7, _H7, PATHS, "pw", seed=seed)
+    assert verdict.accept and verdict.mode == "randomized"
+    assert len(verdict.primes_used) == count
+    for p in verdict.primes_used:
+        assert bounds.L < p <= bounds.L**2 and is_prime(p)
+    assert homind_randomized(_G7, _H7, PATHS, "pw", seed=seed) == verdict
+    other = homind_randomized(_G7, _H7, PATHS, "pw", seed=seed + 1)
+    assert other.primes_used != verdict.primes_used
 
 
 # === Exact decision of one-state classes ===
@@ -598,15 +652,17 @@ def test_one_state_random_rejects_p4_against_the_star_at_every_seed():
 
 def test_one_state_random_decisions_never_draw(monkeypatch):
     """With both prime samplers patched to raise, one-state treewidth
-    decisions (certified, prime-bits, a ``small none`` automaton file)
-    and Lasserre decisions still decide; the pathwidth flavour draws."""
+    decisions (certified, prime-bits, a ``small none`` automaton file),
+    Lasserre decisions, and the certified accepts and small-stage rejects
+    of the multi-state ``paths`` in both flavours still decide; an
+    uncertified pair draws."""
     import homind.engine
 
     def refuse(*args):
         raise AssertionError("a prime was drawn")
 
     monkeypatch.setattr(homind.engine, "sample_prime_in_range", refuse)
-    monkeypatch.setattr(homind.engine, "_draw_prime_with_bits", refuse)
+    monkeypatch.setattr(homind.engine, "sample_prime_with_bits", refuse)
     c6, c6r, two_k3 = GRAPHS["c6"], GRAPHS["c6r"], GRAPHS["2k3"]
     none = parse_automaton(ONE_STATE_NONE)
     for kwargs in ({}, {"prime_bits": 12}, {"bit_cap": 20}):
@@ -616,8 +672,15 @@ def test_one_state_random_decisions_never_draw(monkeypatch):
         assert verdict.accept and verdict.notes.startswith("small stage skipped")
         assert lasserre_randomized(c6, c6r, 1, **kwargs).accept
         assert not lasserre_randomized(c6, two_k3, 1, **kwargs).accept
+        for variant in ("pw", "tw"):
+            for G, H in ((c6, c6r), (c6, two_k3)):
+                verdict = homind_randomized(G, H, PATHS, variant, **kwargs)
+                assert verdict.accept and verdict.mode == "exact"
+            verdict = homind_randomized(path_graph(3), complete_graph(3), PATHS,
+                                        variant, **kwargs)
+            assert not verdict.accept and verdict.mode == "exact"
     with pytest.raises(AssertionError, match="drawn"):
-        homind_randomized(c6, c6r, builtin("tw-all", 2), "pw")
+        homind_randomized(path_graph(4), star_graph(3), builtin("tw-all", 2), "pw")
 
 
 def test_exact_verdict_is_the_verdict_at_every_certified_prime():
@@ -629,9 +692,7 @@ def test_exact_verdict_is_the_verdict_at_every_certified_prime():
         for k in (1, 2):
             aut = builtin("tw-all", k)
             bounds = bound_tw(max(G.n, H.n, 1), k, 1)
-            p = None
-            while p is None:
-                p = sample_prime_in_range(bounds.L, rng)
+            p = sample_prime_in_range(bounds.L, rng)
             exact, modular = {}, {}
             got = homind_exact(G, H, aut, stats=exact)
             want = modhomind(G, H, aut, p, stats=modular)
@@ -790,13 +851,6 @@ def test_crt_reject_decides_up_to_its_rejecting_prime(monkeypatch):
     assert [bases[0].p for bases in runs] == [3]
 
 
-# Equal walk counts, but 1-WL tells them apart.
-_G7 = Graph.from_edges(7, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 6),
-                           (3, 5), (3, 6), (5, 6)])
-_H7 = Graph.from_edges(7, [(0, 1), (0, 2), (1, 5), (1, 6), (2, 4), (3, 5),
-                           (3, 6), (4, 6), (5, 6)])
-
-
 def test_crt_uncertified_accept_runs_one_closure_per_unbalanced_prime(
         monkeypatch):
     """The tw-all partition of G7 and H7 is unbalanced, so it cannot
@@ -928,18 +982,9 @@ def test_closure_reject_stops_before_the_full_span(monkeypatch, include_schur):
 
 def test_randomized_pw_reject_draws_only_its_first_prime(monkeypatch):
     """P4 against K_{1,3} is rejected by the closure at its first 12-bit
-    prime, so the decision draws that prime only, of 44 trials, and runs
-    one closure."""
-    import homind.engine
-
-    draws = []
-    draw = homind.engine._draw_prime_with_bits
-
-    def counted(rng, bits):
-        draws.append(draw(rng, bits))
-        return draws[-1]
-
-    monkeypatch.setattr(homind.engine, "_draw_prime_with_bits", counted)
+    prime, so the decision draws that prime only, of 44, and runs one
+    closure."""
+    draws = _counted(monkeypatch, "sample_prime_with_bits")
     runs = closure_runs(monkeypatch)
     verdict = homind_randomized(path_graph(4), star_graph(3), builtin("paths", 2),
                                 "pw", seed=7, prime_bits=12)

@@ -13,9 +13,10 @@ from homind.modular import (
     bound_pw,
     bound_tw,
     ceil_log2,
-    derive_seed,
+    certified_prime_count,
     is_prime,
     sample_prime_in_range,
+    sample_prime_with_bits,
     smallest_primes_with_product_exceeding,
     splitmix64,
     trial_count,
@@ -94,13 +95,6 @@ def test_splitmix64_stream_changes_state():
         state, out = splitmix64(state)
         outs.append(out)
     assert len(set(outs)) == 5
-
-
-def test_derive_seed_distinct_and_stable():
-    seeds = [derive_seed(123, i) for i in range(100)]
-    assert len(set(seeds)) == 100
-    assert seeds == [derive_seed(123, i) for i in range(100)]
-    assert derive_seed(124, 0) != derive_seed(123, 0)
 
 
 # ---------------------------------------------------------------- primality
@@ -215,13 +209,8 @@ def test_is_prime_above_64_bits():
 
 def test_sample_prime_range_contract():
     rng = Xoshiro256StarStar(17)
-    returned = []
     for _ in range(600):
         p = sample_prime_in_range(100, rng)
-        if p is not None:
-            returned.append(p)
-    assert returned, "600 draws at L=100 should hit at least one prime"
-    for p in returned:
         assert 100 < p <= 100 * 100
         assert _is_prime_trial_division(p)
 
@@ -235,16 +224,46 @@ def test_sample_prime_deterministic():
 
 
 def test_sample_prime_density():
-    # Over 10^4 draws at L=10^3 the prime fraction should not fall below
-    # 1/(2*log2 L) minus three (conservative) standard deviations.
+    """The draw is a uniform prime, not a uniform integer that happens to
+    be prime: primes thin out, so (1000, 500000] holds 41,370 of the
+    78,330 primes of (1000, 10^6], a share of 0.528, against 0.4995 of the
+    integers.  10,000 draws land within four standard deviations (0.02)
+    of the prime share and outside them of the integer share."""
     rng = Xoshiro256StarStar(31337)
     draws = 10_000
-    hits = sum(
-        1 for _ in range(draws) if sample_prime_in_range(1000, rng) is not None
-    )
-    sigma = 0.005  # upper bound for sqrt(f(1-f)/draws)
-    threshold = 1.0 / (2.0 * math.log2(1000)) - 3.0 * sigma
-    assert hits / draws >= threshold
+    low = sum(sample_prime_in_range(1000, rng) <= 500_000 for _ in range(draws))
+    assert abs(low / draws - 41_370 / 78_330) < 0.02
+
+
+def test_samplers_raise_after_their_cap():
+    """A generator that yields only composites exhausts the cap of 256
+    draws per bit of L^2 (64 per bit for a fixed width) and raises."""
+
+    class Composite:
+        calls = 0
+
+        def randrange(self, lo, hi):
+            self.calls += 1
+            return hi - 1 - (hi - 1) % 2  # even, and above 2
+
+        def randbelow(self, n):
+            self.calls += 1
+            return 0  # 2^(bits-1) + 1: 33 for 6 bits
+
+    rng = Composite()
+    with pytest.raises(RuntimeError, match="no prime in 3584 draws"):
+        sample_prime_in_range(100, rng)
+    assert rng.calls == 256 * (100 * 100).bit_length() == 3584
+    with pytest.raises(RuntimeError, match="no prime in 384 draws"):
+        sample_prime_with_bits(6, Composite())
+
+
+def test_sample_prime_with_bits_has_that_width():
+    rng = Xoshiro256StarStar(12)
+    for bits in (2, 5, 12, 64, 100):
+        for _ in range(20):
+            p = sample_prime_with_bits(bits, rng)
+            assert p.bit_length() == bits and is_prime(p)
 
 
 def test_sample_prime_rejects_tiny_range():
@@ -274,6 +293,22 @@ def test_bound_lasserre_frozen_example():
     assert b.N == 512  # 2*1*4^(2^2)
     assert b.L == 512
     assert b.trials == 36
+
+
+def test_certified_prime_count():
+    """Five primes from L = 18 on (four never suffice: 2^trials >= L^4);
+    ``trials`` below L = 5, where the prime-counting bound is not used;
+    and every count passes the float form of its test, eps^m <= 2^-trials
+    with eps = 2 ln 2 / (L - 2.51012)."""
+    for L in range(2, 5):
+        assert certified_prime_count(L, trial_count(L)) == trial_count(L)
+    for L in list(range(5, 3000)) + [1 << 40, 3 * (1 << 72) + 1]:
+        trials = trial_count(L)
+        m = certified_prime_count(L, trials)
+        assert m == 5 or (L < 18 and m <= trials), L
+        eps = 2 * math.log(2) / (L - 2.51012)
+        assert m * math.log2(1 / eps) >= trials or m == trials, L
+    assert certified_prime_count(1 << 100000, trial_count(1 << 100000)) == 5
 
 
 def test_trials_identity_matches_ceil_log():
