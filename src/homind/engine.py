@@ -37,10 +37,13 @@ is spanned by the block indicators of one partition of
 V(G)^k (+) V(H)^k: the coarsest on which every A-mask is constant and,
 for every block B and label i, J_i(e_B) mod p is constant.  ``_refine``
 finds it by refining tuple colours (start from the adjacency pattern of
-the tuple; add, per label i, the colour counts mod p along the axis-i
-line through the tuple), the oblivious k-WL refinement (Dvorak 2010;
-Dell, Grohe and Rattan, ICALP 2018).  The dimension is the number of
-colours, and the pair is accepted iff every colour holds as many
+the tuple; add, per label i, the multiset of colours, counted mod p, on
+the axis-i line through the tuple), the oblivious k-WL refinement
+(Dvorak 2010; Dell, Grohe and Rattan, ICALP 2018).  A line's multiset is
+its sorted row: with axis i moved last, the colours of one graph are an
+n^(k-1)-by-n array whose rows are the lines, and ``_row_multisets``
+sorts them and numbers the distinct rows.  The dimension is the number
+of colours, and the pair is accepted iff every colour holds as many
 G-tuples as H-tuples mod p.  Line counts never exceed max(n_G, n_H), so
 all primes above that share one partition, the one refined over the
 integers; ``lasserre`` refines 2t-tuples alike.
@@ -538,32 +541,28 @@ def _pair_ids(a, b):
     return np.unique(keys, return_inverse=True)[1].reshape(-1)
 
 
-def _line_signatures(groups, modulus):
-    """One id per line of every group (``line``, ``colours``: the line, from
-    0 in each group, and colour of each tuple), in group order, for its
-    colour counts mod ``modulus`` (over the integers when None): equal
-    counts, equal ids.  A generator of groups keeps one group's keys alive."""
-    tables = []  # per group, one row per line: its (colour, count) entries
-    for line, colours in groups:
-        width = int(colours.max(initial=-1)) + 1
-        keys, mult = np.unique(line * width + colours, return_counts=True)
-        if modulus is not None:
-            mult %= modulus
-            keys, mult = keys[mult != 0], mult[mult != 0]
-        owner = keys // width  # ascending: entries are grouped by line
-        pos = np.arange(len(keys)) - np.searchsorted(owner, owner)
-        rows, cols = int(line.max(initial=-1)) + 1, 2 * (int(pos.max(initial=0)) + 1)
-        tables.append(np.full((rows, cols), -1, dtype=np.int64))
-        tables[-1][owner, 2 * pos] = keys % width
-        tables[-1][owner, 2 * pos + 1] = mult
-    # padded with -1 to one width; a row as one raw-bytes item (equal rows,
-    # equal bytes) sorts several times faster than rows with axis=0
-    table = np.full((sum(map(len, tables)), max(t.shape[1] for t in tables)), -1,
-                    dtype=np.int64)
-    for start, part in zip(np.cumsum([0, *map(len, tables)]), tables):
-        table[start:start + len(part), :part.shape[1]] = part
-    table = table.view(np.dtype((np.void, table.strides[0]))).reshape(-1)
-    return np.unique(table, return_inverse=True)[1].reshape(-1)
+def _row_multisets(rows, modulus):
+    """Dense ids of the rows of the C-contiguous int64 array ``rows`` (one
+    row per line, padded with -1 to one width) as multisets counted mod
+    ``modulus`` (over the integers when None): equal multisets, equal ids.
+    A line's multiset is its sorted row, so each row is sorted in place;
+    mod p each run of equal entries keeps (its length mod p) copies and
+    the rest become -1 padding."""
+    rows.sort(axis=1)
+    if modulus is not None and rows.size:
+        flat = rows.reshape(-1)
+        new = np.ones(flat.shape, dtype=bool)  # runs break at every row start
+        new[1:] = flat[1:] != flat[:-1]
+        new[::rows.shape[1]] = True
+        starts = np.flatnonzero(new)
+        lengths = np.diff(starts, append=flat.size)
+        flat[np.arange(flat.size) - np.repeat(starts, lengths)
+             >= np.repeat(lengths % modulus, lengths)] = -1
+        rows.sort(axis=1)
+    # a row as one raw-bytes item (equal rows, equal bytes) sorts several
+    # times faster than rows with axis=0
+    rows = rows.view(np.dtype((np.void, rows.strides[0]))).reshape(-1)
+    return np.unique(rows, return_inverse=True)[1].reshape(-1)
 
 
 def _patterns(G, H, k, relation):
@@ -604,22 +603,31 @@ def _refine(G, H, k, modulus):
     one-state treewidth closure: the span contains 1 and is closed under
     Schur products, and every x in it has x^p = x.
 
-    Colours, line ids and the keys built from them stay below the square
-    of the tuple count, so int64 is exact for any input that fits in
-    memory."""
-    # axis-i lines: tuples equal off axis i, on one side, numbered by
-    # the flat index with axis i (of stride n^(k-1-i)) left out
-    lines = []
-    for i in range(k):
-        per_side, offset = [], 0
-        for g in (G, H):
-            flat, stride = np.arange(g.n**k), g.n ** (k - 1 - i)
-            per_side.append(flat // (stride * g.n) * stride + flat % stride + offset)
-            offset += g.n ** (k - 1)
-        lines.append(np.concatenate(per_side))
-    return _stable(_patterns(G, H, k, _adjacency), lambda colours: (
-        _line_signatures([(line, colours)], modulus)[line] for line in lines),
-        G.n**k)[1]
+    A round refines by the colour multiset of each axis-i line, its sorted
+    row (see the module docstring); the row ids broadcast back along axis
+    i.  Colours and ids stay below the tuple count and the keys of
+    ``_pair_ids`` below its square, so int64 is exact for any input that
+    fits in memory."""
+    sides = [(G.n, 0, 0), (H.n, G.n**k, G.n ** (k - 1))]  # order, first tuple, first row
+
+    def signatures(colours):
+        for i in range(k):
+            # a side's tuples as (axes before i, axis i, axes after i): its
+            # axis-i lines are the rows (before, after)
+            views = [(n, n**i, n ** (k - 1 - i), first, row) for n, first, row in sides]
+            table = np.full((G.n ** (k - 1) + H.n ** (k - 1), max(G.n, H.n)), -1,
+                            dtype=np.int64)
+            for n, before, after, first, row in views:
+                cube = colours[first:first + n**k].reshape(before, n, after)
+                rows = table[row:row + before * after, :n].reshape(before, after, n)
+                rows[...] = cube.transpose(0, 2, 1)
+            ids, out = _row_multisets(table, modulus), np.empty_like(colours)
+            for n, before, after, first, row in views:
+                out[first:first + n**k].reshape(before, n, after)[...] = (
+                    ids[row:row + before * after].reshape(before, 1, after))
+            yield out
+
+    return _stable(_patterns(G, H, k, _adjacency), signatures, G.n**k)[1]
 
 
 def _partitions(refine, largest):

@@ -8,7 +8,7 @@ graph type itself plus the *independent* ground-truth machinery:
 - ``hom_count`` enumerates homomorphisms directly, one connected
   component of the pattern at a time, with pruning but no algebra shared
   with the tensor engine it is later used to audit; its ``pins`` fix the
-  images of some pattern vertices, which is how the oracle fills
+  images of some pattern vertices, which is how the tests fill
   homomorphism tensors;
 - ``walk_counts`` gives exact path-homomorphism counts via 1^T A^l 1;
 - ``is_isomorphic_small`` is an exhaustive isomorphism check for the tiny

@@ -440,38 +440,6 @@ def enumerate_tw(k, d, max_vertices):
     return records
 
 
-def enumerate_pw(k, d):
-    """Members of the depth-d pathwidth-(k-1) class: no gluing, so level
-    i+1 applies a single J to level i and closes under edge operations.
-    Sizes are bounded by k+d-1 (one fresh vertex per level)."""
-    if k < 1 or d < 1:
-        raise ValueError("k and d must be >= 1")
-    seen = LabelledSet()
-    records = []
-
-    def admit(batch):
-        fresh = []
-        for term, value in batch:
-            if seen.add(value, None):
-                rec = TwRecord(term, value)
-                records.append(rec)
-                fresh.append(rec)
-        return fresh
-
-    admit(_a_closure([(TOne(k), one_labelled(k))], k))
-    current = [(r.term, r.value) for r in records]
-    for _ in range(2, d + 1):
-        produced = []
-        for t, f in current:
-            for i in range(1, k + 1):
-                produced.append((TApplyJ(i, t), val_apply_j(f, i)))
-        fresh = admit(_a_closure(produced, k))
-        current = [(r.term, r.value) for r in records]
-        if not fresh:
-            break
-    return records
-
-
 # === Atomic graphs and the Lasserre values ===
 
 

@@ -25,15 +25,17 @@ has its dimension.
 ``engine._refine`` does for tw-all.  It starts from the atomic types (the
 equality and adjacency pattern of a tuple's slots), whose indicators the
 0/1 atomics span, and refines the colour of (a, b), a, b in V^t, by its
-product signature, the counts mod p of the pairs (col(a, c), col(c, b))
-over c in V^t, and at t = 2 by the colours of its six axis
-transpositions, until the colour count stops growing: the
+product signature, the multiset, counted mod p, of the pairs
+(col(a, c), col(c, b)) over c in V^t, and at t = 2 by the colours of its
+six axis transpositions, until the colour count stops growing: the
 coherent-closure step of Weisfeiler and Leman (1968), on both graphs
-jointly.  As e_X e_Y (a, b) counts the c with col(a, c) = X and
-col(c, b) = Y, the stable partition's block indicators span a space that
-holds the atomics and is closed under the class operations, so contains
-W.  ``dim_total`` is the colour count, and the pair is accepted iff
-every colour holds as many G-tuples as H-tuples mod p.
+jointly.  A line's multiset is its sorted row: the n^t pairs of line
+(a, b), each one int64 key, sorted.  As e_X e_Y (a, b) counts the c with
+col(a, c) = X and col(c, b) = Y, the stable partition's block indicators
+span a space that holds the atomics and is closed under the class
+operations, so contains W.  ``dim_total`` is the colour count, and the
+pair is accepted iff every colour holds as many G-tuples as H-tuples
+mod p.
 
 Proof owed: the spaces are equal if W is closed under Schur products of
 any two members (the ``engine`` docstring's x^p = x argument then makes W
@@ -54,12 +56,12 @@ from .engine import (
     Verdict,
     _adjacency,
     _blocks_balanced,
-    _line_signatures,
     _mod_matmul,
     _partitions,
     _patterns,
     _prime_verdict,
     _require_prime,
+    _row_multisets,
     _stable,
 )
 from .graphs import Graph
@@ -104,7 +106,7 @@ class MatrixOps(BlockOps):
         return np.ascontiguousarray(swapped).reshape(self.length)
 
 
-_SLICE_KEYS = 1 << 16  # product keys sorted at a time, whatever the graph size
+_SLICE_KEYS = 1 << 16  # product keys built at a time, whatever the graph size
 
 
 def _level_refine(G, H, t, modulus):
@@ -112,8 +114,14 @@ def _level_refine(G, H, t, modulus):
     in ``MatrixOps`` order) in the coarsest partition finer than the atomic
     types that is stable under the product signatures, counted mod
     ``modulus`` (over the integers when None), and at t = 2 under the axis
-    transpositions; and the class sizes (on G, on H).  The int64 sort keys
-    stay exact up to n = 68 at t = 2 (n = 4600 at t = 1)."""
+    transpositions; and the class sizes (on G, on H).
+
+    The product signature of (a, b) is the sorted row of its line,
+    col(a, c) * width + col(c, b) over c (``_row_multisets``), built a
+    slice of rows at a time.  With n = max(n_G, n_H), colours stay below
+    the tuple count T <= 2 n^(2t) and every key, here and in
+    ``_pair_ids``, below T^2 <= 4 n^(4t), so int64 is exact up to n = 197
+    at t = 2 (38,967 at t = 1), far past what fits in memory."""
     k = 2 * t
     colours = _patterns(
         G, H, k, lambda g: 2 * _adjacency(g) + np.eye(g.n, dtype=np.int64))
@@ -121,18 +129,21 @@ def _level_refine(G, H, t, modulus):
     transpositions = list(combinations(range(k), 2)) if t > 1 else []
 
     def products(colours):
-        """Groups (line (a, b), key col(a, c) * width + col(c, b)), per row slice."""
+        """One row per line (a, b), G's then H's, padded with -1 to one
+        width: col(a, c) * width + col(c, b) over c."""
         width = int(colours.max()) + 1
+        table = np.full((len(colours), max(G.n, H.n) ** t), -1, dtype=np.int64)
         for n, start in sides:
             s = n**t
             mat = colours[start:start + s * s].reshape(s, s)
             step = max(1, _SLICE_KEYS // max(1, s * s))
             for a in range(0, s, step):
                 keys = mat[a:a + step, None, :] * width + mat.T[None, :, :]
-                yield np.repeat(np.arange(len(keys) * s), s), keys.reshape(-1)
+                table[start + a * s:start + (a + len(keys)) * s, :s] = keys.reshape(-1, s)
+        return table
 
     def signatures(colours):
-        yield _line_signatures(products(colours), modulus)
+        yield _row_multisets(products(colours), modulus)
         for a, b in transpositions:
             yield np.concatenate([
                 np.swapaxes(colours[start:start + n**k].reshape((n,) * k), a, b).reshape(-1)

@@ -15,9 +15,7 @@ counts satisfy a linear recurrence of order |V(G)| (Cayley-Hamilton on the
 adjacency matrix), and two sequences that each satisfy a recurrence of
 order at most n and agree on the first 2n terms agree everywhere.
 
-The enumerating oracles count through ``graphs.hom_count``, and so does
-``hom_tensor``: each entry of a labelled graph's homomorphism tensor is a
-count with the label vertices pinned.
+The enumerating oracles count through ``graphs.hom_count``.
 
 Enumeration of non-isomorphic graphs is incremental edge addition with
 exhaustive isomorphism rejection — fine up to 7 vertices, no external
@@ -28,11 +26,8 @@ at most 8 vertices.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache, lru_cache
-
-import numpy as np
 
 from .graphs import (
     Graph,
@@ -45,7 +40,6 @@ from .graphs import (
     path_graph,
     walk_counts,
 )
-from .labelled import LabelledGraph
 
 __all__ = [
     "OracleVerdict",
@@ -58,7 +52,6 @@ __all__ = [
     "homind_bruteforce",
     "homind_size_bruteforce",
     "paths_oracle",
-    "hom_tensor",
     "is_path_graph",
     "exact_treewidth_tiny",
     "exact_pathwidth_tiny",
@@ -411,30 +404,3 @@ def paths_oracle(G: Graph, H: Graph, modulus: int | None = None) -> bool:
         wg = [x % modulus for x in wg]
         wh = [x % modulus for x in wh]
     return wg == wh
-
-
-# ------------------------------------------------------------ hom tensors
-
-
-def hom_tensor(F: LabelledGraph, G: Graph, modulus: int | None = None) -> np.ndarray:
-    """The homomorphism tensor of a labelled graph F in G.
-
-    Entry [v_1, ..., v_r] (r = number of in-labels plus out-labels, axes in
-    that order) counts homomorphisms of F's underlying graph into G that
-    send the i-th label vertex to v_i.  Coincident label vertices make the
-    tensor supported on the corresponding diagonal.  Entries are exact
-    Python integers, or residues when modulus is given.
-    """
-    label_vertices = list(F.in_labels) + list(F.out_labels)
-    r = len(label_vertices)
-    shape = (G.n,) * r
-    tensor = np.zeros(shape, dtype=object)
-    for targets in itertools.product(range(G.n), repeat=r):
-        pins = dict(zip(label_vertices, targets))
-        if any(pins[v] != x for v, x in zip(label_vertices, targets)):
-            continue  # a coincident label vertex sent to two places
-        value = hom_count(F.graph, G, pins=pins)
-        if modulus is not None:
-            value %= modulus
-        tensor[targets] = value
-    return tensor

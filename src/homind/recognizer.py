@@ -51,7 +51,6 @@ from .labelled import (
     format_term,
     soe,
 )
-from .oracle import _dedup_isomorphic, enumerate_graphs_up_to
 
 
 class AutomatonFormatError(ValueError):
@@ -355,28 +354,6 @@ def trace_term(aut, term):
     if isinstance(term, TGlue):
         return aut.glue_state(trace_term(aut, term.left), trace_term(aut, term.right))
     raise TypeError(f"not a term node: {term!r}")
-
-
-def accepted_value_graphs(aut, max_size):
-    """Graphs of at most max_size vertices that the automaton provably
-    accepts: the small_members policy (graphs on <= k vertices) plus the
-    underlying graphs of accepted enumerated term values.  Deduplicated up
-    to isomorphism.  For the builtin recognisers this is exactly the class
-    restricted to max_size; for arbitrary automata it is a lower bound
-    limited by what the term enumeration reaches.
-    """
-
-    def candidates():
-        if aut.small_members == "all":
-            yield from enumerate_graphs_up_to(min(aut.k, max_size))
-        elif aut.small_members != "none":
-            yield from (g for g in aut.small_members if g.n <= max_size)
-        if max_size >= aut.k:
-            for rec in enumerate_tw(aut.k, max_size + 1, max_size):
-                if trace_term(aut, rec.term) in aut.accepting:
-                    yield soe(rec.value)
-
-    return _dedup_isomorphic(candidates(), cap=max(10, max_size))
 
 
 # === Validation harness ===

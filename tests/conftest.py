@@ -1,13 +1,28 @@
-"""Shared test helpers: seeded random graphs, tiny fixtures, and the
-bases a closure ends with."""
+"""Shared test helpers: seeded random graphs, tiny fixtures, the bases a
+closure ends with, and brute-force references no command uses (labelled
+homomorphism tensors, the pathwidth term enumeration and the graphs an
+automaton accepts)."""
 
+import itertools
 import random
 
 import numpy as np
 
 from homind import engine
-from homind.graphs import Graph
-from homind.oracle import hom_tensor
+from homind.graphs import Graph, hom_count
+from homind.labelled import (
+    LabelledSet,
+    TApplyJ,
+    TOne,
+    TwRecord,
+    _a_closure,
+    enumerate_tw,
+    one_labelled,
+    soe,
+    val_apply_j,
+)
+from homind.oracle import _dedup_isomorphic, enumerate_graphs_up_to
+from homind.recognizer import trace_term
 
 
 def random_graph(rng, n, p=0.5):
@@ -69,6 +84,83 @@ def closure_runs(monkeypatch, one_at_a_time=False, order_rng=None):
 
     monkeypatch.setattr(engine, "_closure", traced)
     return runs
+
+
+def hom_tensor(F, G, modulus=None):
+    """The homomorphism tensor of a labelled graph F in G.
+
+    Entry [v_1, ..., v_r] (r = number of in-labels plus out-labels, axes in
+    that order) counts homomorphisms of F's underlying graph into G that
+    send the i-th label vertex to v_i.  Coincident label vertices make the
+    tensor supported on the corresponding diagonal.  Entries are exact
+    Python integers, or residues when modulus is given.
+    """
+    label_vertices = list(F.in_labels) + list(F.out_labels)
+    r = len(label_vertices)
+    tensor = np.zeros((G.n,) * r, dtype=object)
+    for targets in itertools.product(range(G.n), repeat=r):
+        pins = dict(zip(label_vertices, targets))
+        if any(pins[v] != x for v, x in zip(label_vertices, targets)):
+            continue  # a coincident label vertex sent to two places
+        value = hom_count(F.graph, G, pins=pins)
+        if modulus is not None:
+            value %= modulus
+        tensor[targets] = value
+    return tensor
+
+
+def enumerate_pw(k, d):
+    """Members of the depth-d pathwidth-(k-1) class: no gluing, so level
+    i+1 applies a single J to level i and closes under edge operations.
+    Sizes are bounded by k+d-1 (one fresh vertex per level)."""
+    if k < 1 or d < 1:
+        raise ValueError("k and d must be >= 1")
+    seen = LabelledSet()
+    records = []
+
+    def admit(batch):
+        fresh = []
+        for term, value in batch:
+            if seen.add(value, None):
+                rec = TwRecord(term, value)
+                records.append(rec)
+                fresh.append(rec)
+        return fresh
+
+    admit(_a_closure([(TOne(k), one_labelled(k))], k))
+    current = [(r.term, r.value) for r in records]
+    for _ in range(2, d + 1):
+        produced = []
+        for t, f in current:
+            for i in range(1, k + 1):
+                produced.append((TApplyJ(i, t), val_apply_j(f, i)))
+        fresh = admit(_a_closure(produced, k))
+        current = [(r.term, r.value) for r in records]
+        if not fresh:
+            break
+    return records
+
+
+def accepted_value_graphs(aut, max_size):
+    """Graphs of at most max_size vertices that the automaton provably
+    accepts: the small_members policy (graphs on <= k vertices) plus the
+    underlying graphs of accepted enumerated term values.  Deduplicated up
+    to isomorphism.  For the builtin recognisers this is exactly the class
+    restricted to max_size; for arbitrary automata it is a lower bound
+    limited by what the term enumeration reaches.
+    """
+
+    def candidates():
+        if aut.small_members == "all":
+            yield from enumerate_graphs_up_to(min(aut.k, max_size))
+        elif aut.small_members != "none":
+            yield from (g for g in aut.small_members if g.n <= max_size)
+        if max_size >= aut.k:
+            for rec in enumerate_tw(aut.k, max_size + 1, max_size):
+                if trace_term(aut, rec.term) in aut.accepting:
+                    yield soe(rec.value)
+
+    return _dedup_isomorphic(candidates(), cap=max(10, max_size))
 
 
 def stacked_tensors(values, G, H):

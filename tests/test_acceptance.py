@@ -31,7 +31,7 @@ from homind.graphs import (
     is_isomorphic_small,
     serialize_graph,
 )
-from homind.labelled import enumerate_lasserre, enumerate_pw, enumerate_tw, soe
+from homind.labelled import enumerate_lasserre, enumerate_tw, soe
 from homind.lasserre import lasserre_mod
 from homind.modular import (
     bound_lasserre,
@@ -42,7 +42,6 @@ from homind.modular import (
 )
 from homind.oracle import (
     enumerate_graphs_up_to,
-    hom_tensor,
     homind_bruteforce,
     homind_size_bruteforce,
     is_path_graph,
@@ -57,7 +56,7 @@ from homind.recognizer import (
 )
 from homind.wl import cfi, gen_clique_reduction, wl_refine
 
-from conftest import PATHS_K1, permuted_copy, random_graph
+from conftest import PATHS_K1, enumerate_pw, hom_tensor, permuted_copy, random_graph
 
 BIG_PRIME = (1 << 128) - 159
 

@@ -42,7 +42,7 @@ from homind.graphs import (
     star_graph,
     walk_counts,
 )
-from homind.labelled import TApplyA, TApplyJ, TOne, enumerate_pw, enumerate_tw
+from homind.labelled import TApplyA, TApplyJ, TOne, enumerate_tw
 from homind.lasserre import lasserre_randomized
 from homind.modular import (
     BoundOverflow,
@@ -55,10 +55,18 @@ from homind.modular import (
     smallest_primes_with_product_exceeding,
     trial_count,
 )
-from homind.oracle import enumerate_graphs_up_to, hom_tensor, paths_oracle
+from homind.oracle import enumerate_graphs_up_to, paths_oracle
 from homind.recognizer import builtin, parse_automaton, trace_term
 
-from conftest import closure_runs, permuted_copy, random_graph, span_check, stacked_tensors
+from conftest import (
+    closure_runs,
+    enumerate_pw,
+    hom_tensor,
+    permuted_copy,
+    random_graph,
+    span_check,
+    stacked_tensors,
+)
 from test_cli_golden import GRAPHS, ONE_STATE_NONE
 
 BIG_PRIME = (1 << 128) - 159

@@ -21,7 +21,6 @@ from homind.labelled import (
     enumerate_atomic,
     enumerate_lasserre,
     enumerate_lasserre_values,
-    enumerate_pw,
     enumerate_tw,
     format_term,
     glue,
@@ -37,6 +36,8 @@ from homind.labelled import (
 )
 from homind.modular import Xoshiro256StarStar
 from homind.oracle import exact_pathwidth_tiny, exact_treewidth_tiny
+
+from conftest import enumerate_pw
 
 
 def random_labelled(rng, k, n, p=0.5, bilabelled=False):

@@ -35,7 +35,6 @@ from homind.oracle import (
     enumerate_graphs_up_to,
     exact_pathwidth_tiny,
     exact_treewidth_tiny,
-    hom_tensor,
     homind_bruteforce,
     homind_size_bruteforce,
     is_path_graph,
@@ -43,7 +42,7 @@ from homind.oracle import (
     paths_oracle,
 )
 
-from conftest import random_graph, seeded
+from conftest import hom_tensor, random_graph, seeded
 
 
 # ------------------------------------------------------------ enumeration

@@ -25,14 +25,13 @@ from homind.oracle import enumerate_graphs_up_to, is_path_graph
 from homind.recognizer import (
     Automaton,
     AutomatonFormatError,
-    accepted_value_graphs,
     builtin,
     parse_automaton,
     trace_term,
     validate_automaton,
 )
 
-from conftest import PATHS_K1
+from conftest import PATHS_K1, accepted_value_graphs
 
 TW_ALL_K2 = """\
 k 2

@@ -9,13 +9,21 @@ pairs of equal order and size that the small stage cannot split, at
 sizes far beyond the brute-force oracles.  The forests gate checks a
 four-state automaton, decided by the linear closure, against the
 one-state refinement and 1-WL.  The exact gate checks the command line's
-exact tw-all decision against (k-1)-WL on all of these pairs.
+exact tw-all decision against (k-1)-WL on all of these pairs.  The kernel
+gates compare ``_row_multisets``, ``_refine`` and ``_level_refine`` at
+t = 1 with a pure-Python refinement that counts each line's colours one
+tuple at a time, and the CFI gates check the refinement against the
+treewidth of the base graph.
 """
 
 import random
+from collections import Counter
+from itertools import combinations, product
+
+import numpy as np
 
 from homind.cli import main
-from homind.engine import _linear_closure, _refine, modhomind
+from homind.engine import _linear_closure, _refine, _row_multisets, modhomind
 from homind.graphs import (
     Graph,
     complete_graph,
@@ -25,6 +33,7 @@ from homind.graphs import (
     empty_graph,
     serialize_graph,
 )
+from homind.lasserre import _level_refine
 from homind.oracle import exact_treewidth_tiny
 from homind.recognizer import Automaton, builtin, parse_automaton, validate_automaton
 from homind.wl import cfi, wl_refine
@@ -104,6 +113,113 @@ def test_refinement_without_accepting_state_accepts():
     stats = {}
     assert modhomind(G, H, silent, 7, stats=stats).accept
     assert stats["dim_total"] == 3  # edge, non-edge, and V(H)^2 on its own
+
+
+# === The row-multiset kernel against a pure-Python refinement ===
+
+
+def _multiset(values, modulus):
+    """The multiset of ``values`` with multiplicities mod ``modulus``
+    (over the integers when None)."""
+    counts = Counter(values)
+    if modulus is not None:
+        counts = {v: m % modulus for v, m in counts.items()}
+    return frozenset((v, m) for v, m in counts.items() if m)
+
+
+def _reference_classes(G, H, arity, start, signature):
+    """Sorted (|B∩G|, |B∩H|) over the classes B of the coarsest refinement
+    of ``start(g, x)`` by ``signature(colour, g, x)`` on the arity-tuples,
+    computed one tuple at a time: ``colour(x)`` is the colour of x on the
+    same side."""
+    colours = {(side, x): start(g, x) for side, g in enumerate((G, H))
+               for x in product(range(g.n), repeat=arity)}
+    while True:
+        refined = {}
+        for (side, x), c in colours.items():
+            g = (G, H)[side]
+            refined[side, x] = (c, signature(lambda y: colours[side, y], g, x))
+        palette = {c: i for i, c in enumerate(set(refined.values()))}
+        if len(palette) == len(set(colours.values())):
+            break
+        colours = {key: palette[c] for key, c in refined.items()}
+    sizes = Counter((c, side) for (side, _), c in colours.items())
+    return sorted((sizes[c, 0], sizes[c, 1]) for c in set(colours.values()))
+
+
+def _reference_tw(G, H, k, modulus):
+    """``_refine``'s classes: adjacency patterns, refined by the colour
+    multiset mod p on every axis-i line."""
+    def start(g, x):
+        return tuple((x[i], x[j]) in g.edges or (x[j], x[i]) in g.edges
+                     for i, j in combinations(range(k), 2))
+
+    def signature(colour, g, x):
+        return tuple(_multiset([colour(x[:i] + (v,) + x[i + 1:]) for v in range(g.n)],
+                               modulus) for i in range(k))
+
+    return _reference_classes(G, H, k, start, signature)
+
+
+def _reference_level1(G, H, modulus):
+    """``_level_refine``'s classes at t = 1: equality and adjacency of
+    (a, b), refined by the multiset mod p of (col(a, c), col(c, b))."""
+    def start(g, x):
+        return (x[0] == x[1], (x[0], x[1]) in g.edges or (x[1], x[0]) in g.edges)
+
+    def signature(colour, g, x):
+        return _multiset([(colour((x[0], c)), colour((c, x[1]))) for c in range(g.n)],
+                         modulus)
+
+    return _reference_classes(G, H, 2, start, signature)
+
+
+def _kernel_pairs():
+    """Seeded (k, G, H): orders 0 and 1, unequal orders, and random pairs
+    that are permuted, rewired or drawn independently."""
+    rng = random.Random(24)
+    for k, n_max in ((1, 7), (2, 5), (3, 4)):
+        yield k, empty_graph(0), empty_graph(0)
+        yield k, empty_graph(0), random_graph(rng, 1)
+        yield k, empty_graph(1), random_graph(rng, n_max, 0.5)
+        for _ in range(6):
+            g = random_graph(rng, rng.randrange(2, n_max + 1), rng.random())
+            pick = rng.randrange(3)
+            if pick == 0:
+                h = permuted_copy(rng, g)
+            elif pick == 1:
+                h = _move_one_edge(rng, g)
+            else:
+                h = random_graph(rng, rng.randrange(0, n_max + 1), rng.random())
+            yield k, g, h
+
+
+def test_row_multisets_are_line_multisets_mod_p():
+    """Two padded rows get one id iff their multisets mod p agree, and
+    the ids are dense."""
+    rng = np.random.default_rng(24)
+    for modulus in (None, 2, 3, 5):
+        for width in (1, 4, 9):
+            rows = rng.integers(0, 3, size=(60, width))
+            rows[rng.random(rows.shape) < 0.3] = -1
+            want = [_multiset([v for v in row if v >= 0], modulus) for row in rows.tolist()]
+            ids = _row_multisets(rows.copy(), modulus)
+            assert sorted(set(ids.tolist())) == list(range(len(set(want))))
+            for a in range(len(rows)):
+                for b in range(len(rows)):
+                    assert (ids[a] == ids[b]) == (want[a] == want[b]), (modulus, width)
+
+
+def test_refinement_matches_pure_python_reference():
+    """``_refine`` at k = 1, 2, 3 and ``_level_refine`` at t = 1 give the
+    classes of the one-tuple-at-a-time refinement, over the integers and
+    mod 2, 3 and 5, on orders 0 and 1 and on unequal orders."""
+    for k, G, H in _kernel_pairs():
+        for modulus in (None, 2, 3, 5):
+            got = sorted(zip(*(sizes.tolist() for sizes in _refine(G, H, k, modulus))))
+            assert got == _reference_tw(G, H, k, modulus), (k, G, H, modulus)
+            got = sorted(zip(*(sizes.tolist() for sizes in _level_refine(G, H, 1, modulus)[1])))
+            assert got == _reference_level1(G, H, modulus), (G, H, modulus)
 
 
 # === tw-all against (k-1)-WL beyond the brute-force sizes ===
@@ -187,6 +303,21 @@ def test_tw_all_k4_refinement_splits_cfi_over_k4():
     verdict = modhomind(even, odd, builtin("tw-all", 4), (1 << 31) - 1)
     assert not verdict.accept
     assert verdict.small_stage_witness == complete_graph(4)
+
+
+def test_tw_all_k3_refinement_accepts_cfi_over_treewidth_3_bases():
+    """The even and odd CFI graphs over a connected base B are
+    indistinguishable over treewidth below k iff tw(B) >= k (Roberson;
+    Neuen).  The 3-cube and K5 have treewidth 3 and 4, so at arity 3 the
+    refined partitions of 32^3 and 40^3 tuples per graph are balanced."""
+    cube = Graph.from_edges(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4)
+                                if u < u ^ bit])
+    for base, colours in ((cube, 23), (complete_graph(5), 43)):
+        assert exact_treewidth_tiny(base) >= 3
+        even, odd = (cfi(base, parity).result for parity in (0, 1))
+        sizes_g, sizes_h = _refine(even, odd, 3, None)
+        assert len(sizes_g) == colours
+        assert (sizes_g == sizes_h).all()
 
 
 # === A multi-state treewidth automaton: forests ===
