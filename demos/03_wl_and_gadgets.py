@@ -58,12 +58,12 @@ for k in (1, 2):
 # vertices.  The products differ exactly when the source contains K3.
 
 from homind.graphs import cycle_graph, path_graph
-from homind.oracle import homind_size_bruteforce
+from homind.oracle import homind_bruteforce
 from homind.wl import gen_clique_reduction
 
 for source in (path_graph(4), cycle_graph(3)):
     left, right, k = gen_clique_reduction(source, 3)
-    verdict = homind_size_bruteforce(left, right, k)
+    verdict = homind_bruteforce(left, right, "all", k)
     has_triangle = hom_count(k3, source) > 0
     print(f"source n={source.n} m={source.m}: triangle={has_triangle}, "
           f"products indistinguishable={verdict.indistinguishable}")

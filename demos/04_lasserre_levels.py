@@ -59,14 +59,13 @@ h = Graph.from_edges(5, [(perm[u], perm[v]) for u, v in g.edges])
 print("isomorphic pair accepted:", lasserre_mod(g, h, 1, 101).accept)
 
 # %%
-# The randomized wrapper lifts the mod-p verdict to exact counts without
-# drawing a prime: every prime above the level-t bound exceeds every
-# class size the partition compares, so the verdict at any of them is
-# the verdict over the integers (mode=exact).  Unequal vertex counts are
-# rejected.
+# Random mode lifts the mod-p verdict to exact counts without drawing a
+# prime: every prime above the level-t bound exceeds every class size the
+# partition compares, so the verdict at any of them is the verdict over
+# the integers (mode=exact), which ``lasserre_exact`` computes.  Unequal
+# vertex counts are rejected.
 
-from homind.lasserre import lasserre_randomized
+from homind.lasserre import lasserre_exact
 
-verdict = lasserre_randomized(complete_graph(2), Graph.from_edges(3, [(0, 1)]),
-                              1, seed=0)
+verdict = lasserre_exact(complete_graph(2), Graph.from_edges(3, [(0, 1)]), 1)
 print("unequal orders rejected:", not verdict.accept, "| mode:", verdict.mode)

@@ -58,7 +58,7 @@ from .graphs import (
     parse_graph,
     serialize_graph,
 )
-from .lasserre import lasserre_exact, lasserre_mod, lasserre_randomized
+from .lasserre import lasserre_exact, lasserre_mod
 from .modular import BoundOverflow, bound_lasserre, bound_pw, bound_tw
 from .oracle import (
     class_members,
@@ -212,13 +212,12 @@ def cmd_pwhomind(args) -> int:
 
 
 def cmd_lasserre(args) -> int:
+    exact = lambda G, H: lasserre_exact(G, H, args.t)
     return _decide(
         args,
         lambda G, H, p: lasserre_mod(G, H, args.t, p),
-        lambda G, H, seed: lasserre_randomized(
-            G, H, args.t, seed=seed, bit_cap=args.bit_cap,
-            prime_bits=args.prime_bits),
-        lambda G, H: lasserre_exact(G, H, args.t),
+        lambda G, H, seed: exact(G, H),
+        exact,
     )
 
 

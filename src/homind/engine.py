@@ -66,19 +66,20 @@ equivalence (Tzeng, SIAM J. Comput. 1992).  That is the full closure's
 reject: the readout is linear, the rows inserted into a bucket span its
 final basis, and a row in the span stays there.
 
-Counts over the integers are decided three ways.  A one-state
-treewidth recogniser needs no prime (``homind_exact``): the small stage
-compares exact counts and the partition refined over the integers is
-checked for balance over the integers, which is the verdict at every
-prime above n^k, so at every prime a certified draw can return.  For the
-pathwidth flavour and multi-state automata the randomized wrapper runs the
-same two checks first.  A small-stage witness is an exact reject, and a
+Counts over the integers are decided three ways.  The exact check is
+``_closure_verdict`` at p None.  It compares the small members' exact
+counts, and checks the partition refined over the integers for balance
+over the integers.  For a one-state treewidth recogniser these decide
+(``homind_exact``): they give the verdict at every prime above n^k, so
+at every prime a certified draw can return.  For the pathwidth flavour and
+multi-state automata a small-stage witness is an exact reject and a
 balanced integer partition an exact accept: the certificate above holds
 over Q, since the block indicators of the integer partition span a space
 that contains 1 and is closed under the A-masks, the J_i and Schur
-products.  Only the other pairs draw primes, uniform ones from a range
-wide enough that five independent draws catch disagreeing counts except
-with probability 2^-trials (one-sided error: equal counts are never
+products.  The randomized wrapper asks this check first, and only the
+pairs it leaves open draw primes, uniform ones from a range wide enough
+that five independent draws catch disagreeing counts except with
+probability 2^-trials (one-sided error: equal counts are never
 rejected).  A deterministic mode (pathwidth flavour) relies on the
 Chinese remainder theorem: any set of primes whose product exceeds the
 largest possible count detects any disagreement.  It decides the
@@ -670,7 +671,7 @@ def _prime_verdict(p, accept, note="", witness=None):
 def _closure_verdict(G, H, aut, p, include_schur, counts, stats=None,
                      partitions=None):
     """modhomind / modhomind_pw for a modulus already known to be prime,
-    and ``homind_exact`` for p None; ``counts`` is the decision's
+    and the one exact check for p None; ``counts`` is the decision's
     ``_small_counts`` and ``partitions`` its ``_partitions`` (made here
     when None).
 
@@ -679,7 +680,12 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, stats=None,
     docstring), so a partition balanced at p certifies an accept, and only
     an uncertified pair runs the linear closure, up to its first unequal
     readout.  A call that passes ``stats`` runs the full linear closure
-    regardless, so the statistics are the whole closure's."""
+    regardless, so the statistics are the whole closure's.
+
+    At p None the integers decide a small-stage witness, a one-state
+    treewidth class and a balanced integer partition (``homind_exact``
+    and ``homind_randomized``); any other pair returns None, with no
+    linear closure run."""
     witness, note = _small_stage(aut, p, counts)
     if witness is not None:
         if stats is not None:
@@ -689,9 +695,12 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, stats=None,
     partitions = partitions or _tw_partitions(G, H, aut.k)
     if include_schur and aut.states == 1:
         accept = _blocks_balanced(*partitions(p), p, stats) or not aut.accepting
+    elif stats is None and _blocks_balanced(*partitions(p), p):
+        accept = True
+    elif p is None:
+        return None
     else:
-        accept = ((stats is None and _blocks_balanced(*partitions(p), p))
-                  or _linear_closure(G, H, aut, p, include_schur, stats))
+        accept = _linear_closure(G, H, aut, p, include_schur, stats)
     return _prime_verdict(p, accept, note)
 
 
@@ -778,13 +787,12 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
     "pw"): exactly where the integer partition decides, by random primes
     where it cannot.  One-sided error: equal counts are always accepted.
 
-    A one-state automaton in the treewidth flavour is ``homind_exact``.
-    Every other decision runs the small stage over the integers first; a
-    witness there is an exact reject.  Next it checks the tw-all partition
-    at arity k, refined over the integers: if every class is balanced, the
-    accept is exact (module docstring).  Either verdict has mode "exact",
-    lists no prime and computes no bound, so seed, bit_cap and prime_bits
-    do not matter there.
+    The decision asks the exact check, ``_closure_verdict`` at p None,
+    first: a one-state treewidth class, a small-stage witness over the
+    integers and a tw-all partition at arity k balanced over the integers
+    are decided exactly (module docstring).  Such a verdict has mode
+    "exact", lists no prime and computes no bound, so seed, bit_cap and
+    prime_bits do not matter there.
 
     Only an uncertified pair draws primes, from one generator per decision,
     ``Xoshiro256StarStar(seed)``, so the primes are a pure function of the
@@ -824,13 +832,12 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
     if prime_bits is not None and prime_bits < 5:
         raise ValueError("prime_bits must be at least 5")
     include_schur = variant == "tw"
-    if include_schur and aut.states == 1:
-        return homind_exact(G, H, aut, budget=budget)
     counts = _small_counts(G, H, budget)
     partitions = _tw_partitions(G, H, aut.k)
-    witness, note = _small_stage(aut, None, counts)
-    if witness is not None or _blocks_balanced(*partitions(None), None):
-        return _prime_verdict(None, witness is None, note, witness)
+    exact = _closure_verdict(G, H, aut, None, include_schur, counts,
+                             partitions=partitions)
+    if exact is not None:
+        return exact
     rng = Xoshiro256StarStar(seed)
     if prime_bits is not None:
         count = trial_count(1 << (prime_bits - 1))

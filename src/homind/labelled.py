@@ -316,12 +316,6 @@ class LabelledSet:
         self.items.append((F, payload))
         return True
 
-    def __len__(self):
-        return len(self.items)
-
-    def graphs(self):
-        return [f for f, _ in self.items]
-
 
 # === Enumeration: treewidth and pathwidth classes ===
 

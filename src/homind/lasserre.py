@@ -44,7 +44,8 @@ atomics only.  The equality is measured: the tests gate the colour count
 and verdict against the linear closure of W by Gaussian elimination on
 ``MatrixOps``, on seeded and structured pairs at both levels.  No product
 count exceeds n^t, so every prime above it shares the partition refined
-over the integers, and ``lasserre_exact`` decides over the integers.
+over the integers, and ``lasserre_exact`` decides over the integers,
+in random mode too, with no prime drawn.
 """
 
 from itertools import combinations
@@ -183,11 +184,3 @@ def lasserre_exact(G: Graph, H: Graph, t: int, *, stats=None) -> Verdict:
     partitions = _level_partitions(G, H, t)
     return _prime_verdict(None, _blocks_balanced(*partitions(None), None, stats))
 
-
-def lasserre_randomized(G: Graph, H: Graph, t: int, seed: int = 0,
-                        bit_cap=None, prime_bits=None) -> Verdict:
-    """The exact-count decision over the level-t class, for callers of the
-    randomized interface: ``lasserre_exact``, the verdict every certified
-    prime draw would return, so no prime is drawn and seed, bit_cap and
-    prime_bits do not matter."""
-    return lasserre_exact(G, H, t)

@@ -137,11 +137,6 @@ class Xoshiro256StarStar:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def choice(self, items):
-        if not items:
-            raise ValueError("empty sequence")
-        return items[self.randbelow(len(items))]
-
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,

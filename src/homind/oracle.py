@@ -50,7 +50,6 @@ __all__ = [
     "class_members",
     "class_membership",
     "homind_bruteforce",
-    "homind_size_bruteforce",
     "paths_oracle",
     "is_path_graph",
     "exact_treewidth_tiny",
@@ -373,19 +372,6 @@ def homind_bruteforce(
         if a != b:
             return OracleVerdict(False, F, (a, b), index + 1)
     return OracleVerdict(True, None, None, len(members))
-
-
-def homind_size_bruteforce(G: Graph, H: Graph, k: int) -> OracleVerdict:
-    """Indistinguishability over all graphs with at most k vertices, k <= 5.
-
-    At k = 1 the only member is K_1, so the verdict is exactly
-    |V(G)| = |V(H)|.
-    """
-    if k > 5:
-        raise ValueError("homind_size_bruteforce supports k <= 5, got %d" % k)
-    if k < 1:
-        raise ValueError("homind_size_bruteforce requires k >= 1")
-    return homind_bruteforce(G, H, "all", k)
 
 
 def paths_oracle(G: Graph, H: Graph, modulus: int | None = None) -> bool:

@@ -43,7 +43,6 @@ from homind.modular import (
 from homind.oracle import (
     enumerate_graphs_up_to,
     homind_bruteforce,
-    homind_size_bruteforce,
     is_path_graph,
     paths_oracle,
 )
@@ -271,7 +270,7 @@ def test_criterion_09_clique_reduction():
     for _ in range(5):
         g = random_graph(rng, rng.randrange(3, 6))
         left, right, k = gen_clique_reduction(g, 3)
-        verdict = homind_size_bruteforce(left, right, k)
+        verdict = homind_bruteforce(left, right, "all", k)
         has_triangle = hom_count(complete_graph(3), g) > 0
         assert verdict.indistinguishable == (not has_triangle), g
         outcomes[has_triangle] += 1

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -111,16 +112,21 @@ def test_seeded_runs_are_byte_identical(files, capsys):
     # an accept the integer tw-all partition certifies: exact, no prime
     (("pwhomind", "--builtin", "paths"), ("c6", "2k3"), 0),
     (("lasserre", "--t", "1"), ("c6", "c6"), 0),
-], ids=["homind", "pwhomind", "lasserre"])
+    # the level-2 bound at n = 6 needs more than 50 bits, but random mode
+    # draws no prime for Lasserre, so the cap is never reached
+    (("lasserre", "--t", "2", "--bit-cap", "50"), ("c6", "2k3"), 1),
+], ids=["homind", "pwhomind", "lasserre", "lasserre-t2-bit-cap"])
 def test_parallel_fanout_output_is_identical(files, capsys, command, pair, code):
     """``--parallel`` is accepted for compatibility and changes nothing:
-    primes are decided one at a time either way."""
+    primes are decided one at a time either way.  Every case here is
+    decided over the integers, with no prime."""
     argv = [*command, "--mode", "random", "--seed", "6",
             *(files[name] for name in pair)]
     rc1, out1, _ = run(argv, capsys)
     rc2, out2, _ = run(argv + ["--parallel", "3"], capsys)
     assert rc1 == rc2 == code
     assert out1 == out2
+    assert "mode=exact" in out1.splitlines()
 
 
 def test_parallel_below_one_is_a_usage_error(files, capsys):
@@ -354,6 +360,11 @@ def test_oracle_reports_witness_and_counts(files, capsys):
                         "--class", "tw:1", "--max-size", "5"], capsys)
     assert rc2 == 0
     assert "family_size=22" in out2.splitlines()
+    # with --prime the counts are residues, and the modulus is echoed
+    assert run(["oracle", files["c6"], files["2k3"], "--class", "all",
+                "--max-size", "3", "--prime", "5"], capsys) == (1, (
+        "class=all\nmax_size=3\nmodulus=5\nverdict=reject\nfamily_size=7\n"
+        "witness=n 3 m 3 0 1 0 2 1 2\ncount_left=0\ncount_right=2\n"), "")
 
 
 def test_enumerate_lists_paths(files, capsys):
@@ -363,6 +374,16 @@ def test_enumerate_lists_paths(files, capsys):
     lines = out.splitlines()
     assert "count=4" in lines
     assert "graph=n 4 m 3 0 1 1 2 2 3" in lines
+    # level 1 of Lasserre: every graph on at most 4 vertices but K4
+    members = ["n 1 m 0", "n 2 m 0", "n 2 m 1 0 1", "n 3 m 0", "n 3 m 1 0 1",
+               "n 3 m 2 0 1 0 2", "n 3 m 3 0 1 0 2 1 2", "n 4 m 0",
+               "n 4 m 1 0 3", "n 4 m 2 1 2 2 3", "n 4 m 2 0 1 2 3",
+               "n 4 m 3 0 1 0 2 1 2", "n 4 m 3 0 1 1 2 1 3",
+               "n 4 m 3 0 1 1 3 2 3", "n 4 m 4 0 1 0 2 1 3 2 3",
+               "n 4 m 4 0 1 0 2 1 2 1 3", "n 4 m 5 0 1 0 2 0 3 1 2 2 3"]
+    assert run(["enumerate", "--class", "lasserre-t1", "--max-size", "4"],
+               capsys) == (0, "class=lasserre-t1\nmax_size=4\ncount=17\n"
+                           + "".join(f"graph={g}\n" for g in members), "")
 
 
 def test_enumerate_rejects_a_negative_width(files, capsys):
@@ -452,6 +473,23 @@ def test_validate_automaton_ok_and_failing(files, capsys):
     lines = out2.splitlines()
     assert "ok=false" in lines
     assert "kind=acceptance" in lines
+    # one J transition of paths redirected to the start state: the empty
+    # term and a two-edge path now share state 0, and a context tells
+    # them apart
+    text = resources.files("homind").joinpath("data/paths_k2.aut").read_text()
+    lines = text.splitlines(keepends=True)
+    assert lines[100] == "J 1 5 -> 4\n"
+    lines[100] = "J 1 5 -> 0\n"
+    merged = files["dir"] + "/merged.aut"
+    Path(merged).write_text("".join(lines))
+    assert run(["validate-automaton", "--automaton", merged, "--class", "paths",
+                "--context-bound", "4"], capsys) == (1, (
+        "arity=2\nstates=13\nok=false\nkind=state-merge\nterm1=one\n"
+        "term2=J(1,A(1,2,J(2,A(1,2,one))))\n"
+        "context=A(1,2,glue(J(1,A(1,2,one)),J(2,A(1,2,one))))\n"
+        "detail=both trace to state 0 but the context verdicts differ "
+        "(True vs False)\n"
+        "terms_checked=26\ncontexts_checked=26\n"), "")
 
 
 def test_width_zero_and_forest_membership_match_the_exact_widths():
@@ -481,6 +519,12 @@ def test_cfi_stdout_is_a_parseable_graph(files, capsys):
     assert rc == 0
     gadget = parse_graph(out)
     assert (gadget.n, gadget.m) == (6, 6)
+    assert out == ("# gadget over base n=3 m=3, parity=1\n"
+                   "n 6 m 6\n0 3\n0 4\n1 2\n1 5\n2 4\n3 5\n")
+    # --json without --out embeds the same graph text
+    assert run(["cfi", files["k3"], "--parity", "1", "--json"], capsys) == (
+        0, json.dumps({"parity": 1, "vertices": 6, "edges": 6, "graph": out})
+        + "\n", "")
 
 
 def test_cfi_out_file_and_manifest(files, capsys, tmp_path):
@@ -515,6 +559,11 @@ def test_gen_json_embeds_both_graphs(files, capsys):
     obj = json.loads(out)
     assert parse_graph(obj["graph_left"]).n == 24
     assert parse_graph(obj["graph_right"]).n == 24
+    # with neither --json nor --out-prefix, both graphs go to stdout
+    assert run(["gen", "wl-hardness", files["k3"], "--k", "2"], capsys) == (
+        0, "# wl-hardness k=2 left\nn 6 m 6\n0 2\n0 4\n1 3\n1 5\n2 4\n3 5\n"
+           "# wl-hardness k=2 right\nn 6 m 6\n0 3\n0 4\n1 2\n1 5\n2 4\n3 5\n",
+        "")
 
 
 def test_graph_random_is_seed_deterministic(files, capsys):
@@ -525,6 +574,12 @@ def test_graph_random_is_seed_deterministic(files, capsys):
     assert out1 == out2
     assert out1.startswith("# random seed=9")
     assert parse_graph(out1).n == 6
+    # --json without --out embeds the graph text
+    assert run(["graph", "random", "--n", "4", "--seed", "9", "--json"],
+               capsys) == (0, json.dumps({
+                   "seed": 9, "n": 4, "m": 4,
+                   "graph": "# random seed=9 p=0.5\nn 4 m 4\n0 1\n0 2\n0 3\n1 3\n"})
+                   + "\n", "")
 
 
 def test_graph_random_rejects_a_negative_order(files, capsys):

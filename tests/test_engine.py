@@ -43,7 +43,7 @@ from homind.graphs import (
     walk_counts,
 )
 from homind.labelled import TApplyA, TApplyJ, TOne, enumerate_tw
-from homind.lasserre import lasserre_randomized
+from homind.lasserre import lasserre_exact
 from homind.modular import (
     BoundOverflow,
     Xoshiro256StarStar,
@@ -651,11 +651,11 @@ def test_one_state_random_rejects_p4_against_the_star_at_every_seed():
     P4, star = path_graph(4), star_graph(3)
     tw_all = builtin("tw-all", 2)
     for seed in range(300):
-        for verdict in (homind_randomized(P4, star, tw_all, "tw", seed=seed),
-                        lasserre_randomized(P4, star, 1, seed=seed)):
-            assert not verdict.accept, seed
-            assert (verdict.mode, verdict.primes_used) == ("exact", [])
-            assert verdict.small_stage_witness is None
+        verdict = homind_randomized(P4, star, tw_all, "tw", seed=seed)
+        assert not verdict.accept, seed
+        assert (verdict.mode, verdict.primes_used) == ("exact", [])
+        assert verdict.small_stage_witness is None
+    assert verdict_pairs(lasserre_exact(P4, star, 1)) == verdict_pairs(verdict)
 
 
 def test_one_state_random_decisions_never_draw(monkeypatch):
@@ -678,8 +678,6 @@ def test_one_state_random_decisions_never_draw(monkeypatch):
         assert not homind_randomized(c6, two_k3, builtin("tw-all", 3), **kwargs).accept
         verdict = homind_randomized(c6, c6r, none, seed=3, **kwargs)
         assert verdict.accept and verdict.notes.startswith("small stage skipped")
-        assert lasserre_randomized(c6, c6r, 1, **kwargs).accept
-        assert not lasserre_randomized(c6, two_k3, 1, **kwargs).accept
         for variant in ("pw", "tw"):
             for G, H in ((c6, c6r), (c6, two_k3)):
                 verdict = homind_randomized(G, H, PATHS, variant, **kwargs)
@@ -687,6 +685,8 @@ def test_one_state_random_decisions_never_draw(monkeypatch):
             verdict = homind_randomized(path_graph(3), complete_graph(3), PATHS,
                                         variant, **kwargs)
             assert not verdict.accept and verdict.mode == "exact"
+    assert lasserre_exact(c6, c6r, 1).accept
+    assert not lasserre_exact(c6, two_k3, 1).accept
     with pytest.raises(AssertionError, match="drawn"):
         homind_randomized(path_graph(4), star_graph(3), builtin("tw-all", 2), "pw")
 

@@ -30,9 +30,8 @@ from homind.graphs import (
 )
 from homind.labelled import enumerate_atomic, enumerate_lasserre, enumerate_lasserre_values
 from homind.engine import verdict_pairs
-from homind.lasserre import MatrixOps, lasserre_exact, lasserre_mod, lasserre_randomized
+from homind.lasserre import MatrixOps, lasserre_exact, lasserre_mod
 from homind.modular import (
-    BoundOverflow,
     Xoshiro256StarStar,
     bound_lasserre,
     sample_prime_in_range,
@@ -407,25 +406,25 @@ def test_level1_separates_cycle_from_triangles():
     assert not verdict.accept
 
 
-# === randomized wrapper: the exact decision ===
+# === random mode: the exact decision ===
 
 
 def test_randomized_bound_example_and_prime_range():
     """The level-1 bound at n = 2; every prime a certified draw returns
-    exceeds L = 512 > n^2, so the randomized wrapper decides exactly and
-    draws none."""
+    exceeds L = 512 > n^2, so random mode decides exactly and draws none:
+    its verdict is the exact one, with no prime listed."""
     bounds = bound_lasserre(2, 1)
     assert (bounds.N, bounds.L, bounds.trials) == (512, 512, 36)
     g = complete_graph(2)
     h = permuted_copy(random.Random(1), g)
-    verdict = lasserre_randomized(g, h, 1, seed=4)
+    verdict = lasserre_exact(g, h, 1)
     assert verdict.accept
-    assert (verdict.mode, verdict.primes_used) == ("exact", [])
-    assert verdict_pairs(verdict) == verdict_pairs(lasserre_exact(g, h, 1))
+    assert verdict_pairs(verdict) == [("verdict", "accept"), ("mode", "exact"),
+                                      ("witness", "none")]
 
 
 def test_randomized_refines_once_per_decision(monkeypatch):
-    """A randomized decision refines the partition once, over the
+    """A random-mode decision refines the partition once, over the
     integers: every prime a certified draw returns exceeds n^t, the
     largest product count, so its partition is the integer one."""
     calls = []
@@ -437,7 +436,7 @@ def test_randomized_refines_once_per_decision(monkeypatch):
 
     monkeypatch.setattr(lasserre, "_level_refine", counted)
     g = random_graph(random.Random(4), 5)
-    verdict = lasserre_randomized(g, permuted_copy(random.Random(5), g), 1, seed=1)
+    verdict = lasserre_exact(g, permuted_copy(random.Random(5), g), 1)
     assert verdict.accept
     assert verdict.primes_used == []
     assert calls == [None]
@@ -453,7 +452,7 @@ def test_randomized_draws_only_the_primes_it_decides(monkeypatch):
         return sample(L, rng)
 
     monkeypatch.setattr(engine, "sample_prime_in_range", counted)
-    verdict = lasserre_randomized(path_graph(3), complete_graph(3), 1, seed=1)
+    verdict = lasserre_exact(path_graph(3), complete_graph(3), 1)
     assert not verdict.accept and verdict.primes_used == []
     assert draws == []
 
@@ -461,7 +460,7 @@ def test_randomized_draws_only_the_primes_it_decides(monkeypatch):
 def test_randomized_rejects_edge_count_difference():
     a = Graph.from_edges(4, [(0, 1), (1, 2)])
     b = Graph.from_edges(4, [(0, 1)])
-    verdict = lasserre_randomized(a, b, 1, seed=9)
+    verdict = lasserre_exact(a, b, 1)
     assert not verdict.accept
     assert verdict.rejecting_prime is None and verdict.mode == "exact"
 
@@ -484,15 +483,3 @@ def test_exact_verdict_is_the_verdict_at_a_certified_prime():
                     == lasserre_mod(G, H, t, p, stats=modular).accept), (G, H, t)
             assert exact == modular
 
-
-def test_randomized_prime_bits_and_bit_cap_do_not_matter():
-    """prime_bits and bit_cap chose and bounded the primes, and no prime
-    is drawn: a bound that overflows its cap is decided all the same."""
-    g = path_graph(4)
-    h = permuted_copy(random.Random(3), g)
-    verdict = lasserre_randomized(g, h, 1, seed=2, prime_bits=24)
-    assert verdict.accept and verdict.notes == "" and verdict.primes_used == []
-    with pytest.raises(BoundOverflow):
-        bound_lasserre(6, 2, bit_cap=50)
-    verdict = lasserre_randomized(cycle_graph(6), TWO_TRIANGLES, 2, bit_cap=50)
-    assert not verdict.accept and verdict.mode == "exact"

@@ -36,7 +36,6 @@ from homind.oracle import (
     exact_pathwidth_tiny,
     exact_treewidth_tiny,
     homind_bruteforce,
-    homind_size_bruteforce,
     is_path_graph,
     parse_class_spec,
     paths_oracle,
@@ -221,13 +220,8 @@ def test_size_bruteforce_k1_is_order_comparison():
     for _ in range(10):
         g = random_graph(rng, 1 + rng.randbelow(6))
         h = random_graph(rng, 1 + rng.randbelow(6))
-        verdict = homind_size_bruteforce(g, h, 1)
+        verdict = homind_bruteforce(g, h, "all", 1)
         assert verdict.indistinguishable == (g.n == h.n)
-
-
-def test_size_bruteforce_rejects_large_k():
-    with pytest.raises(ValueError):
-        homind_size_bruteforce(path_graph(2), path_graph(2), 6)
 
 
 # ------------------------------------------------------------ paths oracle

@@ -1,7 +1,7 @@
 """Tests for tuple refinement, parity gadgets, and instance generators.
 
 Expected values are produced by the brute-force oracles (hom_count,
-is_isomorphic_small, homind_size_bruteforce) before being asserted; the
+is_isomorphic_small, homind_bruteforce) before being asserted; the
 tiny gadget identities (the 2-vertex and triangle bases) were derived by
 hand from the construction and double-checked by the same oracles here.
 """
@@ -21,7 +21,7 @@ from homind.graphs import (
     path_graph,
     star_graph,
 )
-from homind.oracle import enumerate_graphs_up_to, homind_size_bruteforce
+from homind.oracle import enumerate_graphs_up_to, homind_bruteforce
 from homind.recognizer import builtin
 from homind.wl import (
     CFIInstance,
@@ -247,7 +247,7 @@ def test_clique_reduction_detects_triangles():
         (complete_graph(4), True),
     ]:
         A, B, k = gen_clique_reduction(g, 3)
-        verdict = homind_size_bruteforce(A, B, k)
+        verdict = homind_bruteforce(A, B, "all", k)
         assert verdict.indistinguishable == (not has_triangle)
         if has_triangle:
             assert is_isomorphic_small(verdict.witness, complete_graph(3))
