@@ -42,11 +42,15 @@ the axis-i line through the tuple), the oblivious k-WL refinement
 (Dvorak 2010; Dell, Grohe and Rattan, ICALP 2018).  A line's multiset is
 its sorted row: with axis i moved last, the colours of one graph are an
 n^(k-1)-by-n array whose rows are the lines, and ``_row_multisets``
-sorts them and numbers the distinct rows.  The dimension is the number
-of colours, and the pair is accepted iff every colour holds as many
-G-tuples as H-tuples mod p.  Line counts never exceed max(n_G, n_H), so
-all primes above that share one partition, the one refined over the
-integers; ``lasserre`` refines 2t-tuples alike.
+sorts them and numbers the distinct rows.  A colour and a row id become
+the next colour as a pair key numbered densely in sorted order
+(``_pair_ids``); the key range is a product of two id counts, usually
+within a few times the tuple count, so a lookup table over the range
+numbers the keys without sorting them (``_dense_ids``).  The dimension
+is the number of colours, and the pair is accepted iff every colour
+holds as many G-tuples as H-tuples mod p.  Line counts never exceed
+max(n_G, n_H), so all primes above that share one partition, the one
+refined over the integers; ``lasserre`` refines 2t-tuples alike.
 
 The same partition certifies the accepts of the pathwidth flavour and of
 multi-state automata at arity k, at every prime p:
@@ -79,12 +83,12 @@ that contains 1 and is closed under the A-masks, the J_i and Schur
 products.  The randomized wrapper asks this check first, and only the
 pairs it leaves open draw primes, uniform ones from a range wide enough
 that five independent draws catch disagreeing counts except with
-probability 2^-trials (one-sided error: equal counts are never
-rejected).  A deterministic mode (pathwidth flavour) relies on the
-Chinese remainder theorem: any set of primes whose product exceeds the
-largest possible count detects any disagreement.  It decides the
-smallest such set, 2, 3, 5, ... (269 primes for the builtin paths at
-n = 6), in order up to the first that rejects, and prints exactly the
+probability 2^-trials, if every draw is prime (one-sided error: equal
+counts are never rejected).  A deterministic mode (pathwidth flavour)
+relies on the Chinese remainder theorem: any set of primes whose product
+exceeds the largest possible count detects any disagreement.  It decides
+the smallest such set, 2, 3, 5, ... (269 primes for the builtin paths
+at n = 6), in order up to the first that rejects, and prints exactly the
 primes it decided.  Every prime above max(n_G, n_H) reuses one tw-all
 partition, and each smaller prime refines its own.  The randomized
 wrapper hands its primes to the same loop (``_first_reject``).
@@ -535,11 +539,27 @@ def _linear_closure(G, H, aut, p, include_schur, stats=None):
 # === Partition refinement: the one-state treewidth closure ===
 
 
+def _dense_ids(keys, span):
+    """Dense ids, numbered in sorted order, of the non-negative int64
+    ``keys``, all below ``span``.  Where the span is at most a few times
+    the key count, a table marks the keys present and its running count
+    numbers them, in O(keys + span) with no sort; elsewhere they are
+    sorted."""
+    if span <= 4 * keys.size + 4096:
+        present = np.zeros(span, dtype=bool)
+        present[keys] = True
+        rank = np.cumsum(present, dtype=np.int64)
+        rank -= 1
+        return rank[keys]
+    return np.unique(keys, return_inverse=True)[1].reshape(-1)
+
+
 def _pair_ids(a, b):
     """Dense ids, numbered in sorted order, of the pairs (a[t], b[t]) of
-    two non-negative int64 arrays."""
-    keys = a * (int(b.max(initial=-1)) + 1) + b
-    return np.unique(keys, return_inverse=True)[1].reshape(-1)
+    two non-negative int64 arrays: the keys a * width_b + b, below
+    width_a * width_b."""
+    width_a, width_b = int(a.max(initial=-1)) + 1, int(b.max(initial=-1)) + 1
+    return _dense_ids(a * width_b + b, width_a * width_b)
 
 
 def _row_multisets(rows, modulus):
@@ -569,14 +589,27 @@ def _row_multisets(rows, modulus):
 def _patterns(G, H, k, relation):
     """The colour of every tuple of V(G)^k ⊔ V(H)^k, G's first, in one
     palette: its pattern of ``relation(g)[x_i, x_j]`` over the slot pairs
-    i < j."""
-    grids = [np.indices((g.n,) * k, dtype=np.int64).reshape(k, -1) for g in (G, H)]
+    i < j, numbered in lexicographic order.
+
+    The pattern is one mixed-radix key, a digit per slot pair with radix
+    the largest relation value + 1; the key is renumbered densely before
+    it could pass 2^62, so int64 stays exact at any arity."""
     rels = [relation(g) for g in (G, H)]
-    colours = np.zeros(sum(grid.shape[1] for grid in grids), dtype=np.int64)
+    radix = max(int(rel.max(initial=0)) for rel in rels) + 1
+    keys = np.zeros(G.n**k + H.n**k, dtype=np.int64)
+    cubes = [keys[:G.n**k].reshape((G.n,) * k), keys[G.n**k:].reshape((H.n,) * k)]
+    span = 1  # every key is below span
     for i, j in combinations(range(k), 2):
-        colours = _pair_ids(colours, np.concatenate(
-            [rel[grid[i], grid[j]] for rel, grid in zip(rels, grids)]))
-    return colours
+        if span * radix > 1 << 62:
+            keys[...] = _dense_ids(keys, span)
+            span = int(keys.max(initial=-1)) + 1
+        span *= radix
+        for cube, rel in zip(cubes, rels):
+            shape = [1] * k
+            shape[i] = shape[j] = len(rel)
+            cube *= radix
+            cube += rel.reshape(shape)
+    return _dense_ids(keys, span)
 
 
 def _stable(colours, signatures, size_g):
@@ -606,9 +639,9 @@ def _refine(G, H, k, modulus):
 
     A round refines by the colour multiset of each axis-i line, its sorted
     row (see the module docstring); the row ids broadcast back along axis
-    i.  Colours and ids stay below the tuple count and the keys of
-    ``_pair_ids`` below its square, so int64 is exact for any input that
-    fits in memory."""
+    i.  Colours and ids stay below the tuple count T and the keys of
+    ``_pair_ids`` below T^2, and ``_patterns`` renumbers its keys before
+    they pass 2^62, so int64 is exact for any input that fits in memory."""
     sides = [(G.n, 0, 0), (H.n, G.n**k, G.n ** (k - 1))]  # order, first tuple, first row
 
     def signatures(colours):
@@ -822,6 +855,11 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
     ``certified_prime_count`` returns the least m that its integer test
     proves, which is 5 for every L from 18 on, so at every bound the tests
     reach.  Where the proof does not apply (L < 5) it returns ``trials``.
+    The bound assumes that every draw is prime.  ``is_prime`` proves that
+    below psi_12 (about 2^78); above it, primality rests on 64 Miller-Rabin
+    rounds with bases derived from the candidate, for which no theorem
+    gives an error bound (module ``modular``).  A reject is sound at any
+    modulus, so only an accept leans on that premise.
 
     prime_bits switches to the pragmatic mode: trial_count(2^(bits-1))
     uniform primes of that many bits.  Cheap, but the error bound no

@@ -528,7 +528,10 @@ def enumerate_lasserre_values(t, depth, max_vertices):
         batch = []
         for v1, d1 in lower:
             for v2, d2 in lower:
-                if max(d1, d2) + 1 != dep:
+                # the t label unions merge at most t vertices away, so a
+                # pair this large composes only to values over the cap
+                if (max(d1, d2) + 1 != dep
+                        or v1.graph.n + v2.graph.n - t > max_vertices):
                     continue
                 try:
                     v = series(v1, v2)

@@ -27,15 +27,21 @@ equality and adjacency pattern of a tuple's slots), whose indicators the
 0/1 atomics span, and refines the colour of (a, b), a, b in V^t, by its
 product signature, the multiset, counted mod p, of the pairs
 (col(a, c), col(c, b)) over c in V^t, and at t = 2 by the colours of its
-six axis transpositions, until the colour count stops growing: the
-coherent-closure step of Weisfeiler and Leman (1968), on both graphs
-jointly.  A line's multiset is its sorted row: the n^t pairs of line
-(a, b), each one int64 key, sorted.  As e_X e_Y (a, b) counts the c with
-col(a, c) = X and col(c, b) = Y, the stable partition's block indicators
-span a space that holds the atomics and is closed under the class
-operations, so contains W.  ``dim_total`` is the colour count, and the
-pair is accepted iff every colour holds as many G-tuples as H-tuples
-mod p.
+adjacent axis transpositions (0 1), (1 2) and (2 3), until the colour
+count stops growing: the coherent-closure step of Weisfeiler and Leman
+(1968), on both graphs jointly.  The three transpositions give the
+partition that all six give: they generate S_4, and a partition stable
+under two permutations (col(x) = col(y) implies col(sx) = col(sy)) is
+stable under their product, so the partitions stable under the three
+are those stable under all 24.  Both refinements end at the coarsest
+partition finer than the atomic types that is stable under the product
+signatures and the permutations, the same one.  A line's multiset is its
+sorted row: the n^t pairs of line (a, b), each one int64 key, sorted.
+As e_X e_Y (a, b) counts the c with col(a, c) = X and col(c, b) = Y, the
+stable partition's block indicators span a space that holds the atomics
+and is closed under the class operations, so contains W.  ``dim_total``
+is the colour count, and the pair is accepted iff every colour holds as
+many G-tuples as H-tuples mod p.
 
 Proof owed: the spaces are equal if W is closed under Schur products of
 any two members (the ``engine`` docstring's x^p = x argument then makes W
@@ -47,8 +53,6 @@ count exceeds n^t, so every prime above it shares the partition refined
 over the integers, and ``lasserre_exact`` decides over the integers,
 in random mode too, with no prime drawn.
 """
-
-from itertools import combinations
 
 import numpy as np
 
@@ -115,7 +119,8 @@ def _level_refine(G, H, t, modulus):
     in ``MatrixOps`` order) in the coarsest partition finer than the atomic
     types that is stable under the product signatures, counted mod
     ``modulus`` (over the integers when None), and at t = 2 under the axis
-    transpositions; and the class sizes (on G, on H).
+    transpositions, generated by the adjacent ones (module docstring);
+    and the class sizes (on G, on H).
 
     The product signature of (a, b) is the sorted row of its line,
     col(a, c) * width + col(c, b) over c (``_row_multisets``), built a
@@ -127,7 +132,7 @@ def _level_refine(G, H, t, modulus):
     colours = _patterns(
         G, H, k, lambda g: 2 * _adjacency(g) + np.eye(g.n, dtype=np.int64))
     sides = [(G.n, 0), (H.n, G.n**k)]  # (order, first tuple)
-    transpositions = list(combinations(range(k), 2)) if t > 1 else []
+    transpositions = [(a, a + 1) for a in range(k - 1)] if t > 1 else []
 
     def products(colours):
         """One row per line (a, b), G's then H's, padded with -1 to one

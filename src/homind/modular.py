@@ -19,7 +19,8 @@ primes (Rosser and Schoenfeld 1962), so one draw divides the difference
 with probability below ``2 ln 2 / (L - 2.51012)``.  The error budget is
 ``2**-trials`` with ``trials = ceil(4*log2 L)`` (what ``homind bounds``
 prints), and ``certified_prime_count`` is the number of independent primes
-that reaches it: 5 for every L from 18 on.
+that reaches it: 5 for every L from 18 on.  That bound is proved for draws
+that are prime; below psi_12 every draw is (``is_prime`` is exact there).
 
 The deterministic pathwidth mode replaces sampling by the Chinese remainder
 theorem: any set of primes whose product exceeds ``n**N`` jointly detects
@@ -28,9 +29,15 @@ primes ``2, 3, 5, ...``, which a sieve lists.
 
 ``is_prime`` is exact below psi_12 = 318,665,857,834,031,151,167,461
 (about 2**78), by Miller-Rabin over fixed bases, which covers the
-pathwidth draws and the treewidth draws on small graphs; above it, 64
-rounds with bases derived from the candidate leave an error below 4**-64
-per composite.
+pathwidth draws and the treewidth draws on small graphs.  Above it,
+primality rests on 64 Miller-Rabin rounds with bases derived from the
+candidate.  The 4**-t bound of Miller-Rabin holds for uniformly random
+bases, so no theorem gives 4**-64 for these: above psi_12 the 2**-trials
+bound holds only on the unproved premise that every draw is prime.
+Rejections stay sound at any modulus, prime or not: every row of a
+closure is a combination of true count vectors, so an unequal readout
+means unequal counts, and a non-unit pivot makes ``pow(x, -1, p)`` raise
+instead of deciding.
 
 All randomness flows through an explicit, seedable generator (xoshiro256**
 seeded through splitmix64) so identical seeds reproduce identical runs
@@ -179,10 +186,12 @@ def is_prime(p: int) -> bool:
     then deterministic Miller-Rabin over the witness set {2,7,61} below
     4,759,123,141, which covers every 32-bit p, and {2,3,5,7,...,37}
     above.  From psi_12 on it runs 64 Miller-Rabin rounds with bases
-    derived deterministically from p itself, so the function stays pure;
-    the error probability (at most 4**-64 per composite) is negligible
-    against the 2**-trials error budget of the randomized decision
-    procedure that consumes these primes.
+    derived deterministically from p itself, so the function stays pure.
+    There it is a heuristic: the 4**-64 error of 64 rounds is proved for
+    uniformly random bases, not for bases derived from p, and is not
+    negligible against a 2**-trials budget with trials in the thousands.
+    The randomized decision's 2**-trials bound assumes that every prime
+    it draws is prime (module docstring).
     """
     if p < 2:
         return False

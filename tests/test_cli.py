@@ -384,6 +384,14 @@ def test_enumerate_lists_paths(files, capsys):
     assert run(["enumerate", "--class", "lasserre-t1", "--max-size", "4"],
                capsys) == (0, "class=lasserre-t1\nmax_size=4\ncount=17\n"
                            + "".join(f"graph={g}\n" for g in members), "")
+    # and 42 graphs on at most 5 vertices, 25 of them on exactly 5
+    rc, out, err = run(["enumerate", "--class", "lasserre-t1", "--max-size", "5"],
+                       capsys)
+    lines = out.splitlines()
+    graphs = [line for line in lines if line.startswith("graph=")]
+    assert (rc, err, lines[:3]) == (0, "", ["class=lasserre-t1", "max_size=5", "count=42"])
+    assert len(graphs) == len(set(graphs)) == 42
+    assert sum(g.startswith("graph=n 5 ") for g in graphs) == 25
 
 
 def test_enumerate_rejects_a_negative_width(files, capsys):

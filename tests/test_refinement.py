@@ -10,10 +10,11 @@ sizes far beyond the brute-force oracles.  The forests gate checks a
 four-state automaton, decided by the linear closure, against the
 one-state refinement and 1-WL.  The exact gate checks the command line's
 exact tw-all decision against (k-1)-WL on all of these pairs.  The kernel
-gates compare ``_row_multisets``, ``_refine`` and ``_level_refine`` at
-t = 1 with a pure-Python refinement that counts each line's colours one
-tuple at a time, and the CFI gates check the refinement against the
-treewidth of the base graph.
+gates compare ``_pair_ids`` with a sort, and ``_row_multisets``,
+``_refine`` and ``_level_refine`` at t = 1 and 2 with a pure-Python
+refinement that counts each line's colours one tuple at a time.  The CFI
+gates check the refinement against the treewidth of the base graph, and
+decide the paper's reduction end to end on every small connected base.
 """
 
 import random
@@ -23,7 +24,7 @@ from itertools import combinations, product
 import numpy as np
 
 from homind.cli import main
-from homind.engine import _linear_closure, _refine, _row_multisets, modhomind
+from homind.engine import _linear_closure, _pair_ids, _refine, _row_multisets, modhomind
 from homind.graphs import (
     Graph,
     complete_graph,
@@ -34,9 +35,9 @@ from homind.graphs import (
     serialize_graph,
 )
 from homind.lasserre import _level_refine
-from homind.oracle import exact_treewidth_tiny
+from homind.oracle import enumerate_graphs_up_to, exact_treewidth_tiny
 from homind.recognizer import Automaton, builtin, parse_automaton, validate_automaton
-from homind.wl import cfi, wl_refine
+from homind.wl import cfi, gen_wl_hardness, wl_refine
 
 from conftest import permuted_copy, random_graph
 
@@ -174,6 +175,28 @@ def _reference_level1(G, H, modulus):
     return _reference_classes(G, H, 2, start, signature)
 
 
+def _reference_level2(G, H, modulus):
+    """``_level_refine``'s classes at t = 2: the equality and adjacency
+    pattern of the four slots, refined by the multiset mod p of
+    (col(a, c), col(c, b)) over c in V^2 and by the colours of all six
+    axis transpositions."""
+    def start(g, x):
+        return tuple((x[i] == x[j], (x[i], x[j]) in g.edges or (x[j], x[i]) in g.edges)
+                     for i, j in combinations(range(4), 2))
+
+    def signature(colour, g, x):
+        swaps = []
+        for i, j in combinations(range(4), 2):
+            y = list(x)
+            y[i], y[j] = y[j], y[i]
+            swaps.append(colour(tuple(y)))
+        products = _multiset([(colour(x[:2] + c), colour(c + x[2:]))
+                              for c in product(range(g.n), repeat=2)], modulus)
+        return products, tuple(swaps)
+
+    return _reference_classes(G, H, 4, start, signature)
+
+
 def _kernel_pairs():
     """Seeded (k, G, H): orders 0 and 1, unequal orders, and random pairs
     that are permuted, rewired or drawn independently."""
@@ -192,6 +215,35 @@ def _kernel_pairs():
             else:
                 h = random_graph(rng, rng.randrange(0, n_max + 1), rng.random())
             yield k, g, h
+
+
+def test_pair_ids_number_pairs_as_a_sort_does():
+    """Dense pair ids in sorted order, whether the key range is small
+    enough for the lookup table or is sorted, and on empty arrays."""
+    rng = np.random.default_rng(26)
+    spans = []
+    for size, high_a, high_b in ((0, 1, 1), (1, 1, 1), (50, 3, 4), (20000, 100, 150),
+                                 (50, 1000, 1000), (3000, 200, 300), (5, 1 << 30, 1 << 30)):
+        a = rng.integers(0, high_a, size=size, dtype=np.int64)
+        b = rng.integers(0, high_b, size=size, dtype=np.int64)
+        want = np.unique(a * (int(b.max(initial=-1)) + 1) + b, return_inverse=True)[1]
+        got = _pair_ids(a, b)
+        assert got.dtype == np.int64 and got.shape == (size,)
+        assert (got == want.reshape(-1)).all(), (size, high_a, high_b)
+        span = (int(a.max(initial=-1)) + 1) * (int(b.max(initial=-1)) + 1)
+        spans.append(span <= 4 * size + 4096)
+    assert any(spans) and not all(spans)  # both numberings ran
+
+
+def test_refine_keeps_patterns_exact_past_63_bits():
+    """At arity 12 and 13 a tuple's adjacency pattern has 66 and 78 binary
+    digits, so its key is renumbered before it overflows int64.  K2's
+    tuples split into the 2^(k-1) pairs x, 1 - x, and every tuple of 2K1
+    stays in one class; the sizes are those of the pairwise numbering."""
+    for k in (12, 13):
+        sizes_g, sizes_h = _refine(complete_graph(2), empty_graph(2), k, None)
+        assert sizes_g.tolist() == [0] + [2] * 2 ** (k - 1)
+        assert sizes_h.tolist() == [2**k] + [0] * 2 ** (k - 1)
 
 
 def test_row_multisets_are_line_multisets_mod_p():
@@ -220,6 +272,30 @@ def test_refinement_matches_pure_python_reference():
             assert got == _reference_tw(G, H, k, modulus), (k, G, H, modulus)
             got = sorted(zip(*(sizes.tolist() for sizes in _level_refine(G, H, 1, modulus)[1])))
             assert got == _reference_level1(G, H, modulus), (G, H, modulus)
+
+
+def test_level2_refinement_matches_six_transposition_reference():
+    """``_level_refine`` at t = 2 refines by the adjacent transpositions
+    (0 1), (1 2), (2 3) only; they generate S_4, so its partition is the
+    one refined by all six.  Seeded pairs on up to 5 vertices, over the
+    integers and mod 2; the colour counts are those of the six-transposition
+    refinement."""
+    rng = random.Random(26)
+    counts = []
+    for _ in range(6):
+        g = random_graph(rng, rng.randrange(3, 6), rng.random())
+        pick = rng.randrange(3)
+        if pick == 0:
+            h = permuted_copy(rng, g)
+        elif pick == 1:
+            h = _move_one_edge(rng, g)
+        else:
+            h = random_graph(rng, rng.randrange(3, 6), rng.random())
+        for modulus in (None, 2):
+            got = sorted(zip(*(side.tolist() for side in _level_refine(g, h, 2, modulus)[1])))
+            assert got == _reference_level2(g, h, modulus), (g, h, modulus)
+            counts.append(len(got))
+    assert counts == [82, 82, 394, 339, 248, 240, 72, 72, 248, 213, 197, 170]
 
 
 # === tw-all against (k-1)-WL beyond the brute-force sizes ===
@@ -318,6 +394,32 @@ def test_tw_all_k3_refinement_accepts_cfi_over_treewidth_3_bases():
         sizes_g, sizes_h = _refine(even, odd, 3, None)
         assert len(sizes_g) == colours
         assert (sizes_g == sizes_h).all()
+
+
+def reduction_disagreements(arities):
+    """The paper's reduction decided end to end: for every connected base
+    B on 2-5 vertices (30 up to isomorphism) and each arity k, tw-all at
+    arity k on ``gen_wl_hardness(B, k - 1)`` must accept iff tw(B) >= k
+    (Roberson; Neuen).  Returns the number of decisions and the
+    (B, k, accept) that disagree."""
+    bases = [g for g in enumerate_graphs_up_to(5)
+             if g.n >= 2 and len(connected_components(g)) == 1]
+    assert len(bases) == 30
+    wrong = []
+    for base in bases:
+        width = exact_treewidth_tiny(base)
+        for k in arities:
+            even, odd, _ = gen_wl_hardness(base, k - 1)
+            sizes_g, sizes_h = _refine(even, odd, k, None)
+            accept = bool((sizes_g == sizes_h).all())
+            if accept != (width >= k):
+                wrong.append((base, k, accept))
+    return len(bases) * len(arities), wrong
+
+
+def test_reduction_decided_end_to_end_on_small_bases():
+    """The 60 decisions at k = 2 and 3; CI runs k = 4 as well."""
+    assert reduction_disagreements((2, 3)) == (60, [])
 
 
 # === A multi-state treewidth automaton: forests ===
