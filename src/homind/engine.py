@@ -46,7 +46,21 @@ sorts them and numbers the distinct rows.  A colour and a row id become
 the next colour as a pair key numbered densely in sorted order
 (``_pair_ids``); the key range is a product of two id counts, usually
 within a few times the tuple count, so a lookup table over the range
-numbers the keys without sorting them (``_dense_ids``).  The dimension
+numbers the keys without sorting them (``_dense_ids``).  Each kernel
+returns its id count with its ids, so no step reduces an array for its
+maximum.
+
+The axis steps run as one Gauss-Seidel sweep (``_stable``): each refines
+the latest colours, and a step that splits no class is quiet.  After an
+axis-i step every tuple of one axis-i line carries the same new line id
+L, so the line's new colours are the pairs (old colour, L), and their
+multiset is a function of the old multiset, that is of L, so of the new
+colour of any tuple on the line: axis i is stable at once.  The sweep
+therefore stops as soon as the other k - 1 axes have run quiet since the
+last change (k = 1 stops after its one step), and one more pass of every
+axis would split nothing.  Every order of steps ends at the same
+coarsest stable partition, so the classes are those of refining round
+by round from the colours each round began with.  The dimension
 is the number of colours, and the pair is accepted iff every colour
 holds as many G-tuples as H-tuples mod p.  Line counts never exceed
 max(n_G, n_H), so all primes above that share one partition, the one
@@ -105,7 +119,7 @@ the closure directly on primes their samplers have already proved.
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, cycle
 
 import numpy as np
 
@@ -541,34 +555,38 @@ def _linear_closure(G, H, aut, p, include_schur, stats=None):
 
 def _dense_ids(keys, span):
     """Dense ids, numbered in sorted order, of the non-negative int64
-    ``keys``, all below ``span``.  Where the span is at most a few times
-    the key count, a table marks the keys present and its running count
-    numbers them, in O(keys + span) with no sort; elsewhere they are
-    sorted."""
+    ``keys``, all below ``span``, and their count.  Where the span is at
+    most a few times the key count, a table marks the keys present and its
+    running count numbers them, in O(keys + span) with no sort; elsewhere
+    they are sorted.  The count is the table's last running count or the
+    number of distinct keys, so no caller reduces the ids for a maximum."""
     if span <= 4 * keys.size + 4096:
         present = np.zeros(span, dtype=bool)
         present[keys] = True
         rank = np.cumsum(present, dtype=np.int64)
+        count = int(rank[-1]) if span else 0
         rank -= 1
-        return rank[keys]
-    return np.unique(keys, return_inverse=True)[1].reshape(-1)
+        return rank[keys], count
+    unique, ids = np.unique(keys, return_inverse=True)
+    return ids.reshape(-1), len(unique)
 
 
-def _pair_ids(a, b):
+def _pair_ids(a, b, count_a, count_b):
     """Dense ids, numbered in sorted order, of the pairs (a[t], b[t]) of
-    two non-negative int64 arrays: the keys a * width_b + b, below
-    width_a * width_b."""
-    width_a, width_b = int(a.max(initial=-1)) + 1, int(b.max(initial=-1)) + 1
-    return _dense_ids(a * width_b + b, width_a * width_b)
+    two non-negative int64 arrays whose entries are below ``count_a`` and
+    ``count_b``, and their count: the ids of the keys a * count_b + b,
+    below count_a * count_b.  The counts are those the ids came with, so
+    a step pairs its ids with the colours without a ``max`` over either."""
+    return _dense_ids(a * count_b + b, count_a * count_b)
 
 
 def _row_multisets(rows, modulus):
     """Dense ids of the rows of the C-contiguous int64 array ``rows`` (one
     row per line, padded with -1 to one width) as multisets counted mod
-    ``modulus`` (over the integers when None): equal multisets, equal ids.
-    A line's multiset is its sorted row, so each row is sorted in place;
-    mod p each run of equal entries keeps (its length mod p) copies and
-    the rest become -1 padding."""
+    ``modulus`` (over the integers when None), and their count: equal
+    multisets, equal ids.  A line's multiset is its sorted row, so each
+    row is sorted in place; mod p each run of equal entries keeps (its
+    length mod p) copies and the rest become -1 padding."""
     rows.sort(axis=1)
     if modulus is not None and rows.size:
         flat = rows.reshape(-1)
@@ -583,13 +601,14 @@ def _row_multisets(rows, modulus):
     # a row as one raw-bytes item (equal rows, equal bytes) sorts several
     # times faster than rows with axis=0
     rows = rows.view(np.dtype((np.void, rows.strides[0]))).reshape(-1)
-    return np.unique(rows, return_inverse=True)[1].reshape(-1)
+    unique, ids = np.unique(rows, return_inverse=True)
+    return ids.reshape(-1), len(unique)
 
 
 def _patterns(G, H, k, relation):
     """The colour of every tuple of V(G)^k ⊔ V(H)^k, G's first, in one
     palette: its pattern of ``relation(g)[x_i, x_j]`` over the slot pairs
-    i < j, numbered in lexicographic order.
+    i < j, numbered in lexicographic order; and the colour count.
 
     The pattern is one mixed-radix key, a digit per slot pair with radix
     the largest relation value + 1; the key is renumbered densely before
@@ -601,8 +620,8 @@ def _patterns(G, H, k, relation):
     span = 1  # every key is below span
     for i, j in combinations(range(k), 2):
         if span * radix > 1 << 62:
-            keys[...] = _dense_ids(keys, span)
-            span = int(keys.max(initial=-1)) + 1
+            ids, span = _dense_ids(keys, span)
+            keys[...] = ids
         span *= radix
         for cube, rel in zip(cubes, rels):
             shape = [1] * k
@@ -612,21 +631,82 @@ def _patterns(G, H, k, relation):
     return _dense_ids(keys, span)
 
 
-def _stable(colours, signatures, size_g):
-    """``colours`` refined by every id array that ``signatures(colours)``
-    yields, round after round, until the colour count stops growing; and
-    the class sizes on the first ``size_g`` tuples (G's) and the others."""
-    count = int(colours.max(initial=-1)) + 1
-    while count:  # zero only when there are no tuples
-        refined = colours
-        for ids in signatures(colours):
-            refined = _pair_ids(refined, ids)
-        refined_count = int(refined.max(initial=-1)) + 1
-        if refined_count == count:
+def _stable(colours, count, steps, size_g):
+    """The coarsest refinement of ``colours`` (dense ids, ``count`` of
+    them) that no step of ``steps`` splits; and its class sizes on the
+    first ``size_g`` tuples (G's) and on the others.
+
+    A step is a pair (settles, step).  ``step(colours, count)`` returns an
+    id array and its id count, and refining by it numbers the pairs
+    (colour, id) with ``_pair_ids``.  The steps run in turn as one
+    Gauss-Seidel sweep: each refines the latest colours, not those a round
+    began with.  A step that splits no class is quiet, and the colours
+    stay as they are (dense colours number their pairs as themselves).  A
+    step settles when the colours it makes are stable under it at once, so
+    it need not rerun quiet after its own change.
+
+    The stop rule: the sweep ends once every step has run quiet since the
+    last change, except the step that made it if that step settles.  Each
+    step has then seen the final colours unsplit, or settles on them, so
+    one more pass of every step splits nothing.  Every step is monotone:
+    refining a finer partition gives a finer one.  So each partition the
+    sweep passes through is coarser than the coarsest stable refinement
+    of the start, which every step leaves as it is, and the stable
+    partition the sweep ends at is that one, whatever the order of the
+    steps: the class sizes are those of refining round by round."""
+    quiet = 0  # steps in a row, up to the last one run, that need not rerun
+    for settles, step in cycle(steps):
+        if quiet == len(steps) or not count:  # count 0: there are no tuples
             break
-        colours, count = refined, refined_count
+        ids, id_count = step(colours, count)
+        refined, refined_count = _pair_ids(colours, ids, count, id_count)
+        if refined_count == count:
+            quiet += 1
+        else:
+            colours, count, quiet = refined, refined_count, int(settles)
+        del refined  # else a quiet step's copy of the colours lives on
     return colours, (np.bincount(colours[:size_g], minlength=count),
                      np.bincount(colours[size_g:], minlength=count))
+
+
+def _refine_steps(G, H, k, modulus):
+    """The start of ``_refine`` for ``_stable``: the adjacency-pattern
+    colours of V(G)^k ⊔ V(H)^k, their count, and the k axis steps.
+
+    The axis-i step refines by the colour multiset of each axis-i line,
+    its sorted row (see the module docstring); the row ids broadcast back
+    along axis i.  Every step settles (the lemma of the module docstring:
+    the tuples of one axis-i line share the new line id, so the line's
+    multiset of new colours is a function of it).  The line table and
+    each axis's views of it are made once per call; the ids a step returns
+    live in one buffer, valid until the next step runs."""
+    sides = [(G.n, 0, 0), (H.n, G.n**k, G.n ** (k - 1))]  # order, first tuple, first row
+    table = np.empty((G.n ** (k - 1) + H.n ** (k - 1), max(G.n, H.n)), dtype=np.int64)
+    out = np.empty(G.n**k + H.n**k, dtype=np.int64)
+
+    def axis_step(i):
+        # a side's tuples as (axes before i, axis i, axes after i): its
+        # axis-i lines are the rows (before, after), padded past column n
+        views = []
+        for n, first, row in sides:
+            before, after = n**i, n ** (k - 1 - i)
+            tuples, lines = slice(first, first + n**k), slice(row, row + before * after)
+            views.append((tuples, (before, n, after),
+                          table[lines, :n].reshape(before, after, n), table[lines, n:],
+                          lines, (before, 1, after), out[tuples].reshape(before, n, after)))
+
+        def step(colours, count):
+            for tuples, shape, rows, padding, *_ in views:
+                rows[...] = colours[tuples].reshape(shape).transpose(0, 2, 1)
+                padding[...] = -1  # the sort moved the padding
+            ids, id_count = _row_multisets(table, modulus)
+            for *_, lines, line_shape, spread in views:
+                spread[...] = ids[lines].reshape(line_shape)
+            return out, id_count
+
+        return True, step
+
+    return (*_patterns(G, H, k, _adjacency), [axis_step(i) for i in range(k)])
 
 
 def _refine(G, H, k, modulus):
@@ -637,31 +717,13 @@ def _refine(G, H, k, modulus):
     one-state treewidth closure: the span contains 1 and is closed under
     Schur products, and every x in it has x^p = x.
 
-    A round refines by the colour multiset of each axis-i line, its sorted
-    row (see the module docstring); the row ids broadcast back along axis
-    i.  Colours and ids stay below the tuple count T and the keys of
+    ``_stable`` sweeps the axis steps of ``_refine_steps`` from the
+    adjacency patterns; as every step settles, a change at axis i leaves
+    only the other k - 1 axes to run quiet (k = 1 stops after one step).
+    Colours and ids stay below the tuple count T and the keys of
     ``_pair_ids`` below T^2, and ``_patterns`` renumbers its keys before
     they pass 2^62, so int64 is exact for any input that fits in memory."""
-    sides = [(G.n, 0, 0), (H.n, G.n**k, G.n ** (k - 1))]  # order, first tuple, first row
-
-    def signatures(colours):
-        for i in range(k):
-            # a side's tuples as (axes before i, axis i, axes after i): its
-            # axis-i lines are the rows (before, after)
-            views = [(n, n**i, n ** (k - 1 - i), first, row) for n, first, row in sides]
-            table = np.full((G.n ** (k - 1) + H.n ** (k - 1), max(G.n, H.n)), -1,
-                            dtype=np.int64)
-            for n, before, after, first, row in views:
-                cube = colours[first:first + n**k].reshape(before, n, after)
-                rows = table[row:row + before * after, :n].reshape(before, after, n)
-                rows[...] = cube.transpose(0, 2, 1)
-            ids, out = _row_multisets(table, modulus), np.empty_like(colours)
-            for n, before, after, first, row in views:
-                out[first:first + n**k].reshape(before, n, after)[...] = (
-                    ids[row:row + before * after].reshape(before, 1, after))
-            yield out
-
-    return _stable(_patterns(G, H, k, _adjacency), signatures, G.n**k)[1]
+    return _stable(*_refine_steps(G, H, k, modulus), G.n**k)[1]
 
 
 def _partitions(refine, largest):

@@ -27,13 +27,12 @@ equality and adjacency pattern of a tuple's slots), whose indicators the
 0/1 atomics span, and refines the colour of (a, b), a, b in V^t, by its
 product signature, the multiset, counted mod p, of the pairs
 (col(a, c), col(c, b)) over c in V^t, and at t = 2 by the colours of its
-adjacent axis transpositions (0 1), (1 2) and (2 3), until the colour
-count stops growing: the coherent-closure step of Weisfeiler and Leman
-(1968), on both graphs jointly.  The three transpositions give the
-partition that all six give: they generate S_4, and a partition stable
-under two permutations (col(x) = col(y) implies col(sx) = col(sy)) is
-stable under their product, so the partitions stable under the three
-are those stable under all 24.  Both refinements end at the coarsest
+adjacent axis transpositions (0 1), (1 2) and (2 3): the coherent-closure
+step of Weisfeiler and Leman (1968), on both graphs jointly.  The three
+transpositions give the partition that all six give: they generate S_4,
+and a partition stable under two permutations (col(x) = col(y) implies
+col(sx) = col(sy)) is stable under their product, so the partitions
+stable under the three are those stable under all 24.  Both refinements end at the coarsest
 partition finer than the atomic types that is stable under the product
 signatures and the permutations, the same one.  A line's multiset is its
 sorted row: the n^t pairs of line (a, b), each one int64 key, sorted.
@@ -42,6 +41,15 @@ stable partition's block indicators span a space that holds the atomics
 and is closed under the class operations, so contains W.  ``dim_total``
 is the colour count, and the pair is accepted iff every colour holds as
 many G-tuples as H-tuples mod p.
+
+The steps run in ``engine._stable``'s Gauss-Seidel sweep, each on the
+latest colours.  A transposition s is stable at once after it refines:
+the new colour of x is the pair (col(x), col(sx)), and that of sx the
+same pair swapped.  The product step is not: a split moves the colours
+of the pairs (col(a, c), col(c, b)) it counts, and so can split its own
+classes again.  The sweep therefore stops only once every step, the
+product step included, has run quiet since the last change; only a
+transposition that made the change need not rerun.
 
 Proof owed: the spaces are equal if W is closed under Schur products of
 any two members (the ``engine`` docstring's x^p = x argument then makes W
@@ -114,48 +122,65 @@ class MatrixOps(BlockOps):
 _SLICE_KEYS = 1 << 16  # product keys built at a time, whatever the graph size
 
 
+def _level_steps(G, H, t, modulus):
+    """The start of ``_level_refine`` for ``engine._stable``: the atomic
+    types of V(G)^{2t} ⊔ V(H)^{2t} (G's first, each in ``MatrixOps``
+    order), their count, and the steps: the product signature, then at
+    t = 2 the adjacent transpositions.
+
+    The product signature of (a, b) is the sorted row of its line,
+    col(a, c) * count + col(c, b) over c (``_row_multisets``), built a
+    slice of rows at a time into one table made once per call.  It does
+    not settle, and the transpositions do (module docstring).  With
+    n = max(n_G, n_H), colours stay below the tuple count T <= 2 n^(2t)
+    and every key, here and in ``_pair_ids``, below T^2 <= 4 n^(4t), so
+    int64 is exact up to n = 197 at t = 2 (38,967 at t = 1), far past
+    what fits in memory."""
+    k = 2 * t
+    colours, count = _patterns(
+        G, H, k, lambda g: 2 * _adjacency(g) + np.eye(g.n, dtype=np.int64))
+    sides = [(G.n, 0), (H.n, G.n**k)]  # (order, first tuple)
+    table = np.empty((len(colours), max(G.n, H.n) ** t), dtype=np.int64)
+
+    def products(colours, count):
+        """The ids and id count of ``_row_multisets`` over one row per line
+        (a, b), G's then H's, padded with -1 to one width:
+        col(a, c) * count + col(c, b) over c."""
+        for n, start in sides:
+            s = n**t
+            mat = colours[start:start + s * s].reshape(s, s)
+            step = max(1, _SLICE_KEYS // max(1, s * s))
+            for a in range(0, s, step):
+                keys = mat[a:a + step, None, :] * count + mat.T[None, :, :]
+                table[start + a * s:start + (a + len(keys)) * s, :s] = keys.reshape(-1, s)
+            table[start:start + s * s, s:] = -1  # the sort moved the padding
+        return _row_multisets(table, modulus)
+
+    def transposition(a, b):
+        def swapped(colours, count):
+            return np.concatenate([
+                np.swapaxes(colours[start:start + n**k].reshape((n,) * k), a, b).reshape(-1)
+                for n, start in sides]), count
+        return True, swapped
+
+    steps = [(False, products)]
+    if t > 1:
+        steps += [transposition(a, a + 1) for a in range(k - 1)]
+    return colours, count, steps
+
+
 def _level_refine(G, H, t, modulus):
     """The colour of every tuple of V(G)^{2t} ⊔ V(H)^{2t} (G's first, each
     in ``MatrixOps`` order) in the coarsest partition finer than the atomic
     types that is stable under the product signatures, counted mod
     ``modulus`` (over the integers when None), and at t = 2 under the axis
     transpositions, generated by the adjacent ones (module docstring);
-    and the class sizes (on G, on H).
-
-    The product signature of (a, b) is the sorted row of its line,
-    col(a, c) * width + col(c, b) over c (``_row_multisets``), built a
-    slice of rows at a time.  With n = max(n_G, n_H), colours stay below
-    the tuple count T <= 2 n^(2t) and every key, here and in
-    ``_pair_ids``, below T^2 <= 4 n^(4t), so int64 is exact up to n = 197
-    at t = 2 (38,967 at t = 1), far past what fits in memory."""
-    k = 2 * t
-    colours = _patterns(
-        G, H, k, lambda g: 2 * _adjacency(g) + np.eye(g.n, dtype=np.int64))
-    sides = [(G.n, 0), (H.n, G.n**k)]  # (order, first tuple)
-    transpositions = [(a, a + 1) for a in range(k - 1)] if t > 1 else []
-
-    def products(colours):
-        """One row per line (a, b), G's then H's, padded with -1 to one
-        width: col(a, c) * width + col(c, b) over c."""
-        width = int(colours.max()) + 1
-        table = np.full((len(colours), max(G.n, H.n) ** t), -1, dtype=np.int64)
-        for n, start in sides:
-            s = n**t
-            mat = colours[start:start + s * s].reshape(s, s)
-            step = max(1, _SLICE_KEYS // max(1, s * s))
-            for a in range(0, s, step):
-                keys = mat[a:a + step, None, :] * width + mat.T[None, :, :]
-                table[start + a * s:start + (a + len(keys)) * s, :s] = keys.reshape(-1, s)
-        return table
-
-    def signatures(colours):
-        yield _row_multisets(products(colours), modulus)
-        for a, b in transpositions:
-            yield np.concatenate([
-                np.swapaxes(colours[start:start + n**k].reshape((n,) * k), a, b).reshape(-1)
-                for n, start in sides])
-
-    return _stable(colours, signatures, G.n**k)
+    and the class sizes (on G, on H).  ``engine._stable`` sweeps the
+    steps of ``_level_steps``.  After a product step splits a class, the
+    sweep reruns every step, the product step too, until all run quiet:
+    the split moves the colour pairs (col(a, c), col(c, b)) the product
+    signature counts, so only a quiet rerun shows it splits nothing."""
+    return _stable(*_level_steps(G, H, t, modulus), G.n ** (2 * t))
 
 
 def _level_partitions(G, H, t):

@@ -12,9 +12,11 @@ one-state refinement and 1-WL.  The exact gate checks the command line's
 exact tw-all decision against (k-1)-WL on all of these pairs.  The kernel
 gates compare ``_pair_ids`` with a sort, and ``_row_multisets``,
 ``_refine`` and ``_level_refine`` at t = 1 and 2 with a pure-Python
-refinement that counts each line's colours one tuple at a time.  The CFI
-gates check the refinement against the treewidth of the base graph, and
-decide the paper's reduction end to end on every small connected base.
+refinement that counts each line's colours one tuple at a time.  The
+stop-rule gate runs every step of the ``_stable`` sweep once more on the
+partition it returns and requires that none splits it.  The CFI gates
+check the refinement against the treewidth of the base graph, and decide
+the paper's reduction end to end on every small connected base.
 """
 
 import random
@@ -24,7 +26,15 @@ from itertools import combinations, product
 import numpy as np
 
 from homind.cli import main
-from homind.engine import _linear_closure, _pair_ids, _refine, _row_multisets, modhomind
+from homind.engine import (
+    _linear_closure,
+    _pair_ids,
+    _refine,
+    _refine_steps,
+    _row_multisets,
+    _stable,
+    modhomind,
+)
 from homind.graphs import (
     Graph,
     complete_graph,
@@ -34,7 +44,7 @@ from homind.graphs import (
     empty_graph,
     serialize_graph,
 )
-from homind.lasserre import _level_refine
+from homind.lasserre import _level_refine, _level_steps
 from homind.oracle import enumerate_graphs_up_to, exact_treewidth_tiny
 from homind.recognizer import Automaton, builtin, parse_automaton, validate_automaton
 from homind.wl import cfi, gen_wl_hardness, wl_refine
@@ -219,19 +229,21 @@ def _kernel_pairs():
 
 def test_pair_ids_number_pairs_as_a_sort_does():
     """Dense pair ids in sorted order, whether the key range is small
-    enough for the lookup table or is sorted, and on empty arrays."""
+    enough for the lookup table or is sorted, and on empty arrays; the
+    count returned is the number of distinct ids, 0 on empty input."""
     rng = np.random.default_rng(26)
     spans = []
     for size, high_a, high_b in ((0, 1, 1), (1, 1, 1), (50, 3, 4), (20000, 100, 150),
                                  (50, 1000, 1000), (3000, 200, 300), (5, 1 << 30, 1 << 30)):
         a = rng.integers(0, high_a, size=size, dtype=np.int64)
         b = rng.integers(0, high_b, size=size, dtype=np.int64)
-        want = np.unique(a * (int(b.max(initial=-1)) + 1) + b, return_inverse=True)[1]
-        got = _pair_ids(a, b)
+        count_a, count_b = int(a.max(initial=-1)) + 1, int(b.max(initial=-1)) + 1
+        want = np.unique(a * count_b + b, return_inverse=True)[1]
+        got, count = _pair_ids(a, b, count_a, count_b)
         assert got.dtype == np.int64 and got.shape == (size,)
         assert (got == want.reshape(-1)).all(), (size, high_a, high_b)
-        span = (int(a.max(initial=-1)) + 1) * (int(b.max(initial=-1)) + 1)
-        spans.append(span <= 4 * size + 4096)
+        assert count == len(set(got.tolist())), (size, high_a, high_b)
+        spans.append(count_a * count_b <= 4 * size + 4096)
     assert any(spans) and not all(spans)  # both numberings ran
 
 
@@ -247,19 +259,23 @@ def test_refine_keeps_patterns_exact_past_63_bits():
 
 
 def test_row_multisets_are_line_multisets_mod_p():
-    """Two padded rows get one id iff their multisets mod p agree, and
-    the ids are dense."""
+    """Two padded rows get one id iff their multisets mod p agree, the
+    ids are dense, and the count returned is the number of distinct ids,
+    0 on no rows."""
     rng = np.random.default_rng(24)
     for modulus in (None, 2, 3, 5):
         for width in (1, 4, 9):
             rows = rng.integers(0, 3, size=(60, width))
             rows[rng.random(rows.shape) < 0.3] = -1
             want = [_multiset([v for v in row if v >= 0], modulus) for row in rows.tolist()]
-            ids = _row_multisets(rows.copy(), modulus)
+            ids, count = _row_multisets(rows.copy(), modulus)
             assert sorted(set(ids.tolist())) == list(range(len(set(want))))
+            assert count == len(set(want)), (modulus, width)
             for a in range(len(rows)):
                 for b in range(len(rows)):
                     assert (ids[a] == ids[b]) == (want[a] == want[b]), (modulus, width)
+            ids, count = _row_multisets(np.empty((0, width), dtype=np.int64), modulus)
+            assert ids.shape == (0,) and count == 0
 
 
 def test_refinement_matches_pure_python_reference():
@@ -296,6 +312,59 @@ def test_level2_refinement_matches_six_transposition_reference():
             assert got == _reference_level2(g, h, modulus), (g, h, modulus)
             counts.append(len(got))
     assert counts == [82, 82, 394, 339, 248, 240, 72, 72, 248, 213, 197, 170]
+
+
+# === The stop rule of the Gauss-Seidel sweep ===
+
+
+def stop_rule(start, size_g):
+    """Sweep ``start``, the (colours, count, steps) of ``_refine_steps``
+    or ``_level_steps``, with ``_stable``; then run every step once more
+    on the partition it returns.  Returns the indices of the steps that
+    split it (none, if the stop rule is sound) and the number of steps the
+    sweep ran."""
+    colours, count, steps = start
+    ran = 0
+
+    def counted(step):
+        def run(colours, count):
+            nonlocal ran
+            ran += 1
+            return step(colours, count)
+        return run
+
+    colours, sizes = _stable(colours, count, [(settles, counted(step))
+                                              for settles, step in steps], size_g)
+    count, splits = len(sizes[0]), []
+    for i, (_, step) in enumerate(steps if count else ()):  # no tuples, no split
+        ids, id_count = step(colours, count)
+        if _pair_ids(colours, ids, count, id_count)[1] != count:
+            splits.append(i)
+    return splits, ran
+
+
+def test_sweep_stops_where_no_step_splits():
+    """The partition ``_stable`` returns survives one more pass of every
+    step unsplit: ``_refine`` at k = 1-3 over the integers and mod 2, 3
+    and 5, on orders 0 and 1 and on unequal orders, and ``_level_refine``
+    at t = 1 on the same pairs and at t = 2 on those of at most 4
+    vertices.  At k = 1 the sweep is one step, and CFI(K4) at k = 4 takes
+    at most 6 axis steps."""
+    levels = 0
+    for k, G, H in _kernel_pairs():
+        for modulus in (None, 2, 3, 5):
+            splits, ran = stop_rule(_refine_steps(G, H, k, modulus), G.n**k)
+            assert splits == [], (k, G, H, modulus)
+            if k == 1:
+                assert ran == (G.n + H.n > 0), (G, H, modulus)
+            for t in (1, 2):
+                if t == 1 or max(G.n, H.n) <= 4:
+                    levels += 1
+                    splits, _ = stop_rule(_level_steps(G, H, t, modulus), G.n ** (2 * t))
+                    assert splits == [], (t, G, H, modulus)
+    assert levels > 150, levels
+    splits, ran = cfi_stop_rule(complete_graph(4), 4)
+    assert splits == [] and ran <= 6, (splits, ran)
 
 
 # === tw-all against (k-1)-WL beyond the brute-force sizes ===
@@ -381,14 +450,24 @@ def test_tw_all_k4_refinement_splits_cfi_over_k4():
     assert verdict.small_stage_witness == complete_graph(4)
 
 
+CUBE = Graph.from_edges(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4)
+                            if u < u ^ bit])  # the 3-cube Q3
+
+
+def cfi_stop_rule(base, k):
+    """``stop_rule`` on ``_refine`` of the even/odd CFI pair over ``base``
+    at arity k over the integers.  CI runs it on CFI(Q3) and CFI(K5) at
+    k = 4, too slow for Tier-1."""
+    even, odd = (cfi(base, parity).result for parity in (0, 1))
+    return stop_rule(_refine_steps(even, odd, k, None), even.n**k)
+
+
 def test_tw_all_k3_refinement_accepts_cfi_over_treewidth_3_bases():
     """The even and odd CFI graphs over a connected base B are
     indistinguishable over treewidth below k iff tw(B) >= k (Roberson;
     Neuen).  The 3-cube and K5 have treewidth 3 and 4, so at arity 3 the
     refined partitions of 32^3 and 40^3 tuples per graph are balanced."""
-    cube = Graph.from_edges(8, [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4)
-                                if u < u ^ bit])
-    for base, colours in ((cube, 23), (complete_graph(5), 43)):
+    for base, colours in ((CUBE, 23), (complete_graph(5), 43)):
         assert exact_treewidth_tiny(base) >= 3
         even, odd = (cfi(base, parity).result for parity in (0, 1))
         sizes_g, sizes_h = _refine(even, odd, 3, None)
