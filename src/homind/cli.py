@@ -53,6 +53,7 @@ from .engine import (
 )
 from .graphs import (
     Graph,
+    compact_graph,
     connected_components,
     is_connected,
     parse_graph,
@@ -109,10 +110,6 @@ class _Output:
             else:
                 obj[key] = value
         print(json.dumps(obj))
-
-
-def _compact(g: Graph) -> str:
-    return " ".join(serialize_graph(g).split())
 
 
 def _load_graph(path: str) -> Graph:
@@ -247,7 +244,7 @@ def cmd_oracle(args) -> int:
         out.emit("modulus", args.prime)
     out.emit("verdict", "accept" if result.indistinguishable else "reject")
     out.emit("family_size", result.family_size)
-    out.emit("witness", _compact(result.witness) if result.witness else "none")
+    out.emit("witness", compact_graph(result.witness) if result.witness else "none")
     if result.counts is not None:
         out.emit("count_left", result.counts[0])
         out.emit("count_right", result.counts[1])
@@ -262,7 +259,7 @@ def cmd_enumerate(args) -> int:
     out.emit("max_size", args.max_size)
     out.emit("count", len(members))
     for g in members:
-        out.emit("graph", _compact(g))
+        out.emit("graph", compact_graph(g))
     out.finish()
     return 0
 
@@ -450,20 +447,20 @@ def _add_automaton_flags(sp, k_required=False):
                     help="label arity (required with --builtin tw-all)")
 
 
-def _add_common_engine_flags(sp, modes):
+def _add_common_engine_flags(sp):
     sp.add_argument("graph_g", metavar="G.graph")
     sp.add_argument("graph_h", metavar="H.graph")
-    if modes:
-        sp.add_argument("--mode", choices=modes, default="random")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="seed of the prime draws (default: OS entropy, echoed)")
-        sp.add_argument("--prime-bits", type=int, default=None, dest="prime_bits",
-                        help="heuristic mode: sample primes of this width")
-        sp.add_argument("--parallel", type=int, default=1,
-                        help="accepted for compatibility (at least 1); "
-                             "primes are decided one at a time")
-        sp.add_argument("--bit-cap", type=int, default=None, dest="bit_cap",
-                        help="abort if the count bound needs more bits than this")
+    sp.add_argument("--mode", choices=("random", "deterministic", "single-prime"),
+                    default="random")
+    sp.add_argument("--seed", type=int, default=None,
+                    help="seed of the prime draws (default: OS entropy, echoed)")
+    sp.add_argument("--prime-bits", type=int, default=None, dest="prime_bits",
+                    help="heuristic mode: sample primes of this width")
+    sp.add_argument("--parallel", type=int, default=1,
+                    help="accepted for compatibility (at least 1); "
+                         "primes are decided one at a time")
+    sp.add_argument("--bit-cap", type=int, default=None, dest="bit_cap",
+                    help="abort if the count bound needs more bits than this")
     sp.add_argument("--prime", type=_prime_arg, default=None,
                     help="modulus for single-prime mode (decimal or 0x hex)")
     sp.add_argument("--budget", type=int, default=None,
@@ -488,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("homind", help="decide over a bounded-treewidth class")
     _add_automaton_flags(sp)
-    _add_common_engine_flags(sp, ("random", "deterministic", "single-prime"))
+    _add_common_engine_flags(sp)
     sp.add_argument("--prime-budget", type=int, default=10000, dest="prime_budget",
                     help="CRT mode: largest allowed prime count")
     sp.set_defaults(func=cmd_homind)
@@ -507,14 +504,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pwhomind", help="decide over a bounded-pathwidth class")
     _add_automaton_flags(sp)
-    _add_common_engine_flags(sp, ("random", "deterministic", "single-prime"))
+    _add_common_engine_flags(sp)
     sp.add_argument("--prime-budget", type=int, default=10000, dest="prime_budget",
                     help="CRT mode: largest allowed prime count")
     sp.set_defaults(func=cmd_pwhomind)
 
     sp = sub.add_parser("lasserre", help="decide the level-t relaxation")
     sp.add_argument("--t", type=int, required=True, help="relaxation level (1 or 2)")
-    _add_common_engine_flags(sp, ("random", "deterministic", "single-prime"))
+    _add_common_engine_flags(sp)
     sp.set_defaults(func=cmd_lasserre)
 
     sp = sub.add_parser("wl", help="compare k-WL refinement histograms")

@@ -87,25 +87,27 @@ final basis, and a row in the span stays there.
 Counts over the integers are decided three ways.  The exact check is
 ``_closure_verdict`` at p None.  It compares the small members' exact
 counts, and checks the partition refined over the integers for balance
-over the integers.  For a one-state treewidth recogniser these decide
-(``homind_exact``): they give the verdict at every prime above n^k, so
-at every prime a certified draw can return.  For the pathwidth flavour and
-multi-state automata a small-stage witness is an exact reject and a
-balanced integer partition an exact accept: the certificate above holds
-over Q, since the block indicators of the integer partition span a space
-that contains 1 and is closed under the A-masks, the J_i and Schur
-products.  The randomized wrapper asks this check first, and only the
-pairs it leaves open draw primes, uniform ones from a range wide enough
-that five independent draws catch disagreeing counts except with
-probability 2^-trials, if every draw is prime (one-sided error: equal
-counts are never rejected).  A deterministic mode (pathwidth flavour)
-relies on the Chinese remainder theorem: any set of primes whose product
-exceeds the largest possible count detects any disagreement.  It decides
-the smallest such set, 2, 3, 5, ... (269 primes for the builtin paths
-at n = 6), in order up to the first that rejects, and prints exactly the
-primes it decided.  Every prime above max(n_G, n_H) reuses one tw-all
-partition, and each smaller prime refines its own.  The randomized
-wrapper hands its primes to the same loop (``_first_reject``).
+over the integers.  For a one-state treewidth recogniser these decide:
+they give the verdict at every prime above n^k, so at every prime a
+certified draw can return (proof in ``_closure_verdict``), and the
+deterministic wrapper decides such a class by this check alone.  For the
+pathwidth flavour and multi-state automata a small-stage witness is an
+exact reject and a balanced integer partition an exact accept: the
+certificate above holds over Q, since the block indicators of the
+integer partition span a space that contains 1 and is closed under the
+A-masks, the J_i and Schur products.  The randomized wrapper asks this
+check first, and only the pairs it leaves open draw primes, uniform ones
+from a range wide enough that five independent draws catch disagreeing
+counts except with probability 2^-trials, if every draw is prime
+(one-sided error: equal counts are never rejected).  A deterministic
+mode (pathwidth flavour) relies on the Chinese remainder theorem: any
+set of primes whose product exceeds the largest possible count detects
+any disagreement.  It decides the smallest such set, 2, 3, 5, ... (269
+primes for the builtin paths at n = 6), in order up to the first that
+rejects, and prints exactly the primes it decided.  Every prime above
+max(n_G, n_H) reuses one tw-all partition, and each smaller prime
+refines its own.  The randomized wrapper hands its primes to the same
+loop (``_first_reject``).
 
 Tensors and basis rows are numpy arrays whose dtype follows from the
 modulus alone (``_residue_dtype``): uint64 when p < 2^32, so the product
@@ -118,12 +120,12 @@ the closure directly on primes their samplers have already proved.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, cycle
 
 import numpy as np
 
-from .graphs import Graph, hom_count, serialize_graph
+from .graphs import Graph, compact_graph, hom_count
 from .labelled import TApplyA, TApplyJ, TGlue, TOne
 from .modular import (
     BoundOverflow,
@@ -631,10 +633,12 @@ def _patterns(G, H, k, relation):
     return _dense_ids(keys, span)
 
 
-def _stable(colours, count, steps, size_g):
-    """The coarsest refinement of ``colours`` (dense ids, ``count`` of
-    them) that no step of ``steps`` splits; and its class sizes on the
-    first ``size_g`` tuples (G's) and on the others.
+def _stable(start, size_g):
+    """The coarsest refinement of the start colours that no step splits;
+    and its class sizes on the first ``size_g`` tuples (G's) and on the
+    others.  ``start()`` returns the start colours (dense ids), their
+    count and the steps.  ``_stable`` calls it itself, so that nothing
+    else holds the start colours once the sweep has replaced them.
 
     A step is a pair (settles, step).  ``step(colours, count)`` returns an
     id array and its id count, and refining by it numbers the pairs
@@ -654,6 +658,7 @@ def _stable(colours, count, steps, size_g):
     of the start, which every step leaves as it is, and the stable
     partition the sweep ends at is that one, whatever the order of the
     steps: the class sizes are those of refining round by round."""
+    colours, count, steps = start()
     quiet = 0  # steps in a row, up to the last one run, that need not rerun
     for settles, step in cycle(steps):
         if quiet == len(steps) or not count:  # count 0: there are no tuples
@@ -723,7 +728,7 @@ def _refine(G, H, k, modulus):
     Colours and ids stay below the tuple count T and the keys of
     ``_pair_ids`` below T^2, and ``_patterns`` renumbers its keys before
     they pass 2^62, so int64 is exact for any input that fits in memory."""
-    return _stable(*_refine_steps(G, H, k, modulus), G.n**k)[1]
+    return _stable(partial(_refine_steps, G, H, k, modulus), G.n**k)[1]
 
 
 def _partitions(refine, largest):
@@ -778,9 +783,21 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, stats=None,
     regardless, so the statistics are the whole closure's.
 
     At p None the integers decide a small-stage witness, a one-state
-    treewidth class and a balanced integer partition (``homind_exact``
-    and ``homind_randomized``); any other pair returns None, with no
-    linear closure run."""
+    treewidth class and a balanced integer partition (the exact verdict of
+    ``homind_randomized`` and ``homind_deterministic_crt``, mode "exact"
+    with no prime); any other pair returns None, with no linear closure
+    run.
+
+    For a one-state treewidth class the exact verdict is that of p at
+    every prime p that a certified draw of ``homind_randomized`` can
+    return.  Let n = max(n_G, n_H).  Such a p exceeds L >= N >= 2n^k
+    (``bound_tw``), so p > n^k >= n, and:
+
+      * a small member F has at most k vertices, so hom(F, G) and hom(F, H)
+        lie in [0, n^k]; they are congruent mod p iff they are equal;
+      * p > n, so ``_partitions`` refines over the integers at p, and each
+        class size lies in [0, n^k]; a difference of sizes vanishes mod p
+        iff it vanishes."""
     witness, note = _small_stage(aut, p, counts)
     if witness is not None:
         if stats is not None:
@@ -825,31 +842,7 @@ def modhomind_pw(G: Graph, H: Graph, aut: Automaton, p: int, *, stats=None,
         G, H, aut, p, False, _small_counts(G, H, budget), stats=stats)
 
 
-# === Exact, randomized and deterministic integer-level wrappers ===
-
-
-def homind_exact(G: Graph, H: Graph, aut: Automaton, *, stats=None,
-                 budget=10**8) -> Verdict:
-    """Decide equal homomorphism counts over the integers from every member
-    of the class of a one-state automaton in the treewidth flavour (the
-    builtin tw-all, or any one-state automaton file): the small stage
-    compares exact counts, and the pair is accepted iff every class of
-    the partition ``_refine(G, H, k, None)`` holds as many G-tuples as
-    H-tuples.  The verdict lists no prime (mode "exact").
-
-    This is the verdict of ``modhomind`` at every prime p that a certified
-    draw of ``homind_randomized`` can return.  Let n = max(n_G, n_H).  Such
-    a p exceeds L >= N >= 2n^k (``bound_tw``), so p > n^k >= n, and:
-
-      * a small member F has at most k vertices, so hom(F, G) and hom(F, H)
-        lie in [0, n^k]; they are congruent mod p iff they are equal;
-      * p > n, so ``_partitions`` refines over the integers at p, and each
-        class size lies in [0, n^k]; a difference of sizes vanishes mod p
-        iff it vanishes."""
-    if aut.states != 1:
-        raise ValueError("the exact decision needs a one-state automaton")
-    return _closure_verdict(G, H, aut, None, True, _small_counts(G, H, budget),
-                            stats=stats)
+# === Randomized and deterministic integer-level wrappers ===
 
 
 _PRIME_BITS_NOTE = "heuristic: prime-bits mode, error bound not certified"
@@ -971,12 +964,12 @@ def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
     tw-all partition, refined once for every prime above max(n_G, n_H),
     certifies most accepts without a closure.
 
-    A one-state automaton in the treewidth flavour is decided by
-    ``homind_exact``, with no prime; a treewidth automaton with several
-    states has no deterministic mode (its count bound is doubly
-    exponential)."""
+    A one-state automaton in the treewidth flavour is decided by the exact
+    check, ``_closure_verdict`` at p None, with no prime; a treewidth
+    automaton with several states has no deterministic mode (its count
+    bound is doubly exponential)."""
     if variant == "tw" and aut.states == 1:
-        return homind_exact(G, H, aut, budget=budget)
+        return _closure_verdict(G, H, aut, None, True, _small_counts(G, H, budget))
     if variant != "pw":
         raise ValueError(
             "deterministic CRT mode is defined for the pathwidth variant"
@@ -1005,8 +998,7 @@ def verdict_pairs(verdict: Verdict):
     if verdict.rejecting_prime is not None:
         pairs.append(("rejecting_prime", verdict.rejecting_prime))
     witness = verdict.small_stage_witness
-    pairs.append(("witness", "none" if witness is None
-                  else " ".join(serialize_graph(witness).split())))
+    pairs.append(("witness", "none" if witness is None else compact_graph(witness)))
     if verdict.notes:
         pairs.append(("note", verdict.notes))
     return pairs

@@ -72,20 +72,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def has_edge(self, u, v):
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set()
-
-    def _edge_set(self):
-        # edges tuple is small; building a set per call is fine at these sizes,
-        # but cache it on the instance to keep hom oracles snappy.
-        es = getattr(self, "_es_cache", None)
-        if es is None:
-            es = frozenset(self.edges)
-            object.__setattr__(self, "_es_cache", es)
-        return es
-
 
 def adjacency_sets(g):
     """Neighbor sets, index v -> set of neighbors."""
@@ -213,6 +199,12 @@ def serialize_graph(g):
     for u, v in sorted(g.edges):
         lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
+
+
+def compact_graph(g):
+    """The graph file of g on one line: ``serialize_graph`` with every
+    line break a space, as key=value output prints a graph."""
+    return " ".join(serialize_graph(g).split())
 
 
 # === Exact homomorphism counting (the independent oracle) ===

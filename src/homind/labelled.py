@@ -15,7 +15,8 @@ to a tensor operation:
 The generator family B(k) = {J^i} u {A^{ij}} drives the treewidth world:
 J^i introduces one fresh vertex and hands it label i (the previously
 labelled vertex stays behind unlabelled), A^{ij} adds the edge between the
-label-i and label-j vertices.  Terms over {one, glue, A, J} evaluate into
+label-i and label-j vertices (``val_apply_j`` and ``val_apply_a`` apply
+them to a k-labelled graph).  Terms over {one, glue, A, J} evaluate into
 distinctly k-labelled graphs of bounded treewidth; their levelwise
 enumeration below reproduces the depth-d classes with the sharp size bound
 max{k^d, d} (and k+d-1 for the glue-free pathwidth variant): level 1 holds
@@ -40,7 +41,7 @@ skip them.
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
-from .graphs import Graph, empty_graph, is_isomorphic_small
+from .graphs import Graph, adjacency_bitmasks, empty_graph, is_isomorphic_small
 
 
 class LoopCreated(ValueError):
@@ -174,31 +175,6 @@ def permute_labels(F, sigma):
     return LabelledGraph(F.graph, new[: F.k], new[F.k :])
 
 
-# === Generators B(k) ===
-
-
-def j_generator(k, i):
-    """J^i: k+1 isolated vertices; label i moves to the fresh vertex.
-
-    Out-labels sit on the original k vertices, in-labels agree except that
-    position i points at the fresh vertex k (0-based id).
-    """
-    if not 1 <= i <= k:
-        raise ValueError(f"J index {i} outside 1..{k}")
-    ins = tuple(k if j == i - 1 else j for j in range(k))
-    outs = tuple(range(k))
-    return LabelledGraph(empty_graph(k + 1), ins, outs)
-
-
-def a_generator(k, i, j):
-    """A^{ij}: the k labelled vertices with the single edge {i, j}."""
-    if not 1 <= i < j <= k:
-        raise ValueError(f"A indices ({i},{j}) need 1 <= i < j <= {k}")
-    g = Graph.from_edges(k, [(i - 1, j - 1)])
-    ids = tuple(range(k))
-    return LabelledGraph(g, ids, ids)
-
-
 # === Terms of the treewidth/pathwidth algebra ===
 
 
@@ -271,35 +247,36 @@ def labelled_isomorphic(F1, F2):
 
 
 def _bucket_key(F):
+    """An invariant of F up to labelled isomorphism: the sizes and
+    arities, the pattern of coinciding labels, the degree of each label
+    and the edges between labels; and of the whole graph the multiset of
+    its vertices' neighbour-degree multisets, and the triangle count.  The
+    last two keep the buckets of unlabelled graphs small."""
     g = F.graph
-    deg = g.degree_sequence()
+    adj = adjacency_bitmasks(g)
+    deg = [a.bit_count() for a in adj]
+    neighbour_degrees = [[] for _ in adj]
+    for u, v in g.edges:
+        neighbour_degrees[u].append(deg[v])
+        neighbour_degrees[v].append(deg[u])
+    profile = sorted([tuple(sorted(ds)) for ds in neighbour_degrees])
+    triangles = sum([(adj[u] & adj[v]).bit_count() for u, v in g.edges])
     labels = F.in_labels + F.out_labels
-    # pattern of coinciding labels, degree profile on labels, global degrees
     first_seen = {}
-    pattern = []
-    for v in labels:
-        pattern.append(first_seen.setdefault(v, len(first_seen)))
-    label_edges = tuple(
-        sorted(
-            (p, q)
-            for p, q in combinations(range(len(labels)), 2)
-            if labels[p] != labels[q] and g.has_edge(labels[p], labels[q])
-        )
-    )
-    return (
-        g.n,
-        g.m,
-        F.k,
-        F.l,
-        tuple(pattern),
-        tuple(deg[v] for v in labels),
-        tuple(sorted(deg)),
-        label_edges,
-    )
+    pattern = tuple([first_seen.setdefault(v, len(first_seen)) for v in labels])
+    label_edges = tuple([(p, q) for p, q in combinations(range(len(labels)), 2)
+                         if adj[labels[p]] >> labels[q] & 1])
+    return (g.n, g.m, F.k, F.l, pattern, tuple([deg[v] for v in labels]),
+            label_edges, tuple(profile), triangles)
 
 
 class LabelledSet:
-    """Dedup collection of labelled graphs up to labelled isomorphism."""
+    """The labelled graphs added, one per labelled isomorphism class, in
+    the order first added; the one dedup of the package.  An unlabelled
+    graph is a 0-labelled one, so the graph enumerations keep one graph
+    per isomorphism class here too.  A candidate is compared, by
+    ``labelled_isomorphic``, only with the members of its ``_bucket_key``
+    bucket."""
 
     def __init__(self):
         self.buckets = {}

@@ -62,6 +62,8 @@ over the integers, and ``lasserre_exact`` decides over the integers,
 in random mode too, with no prime drawn.
 """
 
+from functools import partial
+
 import numpy as np
 
 from .engine import (
@@ -180,7 +182,7 @@ def _level_refine(G, H, t, modulus):
     sweep reruns every step, the product step too, until all run quiet:
     the split moves the colour pairs (col(a, c), col(c, b)) the product
     signature counts, so only a quiet rerun shows it splits nothing."""
-    return _stable(*_level_steps(G, H, t, modulus), G.n ** (2 * t))
+    return _stable(partial(_level_steps, G, H, t, modulus), G.n ** (2 * t))
 
 
 def _level_partitions(G, H, t):

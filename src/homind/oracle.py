@@ -19,9 +19,11 @@ The enumerating oracles count through ``graphs.hom_count``.
 
 Enumeration of non-isomorphic graphs is incremental edge addition with
 exhaustive isomorphism rejection — fine up to 7 vertices, no external
-graph catalogs involved.  Membership in the bounded-width classes is
-decided by exact treewidth and pathwidth dynamic programs for graphs of
-at most 8 vertices.
+graph catalogs involved.  An unlabelled graph is a 0-labelled graph, so
+each level, like the Lasserre members, keeps one graph per isomorphism
+class in a ``labelled.LabelledSet``, the package's one dedup.
+Membership in the bounded-width classes is decided by exact treewidth
+and pathwidth dynamic programs for graphs of at most 8 vertices.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ from functools import cache, lru_cache
 from .graphs import (
     Graph,
     adjacency_bitmasks,
-    adjacency_sets,
     connected_components,
     hom_count,
     is_connected,
-    is_isomorphic_small,
     path_graph,
     walk_counts,
 )
+from .labelled import LabelledGraph, LabelledSet, enumerate_lasserre
 
 __all__ = [
     "OracleVerdict",
@@ -63,19 +64,6 @@ __all__ = [
 _ENUMERATION_CAP = 7
 
 
-def _invariant_key(g: Graph) -> tuple:
-    """Cheap isomorphism invariant used to bucket candidates."""
-    adj = adjacency_sets(g)
-    degs = [len(a) for a in adj]
-    neigh_profile = sorted(
-        (degs[v], tuple(sorted(degs[u] for u in adj[v]))) for v in range(g.n)
-    )
-    triangles = 0
-    for (u, v) in g.edges:
-        triangles += len(adj[u] & adj[v])
-    return (g.n, len(g.edges), tuple(neigh_profile), triangles)
-
-
 @lru_cache(maxsize=None)
 def enumerate_graphs(n: int) -> tuple:
     """All simple graphs on exactly n vertices, one per isomorphism class.
@@ -95,14 +83,13 @@ def enumerate_graphs(n: int) -> tuple:
     current = [empty_graph]
     all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     while current:
-        level = _dedup_isomorphic(
-            Graph(n, tuple(sorted(g.edges + (edge,))))
-            for g in current
-            for edge in all_pairs
-            if edge not in g.edges
-        )
-        result.extend(level)
-        current = level
+        level = LabelledSet()
+        for g in current:
+            for edge in all_pairs:
+                if edge not in g.edges:
+                    level.add(LabelledGraph(Graph(n, tuple(sorted(g.edges + (edge,)))), ()))
+        current = [F.graph for F, _ in level.items]
+        result.extend(current)
     return tuple(result)
 
 
@@ -267,20 +254,6 @@ def is_path_graph(g: Graph) -> bool:
     return is_connected(g)
 
 
-def _dedup_isomorphic(graphs, cap=10) -> list:
-    """The first graph of each isomorphism class, in input order;
-    ``cap`` is passed on to ``is_isomorphic_small``."""
-    buckets: dict = {}
-    out = []
-    for g in graphs:
-        bucket = buckets.setdefault(_invariant_key(g), [])
-        if any(is_isomorphic_small(g, other, cap=cap) for other in bucket):
-            continue
-        bucket.append(g)
-        out.append(g)
-    return out
-
-
 def class_members(spec, max_size: int) -> list:
     """All non-isomorphic members of the class with at most max_size
     vertices, ordered by vertex count then edge count."""
@@ -296,10 +269,11 @@ def class_members(spec, max_size: int) -> list:
     if cs.kind in ("tw", "pw"):
         return list(filter(class_membership(cs), enumerate_graphs_up_to(max_size)))
     if cs.kind == "lasserre":
-        from .labelled import enumerate_lasserre
-
-        graphs = enumerate_lasserre(cs.param, max_size, max_size)
-        return _dedup_isomorphic(sorted(graphs, key=lambda g: (g.n, len(g.edges))))
+        members = LabelledSet()
+        for g in sorted(enumerate_lasserre(cs.param, max_size, max_size),
+                        key=lambda g: (g.n, len(g.edges))):
+            members.add(LabelledGraph(g, ()))
+        return [F.graph for F, _ in members.items]
     raise ValueError("unrecognized class spec kind: %r" % (cs.kind,))
 
 

@@ -35,12 +35,7 @@ from functools import cache
 from importlib import resources
 from itertools import combinations
 
-from .graphs import (
-    Graph,
-    GraphFormatError,
-    _tokenize_with_lines,
-    parse_graph_tokens,
-)
+from .graphs import GraphFormatError, _tokenize_with_lines, parse_graph_tokens
 from .labelled import (
     ArityMismatch,
     TApplyA,
@@ -49,6 +44,7 @@ from .labelled import (
     TOne,
     enumerate_tw,
     format_term,
+    glue,
     soe,
 )
 
@@ -438,25 +434,7 @@ def validate_automaton(aut, membership, context_bound, term_depth=None):
     )
 
 
-def _glue_soe(ctx, value):
-    """Underlying graph of the gluing of two k-labelled graphs: identify
-    the label-i vertices pairwise, drop labels, deduplicate edges.  Fast
-    path equivalent to soe(glue(ctx, value))."""
-    base = value.graph.n
-    mapping = {}
-    for pos, v in enumerate(ctx.in_labels):
-        mapping[v] = value.in_labels[pos]
-    nxt = base
-    for v in range(ctx.graph.n):
-        if v not in mapping:
-            mapping[v] = nxt
-            nxt += 1
-    edges = set(value.graph.edges)
-    for u, v in ctx.graph.edges:
-        a, b = mapping[u], mapping[v]
-        edges.add((a, b) if a < b else (b, a))
-    return Graph(nxt, tuple(sorted(edges)))
-
-
 def _membership_vector(membership, value, contexts):
-    return tuple(bool(membership(_glue_soe(c, value))) for c in contexts)
+    """The membership verdict of soe(K * value) for each context K.  Terms
+    evaluate to distinctly labelled graphs, so no gluing forces a loop."""
+    return tuple(bool(membership(soe(glue(c, value)))) for c in contexts)

@@ -11,6 +11,7 @@ import numpy as np
 from homind import engine
 from homind.graphs import Graph, hom_count
 from homind.labelled import (
+    LabelledGraph,
     LabelledSet,
     TApplyJ,
     TOne,
@@ -21,7 +22,7 @@ from homind.labelled import (
     soe,
     val_apply_j,
 )
-from homind.oracle import _dedup_isomorphic, enumerate_graphs_up_to
+from homind.oracle import enumerate_graphs_up_to
 from homind.recognizer import trace_term
 
 
@@ -160,7 +161,10 @@ def accepted_value_graphs(aut, max_size):
                 if trace_term(aut, rec.term) in aut.accepting:
                     yield soe(rec.value)
 
-    return _dedup_isomorphic(candidates(), cap=max(10, max_size))
+    graphs = LabelledSet()
+    for g in candidates():
+        graphs.add(LabelledGraph(g, ()))
+    return [F.graph for F, _ in graphs.items]
 
 
 def stacked_tensors(values, G, H):

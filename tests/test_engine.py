@@ -2,7 +2,7 @@
 
 The operator kernels are checked against brute-force homomorphism
 tensors, the closure against brute-force class oracles, and the
-integer-level wrappers (the exact one-state decision, randomized primes,
+integer-level wrappers (the exact check at p None, randomized primes,
 deterministic CRT prime set) against worked examples whose expected
 values were derived from the oracles first.
 """
@@ -24,7 +24,6 @@ from homind.engine import (
     _tw_partitions,
     format_verdict,
     homind_deterministic_crt,
-    homind_exact,
     homind_randomized,
     modhomind,
     modhomind_pw,
@@ -638,11 +637,6 @@ def test_uncertified_random_accept_decides_the_certified_prime_count(seed):
 # === Exact decision of one-state classes ===
 
 
-def test_exact_decision_needs_one_state():
-    with pytest.raises(ValueError, match="one-state"):
-        homind_exact(path_graph(2), path_graph(2), PATHS)
-
-
 def test_one_state_random_rejects_p4_against_the_star_at_every_seed():
     """P4 against K_{1,3}: hom(P3, .) is 10 against 12, so tw-all at k = 2
     and Lasserre at t = 1 must reject.  Drawing primes, a seed whose draws
@@ -692,9 +686,10 @@ def test_one_state_random_decisions_never_draw(monkeypatch):
 
 
 def test_exact_verdict_is_the_verdict_at_every_certified_prime():
-    """On the seeded pairs the exact tw-all verdict, its witness and its
-    dimension equal those of ``modhomind`` at a prime above the bound L;
-    the small stage and the partition have no prime to disagree at."""
+    """On the seeded pairs the exact tw-all verdict (``_closure_verdict``
+    at p None), its witness and its dimension equal those of ``modhomind``
+    at a prime above the bound L; the small stage and the partition have
+    no prime to disagree at.  CRT mode prints the exact verdict."""
     rng = Xoshiro256StarStar(21)
     for G, H in _seeded_pairs():
         for k in (1, 2):
@@ -702,11 +697,15 @@ def test_exact_verdict_is_the_verdict_at_every_certified_prime():
             bounds = bound_tw(max(G.n, H.n, 1), k, 1)
             p = sample_prime_in_range(bounds.L, rng)
             exact, modular = {}, {}
-            got = homind_exact(G, H, aut, stats=exact)
+            got = _closure_verdict(G, H, aut, None, True, _small_counts(G, H, 10**8),
+                                   stats=exact)
             want = modhomind(G, H, aut, p, stats=modular)
+            assert (got.mode, got.primes_used) == ("exact", [])
             assert (got.accept, got.small_stage_witness, got.notes) == (
                 want.accept, want.small_stage_witness, want.notes), (G, H, k)
             assert exact == modular
+            crt = homind_deterministic_crt(G, H, aut, "tw")
+            assert verdict_pairs(crt) == verdict_pairs(got), (G, H, k)
 
 
 # === Deterministic CRT wrapper ===

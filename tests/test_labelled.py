@@ -17,14 +17,12 @@ from homind.labelled import (
     TApplyJ,
     TGlue,
     TOne,
-    a_generator,
     enumerate_atomic,
     enumerate_lasserre,
     enumerate_lasserre_values,
     enumerate_tw,
     format_term,
     glue,
-    j_generator,
     labelled_isomorphic,
     one_labelled,
     permute_labels,
@@ -53,6 +51,30 @@ def random_labelled(rng, k, n, p=0.5, bilabelled=False):
     if bilabelled:
         return LabelledGraph(g, tuple(ids[:k]), tuple(ids[k:2 * k]))
     return LabelledGraph(g, tuple(ids[:k]))
+
+
+def j_generator(k, i):
+    """J^i as a (k, k)-bilabelled graph: k+1 isolated vertices; label i
+    moves to the fresh vertex.
+
+    Out-labels sit on the original k vertices, in-labels agree except that
+    position i points at the fresh vertex k (0-based id).  ``series`` with
+    it is ``val_apply_j``.
+    """
+    if not 1 <= i <= k:
+        raise ValueError(f"J index {i} outside 1..{k}")
+    ins = tuple(k if j == i - 1 else j for j in range(k))
+    outs = tuple(range(k))
+    return LabelledGraph(empty_graph(k + 1), ins, outs)
+
+
+def a_generator(k, i, j):
+    """A^{ij} as a (k, k)-bilabelled graph: the k labelled vertices with
+    the single edge {i, j}.  ``series`` with it is ``val_apply_a``."""
+    if not 1 <= i < j <= k:
+        raise ValueError(f"A indices ({i},{j}) need 1 <= i < j <= {k}")
+    ids = tuple(range(k))
+    return LabelledGraph(Graph.from_edges(k, [(i - 1, j - 1)]), ids, ids)
 
 
 # ------------------------------------------------------------ basic ops

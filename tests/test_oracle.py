@@ -2,6 +2,7 @@
 reference hom tensor."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from homind.graphs import (
 )
 from homind.labelled import (
     LabelledGraph,
-    a_generator,
+    LabelledSet,
     enumerate_atomic,
     glue,
     one_labelled,
@@ -41,7 +42,8 @@ from homind.oracle import (
     paths_oracle,
 )
 
-from conftest import hom_tensor, random_graph, seeded
+from conftest import hom_tensor, permuted_copy, random_graph, seeded
+from test_labelled import a_generator
 
 
 # ------------------------------------------------------------ enumeration
@@ -78,6 +80,28 @@ def test_enumerate_graphs_order():
 
 def test_enumerate_up_to():
     assert len(enumerate_graphs_up_to(5)) == 1 + 2 + 4 + 11 + 34
+
+
+def test_one_dedup_keeps_the_first_graph_of_each_class():
+    """Every graph on at most 6 vertices, each followed by a relabelled
+    copy, goes into one ``LabelledSet`` as a 0-labelled graph; exactly
+    ``enumerate_graphs``'s list comes back, in order.  Labelled graphs
+    that differ only in the order of their labels stay apart."""
+    rng = random.Random(28)
+    graphs = enumerate_graphs_up_to(6)
+    seen = LabelledSet()
+    for g in graphs:
+        assert seen.add(LabelledGraph(g, ()))
+        assert not seen.add(LabelledGraph(permuted_copy(rng, g), ()))
+    assert [F.graph for F, _ in seen.items] == graphs
+    assert len(graphs) == 1 + 2 + 4 + 11 + 34 + 156
+    p3 = path_graph(3)  # 0 - 1 - 2
+    seen = LabelledSet()
+    assert seen.add(LabelledGraph(p3, (0, 1)))  # (end, middle)
+    assert seen.add(LabelledGraph(p3, (1, 0)))  # (middle, end)
+    assert not seen.add(LabelledGraph(p3, (2, 1)))  # (end, middle) again
+    assert seen.add(LabelledGraph(p3, (), (0, 1)))  # out-labels, not in-labels
+    assert len(seen.items) == 3
 
 
 # ------------------------------------------------------------ exact widths

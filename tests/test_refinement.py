@@ -21,6 +21,7 @@ the paper's reduction end to end on every small connected base.
 
 import random
 from collections import Counter
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -318,13 +319,12 @@ def test_level2_refinement_matches_six_transposition_reference():
 
 
 def stop_rule(start, size_g):
-    """Sweep ``start``, the (colours, count, steps) of ``_refine_steps``
-    or ``_level_steps``, with ``_stable``; then run every step once more
-    on the partition it returns.  Returns the indices of the steps that
-    split it (none, if the stop rule is sound) and the number of steps the
-    sweep ran."""
-    colours, count, steps = start
-    ran = 0
+    """Sweep ``start``, a call that returns the (colours, count, steps) of
+    ``_refine_steps`` or ``_level_steps``, with ``_stable``; then run every
+    step once more on the partition it returns.  Returns the indices of
+    the steps that split it (none, if the stop rule is sound) and the
+    number of steps the sweep ran."""
+    steps, ran = [], 0
 
     def counted(step):
         def run(colours, count):
@@ -333,8 +333,12 @@ def stop_rule(start, size_g):
             return step(colours, count)
         return run
 
-    colours, sizes = _stable(colours, count, [(settles, counted(step))
-                                              for settles, step in steps], size_g)
+    def counted_start():
+        colours, count, made = start()
+        steps.extend(made)
+        return colours, count, [(settles, counted(step)) for settles, step in made]
+
+    colours, sizes = _stable(counted_start, size_g)
     count, splits = len(sizes[0]), []
     for i, (_, step) in enumerate(steps if count else ()):  # no tuples, no split
         ids, id_count = step(colours, count)
@@ -353,14 +357,15 @@ def test_sweep_stops_where_no_step_splits():
     levels = 0
     for k, G, H in _kernel_pairs():
         for modulus in (None, 2, 3, 5):
-            splits, ran = stop_rule(_refine_steps(G, H, k, modulus), G.n**k)
+            splits, ran = stop_rule(partial(_refine_steps, G, H, k, modulus), G.n**k)
             assert splits == [], (k, G, H, modulus)
             if k == 1:
                 assert ran == (G.n + H.n > 0), (G, H, modulus)
             for t in (1, 2):
                 if t == 1 or max(G.n, H.n) <= 4:
                     levels += 1
-                    splits, _ = stop_rule(_level_steps(G, H, t, modulus), G.n ** (2 * t))
+                    splits, _ = stop_rule(partial(_level_steps, G, H, t, modulus),
+                                          G.n ** (2 * t))
                     assert splits == [], (t, G, H, modulus)
     assert levels > 150, levels
     splits, ran = cfi_stop_rule(complete_graph(4), 4)
@@ -459,7 +464,7 @@ def cfi_stop_rule(base, k):
     at arity k over the integers.  CI runs it on CFI(Q3) and CFI(K5) at
     k = 4, too slow for Tier-1."""
     even, odd = (cfi(base, parity).result for parity in (0, 1))
-    return stop_rule(_refine_steps(even, odd, k, None), even.n**k)
+    return stop_rule(partial(_refine_steps, even, odd, k, None), even.n**k)
 
 
 def test_tw_all_k3_refinement_accepts_cfi_over_treewidth_3_bases():
