@@ -62,10 +62,8 @@ print("isomorphic pair accepted:", lasserre_mod(g, h, 1, 101).accept)
 # Random mode lifts the mod-p verdict to exact counts without drawing a
 # prime: every prime above the level-t bound exceeds every class size the
 # partition compares, so the verdict at any of them is the verdict over
-# the integers (mode=exact), which ``lasserre_exact`` computes.  Unequal
-# vertex counts are rejected.
+# the integers (mode=exact), which ``lasserre_mod`` computes at p = None.
+# Unequal vertex counts are rejected.
 
-from homind.lasserre import lasserre_exact
-
-verdict = lasserre_exact(complete_graph(2), Graph.from_edges(3, [(0, 1)]), 1)
+verdict = lasserre_mod(complete_graph(2), Graph.from_edges(3, [(0, 1)]), 1, None)
 print("unequal orders rejected:", not verdict.accept, "| mode:", verdict.mode)

@@ -32,7 +32,8 @@ Identical argv and seed produce byte-identical output.  Seeds default
 to OS entropy but are always echoed so any run can be replayed.  Exit
 codes: 0 accept/ok, 1 reject/distinguished, 2 usage or processing
 error.  The environment variable HOMIND_BUDGET overrides the default
-work budgets wherever a --budget flag exists.
+work budgets wherever a --budget flag exists; a budget below 1, from
+either, exits 2 before anything is printed.
 """
 
 import argparse
@@ -52,6 +53,7 @@ from .engine import (
     verdict_pairs,
 )
 from .graphs import (
+    DEFAULT_WORK_BUDGET,
     Graph,
     compact_graph,
     connected_components,
@@ -59,7 +61,7 @@ from .graphs import (
     parse_graph,
     serialize_graph,
 )
-from .lasserre import lasserre_exact, lasserre_mod
+from .lasserre import lasserre_mod
 from .modular import BoundOverflow, bound_lasserre, bound_pw, bound_tw
 from .oracle import (
     class_members,
@@ -71,7 +73,6 @@ from .oracle import (
 from .recognizer import builtin, parse_automaton, validate_automaton
 from .wl import cfi, gen_clique_reduction, gen_wl_hardness, wl_refine
 
-DEFAULT_WORK_BUDGET = 10 ** 8
 DEFAULT_WL_BUDGET = 200_000
 
 
@@ -209,13 +210,8 @@ def cmd_pwhomind(args) -> int:
 
 
 def cmd_lasserre(args) -> int:
-    exact = lambda G, H: lasserre_exact(G, H, args.t)
-    return _decide(
-        args,
-        lambda G, H, p: lasserre_mod(G, H, args.t, p),
-        lambda G, H, seed: exact(G, H),
-        exact,
-    )
+    decide = lambda G, H, p=None: lasserre_mod(G, H, args.t, p)
+    return _decide(args, decide, lambda G, H, seed: decide(G, H), decide)
 
 
 # === analysis subcommands ===
@@ -601,6 +597,8 @@ def main(argv=None) -> int:
         if getattr(args, "budget", 0) is None:
             args.budget = _default_budget(
                 DEFAULT_WL_BUDGET if args.command == "wl" else DEFAULT_WORK_BUDGET)
+        if getattr(args, "budget", 1) < 1:
+            raise ValueError(f"budget must be at least 1, got {args.budget}")
         return args.func(args)
     except (ValueError, OSError, BoundOverflow, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -125,7 +125,7 @@ from itertools import combinations, cycle
 
 import numpy as np
 
-from .graphs import Graph, compact_graph, hom_count
+from .graphs import DEFAULT_WORK_BUDGET, Graph, compact_graph, hom_count
 from .labelled import TApplyA, TApplyJ, TGlue, TOne
 from .modular import (
     BoundOverflow,
@@ -731,12 +731,18 @@ def _refine(G, H, k, modulus):
     return _stable(partial(_refine_steps, G, H, k, modulus), G.n**k)[1]
 
 
+def _refine_modulus(p, largest):
+    """The modulus a refinement counts mod at prime p: None (the integers)
+    when p is None or exceeds ``largest``, as no count it takes does."""
+    return p if p is not None and p <= largest else None
+
+
 def _partitions(refine, largest):
     """The partition ``refine(modulus)`` at any prime p, or over the
     integers when p is None, once per modulus: no count exceeds
     ``largest``, so all primes above it share modulus None."""
     refine = cache(refine)
-    return lambda p: refine(p if p is not None and p <= largest else None)
+    return lambda p: refine(_refine_modulus(p, largest))
 
 
 def _tw_partitions(G, H, k):
@@ -817,7 +823,7 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, stats=None,
 
 
 def modhomind(G: Graph, H: Graph, aut: Automaton, p: int, *, stats=None,
-              budget=10**8) -> Verdict:
+              budget=DEFAULT_WORK_BUDGET) -> Verdict:
     """Decide whether G and H admit equal homomorphism counts mod p from
     every member of the class recognised by ``aut`` (treewidth flavour:
     closure includes pairwise Schur products).  Passing ``stats`` fills in
@@ -830,7 +836,7 @@ def modhomind(G: Graph, H: Graph, aut: Automaton, p: int, *, stats=None,
 
 
 def modhomind_pw(G: Graph, H: Graph, aut: Automaton, p: int, *, stats=None,
-                 budget=10**8) -> Verdict:
+                 budget=DEFAULT_WORK_BUDGET) -> Verdict:
     """Pathwidth flavour of modhomind: the gluing operation is dropped
     from the closure (series-only generation), which is exactly the
     difference between path and tree decompositions.  Passing ``stats``
@@ -868,7 +874,7 @@ def _first_reject(primes, decide, mode, notes):
 
 
 def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
-                      seed: int = 0, bit_cap=None, budget=10**8,
+                      seed: int = 0, bit_cap=None, budget=DEFAULT_WORK_BUDGET,
                       prime_bits=None) -> Verdict:
     """Decide equal homomorphism counts over the integers from every member
     of the class of ``aut`` (the pathwidth flavour when ``variant`` is
@@ -954,7 +960,7 @@ def homind_randomized(G: Graph, H: Graph, aut: Automaton, variant: str = "tw",
 
 def homind_deterministic_crt(G: Graph, H: Graph, aut: Automaton,
                              variant: str = "pw", prime_budget: int = 10000,
-                             bit_cap=None, budget=10**8) -> Verdict:
+                             bit_cap=None, budget=DEFAULT_WORK_BUDGET) -> Verdict:
     """Deterministic decision for the pathwidth flavour: two counts below
     the largest possible homomorphism count (n^N) can only agree modulo
     every prime of a set whose product exceeds n^N if they are equal.

@@ -210,7 +210,10 @@ def compact_graph(g):
 # === Exact homomorphism counting (the independent oracle) ===
 
 
-def hom_count(F, G, budget=10**8, pins=None):
+DEFAULT_WORK_BUDGET = 10**8  # steps of one exact count, unless a caller sets its own
+
+
+def hom_count(F, G, budget=DEFAULT_WORK_BUDGET, pins=None):
     """Number of homomorphisms F -> G by exhaustive enumeration, or of
     those that extend the partial map ``pins`` (vertex of F -> vertex of
     G) when it is given.
@@ -365,14 +368,12 @@ def is_isomorphic_small(G, H, cap=10, pairs=()):
     if G.n != H.n or G.m != H.m:
         return False
     n = G.n
-    deg_g = G.degree_sequence()
-    deg_h = H.degree_sequence()
-    if sorted(deg_g) != sorted(deg_h):
-        return False
-
     adj_g = adjacency_bitmasks(G)
     adj_h = adjacency_bitmasks(H)
-    adj_g_sets = adjacency_sets(G)
+    deg_g = [mask.bit_count() for mask in adj_g]
+    deg_h = [mask.bit_count() for mask in adj_h]
+    if sorted(deg_g) != sorted(deg_h):
+        return False
 
     image = [-1] * n
     used = 0  # bitmask over V(H)
@@ -397,7 +398,7 @@ def is_isomorphic_small(G, H, cap=10, pairs=()):
         for x in range(n):
             if image[x] >= 0:
                 continue
-            placed = bin(adj_g[x] & assigned_mask).count("1")
+            placed = (adj_g[x] & assigned_mask).bit_count()
             key = (placed, deg_g[x])
             if best_key is None or key > best_key:
                 best, best_key = x, key
@@ -408,15 +409,13 @@ def is_isomorphic_small(G, H, cap=10, pairs=()):
         x = pick_next()
         if x < 0:
             return True
-        need = 0
-        for y in adj_g_sets[x]:
-            if image[y] >= 0:
-                need |= 1 << image[y]
-        placed_images = 0
-        for y in range(n):
-            if image[y] >= 0:
-                placed_images |= 1 << image[y]
-        forbid = placed_images & ~need
+        need = 0  # the images of x's placed neighbours
+        placed = adj_g[x] & assigned_mask
+        while placed:
+            low = placed & -placed
+            need |= 1 << image[low.bit_length() - 1]
+            placed ^= low
+        forbid = used & ~need
         for h in range(n):
             bit = 1 << h
             if used & bit or deg_h[h] != deg_g[x]:

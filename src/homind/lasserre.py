@@ -1,5 +1,5 @@
-"""Modular homomorphism indistinguishability over the level-t
-matrix-algebra hierarchy.
+"""Homomorphism indistinguishability, mod p or over the integers, over
+the level-t matrix-algebra hierarchy.
 
 A (t,t)-bilabelled graph has t "row" and t "column" label vertices; its
 homomorphism tensor in a target G is an n^t-by-n^t matrix whose (x, y)
@@ -58,8 +58,9 @@ atomics only.  The equality is measured: the tests gate the colour count
 and verdict against the linear closure of W by Gaussian elimination on
 ``MatrixOps``, on seeded and structured pairs at both levels.  No product
 count exceeds n^t, so every prime above it shares the partition refined
-over the integers, and ``lasserre_exact`` decides over the integers,
-in random mode too, with no prime drawn.
+over the integers, and ``lasserre_mod`` at p None decides over the
+integers, the verdict of random and deterministic mode, with no prime
+drawn.
 """
 
 from functools import partial
@@ -72,9 +73,9 @@ from .engine import (
     _adjacency,
     _blocks_balanced,
     _mod_matmul,
-    _partitions,
     _patterns,
     _prime_verdict,
+    _refine_modulus,
     _require_prime,
     _row_multisets,
     _stable,
@@ -185,34 +186,23 @@ def _level_refine(G, H, t, modulus):
     return _stable(partial(_level_steps, G, H, t, modulus), G.n ** (2 * t))
 
 
-def _level_partitions(G, H, t):
-    """The decision's ``_partitions`` at level t."""
+def lasserre_mod(G: Graph, H: Graph, t: int, p: int | None, *,
+                 stats=None) -> Verdict:
+    """Decide whether G and H admit equal homomorphism counts mod p from
+    every member of the level-t class, or over the integers when p is None
+    (the verdict of random and deterministic mode, mode "exact" with no
+    prime): every class of the partition refined at p holds as many
+    G-tuples as H-tuples.
+
+    The exact verdict is that of p at every prime p that a certified draw
+    against ``bound_lasserre`` can return.  Let n = max(n_G, n_H).  Such a
+    p exceeds L >= N = 2t * 4^(n^(2t)) > n^(2t) >= n^t, so the partition
+    at p is the one refined over the integers (``_refine_modulus``), and
+    each class size lies in [0, n^(2t)]: a difference of sizes vanishes
+    mod p iff it vanishes."""
     if t not in (1, 2):
         raise ValueError(f"level must be 1 or 2, got {t}")
-    return _partitions(lambda modulus: _level_refine(G, H, t, modulus)[1],
-                       max(G.n, H.n) ** t)
-
-
-def lasserre_mod(G: Graph, H: Graph, t: int, p: int, *, stats=None) -> Verdict:
-    """Decide whether G and H admit equal homomorphism counts mod p from
-    every member of the level-t class."""
-    partitions = _level_partitions(G, H, t)
-    _require_prime(p)
-    return _prime_verdict(p, _blocks_balanced(*partitions(p), p, stats))
-
-
-def lasserre_exact(G: Graph, H: Graph, t: int, *, stats=None) -> Verdict:
-    """Decide equal homomorphism counts over the integers from every member
-    of the level-t class: every class of the partition refined over the
-    integers holds as many G-tuples as H-tuples.  The verdict lists no
-    prime (mode "exact").
-
-    This is the verdict of ``lasserre_mod`` at every prime p that a
-    certified draw against ``bound_lasserre`` can return.  Let n =
-    max(n_G, n_H).  Such a p exceeds L >= N = 2t * 4^(n^(2t)) > n^(2t) >= n^t,
-    so ``_level_partitions`` refines over the integers at p, and each class
-    size lies in [0, n^(2t)]: a difference of sizes vanishes mod p iff it
-    vanishes."""
-    partitions = _level_partitions(G, H, t)
-    return _prime_verdict(None, _blocks_balanced(*partitions(None), None, stats))
-
+    if p is not None:
+        _require_prime(p)
+    sizes = _level_refine(G, H, t, _refine_modulus(p, max(G.n, H.n) ** t))[1]
+    return _prime_verdict(p, _blocks_balanced(*sizes, p, stats))

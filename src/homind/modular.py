@@ -59,6 +59,7 @@ __all__ = [
     "sample_prime_in_range",
     "sample_prime_with_bits",
     "certified_prime_count",
+    "trial_count",
     "bound_tw",
     "bound_pw",
     "bound_lasserre",

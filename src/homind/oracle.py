@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .graphs import (
+    DEFAULT_WORK_BUDGET,
     Graph,
     adjacency_bitmasks,
     connected_components,
@@ -325,7 +326,7 @@ def homind_bruteforce(
     class_spec,
     max_size: int,
     modulus: int | None = None,
-    budget: int = 10 ** 8,
+    budget: int = DEFAULT_WORK_BUDGET,
 ) -> OracleVerdict:
     """Compare hom(F, G) against hom(F, H) for every class member F with at
     most max_size vertices; exact counts, or residues mod modulus.

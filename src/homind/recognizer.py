@@ -386,8 +386,8 @@ def validate_automaton(aut, membership, context_bound, term_depth=None):
     records = enumerate_tw(aut.k, depth, context_bound)
     n_terms = len(records)
 
-    for rec in records:
-        st = trace_term(aut, rec.term)
+    states = [trace_term(aut, rec.term) for rec in records]
+    for rec, st in zip(records, states):
         accepted = st in aut.accepting
         member = bool(membership(soe(rec.value)))
         if accepted != member:
@@ -407,8 +407,7 @@ def validate_automaton(aut, membership, context_bound, term_depth=None):
     # must share the vector (compare against the state's representative).
     reps = {}
     contexts = [ctx.value for ctx in records]
-    for rec in records:
-        st = trace_term(aut, rec.term)
+    for rec, st in zip(records, states):
         vec = _membership_vector(membership, rec.value, contexts)
         if st not in reps:
             reps[st] = (rec, vec)

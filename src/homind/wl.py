@@ -175,6 +175,8 @@ def gen_wl_hardness(G: Graph, k: int, max_output: int = 4096):
     """Reduce a treewidth question to a refinement question: the even/odd
     pair of the (isolated-vertex-free, path-connected) base is k-WL
     indistinguishable iff the base has treewidth >= k+1."""
+    if k < 1:
+        raise ValueError(f"wl-hardness needs k >= 1, got {k}")
     base = _path_connect(_delete_isolated(G))
     size = sum(2 ** (d - 1) for d in base.degree_sequence())
     if size > max_output:

@@ -216,6 +216,29 @@ def test_lasserre_random_accepts_permuted_pair(files, capsys):
     assert "verdict=accept" in out.splitlines()
 
 
+def test_every_lasserre_mode_decides_through_lasserre_mod(files, capsys,
+                                                          monkeypatch):
+    """Random, deterministic and single-prime mode each make one call of
+    ``lasserre_mod``: at p None in the integer modes, at the prime given
+    in single-prime mode."""
+    import homind.cli
+
+    calls = []
+    decide = homind.cli.lasserre_mod
+
+    def counted(G, H, t, p, **kwargs):
+        calls.append((t, p))
+        return decide(G, H, t, p, **kwargs)
+
+    monkeypatch.setattr(homind.cli, "lasserre_mod", counted)
+    for mode in (("--mode", "random", "--seed", "7"), ("--mode", "deterministic"),
+                 ("--mode", "single-prime", "--prime", "101")):
+        rc, _, _ = run(["lasserre", "--t", "1", *mode, files["c6"], files["2k3"]],
+                       capsys)
+        assert rc == 1
+    assert calls == [(1, None), (1, None), (1, 101)]
+
+
 def test_prime_flag_needs_single_prime_mode(files, capsys):
     rc, _, err = run(["homind", "--builtin", "tw-all", "--k", "2",
                       "--prime", "7", files["c6"], files["2k3"]], capsys)
@@ -625,6 +648,33 @@ def test_budget_env_var_overrides_default(files, capsys, monkeypatch):
     rc2, _, _ = run(["wl", files["c6"], files["2k3"], "--k", "2",
                      "--budget", "200000"], capsys)
     assert rc2 == 1  # explicit flag beats the environment
+
+
+@pytest.mark.parametrize("command", [
+    ("homind", "--builtin", "tw-all", "--k", "2", "--seed", "1"),
+    ("pwhomind", "--builtin", "paths", "--seed", "1"),
+    ("modhomind", "--builtin", "tw-all", "--k", "2", "--prime", "101"),
+    ("lasserre", "--t", "1", "--seed", "1"),
+    ("wl", "--k", "1"),
+    ("oracle", "--class", "all", "--max-size", "2"),
+], ids=["homind", "pwhomind", "modhomind", "lasserre", "wl", "oracle"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_exits_2_before_any_output(files, capsys, monkeypatch,
+                                                    command, budget):
+    """A budget below 1, from --budget or from HOMIND_BUDGET, exits 2 and
+    prints nothing, not even the seed."""
+    error = f"error: budget must be at least 1, got {budget}\n"
+    argv = [*command, files["p4"], files["p4"]]
+    assert run([*argv, "--budget", budget], capsys) == (2, "", error)
+    monkeypatch.setenv("HOMIND_BUDGET", budget)
+    assert run(argv, capsys) == (2, "", error)
+
+
+def test_gen_wl_hardness_rejects_k_below_one(files, capsys):
+    for k in ("0", "-1"):
+        rc, out, err = run(["gen", "wl-hardness", files["k3"], "--k", k], capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"error: wl-hardness needs k >= 1, got {k}\n"
 
 
 def test_missing_file_is_a_processing_error(files, capsys):

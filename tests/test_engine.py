@@ -42,7 +42,7 @@ from homind.graphs import (
     walk_counts,
 )
 from homind.labelled import TApplyA, TApplyJ, TOne, enumerate_tw
-from homind.lasserre import lasserre_exact
+from homind.lasserre import lasserre_mod
 from homind.modular import (
     BoundOverflow,
     Xoshiro256StarStar,
@@ -375,7 +375,6 @@ def test_closure_agrees_across_array_backends():
     arrays (a 128-bit prime): verdicts follow (k-1)-WL or the known
     Lasserre outcome, and the closure dimension is the same at both primes.
     Every pair has equal order and size, so the closure decides."""
-    from homind.lasserre import lasserre_mod
     from homind.wl import wl_refine
 
     two_c4 = Graph.from_edges(
@@ -649,7 +648,7 @@ def test_one_state_random_rejects_p4_against_the_star_at_every_seed():
         assert not verdict.accept, seed
         assert (verdict.mode, verdict.primes_used) == ("exact", [])
         assert verdict.small_stage_witness is None
-    assert verdict_pairs(lasserre_exact(P4, star, 1)) == verdict_pairs(verdict)
+    assert verdict_pairs(lasserre_mod(P4, star, 1, None)) == verdict_pairs(verdict)
 
 
 def test_one_state_random_decisions_never_draw(monkeypatch):
@@ -679,8 +678,8 @@ def test_one_state_random_decisions_never_draw(monkeypatch):
             verdict = homind_randomized(path_graph(3), complete_graph(3), PATHS,
                                         variant, **kwargs)
             assert not verdict.accept and verdict.mode == "exact"
-    assert lasserre_exact(c6, c6r, 1).accept
-    assert not lasserre_exact(c6, two_k3, 1).accept
+    assert lasserre_mod(c6, c6r, 1, None).accept
+    assert not lasserre_mod(c6, two_k3, 1, None).accept
     with pytest.raises(AssertionError, match="drawn"):
         homind_randomized(path_graph(4), star_graph(3), builtin("tw-all", 2), "pw")
 

@@ -30,7 +30,7 @@ from homind.graphs import (
 )
 from homind.labelled import enumerate_atomic, enumerate_lasserre, enumerate_lasserre_values
 from homind.engine import verdict_pairs
-from homind.lasserre import MatrixOps, lasserre_exact, lasserre_mod
+from homind.lasserre import MatrixOps, lasserre_mod
 from homind.modular import (
     Xoshiro256StarStar,
     bound_lasserre,
@@ -357,8 +357,10 @@ def test_edge_count_difference_rejected():
 
 
 def test_level_and_modulus_validation():
-    with pytest.raises(ValueError, match="level"):
-        lasserre_mod(path_graph(2), path_graph(2), 3, 7)
+    """The level is checked first, at p None too, then the prime."""
+    for p in (7, 9, None):
+        with pytest.raises(ValueError, match="level"):
+            lasserre_mod(path_graph(2), path_graph(2), 3, p)
     with pytest.raises(ValueError, match="not prime"):
         lasserre_mod(path_graph(2), path_graph(2), 1, 9)
 
@@ -417,7 +419,7 @@ def test_randomized_bound_example_and_prime_range():
     assert (bounds.N, bounds.L, bounds.trials) == (512, 512, 36)
     g = complete_graph(2)
     h = permuted_copy(random.Random(1), g)
-    verdict = lasserre_exact(g, h, 1)
+    verdict = lasserre_mod(g, h, 1, None)
     assert verdict.accept
     assert verdict_pairs(verdict) == [("verdict", "accept"), ("mode", "exact"),
                                       ("witness", "none")]
@@ -436,7 +438,7 @@ def test_randomized_refines_once_per_decision(monkeypatch):
 
     monkeypatch.setattr(lasserre, "_level_refine", counted)
     g = random_graph(random.Random(4), 5)
-    verdict = lasserre_exact(g, permuted_copy(random.Random(5), g), 1)
+    verdict = lasserre_mod(g, permuted_copy(random.Random(5), g), 1, None)
     assert verdict.accept
     assert verdict.primes_used == []
     assert calls == [None]
@@ -452,15 +454,25 @@ def test_randomized_draws_only_the_primes_it_decides(monkeypatch):
         return sample(L, rng)
 
     monkeypatch.setattr(engine, "sample_prime_in_range", counted)
-    verdict = lasserre_exact(path_graph(3), complete_graph(3), 1)
+    verdict = lasserre_mod(path_graph(3), complete_graph(3), 1, None)
     assert not verdict.accept and verdict.primes_used == []
     assert draws == []
+
+
+def test_exact_verdict_tests_no_primality(monkeypatch):
+    """At p None no modulus is given, so none is checked for primality."""
+    def refuse(p):
+        raise AssertionError(f"is_prime({p}) called")
+
+    monkeypatch.setattr(engine, "is_prime", refuse)
+    assert lasserre_mod(cycle_graph(6), cycle_graph(6), 1, None).accept
+    assert not lasserre_mod(cycle_graph(6), TWO_TRIANGLES, 2, None).accept
 
 
 def test_randomized_rejects_edge_count_difference():
     a = Graph.from_edges(4, [(0, 1), (1, 2)])
     b = Graph.from_edges(4, [(0, 1)])
-    verdict = lasserre_exact(a, b, 1)
+    verdict = lasserre_mod(a, b, 1, None)
     assert not verdict.accept
     assert verdict.rejecting_prime is None and verdict.mode == "exact"
 
@@ -479,7 +491,7 @@ def test_exact_verdict_is_the_verdict_at_a_certified_prime():
         for t in (1, 2) if max(G.n, H.n) <= 3 else (1,):
             p = sample_prime_in_range(bound_lasserre(max(G.n, H.n), t).L, rng)
             exact, modular = {}, {}
-            assert (lasserre_exact(G, H, t, stats=exact).accept
+            assert (lasserre_mod(G, H, t, None, stats=exact).accept
                     == lasserre_mod(G, H, t, p, stats=modular).accept), (G, H, t)
             assert exact == modular
 
