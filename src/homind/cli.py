@@ -506,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_pwhomind)
 
     sp = sub.add_parser("lasserre", help="decide the level-t relaxation")
-    sp.add_argument("--t", type=int, required=True, help="relaxation level (1 or 2)")
+    sp.add_argument("--t", type=int, required=True, choices=(1, 2),
+                    help="relaxation level (1 or 2)")
     _add_common_engine_flags(sp)
     sp.set_defaults(func=cmd_lasserre)
 

@@ -75,14 +75,14 @@ multi-state automata at arity k, at every prime p:
   * so if every block is balanced mod p, every vector of W_p has equal G
     and H sums, and every accepting bucket reads out balanced.
 
-Only a pair whose partition is unbalanced at p, or a call that asks for
-the closure's statistics, runs the linear closure (``_closure``).  It
-reads out each row as it inserts it into an accepting bucket and, unless
-statistics are asked for, rejects at the first row whose G and H sums
-differ, the counterexample a forward closure finds in weighted-automaton
-equivalence (Tzeng, SIAM J. Comput. 1992).  That is the full closure's
-reject: the readout is linear, the rows inserted into a bucket span its
-final basis, and a row in the span stays there.
+Only a pair whose partition is unbalanced at p runs the linear closure
+(``_closure``), whether or not the caller asks for statistics.  It reads
+out each row as it inserts it into an accepting bucket and rejects at
+the first row whose G and H sums differ, the counterexample a forward
+closure finds in weighted-automaton equivalence (Tzeng, SIAM J. Comput.
+1992).  That is the full closure's reject: the readout is linear, the
+rows inserted into a bucket span its final basis, and a row in the span
+stays there.
 
 Counts over the integers are decided three ways.  The exact check is
 ``_closure_verdict`` at p None.  It compares the small members' exact
@@ -414,8 +414,7 @@ def _split(vec, length_g):
     return vec[..., :length_g], vec[..., length_g:]
 
 
-def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
-             stats=None):
+def _closure(bases, seeds, expand, accepting, ops_g, ops_h, stats=None):
     """Worklist closure shared by the pw and multi-state tw deciders (and
     the tests' reference Lasserre closure).
 
@@ -428,65 +427,57 @@ def _closure(bases, seeds, expand, accepting, ops_g, ops_h, order_rng=None,
     only the rows left nonzero go on to ``try_insert``, in order.  Full
     reduction against a reduced echelon basis is canonical, so the bases,
     and the rows inserted and queued, are those of offering the rows one
-    at a time.  ``order_rng`` randomizes the pop order.
+    at a time.
 
     Returns whether every row of every accepting bucket has equal G and H
     block sums.  Each row is read out as it is inserted into an accepting
-    bucket, and without ``stats`` the closure stops at the first row that
-    reads unequal; with ``stats`` it runs to the end, so the statistics
-    are those of the whole closure.  The verdict is the same either way:
-    a bucket's inserted rows span its basis at every step (each is the
-    reduced candidate, and the basis rows are combinations of them), so
-    they span its final basis, and the readout, the G sum minus the H sum
-    mod p, is linear.  It vanishes on every final basis row iff it
-    vanishes on every inserted row, and a row that reads unequal when it
-    is inserted stays in the span the full closure ends with.
+    bucket, and the closure stops at the first row that reads unequal.
+    That is the full closure's verdict: a bucket's inserted rows span its
+    basis at every step (each is the reduced candidate, and the basis rows
+    are combinations of them), so they span its final basis, and the
+    readout, the G sum minus the H sum mod p, is linear.  It vanishes on
+    every final basis row iff it vanishes on every inserted row, and a row
+    that reads unequal when it is inserted stays in the span the full
+    closure ends with.  ``stats`` receives the closure as it ran: the rows
+    inserted up to the stop, and the candidates offered.
     """
-    worklist = []  # (state, reduced row vector)
-    inserts = candidates = 0
-    balanced = True
+    worklist = []  # (state, reduced row vector), one per inserted row
+    candidates = 0
 
-    def insert(q, block):
-        """Offer the candidates to bucket q; False once the closure may
-        stop: a row inserted into an accepting bucket read unequal sums
-        and no statistics are asked for."""
-        nonlocal inserts, candidates, balanced
-        basis = bases[q]
-        if block.ndim == 1:
-            candidates += 1
-            rows = (block,)
-        else:
-            candidates += len(block)
-            rows = basis.survivors(block)
-        for vec in rows:
-            row = basis.try_insert(vec)
-            if row is None:
-                continue
-            inserts += 1
-            worklist.append((q, row))
-            if balanced and q in accepting:
-                g, h = _split(row, ops_g.length)
-                balanced = bool(ops_g.total(g) == ops_h.total(h))
-                if not balanced and stats is None:
-                    return False
-        return True
+    def inserted():
+        """Offer the seeds, then the expansions of each row in the order
+        it was inserted, to their buckets; yield every row inserted."""
+        nonlocal candidates
+        pairs, head = seeds, 0
+        while True:
+            for q, block in pairs:
+                basis = bases[q]
+                if block.ndim == 1:
+                    candidates += 1
+                    rows = (block,)
+                else:
+                    candidates += len(block)
+                    rows = basis.survivors(block)
+                for vec in rows:
+                    row = basis.try_insert(vec)
+                    if row is not None:
+                        worklist.append((q, row))
+                        yield q, row
+            if head == len(worklist):
+                return
+            q, row = worklist[head]
+            worklist[head] = None  # the basis keeps the row; drop the copy
+            head += 1
+            pairs = expand(q, row)
 
-    if not all(insert(q, vec) for q, vec in seeds):
-        return False
-    head = 0
-    while head < len(worklist):
-        if order_rng is not None:
-            pick = head + order_rng.randbelow(len(worklist) - head)
-            worklist[head], worklist[pick] = worklist[pick], worklist[head]
-        q, row = worklist[head]
-        worklist[head] = None  # the basis keeps the row; drop the copy
-        head += 1
-        if not all(insert(target, block) for target, block in expand(q, row)):
-            return False
+    def equal(row):
+        g, h = _split(row, ops_g.length)
+        return ops_g.total(g) == ops_h.total(h)
 
+    balanced = all(equal(row) for q, row in inserted() if q in accepting)
     if stats is not None:
         stats["dim_total"] = sum(len(b) for b in bases)
-        stats["inserts"] = inserts
+        stats["inserts"] = len(worklist)
         stats["candidates"] = candidates
         stats["per_state"] = {q: len(b) for q, b in enumerate(bases)}
     return balanced
@@ -785,8 +776,9 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, stats=None,
     other closure spans a subspace of its block indicators (see the module
     docstring), so a partition balanced at p certifies an accept, and only
     an uncertified pair runs the linear closure, up to its first unequal
-    readout.  A call that passes ``stats`` runs the full linear closure
-    regardless, so the statistics are the whole closure's.
+    readout.  ``stats`` describe the decision as it ran: nothing for a
+    small-stage reject, the partition, one block per colour, for a verdict
+    the partition decides, and otherwise the linear closure up to its stop.
 
     At p None the integers decide a small-stage witness, a one-state
     treewidth class and a balanced integer partition (the exact verdict of
@@ -811,10 +803,9 @@ def _closure_verdict(G, H, aut, p, include_schur, counts, stats=None,
         return _prime_verdict(p, False, witness=witness)
 
     partitions = partitions or _tw_partitions(G, H, aut.k)
-    if include_schur and aut.states == 1:
-        accept = _blocks_balanced(*partitions(p), p, stats) or not aut.accepting
-    elif stats is None and _blocks_balanced(*partitions(p), p):
-        accept = True
+    balanced = _blocks_balanced(*partitions(p), p, stats)
+    if balanced or (include_schur and aut.states == 1):
+        accept = balanced or not aut.accepting
     elif p is None:
         return None
     else:
@@ -827,9 +818,7 @@ def modhomind(G: Graph, H: Graph, aut: Automaton, p: int, *, stats=None,
     """Decide whether G and H admit equal homomorphism counts mod p from
     every member of the class recognised by ``aut`` (treewidth flavour:
     closure includes pairwise Schur products).  Passing ``stats`` fills in
-    the closure's statistics; for an automaton with several states it runs
-    the full linear closure, even where the tw-all partition certifies the
-    accept and past the first unequal readout of a reject."""
+    the statistics of the decision as it ran (see ``_closure_verdict``)."""
     _require_prime(p)
     return _closure_verdict(
         G, H, aut, p, True, _small_counts(G, H, budget), stats=stats)
@@ -840,9 +829,7 @@ def modhomind_pw(G: Graph, H: Graph, aut: Automaton, p: int, *, stats=None,
     """Pathwidth flavour of modhomind: the gluing operation is dropped
     from the closure (series-only generation), which is exactly the
     difference between path and tree decompositions.  Passing ``stats``
-    runs the full closure, even where the tw-all partition certifies the
-    accept and past the first unequal readout of a reject, and fills in
-    its statistics."""
+    fills in the statistics of the decision as it ran."""
     _require_prime(p)
     return _closure_verdict(
         G, H, aut, p, False, _small_counts(G, H, budget), stats=stats)

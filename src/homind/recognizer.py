@@ -380,8 +380,12 @@ def validate_automaton(aut, membership, context_bound, term_depth=None):
     membership(soe(val(t))); and for every pair of terms traced to the
     same state, that the membership verdicts of soe(K * val(t)) agree for
     every enumerated context K within context_bound vertices.  Reports
-    the first counterexample found.
+    the first counterexample found.  A bound below the arity k fits no
+    term, so it checks nothing and raises ValueError.
     """
+    if context_bound < aut.k:
+        raise ValueError(f"context bound {context_bound} is below the arity "
+                         f"{aut.k}: no term fits, nothing would be checked")
     depth = context_bound if term_depth is None else term_depth
     records = enumerate_tw(aut.k, depth, context_bound)
     n_terms = len(records)

@@ -5,8 +5,10 @@ automaton accepts)."""
 
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from homind import engine
 from homind.graphs import Graph, hom_count
@@ -67,24 +69,50 @@ def _rows(pairs):
 def closure_runs(monkeypatch, one_at_a_time=False, order_rng=None):
     """Patch ``engine._closure``, where the deciders and the reference
     Lasserre closure look it up; the returned list collects the bases of
-    every closure run.  With ``one_at_a_time`` the closure is fed its
-    seeds and expansions one candidate at a time; ``order_rng``, when
-    given, randomizes every closure's pop order."""
+    every closure run.  ``order_rng``, a ``Xoshiro256StarStar``, when
+    given, shuffles the (target, candidates) pairs of every closure's
+    seeds and of every expansion; with ``one_at_a_time`` the closure is
+    then fed them one candidate at a time, in the same order."""
     runs = []
     closure = engine._closure
 
-    def traced(bases, seeds, expand, accepting, ops_g, ops_h, rng=None,
-               stats=None):
-        if one_at_a_time:
-            seeds = list(_rows(seeds))
-            batched = expand
-            expand = lambda q, row: _rows(batched(q, row))  # noqa: E731
+    def reorder(pairs):
+        if order_rng is not None:
+            pairs = list(pairs)
+            order_rng.shuffle(pairs)
+        return _rows(pairs) if one_at_a_time else pairs
+
+    def traced(bases, seeds, expand, accepting, ops_g, ops_h, stats=None):
         runs.append(bases)
-        return closure(bases, seeds, expand, accepting, ops_g, ops_h,
-                       rng if order_rng is None else order_rng, stats)
+        return closure(bases, reorder(seeds),
+                       lambda q, row: reorder(expand(q, row)),
+                       accepting, ops_g, ops_h, stats)
 
     monkeypatch.setattr(engine, "_closure", traced)
     return runs
+
+
+def readout(bases, states, length_g, p):
+    """Whether every row of the buckets ``states`` has equal G and H
+    sums mod p, ``length_g`` the length of the G block."""
+    for q in states:
+        g, h = engine._split(bases[q].matrix, length_g)
+        if (g.sum(axis=-1) % p != h.sum(axis=-1) % p).any():
+            return False
+    return True
+
+
+def full_closure(G, H, aut, p, include_schur, stats=None):
+    """The whole linear closure of ``aut`` at p, with no early stop: its
+    verdict, read out from the accepting buckets, and its bases.  It runs
+    ``engine._linear_closure`` for ``aut`` with no accepting state, so
+    nothing is read out and nothing stops it."""
+    with pytest.MonkeyPatch.context() as patch:
+        runs = closure_runs(patch)
+        engine._linear_closure(G, H, replace(aut, accepting=frozenset()), p,
+                               include_schur, stats)
+    (bases,) = runs
+    return readout(bases, aut.accepting, G.n ** aut.k, p), bases
 
 
 def hom_tensor(F, G, modulus=None):

@@ -20,6 +20,8 @@ from homind.engine import _Basis, _concat, _mod_matmul, _prime_verdict, _split
 from homind.labelled import enumerate_atomic
 from homind.lasserre import MatrixOps
 
+from conftest import readout
+
 # Basis entries multiplied per product block.
 PRODUCT_ENTRIES = 1 << 16
 
@@ -40,10 +42,11 @@ def products(ops, block, others):
     return out
 
 
-def lasserre_linear(G, H, t, p, order_rng=None, stats=None):
-    """The single-prime level-t verdict of the linear closure, with the
-    closure's statistics in ``stats`` and its pop order randomized by
-    ``order_rng``."""
+def lasserre_linear(G, H, t, p, stats=None):
+    """The single-prime level-t verdict of the whole linear closure, with
+    the closure's statistics in ``stats``.  The closure runs with no
+    accepting bucket, so no readout stops it, and its one bucket is read
+    out at the end."""
     og, oh = MatrixOps(G, t, p), MatrixOps(H, t, p)
     split = og.length
     basis = _Basis(p, og.length + oh.length)
@@ -71,5 +74,5 @@ def lasserre_linear(G, H, t, p, order_rng=None, stats=None):
                 axis=1)
 
     seeds = [(0, np.concatenate((atoms_g, atoms_h), axis=1))]
-    accept = engine._closure([basis], seeds, expand, [0], og, oh, order_rng, stats)
-    return _prime_verdict(p, bool(accept))
+    engine._closure([basis], seeds, expand, [], og, oh, stats)
+    return _prime_verdict(p, readout([basis], [0], split, p))

@@ -4,10 +4,11 @@ at a time, and the decisions' garbage.
 ``_closure`` reduces each block of candidates against a basis with one
 matrix product and inserts the rows that survive.  Full reduction against
 a reduced echelon basis is canonical, so a block must give exactly the
-bases, verdict and statistics of offering its rows one by one.  The
-Lasserre cases run the reference linear closure (``lasserre_reference``),
-whose blocks are also checked against candidates built one pair at a
-time by the per-pair tensor operations.
+bases, verdict and statistics of offering its rows one by one.  Every
+case runs a whole closure with no early stop: the ``paths`` cases
+``conftest.full_closure``, the Lasserre cases the reference linear
+closure (``lasserre_reference``), whose blocks are also checked against
+candidates built one pair at a time by the per-pair tensor operations.
 """
 
 import gc
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from homind import engine
-from homind.engine import modhomind, modhomind_pw
+from homind.engine import _linear_closure, modhomind, modhomind_pw
 from homind.graphs import Graph, cycle_graph, path_graph, star_graph
 from homind.labelled import enumerate_atomic
 from homind.lasserre import MatrixOps, lasserre_mod
@@ -25,7 +26,7 @@ from homind.modular import Xoshiro256StarStar
 from homind.recognizer import builtin
 
 import lasserre_reference
-from conftest import closure_runs, permuted_copy, random_graph
+from conftest import closure_runs, full_closure, permuted_copy, random_graph, readout
 from lasserre_reference import lasserre_linear
 
 PRIMES = [101, (1 << 31) - 1, (1 << 61) - 1]
@@ -44,16 +45,18 @@ def _cases():
     paths = builtin("paths", 2)
     return [
         ("lasserre t=1 C6 vs 2K3",
-         lambda **kw: lasserre_linear(c6, TWO_TRIANGLES, 1, **kw)),
-        ("lasserre t=1 permuted", lambda **kw: lasserre_linear(g5, h5, 1, **kw)),
-        ("lasserre t=2 P3", lambda **kw: lasserre_linear(star, path_graph(3), 2, **kw)),
-        ("modhomind paths C6 vs 2K3",
-         lambda **kw: modhomind(c6, TWO_TRIANGLES, paths, **kw)),
-        ("modhomind paths permuted", lambda **kw: modhomind(g6, h6, paths, **kw)),
-        ("modhomind_pw paths C6 vs 2K3",
-         lambda **kw: modhomind_pw(c6, TWO_TRIANGLES, paths, **kw)),
-        ("modhomind_pw paths permuted",
-         lambda **kw: modhomind_pw(g6, h6, paths, **kw)),
+         lambda **kw: lasserre_linear(c6, TWO_TRIANGLES, 1, **kw).accept),
+        ("lasserre t=1 permuted", lambda **kw: lasserre_linear(g5, h5, 1, **kw).accept),
+        ("lasserre t=2 P3",
+         lambda **kw: lasserre_linear(star, path_graph(3), 2, **kw).accept),
+        ("tw paths C6 vs 2K3",
+         lambda **kw: full_closure(c6, TWO_TRIANGLES, paths, include_schur=True, **kw)[0]),
+        ("tw paths permuted",
+         lambda **kw: full_closure(g6, h6, paths, include_schur=True, **kw)[0]),
+        ("pw paths C6 vs 2K3",
+         lambda **kw: full_closure(c6, TWO_TRIANGLES, paths, include_schur=False, **kw)[0]),
+        ("pw paths permuted",
+         lambda **kw: full_closure(g6, h6, paths, include_schur=False, **kw)[0]),
     ]
 
 
@@ -61,9 +64,9 @@ def _decide(monkeypatch, decide, p, order_seed, one_at_a_time):
     order_rng = None if order_seed is None else Xoshiro256StarStar(order_seed)
     runs = closure_runs(monkeypatch, one_at_a_time, order_rng)
     stats = {}
-    verdict = decide(p=p, stats=stats)
+    accept = decide(p=p, stats=stats)
     monkeypatch.undo()
-    return verdict.accept, stats, runs
+    return accept, stats, runs
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -86,19 +89,20 @@ def test_batched_closure_matches_one_candidate_at_a_time(monkeypatch, p, order_s
 
 def test_decisions_leave_no_cyclic_garbage():
     """A decision's bases, arrays and generators are freed by reference
-    counting alone: none of them sits in a reference cycle.  ``stats``
-    makes the ``paths`` decisions run the linear closure, which the tw-all
-    partition would otherwise certify.  P4 against K_{1,3} at 3 runs it
-    without ``stats`` and stops at its first unequal readout, with the
-    worklist and the expansion generators left unfinished."""
+    counting alone: none of them sits in a reference cycle.  The ``paths``
+    accepts of C6 against 2K3 run the linear closure directly, since the
+    tw-all partition would certify them, and run it to the end.  P4
+    against K_{1,3} at 3 runs it through the deciders, with ``stats`` or
+    without, and stops at its first unequal readout, with the worklist and
+    the expansion generators left unfinished."""
     paths = builtin("paths", 2)
     decisions = [
         lambda: lasserre_mod(cycle_graph(6), TWO_TRIANGLES, 1, 101),
         lambda: lasserre_mod(path_graph(3), path_graph(3), 2, 101),
-        lambda: modhomind_pw(cycle_graph(6), TWO_TRIANGLES, paths, 101, stats={}),
-        lambda: modhomind(cycle_graph(6), TWO_TRIANGLES, paths, 101, stats={}),
+        lambda: _linear_closure(cycle_graph(6), TWO_TRIANGLES, paths, 101, False),
+        lambda: _linear_closure(cycle_graph(6), TWO_TRIANGLES, paths, 101, True),
         lambda: modhomind_pw(path_graph(4), star_graph(3), paths, 3),
-        lambda: modhomind(path_graph(4), star_graph(3), paths, 3),
+        lambda: modhomind(path_graph(4), star_graph(3), paths, 3, stats={}),
     ]
     for decide in decisions:  # caches and lazy imports
         decide()
@@ -143,7 +147,8 @@ def test_closure_blocks_are_reduced_in_chunks():
 def _lasserre_one_at_a_time(G, H, t, p):
     """The reference Lasserre closure with every candidate built alone, by
     the per-pair tensor operations, in the order its batched blocks hold
-    (transpositions at t = 2 only, as there)."""
+    (transpositions at t = 2 only, as there), run to the end and read out
+    there, as there."""
     og, oh = MatrixOps(G, t, p), MatrixOps(H, t, p)
     split = og.length
     basis = engine._Basis(p, og.length + oh.length)
@@ -164,8 +169,8 @@ def _lasserre_one_at_a_time(G, H, t, p):
 
     seeds = [(0, np.concatenate(pair)) for pair in atomics]
     stats = {}
-    accept = engine._closure([basis], seeds, expand, [0], og, oh, None, stats)
-    return accept, stats, basis
+    engine._closure([basis], seeds, expand, [], og, oh, stats)
+    return readout([basis], [0], split, p), stats, basis
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -450,6 +450,16 @@ def test_bounds_treewidth_worked_example(files, capsys):
     assert "trials=295" in lines
 
 
+def test_lasserre_level_is_checked_before_the_seed_is_printed(files, capsys):
+    """A level other than 1 or 2 is an argparse usage error: exit 2 with
+    nothing on stdout, the random mode's seed line included."""
+    for level in ("0", "3"):
+        rc, out, err = run(["lasserre", "--t", level, "--mode", "random",
+                            "--seed", "1", files["c6"], files["2k3"]], capsys)
+        assert (rc, out) == (2, ""), level
+        assert "--t: invalid choice" in err
+
+
 def test_bounds_lasserre_worked_example(files, capsys):
     rc, out, _ = run(["bounds", "--lasserre", "--n", "2", "--t", "1",
                       "--json"], capsys)
@@ -521,6 +531,20 @@ def test_validate_automaton_ok_and_failing(files, capsys):
         "detail=both trace to state 0 but the context verdicts differ "
         "(True vs False)\n"
         "terms_checked=26\ncontexts_checked=26\n"), "")
+
+
+def test_validate_automaton_refuses_a_bound_below_the_arity(files, capsys):
+    """A context bound below k fits no term: the check would be vacuous,
+    so it exits 2 with nothing on stdout instead of printing ok=true."""
+    for bound in ("1", "0"):
+        rc, out, err = run(["validate-automaton", "--builtin", "paths", "--k", "2",
+                            "--class", "all", "--context-bound", bound], capsys)
+        assert (rc, out) == (2, ""), bound
+        assert err == (f"error: context bound {bound} is below the arity 2: "
+                       "no term fits, nothing would be checked\n")
+    rc, out, _ = run(["validate-automaton", "--builtin", "paths", "--k", "2",
+                      "--class", "all", "--context-bound", "2"], capsys)
+    assert rc == 1 and "terms_checked=2" in out.splitlines()
 
 
 def test_width_zero_and_forest_membership_match_the_exact_widths():

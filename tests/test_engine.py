@@ -20,6 +20,7 @@ from homind.engine import (
     _closure_verdict,
     _first_reject,
     _linear_closure,
+    _prime_verdict,
     _small_counts,
     _tw_partitions,
     format_verdict,
@@ -60,6 +61,7 @@ from homind.recognizer import builtin, parse_automaton, trace_term
 from conftest import (
     closure_runs,
     enumerate_pw,
+    full_closure,
     hom_tensor,
     permuted_copy,
     random_graph,
@@ -314,33 +316,30 @@ def test_closure_counts_candidates():
     that leave the span among them."""
     G, H = cycle_graph(6), TWO_TRIANGLES
     aut = builtin("paths", 2)
-    for decide in (modhomind, modhomind_pw):
+    for decide, include_schur in ((modhomind, True), (modhomind_pw, False)):
+        assert decide(G, H, aut, 101).small_stage_witness is None
         stats = {}
-        assert decide(G, H, aut, 101, stats=stats).small_stage_witness is None
+        assert _linear_closure(G, H, aut, 101, include_schur, stats)
         assert stats["candidates"] > stats["inserts"] == stats["dim_total"] > 0
 
 
 def test_closure_verdict_is_order_independent(monkeypatch):
-    """Randomizing the worklist pop order changes intermediate bases but
-    never the verdict, and the closure span (hence dimension) is
+    """Randomizing the order in which the closure offers its candidates
+    changes intermediate bases but never the verdict, of the early stop or
+    of the full closure, and the full closure's span (hence dimension) is
     canonical."""
-    def linear_tw(G, H, aut, p, **kwargs):  # modhomind refines partitions
-        return _linear_closure(G, H, aut, p, True, **kwargs)
-
-    def pw(G, H, aut, p, **kwargs):
-        return modhomind_pw(G, H, aut, p, **kwargs).accept
-
     fixtures = [
-        (cycle_graph(6), TWO_TRIANGLES, builtin("tw-all", 2), 101, linear_tw),
-        (path_graph(4), star_graph(3), builtin("paths", 2), 10007, pw),
+        (cycle_graph(6), TWO_TRIANGLES, builtin("tw-all", 2), 101, True),
+        (path_graph(4), star_graph(3), builtin("paths", 2), 10007, False),
     ]
-    for G, H, aut, p, decide in fixtures:
+    for G, H, aut, p, include_schur in fixtures:
         base_stats = {}
-        expected = decide(G, H, aut, p, stats=base_stats)
+        expected = full_closure(G, H, aut, p, include_schur, base_stats)[0]
         for seed in range(10):
             stats = {}
             closure_runs(monkeypatch, order_rng=Xoshiro256StarStar(seed))
-            assert decide(G, H, aut, p, stats=stats) == expected
+            assert full_closure(G, H, aut, p, include_schur, stats)[0] == expected
+            assert _linear_closure(G, H, aut, p, include_schur) == expected
             monkeypatch.undo()
             assert stats["dim_total"] == base_stats["dim_total"]
 
@@ -425,9 +424,11 @@ def test_paths_engine_agrees_with_paths_oracle():
     for G, H in pairs:
         for _ in range(3):
             p = rng.choice([2, 3, 5, 10007, 4294967291])
-            got = modhomind_pw(G, H, aut, p, stats={}).accept
+            verdict = modhomind_pw(G, H, aut, p)
             want = paths_oracle(G, H, modulus=p)
-            assert got == want, (G, H, p)
+            assert verdict.accept == want, (G, H, p)
+            if verdict.small_stage_witness is None:  # the closure decides too
+                assert full_closure(G, H, aut, p, False)[0] == want, (G, H, p)
 
 
 def test_paths_reject_matches_first_walk_disagreement():
@@ -460,11 +461,8 @@ def test_pw_closure_spans_every_term_tensor(monkeypatch, G, H):
     states = np.array([trace_term(aut, rec.term) for rec in records])
     exact = stacked_tensors([rec.value for rec in records], G, H)
     for p in (2, 97, (1 << 61) - 1):
-        runs = closure_runs(monkeypatch)
         stats = {}
-        modhomind_pw(G, H, aut, p, stats=stats)
-        monkeypatch.undo()
-        [bases] = runs
+        bases = full_closure(G, H, aut, p, False, stats)[1]
         for q, basis in enumerate(bases):
             in_span, rank = span_check(basis, exact[states == q], p)
             assert in_span and rank == stats["per_state"][q], (p, q)
@@ -913,12 +911,12 @@ def _two_regular_pairs():
 
 
 def test_certified_accept_is_the_closure_verdict(monkeypatch):
-    """``_closure_verdict`` without ``stats`` (the tw-all certificate
-    first) prints what it prints with ``stats`` (the linear closure
-    always), for ``paths`` and the forests automaton in both flavours, on
-    the seeded and 2-regular pairs, at small primes and a word prime.  The
-    certificate decides at least half of the cases; a case it leaves to
-    the closure, or to the small stage, takes the same path either way."""
+    """Every accept the tw-all certificate decides, with no closure run,
+    is an accept of the linear closure, for ``paths`` and the forests
+    automaton in both flavours, on the seeded and 2-regular pairs, at
+    small primes and a word prime.  The certificate decides at least half
+    of the cases; a case it leaves to the closure runs that closure, and
+    the small stage decides alike either way."""
     from test_refinement import FORESTS_K2
 
     automata = [builtin("paths", 2), parse_automaton(FORESTS_K2)]
@@ -935,22 +933,65 @@ def test_certified_accept_is_the_closure_verdict(monkeypatch):
                     if runs or not got.accept:
                         continue
                     certified += 1
-                    want = _closure_verdict(G, H, aut, p, include_schur, counts,
-                                            stats={})
+                    want = _prime_verdict(
+                        p, _linear_closure(G, H, aut, p, include_schur), got.notes)
                     assert verdict_pairs(got) == verdict_pairs(want), (G, H, p)
     assert 2 * certified >= cases, (certified, cases)
+
+
+def test_stats_never_change_the_work(monkeypatch):
+    """``stats`` observe a decision and never steer it: ``_closure_verdict``
+    prints the same verdict with and without them, and runs the same
+    closures to the same dimensions, for ``paths`` and the forests
+    automaton in both flavours, on the seeded pairs and G7/H7, at small
+    primes and a word prime.  A permuted G(9, 1/2) pair, which the tw-all
+    partition certifies, runs no closure when ``stats`` are asked for."""
+    from test_refinement import FORESTS_K2
+
+    def decide(G, H, aut, p, include_schur, counts, **kwargs):
+        runs = closure_runs(monkeypatch)
+        verdict = _closure_verdict(G, H, aut, p, include_schur, counts, **kwargs)
+        monkeypatch.undo()
+        return verdict_pairs(verdict), [[len(b) for b in bases] for bases in runs]
+
+    automata = [builtin("paths", 2), parse_automaton(FORESTS_K2)]
+    closures = 0
+    for G, H in _seeded_pairs() + [(_G7, _H7)]:
+        counts = _small_counts(G, H, 10**8)
+        for aut in automata:
+            for include_schur in (False, True):
+                for p in (2, 3, 5, 7, 97, 4294967291):
+                    stats = {}
+                    plain = decide(G, H, aut, p, include_schur, counts)
+                    observed = decide(G, H, aut, p, include_schur, counts, stats=stats)
+                    assert plain == observed, (G, H, p, include_schur)
+                    for dims in plain[1]:  # the statistics of the closure run
+                        assert stats["per_state"] == dict(enumerate(dims)), stats
+                    closures += len(plain[1])
+    assert closures >= 50, closures
+
+    rng = random.Random(3)
+    G = random_graph(rng, 9)
+    H = permuted_copy(rng, G)
+    for decide_flavour in (modhomind, modhomind_pw):
+        runs = closure_runs(monkeypatch)
+        stats = {}
+        assert decide_flavour(G, H, PATHS, 2**31 - 1, stats=stats).accept
+        monkeypatch.undo()
+        assert runs == [] and stats["per_state"] == {0: stats["dim_total"]}
 
 
 # === The early stop of the linear closure ===
 
 
-def test_closure_verdict_without_stats_is_the_full_closure_verdict(monkeypatch):
-    """Without ``stats`` the linear closure stops at its first unequal
-    readout; with ``stats`` it runs to the end.  The verdicts agree in
-    both flavours of ``paths``, at small primes and a word prime, on every
-    seeded pair (and G7/H7) the tw-all partition leaves to the closure,
-    the cases a decision runs it on.  A reject, where the row it stops at
-    depends on the pop order, is also decided in a randomized order."""
+def test_early_stop_is_the_full_closure_verdict(monkeypatch):
+    """The linear closure stops at its first unequal readout; the full
+    closure (``conftest.full_closure``) runs to the end.  The verdicts
+    agree in both flavours of ``paths``, at small primes and a word prime,
+    on every seeded pair (and G7/H7) the tw-all partition leaves to the
+    closure, the cases a decision runs it on.  A reject, where the row it
+    stops at depends on the candidate order, is also decided in a
+    randomized order."""
     aut = builtin("paths", 2)
     verdicts = []
     for index, (G, H) in enumerate(_seeded_pairs() + [(_G7, _H7)]):
@@ -959,7 +1000,7 @@ def test_closure_verdict_without_stats_is_the_full_closure_verdict(monkeypatch):
             if _blocks_balanced(*partitions(p), p):
                 continue
             for include_schur in (False, True):
-                want = _linear_closure(G, H, aut, p, include_schur, {})
+                want = full_closure(G, H, aut, p, include_schur)[0]
                 assert _linear_closure(G, H, aut, p, include_schur) == want
                 verdicts.append(want)
                 if want:
@@ -973,17 +1014,20 @@ def test_closure_verdict_without_stats_is_the_full_closure_verdict(monkeypatch):
 
 @pytest.mark.parametrize("include_schur", [False, True], ids=["pw", "tw"])
 def test_closure_reject_stops_before_the_full_span(monkeypatch, include_schur):
-    """P4 against K_{1,3} at 3: the closure without ``stats`` rejects after
-    fewer inserts than the full closure's dimension."""
+    """P4 against K_{1,3} at 3: the closure rejects after fewer inserts
+    than the full closure's dimension, and its ``stats`` count the rows
+    it inserted up to the stop."""
     aut = builtin("paths", 2)
     G, H = path_graph(4), star_graph(3)
     stats = {}
-    assert not _linear_closure(G, H, aut, 3, include_schur, stats)
+    assert not full_closure(G, H, aut, 3, include_schur, stats)[0]
     runs = closure_runs(monkeypatch)
-    assert not _linear_closure(G, H, aut, 3, include_schur)
+    stopped = {}
+    assert not _linear_closure(G, H, aut, 3, include_schur, stopped)
     [bases] = runs
     inserts = sum(len(basis) for basis in bases)
     assert 0 < inserts < stats["inserts"] == stats["dim_total"], (inserts, stats)
+    assert stopped["inserts"] == stopped["dim_total"] == inserts, stopped
 
 
 def test_randomized_pw_reject_draws_only_its_first_prime(monkeypatch):

@@ -351,6 +351,17 @@ def test_validate_tw_all_no_counterexample():
     assert report.terms_checked > 0
 
 
+def test_validate_refuses_a_context_bound_below_the_arity():
+    """No term of arity k has fewer than k vertices, so a bound below k
+    would check nothing; bound k checks the terms on k vertices."""
+    for k in (1, 2, 3):
+        aut = builtin("tw-all", k)
+        for bound in range(k):
+            with pytest.raises(ValueError, match="below the arity"):
+                validate_automaton(aut, lambda g: True, bound)
+        assert validate_automaton(aut, lambda g: True, k).terms_checked > 0
+
+
 def test_validate_rejects_wrong_acceptance():
     # tw-all with membership "is a path" must fail: some term value is not
     # a path but every state is accepting.

@@ -50,7 +50,7 @@ from homind.oracle import enumerate_graphs_up_to, exact_treewidth_tiny
 from homind.recognizer import Automaton, builtin, parse_automaton, validate_automaton
 from homind.wl import cfi, gen_wl_hardness, wl_refine
 
-from conftest import permuted_copy, random_graph
+from conftest import full_closure, permuted_copy, random_graph
 
 PRIMES = (2, 3, 7, (1 << 31) - 1, (1 << 128) - 159)
 
@@ -106,7 +106,7 @@ def test_refinement_matches_linear_closure_on_seeded_corpus():
             refined, linear = {}, {}
             verdict = modhomind(G, H, aut, p, stats=refined)
             assert verdict.small_stage_witness is None
-            expected = _linear_closure(G, H, aut, p, True, stats=linear)
+            expected = full_closure(G, H, aut, p, True, stats=linear)[0]
             assert verdict.accept == expected, (k, G, H, p)
             assert refined["dim_total"] == linear["dim_total"], (k, G, H, p)
             assert refined["inserts"] == refined["dim_total"]
@@ -551,8 +551,9 @@ def test_forests_automaton_matches_refinement_and_1wl():
     """Forests have treewidth <= 1, so HI over them is 1-WL equivalence
     (Dvořák 2010), and mod p it is HI over tw-all at arity 2.  The
     four-state automaton runs the linear closure with Schur products
-    (``stats`` keeps the tw-all certificate from deciding its accepts),
-    tw-all the partition refinement; they must agree at every prime."""
+    (called directly, since the tw-all certificate would decide its
+    accepts), tw-all the partition refinement; they must agree at every
+    prime, and with the decision of the four-state automaton."""
     aut = parse_automaton(FORESTS_K2)
     assert validate_automaton(aut, _is_forest, 5).ok
     even, odd = (cfi(complete_graph(4), parity).result for parity in (0, 1))
@@ -570,8 +571,10 @@ def test_forests_automaton_matches_refinement_and_1wl():
     rejects = 0
     for G, H in pairs:
         for p in (2, 3, (1 << 31) - 1):
-            verdict = modhomind(G, H, aut, p, stats={})
-            assert verdict.accept == modhomind(G, H, tw_all, p).accept, (G, H, p)
+            verdict = modhomind(G, H, aut, p)
+            closure = _linear_closure(G, H, aut, p, True)
+            assert verdict.accept == closure == modhomind(G, H, tw_all, p).accept, (
+                G, H, p)
         assert verdict.small_stage_witness is None
         assert verdict.accept == wl_refine(G, H, 1), (G, H)
         rejects += not verdict.accept
