@@ -12,7 +12,8 @@ One binary, one subcommand per capability:
               deterministic CRT mode on top of random / single-prime
   lasserre    level-t relaxation decision (over the integers in random
               and deterministic mode, or single-prime)
-  wl          k-dimensional Weisfeiler-Leman refinement comparison
+  wl          k-dimensional Weisfeiler-Leman equivalence (the integer
+              tw-all partition at arity k + 1, balanced or not)
   cfi         build one even/odd gadget graph over a base graph
   gen         reduction generators (wl-hardness, clique-reduction)
   oracle      brute-force hom-count comparison over an enumerated class
@@ -31,9 +32,10 @@ key=value manifest when writing files via --out / --out-prefix.
 Identical argv and seed produce byte-identical output.  Seeds default
 to OS entropy but are always echoed so any run can be replayed.  Exit
 codes: 0 accept/ok, 1 reject/distinguished, 2 usage or processing
-error.  The environment variable HOMIND_BUDGET overrides the default
-work budgets wherever a --budget flag exists; a budget below 1, from
-either, exits 2 before anything is printed.
+error, out of memory included.  The environment variable HOMIND_BUDGET
+overrides the default work budget (the steps of one exact count) wherever
+a --budget flag exists; a budget below 1, from either, exits 2 before
+anything is printed.
 """
 
 import argparse
@@ -46,6 +48,8 @@ from functools import cache
 
 from .engine import (
     Verdict,
+    _blocks_balanced,
+    _refine,
     homind_deterministic_crt,
     homind_randomized,
     modhomind,
@@ -71,9 +75,7 @@ from .oracle import (
     homind_bruteforce,
 )
 from .recognizer import builtin, parse_automaton, validate_automaton
-from .wl import cfi, gen_clique_reduction, gen_wl_hardness, wl_refine
-
-DEFAULT_WL_BUDGET = 200_000
+from .wl import cfi, gen_clique_reduction, gen_wl_hardness
 
 
 class _Output:
@@ -116,13 +118,6 @@ class _Output:
 def _load_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_graph(fh.read())
-
-
-def _default_budget(fallback: int) -> int:
-    env = os.environ.get("HOMIND_BUDGET")
-    if env is None:
-        return fallback
-    return int(env)
 
 
 def _resolve_automaton(args):
@@ -218,9 +213,13 @@ def cmd_lasserre(args) -> int:
 
 
 def cmd_wl(args) -> int:
+    """k-WL equivalence is HI over treewidth at most k (Dvořák 2010), the
+    tw-all class at arity k + 1, which its integer partition decides."""
     G = _load_graph(args.graph_g)
     H = _load_graph(args.graph_h)
-    same = wl_refine(G, H, args.k, budget=args.budget)
+    if args.k < 1:
+        raise ValueError("k must be >= 1")
+    same = _blocks_balanced(*_refine(G, H, args.k + 1, None), None)
     out = _Output(args.json)
     out.emit("k", args.k)
     out.emit("indistinguishable", same)
@@ -472,7 +471,8 @@ def _prime_arg(text: str) -> int:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  ``--budget`` defaults
-    to None there; ``main`` fills it in per call (see ``_default_budget``)."""
+    to None there; ``main`` fills it in per call, from HOMIND_BUDGET or
+    ``DEFAULT_WORK_BUDGET``."""
     parser = argparse.ArgumentParser(
         prog="homind",
         description="homomorphism indistinguishability deciders",
@@ -511,12 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_engine_flags(sp)
     sp.set_defaults(func=cmd_lasserre)
 
-    sp = sub.add_parser("wl", help="compare k-WL refinement histograms")
+    sp = sub.add_parser("wl", help="decide k-WL equivalence")
     sp.add_argument("graph_g", metavar="G.graph")
     sp.add_argument("graph_h", metavar="H.graph")
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=None,
-                    help="largest allowed tuple-space size")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_wl)
 
@@ -562,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--lasserre", action="store_true")
     sp.add_argument("--n", type=int, required=True, help="largest graph order")
     sp.add_argument("--k", type=int, default=None, help="label arity (tw/pw)")
-    sp.add_argument("--t", type=int, default=None, help="level (lasserre)")
+    sp.add_argument("--t", type=int, default=None, choices=(1, 2),
+                    help="level (lasserre): 1 or 2")
     sp.add_argument("--C", type=int, default=1, help="automaton state count")
     sp.add_argument("--bit-cap", type=int, default=None, dest="bit_cap")
     sp.add_argument("--json", action="store_true")
@@ -596,13 +595,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "budget", 0) is None:
-            args.budget = _default_budget(
-                DEFAULT_WL_BUDGET if args.command == "wl" else DEFAULT_WORK_BUDGET)
+            args.budget = int(os.environ.get("HOMIND_BUDGET", DEFAULT_WORK_BUDGET))
         if getattr(args, "budget", 1) < 1:
             raise ValueError(f"budget must be at least 1, got {args.budget}")
         return args.func(args)
-    except (ValueError, OSError, BoundOverflow, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, BoundOverflow, RuntimeError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -126,7 +126,7 @@ from itertools import combinations, cycle
 import numpy as np
 
 from .graphs import DEFAULT_WORK_BUDGET, Graph, compact_graph, hom_count
-from .labelled import TApplyA, TApplyJ, TGlue, TOne
+from .labelled import fold_term
 from .modular import (
     BoundOverflow,
     Xoshiro256StarStar,
@@ -243,17 +243,13 @@ class BlockOps:
 def term_block(ops: BlockOps, term):
     """Tensor of a glue/A/J term over one target graph, built purely from
     the operator kernels (no homomorphism counting)."""
-    if isinstance(term, TOne):
-        if term.k != ops.k:
-            raise ValueError(f"term arity {term.k} != kernel arity {ops.k}")
+
+    def ones(k):
+        if k != ops.k:
+            raise ValueError(f"term arity {k} != kernel arity {ops.k}")
         return ops.ones()
-    if isinstance(term, TApplyA):
-        return ops.apply_a(term_block(ops, term.arg), term.i, term.j)
-    if isinstance(term, TApplyJ):
-        return ops.apply_j(term_block(ops, term.arg), term.i)
-    if isinstance(term, TGlue):
-        return ops.schur(term_block(ops, term.left), term_block(ops, term.right))
-    raise TypeError(f"not a term node: {term!r}")
+
+    return fold_term(term, ones, ops.schur, ops.apply_a, ops.apply_j)
 
 
 # === Echelon bases over F_p ===

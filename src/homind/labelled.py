@@ -202,36 +202,42 @@ class TApplyJ:
     arg: object
 
 
+def fold_term(t, one, glue_, apply_a, apply_j):
+    """Fold a term bottom-up: ``one(k)`` at each TOne, and at the other
+    nodes ``glue_(left, right)``, ``apply_a(arg, i, j)`` and
+    ``apply_j(arg, i)`` of the folded children; TypeError on a non-term."""
+    fold = lambda s: fold_term(s, one, glue_, apply_a, apply_j)
+    if isinstance(t, TOne):
+        return one(t.k)
+    if isinstance(t, TGlue):
+        return glue_(fold(t.left), fold(t.right))
+    if isinstance(t, TApplyA):
+        return apply_a(fold(t.arg), t.i, t.j)
+    if isinstance(t, TApplyJ):
+        return apply_j(fold(t.arg), t.i)
+    raise TypeError(f"not a term: {t!r}")
+
+
 def val(t):
     """Evaluate a term to its distinctly k-labelled graph."""
-    if isinstance(t, TOne):
-        return one_labelled(t.k)
-    if isinstance(t, TGlue):
-        return glue(val(t.left), val(t.right))
-    if isinstance(t, TApplyA):
-        f = val(t.arg)
-        if not 1 <= t.i < t.j <= f.k:
-            raise ValueError(f"A({t.i},{t.j}) invalid at arity {f.k}")
-        return val_apply_a(f, t.i, t.j)
-    if isinstance(t, TApplyJ):
-        f = val(t.arg)
-        if not 1 <= t.i <= f.k:
-            raise ValueError(f"J({t.i}) invalid at arity {f.k}")
-        return val_apply_j(f, t.i)
-    raise TypeError(f"not a term: {t!r}")
+
+    def apply_a(f, i, j):
+        if not 1 <= i < j <= f.k:
+            raise ValueError(f"A({i},{j}) invalid at arity {f.k}")
+        return val_apply_a(f, i, j)
+
+    def apply_j(f, i):
+        if not 1 <= i <= f.k:
+            raise ValueError(f"J({i}) invalid at arity {f.k}")
+        return val_apply_j(f, i)
+
+    return fold_term(t, one_labelled, glue, apply_a, apply_j)
 
 
 def format_term(t):
     """Render a term: one, glue(t1,t2), A(i,j,t), J(i,t)."""
-    if isinstance(t, TOne):
-        return "one"
-    if isinstance(t, TGlue):
-        return f"glue({format_term(t.left)},{format_term(t.right)})"
-    if isinstance(t, TApplyA):
-        return f"A({t.i},{t.j},{format_term(t.arg)})"
-    if isinstance(t, TApplyJ):
-        return f"J({t.i},{format_term(t.arg)})"
-    raise TypeError(f"not a term: {t!r}")
+    return fold_term(t, lambda k: "one", lambda l, r: f"glue({l},{r})",
+                     lambda s, i, j: f"A({i},{j},{s})", lambda s, i: f"J({i},{s})")
 
 
 # === Labelled isomorphism and dedup ===

@@ -38,11 +38,8 @@ from itertools import combinations
 from .graphs import GraphFormatError, _tokenize_with_lines, parse_graph_tokens
 from .labelled import (
     ArityMismatch,
-    TApplyA,
-    TApplyJ,
-    TGlue,
-    TOne,
     enumerate_tw,
+    fold_term,
     format_term,
     glue,
     soe,
@@ -339,17 +336,15 @@ def builtin(name, k):
 def trace_term(aut, term):
     """State reached by running the automaton over a term of the
     glue/A/J algebra."""
-    if isinstance(term, TOne):
-        if term.k != aut.k:
-            raise ArityMismatch(f"term arity {term.k} != automaton arity {aut.k}")
+
+    def start(k):
+        if k != aut.k:
+            raise ArityMismatch(f"term arity {k} != automaton arity {aut.k}")
         return aut.start
-    if isinstance(term, TApplyJ):
-        return aut.j_state(term.i, trace_term(aut, term.arg))
-    if isinstance(term, TApplyA):
-        return aut.a_state(term.i, term.j, trace_term(aut, term.arg))
-    if isinstance(term, TGlue):
-        return aut.glue_state(trace_term(aut, term.left), trace_term(aut, term.right))
-    raise TypeError(f"not a term node: {term!r}")
+
+    return fold_term(term, start, aut.glue_state,
+                     lambda state, i, j: aut.a_state(i, j, state),
+                     lambda state, i: aut.j_state(i, state))
 
 
 # === Validation harness ===

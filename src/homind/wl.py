@@ -12,6 +12,10 @@ every graph of treewidth at most k.  Running both graphs inside one
 disjoint union keeps the palettes aligned, so a histogram comparison at
 the stable partition decides indistinguishability.
 
+No command runs ``wl_refine``: ``homind wl`` decides with the engine's
+refinement (tw-all at arity k + 1).  It stays as the independent
+reference that the tests and perfbench's oracles check the engine against.
+
 The gadget construction replaces each vertex v of a base graph by the
 set of parity assignments S : E(v) -> Z_2 with a prescribed sum U(v),
 joining (u, S) and (v, T) when uv is a base edge and S(uv) = T(uv).
@@ -90,11 +94,10 @@ def cfi(base: Graph, parity: int) -> CFIInstance:
     return CFIInstance(base, parity, result, tuple(legend))
 
 
-
-
 def wl_refine(G: Graph, H: Graph, k: int, budget: int = 200_000) -> bool:
     """Stable k-tuple refinement on the disjoint union; True when the
-    color histograms of G-tuples and H-tuples agree."""
+    color histograms of G-tuples and H-tuples agree.  The reference k-WL:
+    no command runs it, and it shares no code with ``engine._refine``."""
     if k < 1:
         raise ValueError("k must be >= 1")
     n = G.n + H.n

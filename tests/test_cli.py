@@ -371,6 +371,20 @@ def test_wl_exit_codes_track_refinement(files, capsys):
     assert rc2 == 1 and "indistinguishable=false" in out2
 
 
+def test_wl_k_below_one_exits_2(files, capsys):
+    for k in ("0", "-1"):
+        assert run(["wl", files["c6"], files["2k3"], "--k", k], capsys) == (
+            2, "", "error: k must be >= 1\n")
+
+
+def test_wl_has_no_budget_flag(files, capsys):
+    """``wl`` has no tuple budget: ``--budget`` is a usage error there."""
+    rc, out, err = run(["wl", files["c6"], files["2k3"], "--k", "1",
+                        "--budget", "5"], capsys)
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --budget 5" in err
+
+
 def test_oracle_reports_witness_and_counts(files, capsys):
     rc, out, _ = run(["oracle", files["c6"], files["2k3"],
                       "--class", "all", "--max-size", "3"], capsys)
@@ -495,6 +509,16 @@ def test_bounds_print_in_full_past_the_int_string_limit(files, capsys):
     finally:
         if get_limit:
             sys.set_int_max_str_digits(previous)
+
+
+def test_bounds_level_other_than_1_or_2_is_usage_error(files, capsys):
+    """No decider accepts a Lasserre level above 2, so ``bounds`` prints
+    no bound for one: exit 2 with nothing on stdout."""
+    for level in ("0", "3"):
+        rc, out, err = run(["bounds", "--lasserre", "--n", "4", "--t", level],
+                           capsys)
+        assert (rc, out) == (2, ""), level
+        assert "--t: invalid choice" in err
 
 
 def test_bounds_missing_arity_is_usage_error(files, capsys):
@@ -665,12 +689,14 @@ def test_graph_info_reports_widths(files, capsys):
 
 
 def test_budget_env_var_overrides_default(files, capsys, monkeypatch):
+    argv = ["oracle", files["c6"], files["2k3"], "--class", "all",
+            "--max-size", "3"]
+    assert run(argv, capsys)[0] == 1
     monkeypatch.setenv("HOMIND_BUDGET", "10")
-    rc, _, err = run(["wl", files["c6"], files["2k3"], "--k", "2"], capsys)
+    rc, _, err = run(argv, capsys)
     assert rc == 2
-    assert "refinement budget" in err
-    rc2, _, _ = run(["wl", files["c6"], files["2k3"], "--k", "2",
-                     "--budget", "200000"], capsys)
+    assert "hom_count budget exceeded" in err
+    rc2, _, _ = run([*argv, "--budget", "100000"], capsys)
     assert rc2 == 1  # explicit flag beats the environment
 
 
@@ -679,9 +705,8 @@ def test_budget_env_var_overrides_default(files, capsys, monkeypatch):
     ("pwhomind", "--builtin", "paths", "--seed", "1"),
     ("modhomind", "--builtin", "tw-all", "--k", "2", "--prime", "101"),
     ("lasserre", "--t", "1", "--seed", "1"),
-    ("wl", "--k", "1"),
     ("oracle", "--class", "all", "--max-size", "2"),
-], ids=["homind", "pwhomind", "modhomind", "lasserre", "wl", "oracle"])
+], ids=["homind", "pwhomind", "modhomind", "lasserre", "oracle"])
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_budget_below_one_exits_2_before_any_output(files, capsys, monkeypatch,
                                                     command, budget):
@@ -699,6 +724,27 @@ def test_gen_wl_hardness_rejects_k_below_one(files, capsys):
         rc, out, err = run(["gen", "wl-hardness", files["k3"], "--k", k], capsys)
         assert (rc, out) == (2, "")
         assert err == f"error: wl-hardness needs k >= 1, got {k}\n"
+
+
+def test_out_of_memory_is_a_processing_error(files, capsys, monkeypatch):
+    """A decider that runs out of memory exits 2 with an error line, not
+    with a traceback and exit 1, which would read as a reject."""
+    import homind.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 23.8 GiB")
+
+    monkeypatch.setattr(homind.cli, "lasserre_mod", exhausted)
+    assert run(["lasserre", "--t", "2", "--mode", "deterministic", files["c6"],
+                files["c6"]], capsys) == (
+        2, "", "error: Unable to allocate 23.8 GiB\n")
+
+    def bare(*args, **kwargs):
+        raise MemoryError  # no message: the error line names the type
+
+    monkeypatch.setattr(homind.cli, "_refine", bare)
+    assert run(["wl", files["c6"], files["c6"], "--k", "3"], capsys) == (
+        2, "", "error: MemoryError\n")
 
 
 def test_missing_file_is_a_processing_error(files, capsys):

@@ -16,13 +16,19 @@ refinement that counts each line's colours one tuple at a time.  The
 stop-rule gate runs every step of the ``_stable`` sweep once more on the
 partition it returns and requires that none splits it.  The CFI gates
 check the refinement against the treewidth of the base graph, and decide
-the paper's reduction end to end on every small connected base.
+the paper's reduction end to end on every small connected base.  The
+``wl`` command gate checks ``homind wl`` against ``wl_refine``.
 """
 
+import io
+import json
 import random
+import tempfile
 from collections import Counter
+from contextlib import redirect_stdout
 from functools import partial
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
@@ -480,15 +486,21 @@ def test_tw_all_k3_refinement_accepts_cfi_over_treewidth_3_bases():
         assert (sizes_g == sizes_h).all()
 
 
+def connected_bases():
+    """The 30 connected graphs on 2-5 vertices, up to isomorphism."""
+    bases = [g for g in enumerate_graphs_up_to(5)
+             if g.n >= 2 and len(connected_components(g)) == 1]
+    assert len(bases) == 30
+    return bases
+
+
 def reduction_disagreements(arities):
     """The paper's reduction decided end to end: for every connected base
     B on 2-5 vertices (30 up to isomorphism) and each arity k, tw-all at
     arity k on ``gen_wl_hardness(B, k - 1)`` must accept iff tw(B) >= k
     (Roberson; Neuen).  Returns the number of decisions and the
     (B, k, accept) that disagree."""
-    bases = [g for g in enumerate_graphs_up_to(5)
-             if g.n >= 2 and len(connected_components(g)) == 1]
-    assert len(bases) == 30
+    bases = connected_bases()
     wrong = []
     for base in bases:
         width = exact_treewidth_tiny(base)
@@ -504,6 +516,62 @@ def reduction_disagreements(arities):
 def test_reduction_decided_end_to_end_on_small_bases():
     """The 60 decisions at k = 2 and 3; CI runs k = 4 as well."""
     assert reduction_disagreements((2, 3)) == (60, [])
+
+
+def cfi_pairs():
+    """The even/odd CFI pair over every connected base on 2-5 vertices."""
+    return [tuple(cfi(base, parity).result for parity in (0, 1))
+            for base in connected_bases()]
+
+
+def wl_command_disagreements(k, pairs):
+    """The pairs (G, H) on which ``homind wl --k k`` differs from the
+    reference ``wl_refine(G, H, k)``: in its exit code, or in its stdout,
+    line or JSON."""
+    wrong = []
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [str(Path(tmp, name)) for name in ("G.graph", "H.graph")]
+        for G, H in pairs:
+            for path, g in zip(files, (G, H)):
+                Path(path).write_text(serialize_graph(g))
+            same = wl_refine(G, H, k)
+            want = [(0 if same else 1, text) for text in (
+                f"k={k}\nindistinguishable={'true' if same else 'false'}\n",
+                json.dumps({"k": k, "indistinguishable": same}) + "\n")]
+            got = []
+            for flags in ([], ["--json"]):
+                with redirect_stdout(io.StringIO()) as out:
+                    got.append((main(["wl", *files, "--k", str(k), *flags]),
+                                out.getvalue()))
+            if got != want:
+                wrong.append((G, H))
+    return wrong
+
+
+def test_wl_command_matches_the_reference_refinement():
+    """``homind wl`` decides k-WL with ``_refine`` at arity k + 1, and must
+    print and exit as ``wl_refine`` decides: at k = 1 on the CFI pairs of
+    the 30 small bases, and at k = 1 and 2 on the seeded corpus (empty
+    graphs and unequal orders included).  CI runs the CFI pairs at k = 2,
+    about half a minute of ``wl_refine``."""
+    assert wl_command_disagreements(1, cfi_pairs()) == []
+    corpus = [(G, H) for _, G, H in _corpus()]
+    for k in (1, 2):
+        assert wl_command_disagreements(k, corpus) == []
+
+
+def test_wl_command_decides_cfi_over_k4(tmp_path, capsys):
+    """K4 has treewidth 3, so its CFI pair fools 2-WL but not 3-WL.  At
+    k = 3 ``wl_refine`` takes tens of seconds on the 32^3 tuples of the
+    union; the engine decides at once."""
+    files = []
+    for parity in (0, 1):
+        files.append(str(tmp_path / f"{parity}.graph"))
+        Path(files[-1]).write_text(serialize_graph(cfi(complete_graph(4), parity).result))
+    for k, rc in ((2, 0), (3, 1)):
+        assert main(["wl", *files, "--k", str(k)]) == rc
+        assert capsys.readouterr().out == (
+            f"k={k}\nindistinguishable={'true' if rc == 0 else 'false'}\n")
 
 
 # === A multi-state treewidth automaton: forests ===
